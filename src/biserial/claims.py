@@ -64,6 +64,8 @@ class FamilyConfig:
             raise ValueError("m_max must be nonnegative")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
+        if self.samples < 0:
+            raise ValueError("samples must be nonnegative")
 
     @property
     def field(self):
@@ -122,6 +124,13 @@ def _aggregate(checks: List[CheckResult]) -> str:
     if any(c.status == INCONCLUSIVE for c in checks):
         return INCONCLUSIVE
     return PASS
+
+
+def _sampled_status(samples: int, failures: int) -> str:
+    """A sweep over zero samples proves nothing: it is inconclusive."""
+    if failures:
+        return FAIL
+    return PASS if samples else INCONCLUSIVE
 
 
 def _verdict_check(name: str, report, expected: Optional[int]) -> CheckResult:
@@ -236,7 +245,7 @@ def claim_lemma_2(config: FamilyConfig) -> ClaimReport:
                                       {"m_prime_support": split.m_prime.support()}))
     checks.insert(0, CheckResult(
         f"{config.samples} random splittings verified, complements at level 1",
-        PASS if failures == 0 else FAIL,
+        _sampled_status(config.samples, failures),
         {"samples": config.samples, "failures": failures,
          "c2_string_summands_seen": total_x, "projective_copies_seen": total_a}))
     return ClaimReport("lemma-2", _aggregate(checks), checks, config)
@@ -259,7 +268,7 @@ def claim_corollary_3(config: FamilyConfig) -> ClaimReport:
                 {"support": om.support(), "pd": report.value}))
     checks.insert(0, CheckResult(
         f"{count} finite-pd modules: syzygy supported at level 1",
-        PASS if bad == 0 else FAIL,
+        _sampled_status(count, bad),
         {"samples": count, "failures": bad}))
     return ClaimReport("corollary-3", _aggregate(checks), checks, config)
 

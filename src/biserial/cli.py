@@ -8,14 +8,17 @@ Subcommands::
 
 Exit codes: 0 success / all claims pass, 1 a claim or isomorphism search
 failed, 2 usage or parse error, 3 an inconclusive verdict (with
-``--strict`` for ``module pd``).  ``--structured`` switches reports to
-line-delimited JSON records, byte-stable for identical flags.
+``--strict`` for ``module pd``), 141 the reader of stdout went away, as
+for a writer killed by SIGPIPE (``biserial verify all | head -1``).
+``--structured`` switches reports to line-delimited JSON records,
+byte-stable for identical flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -34,6 +37,7 @@ from .claims import radical_filtration
 from .reps import Algebra, RepresentationError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_presentation(spec: str):
@@ -423,19 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"algebra": cmd_algebra, "module": cmd_module,
+                "verify": cmd_verify}
     try:
-        if args.command == "algebra":
-            return cmd_algebra(args)
-        if args.command == "module":
-            return cmd_module(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        code = commands[args.command](args)
+        # Flush here so a closed pipe surfaces below, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered nowhere, so the final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ParseError, PresentationError, ModuleFileError, FieldError,
             BoundExceeded, RepresentationError, FileNotFoundError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError
 
 
 if __name__ == "__main__":

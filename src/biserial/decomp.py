@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import build_subquiver_U
 from .fields import PrimeField
-from .homology import _sub_representation, hom_basis, kernel_of
+from .homology import (_sub_representation, hom_basis, kernel_of,
+                       map_from_projectives)
 from .matrices import Matrix
 from .presentation import Presentation, PresentationError
 from .reps import (Algebra, ModuleMap, Representation, RepresentationError,
@@ -151,30 +152,13 @@ def strip_pc2(module: Representation) -> StripResult:
             chosen.append(i)
     assert len(chosen) == a
 
-    pc2 = algebra.projective("c2")
-    copies = [pc2] * a
-    psum, inj, _ = direct_sum(algebra, copies)
-    basis = algebra.basis
-    ids = basis.classes_from("c2")
-    local: Dict[str, List[int]] = {}
-    for i in ids:
-        local.setdefault(basis.class_target(i), []).append(i)
-    embed_mats = {v: Matrix.zeros(field, module.dims[v], psum.dims[v])
-                  for v in algebra.vertices}
-    for copy_idx, i0 in enumerate(chosen):
+    psum, _, _ = direct_sum(algebra, [algebra.projective("c2")] * a)
+    gens = []
+    for i0 in chosen:
         gen = Matrix.zeros(field, n, 1)
         gen.data[i0][0] = field.one
-        for tgt, grp in local.items():
-            for k, class_id in enumerate(grp):
-                path = basis.class_path(class_id)
-                vec = gen if not path else module.path_matrix(path) @ gen
-                # Column index inside the sum: injection of this copy.
-                col_local = Matrix.zeros(field, pc2.dims[tgt], 1)
-                col_local.data[k][0] = field.one
-                col_sum = inj[copy_idx].mats[tgt] @ col_local
-                j = next(idx for idx in range(col_sum.rows) if col_sum.data[idx][0])
-                for row in range(module.dims[tgt]):
-                    embed_mats[tgt].data[row][j] = vec.data[row][0]
+        gens.append(("c2", gen))
+    embed_mats = map_from_projectives(module, gens)
     embedding = ModuleMap(psum, module, embed_mats)
     if not embedding.is_morphism():
         raise CertificateFailure("projective embedding is not a module map")

@@ -8,10 +8,15 @@ syzygies, which forces the chain to cycle forever.  When neither happens
 within the cutoff the report says so; an inconclusive outcome is never
 silently treated as finite.
 
+The chain compares syzygies by a cheap fingerprint (dimension vector and
+top); the dimension of End(M) is solved only for syzygies whose
+fingerprints collide, and the isomorphism search runs only when those
+dimensions agree too.
+
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
-search are only "no isomorphism found" -- except for the dimension-vector
-and Hom-dimension fast paths, which are sound.
+search are only "no isomorphism found" -- except when the dimension
+vectors differ or Hom(M, N) is zero, which are sound.
 """
 
 from __future__ import annotations
@@ -184,42 +189,50 @@ def projective_cover(module: Representation) -> CoverData:
             candidate = ext.hstack(unit)
             if candidate.rank() > ext.cols:
                 ext = candidate
-                lift = Matrix.zeros(field, n, 1)
-                lift.data[i][0] = field.one
-                generators.append((v, lift))
+                generators.append((v, unit))
                 summands.append(algebra.projective(v))
                 multiplicities[v] = multiplicities.get(v, 0) + 1
     if not summands:
         zero = algebra.zero_module()
         return CoverData(module, zero, ModuleMap.zero(zero, module),
                          zero, ModuleMap.zero(zero, zero), {})
-    cover, injections, _ = direct_sum(algebra, summands)
-    cover_mats = {v: Matrix.zeros(field, module.dims[v], cover.dims[v])
-                  for v in algebra.vertices}
-    basis = algebra.basis
-    for (vertex, lift), summand, inj in zip(generators, summands, injections):
-        # The projective summand's basis classes are the path classes at
-        # ``vertex``; each maps to path-action on the chosen top lift.
-        ids = basis.classes_from(vertex)
-        local: Dict[str, List[int]] = {}
-        for i in ids:
-            local.setdefault(basis.class_target(i), []).append(i)
-        for tgt, grp in local.items():
-            for k, class_id in enumerate(grp):
-                path = basis.class_path(class_id)
-                vec = lift if not path else module.path_matrix(path) @ lift
-                # Column of this class inside the summand, then the sum.
-                col_in_summand = Matrix.zeros(field, summand.dims[tgt], 1)
-                col_in_summand.data[k][0] = field.one
-                col_in_cover = inj.mats[tgt] @ col_in_summand
-                j = next(idx for idx in range(col_in_cover.rows)
-                         if col_in_cover.data[idx][0])
-                for row in range(module.dims[tgt]):
-                    cover_mats[tgt].data[row][j] = vec.data[row][0]
-    cover_map = ModuleMap(cover, module, cover_mats)
+    cover, _, _ = direct_sum(algebra, summands)
+    cover_map = ModuleMap(cover, module, map_from_projectives(module, generators))
     syzygy_rep, inclusion = kernel_of(cover_map)
     return CoverData(module, cover, cover_map, syzygy_rep, inclusion,
                      multiplicities)
+
+
+def map_from_projectives(module: Representation,
+                         generators: List[Tuple[str, Matrix]]) -> Dict[str, Matrix]:
+    """Vertexwise matrices of the map from the direct sum of the P(v), one
+    per ``(v, gen)`` in order, to ``module`` that sends the top of each
+    summand to its column ``gen`` of the module at ``v``.
+
+    The projective's basis classes are the path classes at ``v``; class p
+    goes to p·gen, computed as p's last arrow applied to the image of its
+    prefix, so each class costs one matrix-vector product.  Columns follow
+    the block order of ``direct_sum``.
+    """
+    algebra = module.algebra
+    basis = algebra.basis
+    columns: Dict[str, List[Matrix]] = {v: [] for v in algebra.vertices}
+
+    def image(images: Dict[tuple, Matrix], path: tuple) -> Matrix:
+        vec = images.get(path)
+        if vec is None:
+            vec = images[path] = module.mats[path[-1]] @ image(images, path[:-1])
+        return vec
+
+    for vertex, gen in generators:
+        images = {(): gen}
+        for class_id in basis.classes_from(vertex):
+            columns[basis.class_target(class_id)].append(
+                image(images, basis.class_path(class_id)))
+    return {v: Matrix(algebra.field, module.dims[v], len(vecs),
+                      [[vec.data[row][0] for vec in vecs]
+                       for row in range(module.dims[v])])
+            for v, vecs in columns.items()}
 
 
 def syzygy(module: Representation) -> Representation:
@@ -293,8 +306,9 @@ def certified_iso(m: Representation, n: Representation, trials: Optional[int] = 
 
     A returned map is a certificate: intertwining and invertible at every
     vertex.  None is a sound negative only when the dimension vectors
-    differ or one of the Hom spaces is zero; otherwise it just reports
-    that ``trials`` random combinations of a Hom basis all failed.
+    differ or Hom(M, N) is zero; otherwise it just reports that ``trials``
+    random combinations of a Hom basis all failed.  Coefficients are drawn
+    from all of GF(p), or from -9..9 over Q.
     """
     if m.dims != n.dims:
         return None
@@ -306,18 +320,13 @@ def certified_iso(m: Representation, n: Representation, trials: Optional[int] = 
     basis = hom_basis(m, n)
     if not basis:
         return None
-    if hom_dim(n, m) == 0:
-        return None
     rng = random.Random(f"certified-iso:{seed}")
     verts = m.algebra.vertices
-    if isinstance(field, PrimeField):
-        coeff_pool = list(range(field.p))
-    else:
-        coeff_pool = list(range(-9, 10))
+    low, high = (0, field.p) if isinstance(field, PrimeField) else (-9, 10)
     for _ in range(trials):
-        cand = basis[0].scale(field(rng.choice(coeff_pool)))
+        cand = basis[0].scale(field(rng.randrange(low, high)))
         for h in basis[1:]:
-            cand = cand + h.scale(field(rng.choice(coeff_pool)))
+            cand = cand + h.scale(field(rng.randrange(low, high)))
         if all(cand.mats[v].rank() == m.dims[v] for v in verts):
             return cand
     return None
@@ -395,7 +404,6 @@ class PdReport:
 def _fingerprint(module: Representation) -> tuple:
     tops = top_dims(module)
     return (module.dim_vector(),
-            hom_dim(module, module),
             tuple(sorted((v, d) for v, d in tops.items() if d)))
 
 
@@ -408,6 +416,10 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
     then cycles forever, since minimal syzygies are isomorphism
     invariants); Inconclusive after ``cutoff`` steps.  The zero module
     gets the distinct verdict ``minus_infinity``.
+
+    Two syzygies are only searched for an isomorphism when their
+    fingerprints and their End dimensions agree; the End dimension of a
+    syzygy is solved the first time its fingerprint collides, then kept.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -415,6 +427,13 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
     chain = [current.dim_vector()]
     if current.is_zero():
         return PdReport("minus_infinity", chain, seed=seed)
+    end_dims: Dict[int, int] = {}
+
+    def end_dim(rep: Representation, idx: int) -> int:
+        if idx not in end_dims:
+            end_dims[idx] = hom_dim(rep, rep)
+        return end_dims[idx]
+
     seen: List[Tuple[tuple, Representation, int]] = [(_fingerprint(current), current, 0)]
     for step in range(1, cutoff + 1):
         current = syzygy(current)
@@ -423,7 +442,7 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
             return PdReport("finite", chain, value=step - 1, seed=seed)
         fp = _fingerprint(current)
         for old_fp, old_rep, old_idx in seen:
-            if old_fp == fp:
+            if old_fp == fp and end_dim(old_rep, old_idx) == end_dim(current, step):
                 iso = certified_iso(old_rep, current, trials=trials, seed=seed)
                 if iso is not None:
                     return PdReport("infinite", chain, cycle=(old_idx, step),

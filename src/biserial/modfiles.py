@@ -111,6 +111,14 @@ def _parse_string(tokens: List[str], lineno: int, algebra: Algebra) -> Represent
         raise ModuleFileError(lineno, str(exc)) from exc
 
 
+def _count(token: str, lineno: int, what: str) -> int:
+    """A nonnegative integer token, or an error naming the line."""
+    if not token.isdecimal():
+        raise ModuleFileError(lineno, f"{what} must be a nonnegative integer, "
+                                      f"got {token!r}")
+    return int(token)
+
+
 def _parse_raw(lines: List[str], i: int, algebra: Algebra
                ) -> Tuple[Representation, int]:
     dims: Dict[str, int] = {}
@@ -131,11 +139,13 @@ def _parse_raw(lines: List[str], i: int, algebra: Algebra
                 raise ModuleFileError(lineno, "expected: dim <vertex> <n>")
             if tokens[1] not in algebra.pres.quiver.vertices:
                 raise ModuleFileError(lineno, f"unknown vertex {tokens[1]!r}")
-            dims[tokens[1]] = int(tokens[2])
+            dims[tokens[1]] = _count(tokens[2], lineno, "dimension")
         elif tokens[0] == "mat":
             if len(tokens) != 4:
                 raise ModuleFileError(lineno, "expected: mat <arrow> <rows> <cols>")
-            name, rows, cols = tokens[1], int(tokens[2]), int(tokens[3])
+            name = tokens[1]
+            rows = _count(tokens[2], lineno, "row count")
+            cols = _count(tokens[3], lineno, "column count")
             if name not in algebra.pres.quiver.arrows:
                 raise ModuleFileError(lineno, f"unknown arrow {name!r}")
             data = []

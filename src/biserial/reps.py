@@ -39,6 +39,7 @@ class Algebra:
         self.pres = pres
         self.field = field
         self.basis = basis if basis is not None else build_path_basis(pres, length_bound)
+        self._projectives: Dict[str, "Representation"] = {}
 
     @property
     def vertices(self) -> Tuple[str, ...]:
@@ -58,7 +59,15 @@ class Algebra:
 
     def projective(self, vertex: str) -> "Representation":
         """Indecomposable projective with top at ``vertex``, realized on the
-        path-class basis at that source."""
+        path-class basis at that source.
+
+        Built and relation-checked on the first call, then the same object
+        is returned: representations are immutable by convention, so every
+        caller may share it.
+        """
+        cached = self._projectives.get(vertex)
+        if cached is not None:
+            return cached
         basis = self.basis
         if vertex not in self.pres.quiver.vertices:
             raise RepresentationError(f"unknown vertex {vertex!r}")
@@ -76,7 +85,8 @@ class Algebra:
                 for j, coeff in basis.act[(a.name, i)].items():
                     m.data[position[j]][position[i]] = field(coeff)
             mats[a.name] = m
-        return Representation(self, dims, mats)
+        proj = self._projectives[vertex] = Representation(self, dims, mats)
+        return proj
 
     def __repr__(self) -> str:
         return f"Algebra({self.pres.name}, {self.field!r})"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,50 @@ def test_verify_records_field(capsys):
 def test_missing_file_exits_2(capsys):
     assert main(["module", "pd", "/nonexistent.mod",
                  "--algebra", "lambda:r=1,m=0"]) == 2
+
+
+def test_verify_negative_samples_exits_2(capsys):
+    assert main(["verify", "lemma-2", "--samples", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "samples must be nonnegative" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("claim", ["lemma-2", "corollary-3"])
+def test_verify_zero_samples_is_inconclusive(claim, capsys):
+    assert main(["verify", claim, "--samples", "0", "--structured"]) == 3
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[0]["status"] == "inconclusive"
+    assert records[0]["checks"][0]["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_verify_into_closed_pipe_exits_quietly(unbuffered):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biserial", "verify", "simples-pd", "prop-2",
+         "lemma-1", "--m-max", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # Unbuffered, the first claim line arrives before the rest is written;
+    # buffered, everything is written at exit, long after the close.
+    if unbuffered:
+        assert proc.stdout.readline().startswith(b"claim simples-pd")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
+
+
+@pytest.mark.parametrize("body, line", [
+    ("raw\ndim a0 x\n", 3),
+    ("raw\ndim u 1\nmat al_u_u 1 x\n0\n", 4),
+    ("raw\ndim u -1\n", 3),
+])
+def test_raw_module_bad_integer_names_line(tmp_path, capsys, body, line):
+    path = tmp_path / "bad.mod"
+    path.write_text("module m over lambda_r1_m0\n" + body)
+    assert main(["module", "pd", str(path), "--algebra", "lambda:r=1,m=0"]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "nonnegative integer" in err

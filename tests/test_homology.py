@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
 
-from biserial.families import build_lambda, lambda_vertices
+import pytest
+
+from biserial import homology
+from biserial.decomp import xset
+from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
+from biserial.fields import PrimeField
 from biserial.homology import (certified_iso, cokernel_of,
                                hom_basis, is_direct_summand_simple, kernel_of,
-                               projdim, projective_cover, radical, syzygy,
-                               top_dims)
-from biserial.reps import (Algebra, ModuleMap, direct_sum, random_module,
-                           string_module)
-from biserial.witnesses import build_Z, z_walk
+                               projdim, projective_cover, radical,
+                               record_digest, syzygy, top_dims)
+from biserial.reps import (Algebra, ModuleMap, Representation, StringWord,
+                           direct_sum, random_module, string_module)
+from biserial.witnesses import build_Z, build_Zt, z_walk
 
 
 def brute_force_intertwiner_count(m, n):
@@ -370,3 +375,128 @@ def test_pd_report_serialization(alg0):
     assert rec["cycle"] == [0, 1]
     assert rec["seed"] == 3
     assert rec["chain"][0] == [["u", 1]]
+
+
+# -- the pd engine does no work that cannot change its answer ------------------
+
+
+def _count_hom_systems(monkeypatch):
+    calls = []
+    real = homology.hom_basis
+
+    def counting(source, target):
+        calls.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(homology, "hom_basis", counting)
+    return calls
+
+
+def test_finite_chain_with_distinct_dims_solves_no_hom_system(alg3, monkeypatch):
+    calls = _count_hom_systems(monkeypatch)
+    rep = projdim(build_Z(alg3, 3), cutoff=8)
+    assert rep.verdict == "finite" and rep.value == 4
+    assert len(set(rep.chain)) == len(rep.chain)
+    assert calls == []
+
+
+def test_fingerprint_collision_with_different_end_skips_iso_search(alg0, monkeypatch):
+    # Two modules with dimension vector a0:2, c0:1, u:1 and top a0:2:
+    # c0 <- a0 -> u plus S(a0) has End of dimension 3, while
+    # (a0 -> c0) plus (a0 -> u) has End of dimension 2.
+    to_c0, to_u = alg0.pres.quiver.arrows_from("a0")
+
+    def walk(base, letters):
+        return string_module(alg0, StringWord(base, letters))
+
+    first, _, _ = direct_sum(alg0, [walk("c0", [(to_c0.name, -1), (to_u.name, 1)]),
+                                    alg0.simple("a0")])
+    second, _, _ = direct_sum(alg0, [walk("a0", [(to_c0.name, 1)]),
+                                     walk("a0", [(to_u.name, 1)])])
+    assert homology._fingerprint(first) == homology._fingerprint(second)
+    chain = {id(first): second, id(second): alg0.zero_module()}
+    monkeypatch.setattr(homology, "syzygy", lambda module: chain[id(module)])
+    searches = []
+    monkeypatch.setattr(homology, "certified_iso",
+                        lambda *args, **kwargs: searches.append(args))
+    calls = _count_hom_systems(monkeypatch)
+    rep = projdim(first)
+    assert rep.verdict == "finite" and rep.value == 1
+    assert searches == []
+    # End is solved once for each of the two colliding syzygies.
+    assert [(s is t) for s, t in calls] == [True, True]
+    assert {id(s) for s, _ in calls} == {id(first), id(second)}
+
+
+def test_projective_built_and_checked_once(monkeypatch):
+    checks = []
+    real = Representation.violated_relations
+
+    def counting(self):
+        checks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Representation, "violated_relations", counting)
+    alg = Algebra(build_lambda(1, 1))
+    first = alg.projective("a1")
+    assert alg.projective("a1") is first
+    assert len(checks) == 1
+
+
+def test_certified_iso_over_largest_prime():
+    alg = Algebra(build_lambda(1, 1), field=PrimeField(2147483647))
+    module = build_Z(alg, 1)
+    iso = certified_iso(module, module, seed=5)
+    assert iso is not None and iso.is_iso()
+
+
+def _pinned_modules():
+    out = {}
+    for m in range(4):
+        out[f"Z{m}"] = (lambda m=m: build_Z(Algebra(build_lambda(1, m)), m), m + 5)
+        for t in (1, 2):
+            out[f"Z{m}[{t}]"] = (
+                lambda m=m, t=t: build_Zt(Algebra(build_lambda(1, m + 1)), m, t),
+                m + 5)
+    for i in range(10):
+        out[f"X{i + 1}"] = (
+            lambda i=i: xset(Algebra(build_lambda1prime(1)))[i], 8)
+    return out
+
+
+# (verdict, pd or cycle, digest of the whole report record), recorded from
+# the engine that solved End(M) for every syzygy.
+PINNED_PD = {
+    "Z0": ("finite", 1, "dd89c81f13c91fc0"),
+    "Z1": ("finite", 2, "1f4427121f04ed0d"),
+    "Z2": ("finite", 3, "2d3ba950b9354f73"),
+    "Z3": ("finite", 4, "7d7ceef6f37cb4a0"),
+    "Z0[1]": ("finite", 1, "dd89c81f13c91fc0"),
+    "Z0[2]": ("finite", 1, "0d5a3895fd7921e1"),
+    "Z1[1]": ("finite", 2, "1f4427121f04ed0d"),
+    "Z1[2]": ("finite", 2, "ed4e14254ad6f78e"),
+    "Z2[1]": ("finite", 3, "2d3ba950b9354f73"),
+    "Z2[2]": ("finite", 3, "1502f87223fd8d4c"),
+    "Z3[1]": ("finite", 4, "7d7ceef6f37cb4a0"),
+    "Z3[2]": ("finite", 4, "bb1f57d40c411cfa"),
+    "X1": ("infinite", [2, 3], "09fa86dcba0d049d"),
+    "X2": ("infinite", [3, 4], "9bb7668e8b623394"),
+    "X3": ("infinite", [2, 3], "168f8a53107a9cb6"),
+    "X4": ("infinite", [2, 3], "0460217536e5d629"),
+    "X5": ("infinite", [3, 4], "6480bb2bf2612eb9"),
+    "X6": ("infinite", [3, 4], "4c0370723b0d8fc0"),
+    "X7": ("infinite", [3, 4], "ff9046270dcadc7d"),
+    "X8": ("infinite", [3, 4], "7ebdeecd83db9b12"),
+    "X9": ("infinite", [3, 4], "3e6430a2c7604ced"),
+    "X10": ("infinite", [3, 4], "e51a04ced0e6221d"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_PD))
+def test_pd_reports_match_pinned(name):
+    build, cutoff = _pinned_modules()[name]
+    rec = projdim(build(), cutoff=cutoff).to_record()
+    verdict, value, digest = PINNED_PD[name]
+    assert rec["verdict"] == verdict
+    assert rec.get("pd", rec.get("cycle")) == value
+    assert record_digest(rec) == digest
