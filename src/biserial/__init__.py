@@ -11,7 +11,7 @@ from .families import (build_lambda, build_lambda1prime, build_subquiver_U,
                        family_from_spec)
 from .reps import (Algebra, InvalidString, ModuleMap, Representation,
                    RepresentationError, StringWord, check_morphism,
-                   direct_sum, inflate, random_module, restrict,
+                   direct_sum, direct_sum_maps, inflate, random_module, restrict,
                    string_module, supported_on)
 from .homology import (CoverData, PdReport, certified_iso, cokernel_of,
                        hom_basis, is_direct_summand_simple, kernel_of,

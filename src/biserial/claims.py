@@ -31,18 +31,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .families import build_lambda, build_lambda1prime, lambda_vertices, vname
 from .fields import field_from_spec
-from .homology import (certified_iso, is_direct_summand_simple, kernel_of,
-                       projdim, radical, record_digest, syzygy)
+from .homology import (certified_iso, hom_dim, is_direct_summand_simple,
+                       iso_trials, kernel_of, projdim, radical, record_digest,
+                       syzygy)
 from .decomp import CertificateFailure, lemma2_split, xset
 from .reps import Algebra, random_module
 from .witnesses import (build_U, build_Z, build_Zt, build_phi,
                         sample_finite_pd_modules)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+
+
+class ConfigError(ValueError):
+    """A verify parameter outside its allowed range."""
 
 
 @dataclass
@@ -56,20 +61,42 @@ class FamilyConfig:
     samples: int = 100
     max_dim: int = 40
     trials: Optional[int] = None
+    # Algebras built for this configuration, by (family, level); see algebra().
+    _algebras: Dict[Tuple[str, Optional[int]], Algebra] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1:
-            raise ValueError("r must be at least 1")
+            raise ConfigError("r must be at least 1")
         if self.m_max < 0:
-            raise ValueError("m_max must be nonnegative")
+            raise ConfigError("m_max must be nonnegative")
         if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
+            raise ConfigError("t_max must be at least 1")
         if self.samples < 0:
-            raise ValueError("samples must be nonnegative")
+            raise ConfigError("samples must be nonnegative")
+        if self.max_dim < 0:
+            raise ConfigError("max_dim must be nonnegative")
+        if self.cutoff is not None and self.cutoff < 1:
+            raise ConfigError("cutoff must be at least 1")
 
     @property
     def field(self):
         return field_from_spec(self.field_spec)
+
+    def algebra(self, family: str, m: Optional[int] = None) -> Algebra:
+        """``lambda(r, m)`` for family ``lambda``, the pruned level-2
+        algebra for ``lambda1prime`` (no level), over the config's field.
+
+        Built on the first request and kept for the life of the config, so
+        claims run with one config share algebras, their path bases and
+        their memoized projectives.
+        """
+        key = (family, m)
+        if key not in self._algebras:
+            pres = (build_lambda(self.r, m) if family == "lambda"
+                    else build_lambda1prime(self.r))
+            self._algebras[key] = Algebra(pres, field=self.field)
+        return self._algebras[key]
 
     def chain_cutoff(self, m: int) -> int:
         return self.cutoff if self.cutoff is not None else self.r + m + 4
@@ -98,15 +125,21 @@ class ClaimReport:
     config: FamilyConfig
 
     def to_record(self) -> dict:
+        """The claim as a JSON record.  Every check carries the digest of
+        its evidence; a check that did not pass carries the evidence too,
+        so the record alone says why."""
+        checks = []
+        for c in self.checks:
+            rec = {"name": c.name, "status": c.status,
+                   "digest": record_digest(c.evidence)}
+            if c.status != PASS:
+                rec["evidence"] = c.evidence
+            checks.append(rec)
         return {
             "claim": self.claim_id,
             "status": self.status,
             "config": self.config.to_record(),
-            "checks": [
-                {"name": c.name, "status": c.status,
-                 "digest": record_digest(c.evidence)}
-                for c in self.checks
-            ],
+            "checks": checks,
         }
 
     def describe(self) -> str:
@@ -133,6 +166,25 @@ def _sampled_status(samples: int, failures: int) -> str:
     return PASS if samples else INCONCLUSIVE
 
 
+def _iso_check(name: str, m, n, config: FamilyConfig, evidence: dict
+               ) -> CheckResult:
+    """PASS with a certified isomorphism M -> N.  Without one, FAIL only
+    on a sound negative (the dimension vectors differ, or Hom(M, N) is
+    zero); otherwise the random search missed, which proves nothing, so
+    the check is INCONCLUSIVE and records the trials spent."""
+    if certified_iso(m, n, trials=config.trials, seed=config.seed) is not None:
+        return CheckResult(name, PASS, evidence)
+    if m.dims != n.dims:
+        return CheckResult(name, FAIL,
+                           {**evidence, "reason": "dimension vectors differ"})
+    if hom_dim(m, n) == 0:
+        return CheckResult(name, FAIL,
+                           {**evidence, "reason": "Hom space is zero"})
+    return CheckResult(name, INCONCLUSIVE, {
+        **evidence, "reason": "no isomorphism found",
+        "iso_trials": iso_trials(m.algebra.field, config.trials)})
+
+
 def _verdict_check(name: str, report, expected: Optional[int]) -> CheckResult:
     """Expected None means: require a certified infinite verdict."""
     ev = report.to_record()
@@ -154,7 +206,7 @@ def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
     loops = ["u", "v", "w", "cm1", "bm1"]
     for m in range(config.m_max + 1):
-        alg = Algebra(build_lambda(config.r, m), field=config.field)
+        alg = config.algebra("lambda", m)
         for i in range(config.r + 1):
             rep = projdim(alg.simple(vname("d", i)),
                           cutoff=config.chain_cutoff(m), seed=config.seed)
@@ -171,17 +223,16 @@ def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
 def claim_prop_2(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
     for m in range(config.m_max + 1):
-        big = Algebra(build_lambda(config.r, m + 1), field=config.field)
+        big = config.algebra("lambda", m + 1)
         z_next = build_Z(big, m + 1)
         z_here = build_Z(big, m)
         omega = syzygy(z_next)
-        iso = certified_iso(omega, z_here, trials=config.trials, seed=config.seed)
-        checks.append(CheckResult(
+        checks.append(_iso_check(
             f"syzygy of witness {m + 1} is witness {m} (certified)",
-            PASS if iso is not None else FAIL,
+            omega, z_here, config,
             {"omega_dims": list(omega.dim_vector()),
              "witness_dims": list(z_here.dim_vector())}))
-        native = Algebra(build_lambda(config.r, m), field=config.field)
+        native = config.algebra("lambda", m)
         rep = projdim(build_Z(native, m), cutoff=config.chain_cutoff(m),
                       seed=config.seed)
         checks.append(_verdict_check(
@@ -198,7 +249,7 @@ def claim_prop_2(config: FamilyConfig) -> ClaimReport:
 
 def claim_lemma_1(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
-    alg = Algebra(build_lambda1prime(config.r), field=config.field)
+    alg = config.algebra("lambda1prime")
     members = xset(alg)
     for idx, x in enumerate(members, start=1):
         rep = projdim(x, cutoff=max(config.chain_cutoff(2), 8), seed=config.seed)
@@ -220,7 +271,7 @@ def claim_lemma_1(config: FamilyConfig) -> ClaimReport:
 
 def claim_lemma_2(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
-    alg = Algebra(build_lambda1prime(config.r), field=config.field)
+    alg = config.algebra("lambda1prime")
     level1 = set(lambda_vertices(config.r, 1))
     rng = random.Random(f"lemma2:{config.seed}")
     failures = 0
@@ -253,7 +304,7 @@ def claim_lemma_2(config: FamilyConfig) -> ClaimReport:
 
 def claim_corollary_3(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
-    alg = Algebra(build_lambda(config.r, 2), field=config.field)
+    alg = config.algebra("lambda", 2)
     level1 = set(lambda_vertices(config.r, 1))
     count = config.samples
     samples = sample_finite_pd_modules(alg, count, seed=config.seed,
@@ -277,7 +328,7 @@ def claim_syzygy_descent(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
     per_level = max(4, config.samples // 10)
     for m in range(1, config.m_max + 1):
-        alg = Algebra(build_lambda(config.r, m), field=config.field)
+        alg = config.algebra("lambda", m)
         if m == 2:
             target = set(lambda_vertices(config.r, 2)) - {"a2", "b2"}
             label = "the pruned level-2 algebra"
@@ -299,22 +350,17 @@ def claim_syzygy_descent(config: FamilyConfig) -> ClaimReport:
 def claim_section_4(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
     for m in range(config.m_max + 1):
-        alg = Algebra(build_lambda(config.r, m + 1), field=config.field)
+        alg = config.algebra("lambda", m + 1)
         for t in range(1, config.t_max + 1):
             zt = build_Zt(alg, m, t)
             if t == 1:
-                base = build_Z(alg, m)
-                iso0 = certified_iso(zt, base, trials=config.trials,
-                                     seed=config.seed)
-                checks.append(CheckResult(
+                checks.append(_iso_check(
                     f"member (m={m}, t=1) is the witness",
-                    PASS if iso0 is not None else FAIL, {}))
+                    zt, build_Z(alg, m), config, {}))
             omega = syzygy(build_Zt(alg, m + 1, t))
-            iso = certified_iso(omega, zt, trials=config.trials, seed=config.seed)
-            checks.append(CheckResult(
+            checks.append(_iso_check(
                 f"syzygy of member (m={m + 1}, t={t}) is member (m={m}, t={t})",
-                PASS if iso is not None else FAIL,
-                {"dims": list(zt.dim_vector())}))
+                omega, zt, config, {"dims": list(zt.dim_vector())}))
             rep = projdim(zt, cutoff=config.chain_cutoff(m), seed=config.seed)
             checks.append(_verdict_check(
                 f"pd member (m={m}, t={t}) = {config.r + m}", rep,
@@ -322,16 +368,14 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
             phi = build_phi(alg, m, t)
             ker, _ = kernel_of(phi)
             u_expected = build_U(alg, m, t)
+            name = f"kernel of connecting map (m={m}, t={t}) as expected"
+            evidence = {"kernel_dims": list(ker.dim_vector()),
+                        "expected_dims": list(u_expected.dim_vector())}
             if u_expected.is_zero():
-                ok = ker.is_zero()
+                checks.append(CheckResult(
+                    name, PASS if ker.is_zero() else FAIL, evidence))
             else:
-                ok = certified_iso(ker, u_expected, trials=config.trials,
-                                   seed=config.seed) is not None
-            checks.append(CheckResult(
-                f"kernel of connecting map (m={m}, t={t}) as expected",
-                PASS if ok else FAIL,
-                {"kernel_dims": list(ker.dim_vector()),
-                 "expected_dims": list(u_expected.dim_vector())}))
+                checks.append(_iso_check(name, ker, u_expected, config, evidence))
             if t + 1 <= config.t_max:
                 phi_next = build_phi(alg, m, t + 1)
                 composite = phi_next.compose(phi)
@@ -400,7 +444,7 @@ def radical_filtration(module) -> List[Dict[str, int]]:
 
 def claim_appendix_projectives(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
-    alg = Algebra(build_lambda(config.r, 5), field=config.field)
+    alg = config.algebra("lambda", 5)
     expected = expected_projective_layers(config.r)
     for v in alg.vertices:
         proj = alg.projective(v)
@@ -417,14 +461,14 @@ def claim_appendix_projectives(config: FamilyConfig) -> ClaimReport:
 def claim_findim_witness(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
     for m in range(config.m_max + 1):
-        alg = Algebra(build_lambda(config.r, m), field=config.field)
+        alg = config.algebra("lambda", m)
         rep = projdim(build_Z(alg, m), cutoff=config.chain_cutoff(m),
                       seed=config.seed)
         checks.append(_verdict_check(
             f"lower bound witness: pd = {config.r + m} at level {m}",
             rep, config.r + m))
     # Sampled upper-bound evidence at level 2: finite pd never exceeds r+2.
-    alg2 = Algebra(build_lambda(config.r, 2), field=config.field)
+    alg2 = config.algebra("lambda", 2)
     count = max(10, config.samples // 5)
     samples = sample_finite_pd_modules(alg2, count, seed=config.seed)
     worst = max(report.value for _, report in samples)

@@ -8,8 +8,9 @@ Subcommands::
 
 Exit codes: 0 success / all claims pass, 1 a claim or isomorphism search
 failed, 2 usage or parse error, 3 an inconclusive verdict (with
-``--strict`` for ``module pd``), 141 the reader of stdout went away, as
-for a writer killed by SIGPIPE (``biserial verify all | head -1``).
+``--strict`` for ``module pd``), 4 an internal error (a bug, reported as
+``internal error: ...``), 141 the reader of stdout went away, as for a
+writer killed by SIGPIPE (``biserial verify all | head -1``).
 ``--structured`` switches reports to line-delimited JSON records,
 byte-stable for identical flags.
 """
@@ -22,8 +23,8 @@ import os
 import sys
 from typing import List, Optional
 
-from .claims import CLAIMS, FamilyConfig, run_claim
-from .decomp import CertificateFailure, lemma2_split
+from .claims import CLAIMS, ConfigError, FamilyConfig, run_claim
+from .decomp import CertificateFailure, NotPathQuiver, lemma2_split
 from .families import family_from_spec
 from .fields import FieldError, field_from_spec
 from .homology import (certified_iso, hom_basis, projdim, record_digest,
@@ -31,13 +32,24 @@ from .homology import (certified_iso, hom_basis, projdim, record_digest,
 from .modfiles import (ModuleFileError, dot_quiver, dot_representation,
                        emit_module_raw, parse_module_file)
 from .pathbasis import BoundExceeded
-from .presentation import ParseError, PresentationError, parse_presentation
+from .presentation import PresentationError, parse_presentation
 from .presentation import emit_presentation
 from .claims import radical_filtration
-from .reps import Algebra, RepresentationError
+from .reps import Algebra, InvalidString, RepresentationError
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 EXIT_BROKEN_PIPE = 141
+
+
+class UsageError(ValueError):
+    """A flag value the command cannot run with."""
+
+
+# Errors in what the user gave: flags, files and their contents.  They exit
+# EXIT_USAGE with their message; any other exception is a bug.
+INPUT_ERRORS = (UsageError, ConfigError, PresentationError, ModuleFileError,
+                FieldError, BoundExceeded, RepresentationError, InvalidString,
+                NotPathQuiver, OSError, UnicodeDecodeError)
 
 
 def _load_presentation(spec: str):
@@ -46,6 +58,15 @@ def _load_presentation(spec: str):
         return family_from_spec(spec)
     with open(spec, encoding="utf-8") as fh:
         return parse_presentation(fh.read())
+
+
+def _check_flags(args) -> None:
+    """Reject flag values no computation can run with (``verify`` flags
+    are checked by ``FamilyConfig``)."""
+    if getattr(args, "length_bound", 1) < 1:
+        raise UsageError("--length-bound must be at least 1")
+    if args.command == "module" and getattr(args, "cutoff", 1) < 1:
+        raise UsageError("--cutoff must be at least 1")
 
 
 def _algebra_from_args(args) -> Algebra:
@@ -430,6 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = {"algebra": cmd_algebra, "module": cmd_module,
                 "verify": cmd_verify}
     try:
+        _check_flags(args)
         code = commands[args.command](args)
         # Flush here so a closed pipe surfaces below, not at interpreter exit.
         sys.stdout.flush()
@@ -438,11 +460,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Send what is still buffered nowhere, so the final flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ParseError, PresentationError, ModuleFileError, FieldError,
-            BoundExceeded, RepresentationError, FileNotFoundError,
-            ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only a bug gets here; keep it off the start-up path
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

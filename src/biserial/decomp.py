@@ -27,7 +27,6 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import build_subquiver_U
-from .fields import PrimeField
 from .homology import (_sub_representation, hom_basis, kernel_of,
                        map_from_projectives)
 from .matrices import Matrix
@@ -57,13 +56,18 @@ def xset(algebra: Algebra) -> List[Representation]:
     """The ten canonical strings through c2, in figure order.
 
     Row one (ending with a beta step to b1) then row two; entry 10 is the
-    simple at c2.  Each has one-dimensional c2 component.
+    simple at c2.  Each has one-dimensional c2 component.  The modules are
+    built and relation-checked once per algebra and shared; each call
+    returns a fresh list of them.
     """
-    out = []
-    for spec in _WALKS["X"]:
-        word = StringWord(spec["base"], [tuple(x) for x in spec["letters"]])
-        out.append(string_module(algebra, word))
-    return out
+    return list(algebra.memo("xset", _build_xset))
+
+
+def _build_xset(algebra: Algebra) -> Tuple[Representation, ...]:
+    return tuple(
+        string_module(algebra, StringWord(spec["base"],
+                                          [tuple(x) for x in spec["letters"]]))
+        for spec in _WALKS["X"])
 
 
 # -- stripping projective-injective c2 summands ------------------------------
@@ -131,33 +135,19 @@ def strip_pc2(module: Representation) -> StripResult:
 
     if a == 0:
         zero_p = algebra.zero_module()
-        cert_total, _, _ = direct_sum(algebra, [zero_p, module])
+        cert_total = direct_sum(algebra, [zero_p, module])
         cert = _assemble_sum_map(
             cert_total, [ModuleMap.zero(zero_p, module), ModuleMap.identity(module)], module)
         return StripResult(0, module, ModuleMap.identity(module),
                            ModuleMap.zero(zero_p, module), cert)
 
     # Complement of the kernel inside the c2 space, chosen deterministically.
-    ext = kernel
-    chosen: List[int] = []
     n = module.dims["c2"]
-    for i in range(n):
-        if ext.cols == n:
-            break
-        unit = Matrix.zeros(field, n, 1)
-        unit.data[i][0] = field.one
-        candidate = ext.hstack(unit)
-        if candidate.rank() > ext.cols:
-            ext = candidate
-            chosen.append(i)
+    chosen = kernel.extending_units()
     assert len(chosen) == a
 
-    psum, _, _ = direct_sum(algebra, [algebra.projective("c2")] * a)
-    gens = []
-    for i0 in chosen:
-        gen = Matrix.zeros(field, n, 1)
-        gen.data[i0][0] = field.one
-        gens.append(("c2", gen))
+    psum = direct_sum(algebra, [algebra.projective("c2")] * a)
+    gens = [("c2", Matrix.units(field, n, [i0])) for i0 in chosen]
     embed_mats = map_from_projectives(module, gens)
     embedding = ModuleMap(psum, module, embed_mats)
     if not embedding.is_morphism():
@@ -166,7 +156,7 @@ def strip_pc2(module: Representation) -> StripResult:
     if retraction is None:
         raise CertificateFailure("no retraction onto the projective part")
     complement, incl = kernel_of(retraction)
-    total, _, _ = direct_sum(algebra, [psum, complement])
+    total = direct_sum(algebra, [psum, complement])
     cert = _assemble_sum_map(total, [embedding, incl], module)
     if not cert.is_iso():
         raise CertificateFailure("strip certificate is not an isomorphism")
@@ -316,7 +306,7 @@ def interval_decompose(module: Representation,
                 for rng, mult in sorted(counts.items())]
     reps = [interval_module(algebra, order, lo, hi) for (lo, hi), _ in pieces]
     if reps:
-        total, _, _ = direct_sum(algebra, reps)
+        total = direct_sum(algebra, reps)
     else:
         total = algebra.zero_module()
     certificate = _assemble_sum_map(total, [f for _, f in pieces], module)
@@ -337,9 +327,7 @@ def _nonzero_pairing(j_rep: Representation, probe_vertex: str,
             comp = p.compose(s)
             val = comp.mats[probe_vertex].data[0][0]
             if val:
-                inv = pow(val, field.p - 2, field.p) if isinstance(field, PrimeField) \
-                    else field.one / val
-                return s, p.scale(inv)
+                return s, p.scale(field.inv(val))
     return None
 
 
@@ -347,12 +335,19 @@ def _nonzero_pairing(j_rep: Representation, probe_vertex: str,
 
 
 def u_algebra(algebra: Algebra) -> Tuple[Algebra, List[str]]:
-    """Algebra of the six-vertex path subquiver, plus its path order."""
+    """Algebra of the six-vertex path subquiver, plus its path order.
+
+    The subalgebra is built once per algebra and shared.
+    """
+    return algebra.memo("u_algebra", _build_u_algebra), build_subquiver_U()
+
+
+def _build_u_algebra(algebra: Algebra) -> Algebra:
     u_verts = build_subquiver_U()
     pres = algebra.pres
     removed = [v for v in pres.quiver.vertices if v not in u_verts]
-    sub = pres.delete_vertices(removed, pres.name + "|U")
-    return Algebra(sub, field=algebra.field), u_verts
+    return Algebra(pres.delete_vertices(removed, pres.name + "|U"),
+                   field=algebra.field)
 
 
 def restrict_to_vertices(module: Representation, sub: Algebra) -> Representation:
@@ -431,7 +426,7 @@ def lemma2_split(module: Representation) -> Lemma2Split:
     # Assemble X as a sum of canonical strings, embedded into core.
     x_parts = [walk for walk, _ in x_embeddings]
     if x_parts:
-        x_rep, _, _ = direct_sum(algebra, x_parts)
+        x_rep = direct_sum(algebra, x_parts)
     else:
         x_rep = algebra.zero_module()
     x_map_mats = {v: Matrix.zeros(field, core.dims[v], 0) for v in algebra.vertices}
@@ -463,7 +458,7 @@ def lemma2_split(module: Representation) -> Lemma2Split:
 
     # Certificate: X (+) P(c2)^a (+) M' -> M.
     psum = stripped.projective_embedding.source
-    total, _, _ = direct_sum(algebra, [x_rep, psum, m_prime])
+    total = direct_sum(algebra, [x_rep, psum, m_prime])
     cert = _assemble_sum_map(
         total,
         [stripped.complement_inclusion.compose(x_into_core),

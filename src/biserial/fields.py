@@ -21,17 +21,16 @@ class Rationals:
 
     char = 0
     name = "q"
+    # Fractions are immutable, so every caller can share one zero and one.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, value) -> Fraction:
         return Fraction(value)
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def inv(self, x: Fraction) -> Fraction:
+        """The inverse of a nonzero element."""
+        return self.one / x
 
     def parse(self, token: str) -> Fraction:
         try:
@@ -72,13 +71,12 @@ class PrimeField:
             return value.numerator * pow(den, self.p - 2, self.p) % self.p
         return int(value) % self.p
 
-    @property
-    def zero(self) -> int:
-        return 0
+    zero = 0
+    one = 1
 
-    @property
-    def one(self) -> int:
-        return 1
+    def inv(self, x: int) -> int:
+        """The inverse of a nonzero residue, by Fermat's little theorem."""
+        return pow(x, self.p - 2, self.p)
 
     def parse(self, token: str) -> int:
         try:

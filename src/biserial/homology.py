@@ -55,11 +55,15 @@ def _sub_representation(module: Representation, incl_mats: Dict[str, Matrix]
     """Subrepresentation spanned by given independent columns per vertex.
 
     The spans must be arrow-stable; the induced action is solved exactly.
+    Arrows with a zero-dimensional end act by the empty matrix, which the
+    constructor fills in.
     """
     algebra = module.algebra
     dims = {v: incl_mats[v].cols for v in algebra.vertices}
     mats: Dict[str, Matrix] = {}
     for a in algebra.pres.quiver.arrows.values():
+        if not (dims[a.source] and dims[a.target]):
+            continue
         image = module.mats[a.name] @ incl_mats[a.source]
         induced = incl_mats[a.target].solve(image)
         if induced is None:
@@ -98,35 +102,20 @@ def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
     for v in algebra.vertices:
         n = f.target.dims[v]
         image = f.mats[v].image_basis()
+        rank = image.cols
         # Extend the image basis by unit vectors and read off coordinates.
-        ext = image
-        chosen: List[int] = []
-        rank = image.rank()
-        for i in range(n):
-            if ext.cols == n:
-                break
-            unit = Matrix.zeros(field, n, 1)
-            unit.data[i][0] = field.one
-            candidate = ext.hstack(unit)
-            if candidate.rank() > ext.cols:
-                ext = candidate
-                chosen.append(i)
-        full = ext
-        inv = full.inverse()
+        section = Matrix.units(field, n, image.extending_units())
+        inv = image.hstack(section).inverse()
         if inv is None:
             raise ValueError("basis extension failed")
         # Quotient coordinates are the rows of the inverse past the image part.
-        proj = Matrix(field, n - rank, n, inv.data[rank:])
-        proj_mats[v] = proj
-        section = Matrix.zeros(field, n, n - rank)
-        for k, i in enumerate(chosen):
-            section.data[i][k] = field.one
+        proj_mats[v] = Matrix(field, n - rank, n, inv.data[rank:])
         section_mats[v] = section
     dims = {v: proj_mats[v].rows for v in algebra.vertices}
-    mats = {}
-    for a in algebra.pres.quiver.arrows.values():
-        mats[a.name] = (proj_mats[a.target] @ f.target.mats[a.name]
-                        @ section_mats[a.source])
+    mats = {a.name: (proj_mats[a.target] @ f.target.mats[a.name]
+                     @ section_mats[a.source])
+            for a in algebra.pres.quiver.arrows.values()
+            if dims[a.source] and dims[a.target]}
     coker = Representation(algebra, dims, mats, check=False)
     return coker, ModuleMap(f.target, coker, proj_mats)
 
@@ -179,24 +168,16 @@ def projective_cover(module: Representation) -> CoverData:
         n = module.dims[v]
         if n == 0:
             continue
-        rad_cols = rad_incl.mats[v]
-        ext = rad_cols
-        for i in range(n):
-            if ext.cols == n:
-                break
-            unit = Matrix.zeros(field, n, 1)
-            unit.data[i][0] = field.one
-            candidate = ext.hstack(unit)
-            if candidate.rank() > ext.cols:
-                ext = candidate
-                generators.append((v, unit))
-                summands.append(algebra.projective(v))
-                multiplicities[v] = multiplicities.get(v, 0) + 1
+        # A basis of the top at v: unit vectors extending a basis of rad M.
+        for i in rad_incl.mats[v].extending_units():
+            generators.append((v, Matrix.units(field, n, [i])))
+            summands.append(algebra.projective(v))
+            multiplicities[v] = multiplicities.get(v, 0) + 1
     if not summands:
         zero = algebra.zero_module()
         return CoverData(module, zero, ModuleMap.zero(zero, module),
                          zero, ModuleMap.zero(zero, zero), {})
-    cover, _, _ = direct_sum(algebra, summands)
+    cover = direct_sum(algebra, summands)
     cover_map = ModuleMap(cover, module, map_from_projectives(module, generators))
     syzygy_rep, inclusion = kernel_of(cover_map)
     return CoverData(module, cover, cover_map, syzygy_rep, inclusion,
@@ -281,11 +262,13 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
         kernel = Matrix.identity(field, total)
     else:
         kernel = Matrix(field, len(rows), total,
-                        [[field(x) for x in row] for row in rows]).kernel_basis()
+                        [[field(x) if x else zero for x in row]
+                         for row in rows]).kernel_basis()
     out: List[ModuleMap] = []
+    blocks = [v for v in algebra.vertices if source.dims[v] and target.dims[v]]
     for c in range(kernel.cols):
         mats: Dict[str, Matrix] = {}
-        for v in algebra.vertices:
+        for v in blocks:
             m = Matrix.zeros(field, target.dims[v], source.dims[v])
             base = offsets[v]
             for i in range(target.dims[v]):
@@ -298,6 +281,14 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
 
 def hom_dim(source: Representation, target: Representation) -> int:
     return len(hom_basis(source, target))
+
+
+def iso_trials(field, trials: Optional[int] = None) -> int:
+    """The number of random trials ``certified_iso`` makes: ``trials`` when
+    given, else 40 over GF(p) and 20 over Q."""
+    if trials is not None:
+        return trials
+    return 40 if isinstance(field, PrimeField) else 20
 
 
 def certified_iso(m: Representation, n: Representation, trials: Optional[int] = None,
@@ -315,8 +306,7 @@ def certified_iso(m: Representation, n: Representation, trials: Optional[int] = 
     if m.is_zero():
         return ModuleMap.zero(m, n)
     field = m.algebra.field
-    if trials is None:
-        trials = 40 if isinstance(field, PrimeField) else 20
+    trials = iso_trials(field, trials)
     basis = hom_basis(m, n)
     if not basis:
         return None
@@ -348,9 +338,7 @@ def is_direct_summand_simple(vertex: str, module: Representation
         for p in retractions:
             val = (p.mats[vertex] @ s.mats[vertex]).data[0][0]
             if val:
-                inv = algebra.field.one / val if not isinstance(algebra.field, PrimeField) \
-                    else pow(val, algebra.field.p - 2, algebra.field.p)
-                return True, (s, p.scale(inv))
+                return True, (s, p.scale(algebra.field.inv(val)))
     return False, None
 
 

@@ -2,8 +2,10 @@
 
 Matrices are immutable-by-convention row-major grids of field elements.
 Everything downstream (syzygies, Hom spaces, certificates) reduces to the
-three operations ``rref``, ``kernel_basis`` and ``solve``; they are kept
-dense and exact, which is plenty for the module dimensions in scope.
+three operations ``rref``, ``kernel_basis`` and ``solve``.  Storage is
+dense, but Gauss-Jordan elimination is sparse in its updates: each row
+operation touches only the nonzero columns of the pivot row, which is
+what keeps the very sparse Hom systems cheap.  All arithmetic is exact.
 
 Pivot selection over the rationals prefers entries with denominator 1 and
 small numerator, which keeps intermediate fractions from growing.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import PrimeField
+from .fields import QQ, PrimeField
 
 
 class Matrix:
@@ -36,10 +38,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
+        return cls.units(field, n, range(n))
+
+    @classmethod
+    def units(cls, field, n: int, indices: Sequence[int]) -> "Matrix":
+        """The n-row matrix whose k-th column is the unit vector e_i for
+        the k-th index i."""
+        m = cls.zeros(field, n, len(indices))
         one = field.one
-        for i in range(n):
-            m.data[i][i] = one
+        for k, i in enumerate(indices):
+            m.data[i][k] = one
         return m
 
     @classmethod
@@ -163,19 +171,18 @@ class Matrix:
 
     def rref(self) -> Tuple["Matrix", List[int], int]:
         """Reduced row echelon form; returns (matrix, pivot columns, rank)."""
-        work = [row[:] for row in self.data]
-        pivots = _rref_inplace(work, self.field)
+        work, pivots = _rref(self.data, self.field)
         return Matrix(self.field, self.rows, self.cols, work), pivots, len(pivots)
 
     def rank(self) -> int:
-        work = [row[:] for row in self.data]
-        return len(_rref_inplace(work, self.field))
+        return len(_rref(self.data, self.field)[1])
 
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns form a basis of the null space of self."""
         red, pivots, _rank = self.rref()
         field = self.field
-        free = [j for j in range(self.cols) if j not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [j for j in range(self.cols) if j not in pivot_set]
         out = Matrix.zeros(field, self.cols, len(free))
         one = field.one
         for k, j in enumerate(free):
@@ -212,6 +219,14 @@ class Matrix:
             return None
         return sol
 
+    def extending_units(self) -> List[int]:
+        """Indices i of the unit vectors e_i that extend the independent
+        columns of self to a basis, chosen greedily by increasing i.  Those
+        are the pivot columns past self of [self | I], so one rref finds
+        them all."""
+        _, pivots, _ = self.hstack(Matrix.identity(self.field, self.rows)).rref()
+        return [j - self.cols for j in pivots if j >= self.cols]
+
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the pivot columns of self."""
         _, pivots, _ = self.rref()
@@ -219,18 +234,27 @@ class Matrix:
         return self.submatrix_cols(pivots)
 
 
-def _rref_inplace(work: List[list], field) -> List[int]:
-    """Gauss-Jordan elimination in place; returns the pivot column list."""
-    if not work:
-        return []
-    nrows = len(work)
-    ncols = len(work[0])
+def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
+    """Gauss-Jordan elimination on a copy of ``data``; returns the reduced
+    rows and the pivot column list.  Over GF(p) the copy is reduced to
+    ``0 <= x < p`` first, so every entry of the result is too."""
     if isinstance(field, PrimeField):
-        return _rref_inplace_p(work, nrows, ncols, field.p)
-    return _rref_inplace_q(work, nrows, ncols)
+        p = field.p
+        work = [[x % p for x in row] for row in data]
+        return work, _rref_inplace_p(work, field)
+    work = [row[:] for row in data]
+    return work, _rref_inplace_q(work)
 
 
-def _rref_inplace_q(work: List[list], nrows: int, ncols: int) -> List[int]:
+# Both kernels update a row only at the pivot row's nonzero columns.  The
+# columns left of the pivot are already zero in every row from the pivot
+# row down, so the scan for them starts past the pivot column.
+
+
+def _rref_inplace_q(work: List[list]) -> List[int]:
+    zero, one = QQ.zero, QQ.one
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -252,22 +276,29 @@ def _rref_inplace_q(work: List[list], nrows: int, ncols: int) -> List[int]:
         if best != r:
             work[r], work[best] = work[best], work[r]
         row = work[r]
-        inv = 1 / row[c]
-        if inv != 1:
-            work[r] = row = [x * inv for x in row]
+        support = [j for j in range(c + 1, ncols) if row[j]]
+        if row[c] != one:
+            inv = QQ.inv(row[c])
+            for j in support:
+                row[j] *= inv
+            row[c] = one
         for i in range(nrows):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                other = work[i]
-                work[i] = [a - f * b for a, b in zip(other, row)]
+            other = work[i]
+            f = other[c]
+            if f and i != r:
+                for j in support:
+                    other[j] -= f * row[j]
+                other[c] = zero
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _rref_inplace_p(work: List[list], nrows: int, ncols: int, p: int) -> List[int]:
+def _rref_inplace_p(work: List[list], field: PrimeField) -> List[int]:
+    """As ``_rref_inplace_q`` over GF(p); entries must be reduced mod p."""
+    p = field.p
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -275,7 +306,7 @@ def _rref_inplace_p(work: List[list], nrows: int, ncols: int, p: int) -> List[in
             break
         pivot_row = -1
         for i in range(r, nrows):
-            if work[i][c] % p:
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row < 0:
@@ -283,16 +314,19 @@ def _rref_inplace_p(work: List[list], nrows: int, ncols: int, p: int) -> List[in
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
         row = work[r]
-        inv = pow(row[c], p - 2, p)
-        if inv != 1:
-            work[r] = row = [(x * inv) % p for x in row]
+        support = [j for j in range(c + 1, ncols) if row[j]]
+        if row[c] != 1:
+            inv = field.inv(row[c])
+            for j in support:
+                row[j] = row[j] * inv % p
+            row[c] = 1
         for i in range(nrows):
-            if i == r:
-                continue
-            f = work[i][c] % p
-            if f:
-                other = work[i]
-                work[i] = [(a - f * b) % p for a, b in zip(other, row)]
+            other = work[i]
+            f = other[c]
+            if f and i != r:
+                for j in support:
+                    other[j] = (other[j] - f * row[j]) % p
+                other[c] = 0
         pivots.append(c)
         r += 1
     return pivots

@@ -77,7 +77,7 @@ def parse_module_file(text: str, algebra: Algebra) -> Dict[str, Representation]:
                 if name not in modules:
                     err(body_lineno, f"sum refers to unknown module {name!r}")
                 parts.append(modules[name])
-            rep, _, _ = direct_sum(algebra, parts)
+            rep = direct_sum(algebra, parts)
         elif head == "proj":
             if len(body) != 2:
                 err(body_lineno, "expected: proj <vertex>")

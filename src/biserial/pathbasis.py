@@ -186,8 +186,11 @@ class PathBasis:
         self._path_set = path_set
         self._zero_paths = zero_paths
         self.by_pair: Dict[Tuple[str, str], List[int]] = {}
+        from_vertex: Dict[str, List[int]] = {}
         for i, (src, tgt, _) in enumerate(classes):
             self.by_pair.setdefault((src, tgt), []).append(i)
+            from_vertex.setdefault(src, []).append(i)
+        self._from = {v: tuple(ids) for v, ids in from_vertex.items()}
         self.dim = len(classes)
 
         # Arrow action tables: arrow a acting on class i gives a sparse vector.
@@ -214,10 +217,10 @@ class PathBasis:
 
     # -- queries -----------------------------------------------------------
 
-    def classes_from(self, vertex: str) -> List[int]:
-        """Basis classes whose representative starts at ``vertex``."""
-        return sorted(i for (s, _t), ids in self.by_pair.items() if s == vertex
-                      for i in ids)
+    def classes_from(self, vertex: str) -> Tuple[int, ...]:
+        """Basis classes whose representative starts at ``vertex``, in
+        increasing order."""
+        return self._from.get(vertex, ())
 
     def class_source(self, i: int) -> str:
         return self.classes[i][0]

@@ -15,7 +15,7 @@ it.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import QQ
 from .matrices import Matrix, block_diag
@@ -40,6 +40,26 @@ class Algebra:
         self.field = field
         self.basis = basis if basis is not None else build_path_basis(pres, length_bound)
         self._projectives: Dict[str, "Representation"] = {}
+        self._memo: Dict[str, object] = {}
+        self._empty: Dict[Tuple[int, int], Matrix] = {}
+
+    def memo(self, key: str, build: Callable[["Algebra"], object]):
+        """``build(self)``, computed on the first call for ``key`` and then
+        shared: for derived objects that, like projectives, are immutable
+        by convention and cost more to rebuild than to keep."""
+        if key not in self._memo:
+            self._memo[key] = build(self)
+        return self._memo[key]
+
+    def zero_matrix(self, rows: int, cols: int) -> Matrix:
+        """A zero matrix over the algebra's field.  One with no entries is
+        shared per shape, since nothing can be written into it; it is what
+        most arrows of a module with small support carry."""
+        if rows and cols:
+            return Matrix.zeros(self.field, rows, cols)
+        if (rows, cols) not in self._empty:
+            self._empty[rows, cols] = Matrix.zeros(self.field, rows, cols)
+        return self._empty[rows, cols]
 
     @property
     def vertices(self) -> Tuple[str, ...]:
@@ -80,6 +100,8 @@ class Algebra:
         mats: Dict[str, Matrix] = {}
         field = self.field
         for a in self.pres.quiver.arrows.values():
+            if not (dims[a.source] and dims[a.target]):
+                continue
             m = Matrix.zeros(field, dims[a.target], dims[a.source])
             for i in local.get(a.source, ()):
                 for j, coeff in basis.act[(a.name, i)].items():
@@ -106,7 +128,7 @@ class Representation:
         for a in quiver.arrows.values():
             m = mats.get(a.name)
             if m is None:
-                m = Matrix.zeros(algebra.field, self.dims[a.target], self.dims[a.source])
+                m = algebra.zero_matrix(self.dims[a.target], self.dims[a.source])
             if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
                 raise RepresentationError(
                     f"arrow {a.name}: matrix is {m.rows}x{m.cols}, expected "
@@ -130,17 +152,26 @@ class Representation:
         return tuple((v, d) for v, d in sorted(self.dims.items()) if d)
 
     def path_matrix(self, path: Sequence[str]) -> Matrix:
-        """Matrix of a composite path (first arrow applied first)."""
-        pres = self.algebra.pres
-        src, tgt = pres.path_endpoints(path)
-        m = Matrix.identity(self.algebra.field, self.dims[src])
-        for name in path:
+        """Matrix of a nonempty composite path (first arrow applied first).
+
+        A one-arrow path returns the arrow's own matrix, shared.
+        """
+        self.algebra.pres.path_endpoints(path)
+        m = self.mats[path[0]]
+        for name in path[1:]:
             m = self.mats[name] @ m
         return m
 
     def violated_relations(self) -> List[str]:
+        """Relations whose two sides differ.  A relation path with a
+        zero-dimensional end has an empty matrix on both sides, so it holds
+        and is skipped."""
         out = []
+        dims = self.dims
         for rel in self.algebra.pres.relations:
+            src, tgt = self.algebra.pres.path_endpoints(rel.left)
+            if not (dims[src] and dims[tgt]):
+                continue
             left = self.path_matrix(rel.left)
             if rel.kind == "zero":
                 if not left.is_zero():
@@ -172,12 +203,11 @@ class ModuleMap:
             raise RepresentationError("module map across different presentations")
         self.source = source
         self.target = target
-        field = source.algebra.field
         full: Dict[str, Matrix] = {}
         for v in source.algebra.vertices:
             m = mats.get(v)
             if m is None:
-                m = Matrix.zeros(field, target.dims[v], source.dims[v])
+                m = source.algebra.zero_matrix(target.dims[v], source.dims[v])
             if (m.rows, m.cols) != (target.dims[v], source.dims[v]):
                 raise RepresentationError(
                     f"vertex {v}: map is {m.rows}x{m.cols}, expected "
@@ -185,10 +215,19 @@ class ModuleMap:
             full[v] = m
         self.mats = full
 
+    def _blocks(self) -> List[str]:
+        """Vertices where the map has entries; at every other vertex it is
+        an empty matrix."""
+        return [v for v in self.source.algebra.vertices
+                if self.source.dims[v] and self.target.dims[v]]
+
     def violations(self) -> List[str]:
-        """Arrows where the intertwining square fails to commute."""
+        """Arrows where the intertwining square fails to commute.  A square
+        whose corners have a zero-dimensional space commutes trivially."""
         out = []
         for a in self.source.algebra.pres.quiver.arrows.values():
+            if not (self.source.dims[a.source] and self.target.dims[a.target]):
+                continue
             lhs = self.mats[a.target] @ self.source.mats[a.name]
             rhs = self.target.mats[a.name] @ self.mats[a.source]
             if lhs != rhs:
@@ -222,21 +261,22 @@ class ModuleMap:
             if earlier.target.dims != self.source.dims:
                 raise RepresentationError("composition shape mismatch")
         mats = {v: self.mats[v] @ earlier.mats[v]
-                for v in self.source.algebra.vertices}
+                for v in self.source.algebra.vertices
+                if earlier.source.dims[v] and self.target.dims[v]}
         return ModuleMap(earlier.source, self.target, mats)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        mats = {v: self.mats[v] + other.mats[v] for v in self.mats}
+        mats = {v: self.mats[v] + other.mats[v] for v in self._blocks()}
         return ModuleMap(self.source, self.target, mats)
 
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(self.source, self.target,
-                         {v: m.scale(c) for v, m in self.mats.items()})
+                         {v: self.mats[v].scale(c) for v in self._blocks()})
 
     @classmethod
     def identity(cls, rep: Representation) -> "ModuleMap":
         return cls(rep, rep, {v: Matrix.identity(rep.algebra.field, d)
-                              for v, d in rep.dims.items()})
+                              for v, d in rep.dims.items() if d})
 
     @classmethod
     def zero(cls, source: Representation, target: Representation) -> "ModuleMap":
@@ -320,8 +360,10 @@ def string_module(algebra: Algebra, word: StringWord) -> Representation:
         for k, idx in enumerate(idxs):
             local_index[idx] = k
     field = algebra.field
-    mats: Dict[str, Matrix] = {a: Matrix.zeros(field, dims[arr.target], dims[arr.source])
-                               for a, arr in pres.quiver.arrows.items()}
+    mats: Dict[str, Matrix] = {
+        name: Matrix.zeros(field, dims[pres.quiver.arrows[name].target],
+                           dims[pres.quiver.arrows[name].source])
+        for name, _ in word.letters}
     one = field.one
     for k, (name, direction) in enumerate(word.letters):
         if direction == DIRECT:
@@ -339,16 +381,25 @@ def string_module(algebra: Algebra, word: StringWord) -> Representation:
 
 
 def direct_sum(algebra: Algebra, summands: Sequence[Representation]
-               ) -> Tuple[Representation, List[ModuleMap], List[ModuleMap]]:
-    """Block-diagonal sum with injection and projection maps."""
+               ) -> Representation:
+    """Block-diagonal sum; ``direct_sum_maps`` gives its structure maps."""
     for s in summands:
         if s.algebra.pres is not algebra.pres:
             raise RepresentationError("direct sum across different presentations")
     field = algebra.field
     dims = {v: sum(s.dims[v] for s in summands) for v in algebra.vertices}
     mats = {a.name: block_diag(field, [s.mats[a.name] for s in summands])
-            for a in algebra.pres.quiver.arrows.values()}
-    total = Representation(algebra, dims, mats, check=False)
+            for a in algebra.pres.quiver.arrows.values()
+            if dims[a.source] and dims[a.target]}
+    return Representation(algebra, dims, mats, check=False)
+
+
+def direct_sum_maps(total: Representation, summands: Sequence[Representation]
+                    ) -> Tuple[List[ModuleMap], List[ModuleMap]]:
+    """Injections into and projections out of ``total``, the
+    ``direct_sum`` of ``summands``, one of each per summand in order."""
+    algebra = total.algebra
+    field = algebra.field
     injections: List[ModuleMap] = []
     projections: List[ModuleMap] = []
     offsets = {v: 0 for v in algebra.vertices}
@@ -357,8 +408,8 @@ def direct_sum(algebra: Algebra, summands: Sequence[Representation]
         proj = {}
         for v in algebra.vertices:
             d, off = s.dims[v], offsets[v]
-            im = Matrix.zeros(field, dims[v], d)
-            pm = Matrix.zeros(field, d, dims[v])
+            im = Matrix.zeros(field, total.dims[v], d)
+            pm = Matrix.zeros(field, d, total.dims[v])
             for i in range(d):
                 im.data[off + i][i] = field.one
                 pm.data[i][off + i] = field.one
@@ -367,7 +418,7 @@ def direct_sum(algebra: Algebra, summands: Sequence[Representation]
             offsets[v] = off + d
         injections.append(ModuleMap(s, total, inj))
         projections.append(ModuleMap(total, s, proj))
-    return total, injections, projections
+    return injections, projections
 
 
 def inflate(module: Representation, big: Algebra) -> Representation:
@@ -425,12 +476,12 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
         total += algebra.basis.dim_projective(v)
     if not gens:
         return algebra.zero_module()
-    target, _, _ = direct_sum(algebra, gens)
+    target = direct_sum(algebra, gens)
     rels = [algebra.projective(rng.choice(verts))
             for _ in range(rng.randrange(0, len(gens) + 2))]
     if not rels:
         return target
-    source, _, _ = direct_sum(algebra, rels)
+    source = direct_sum(algebra, rels)
     field = algebra.field
     mats = {v: Matrix.zeros(field, target.dims[v], source.dims[v])
             for v in algebra.vertices}

@@ -27,7 +27,7 @@ from .homology import cokernel_of, hom_basis, projective_cover, projdim
 from .matrices import Matrix
 from .presentation import ALPHA, BETA
 from .reps import (Algebra, ModuleMap, Representation, StringWord,
-                   direct_sum, string_module)
+                   direct_sum, direct_sum_maps, string_module)
 
 Letter = Tuple[str, int]
 
@@ -70,12 +70,10 @@ def build_Z(algebra: Algebra, m: int) -> Representation:
         parts = [algebra.simple("d0"), algebra.projective("a0"),
                  algebra.projective("b0"), algebra.projective("c0"),
                  algebra.simple("d1")]
-        total, _, _ = direct_sum(algebra, parts)
-        return total
+        return direct_sum(algebra, parts)
     if m == 1:
         s = string_module(algebra, z_walk(1))
-        total, _, _ = direct_sum(algebra, [s, algebra.simple("d0")])
-        return total
+        return direct_sum(algebra, [s, algebra.simple("d0")])
     return string_module(algebra, z_walk(m))
 
 
@@ -122,12 +120,10 @@ def build_Zt(algebra: Algebra, m: int, t: int) -> Representation:
         for _ in range(t):
             parts += [algebra.projective("b0"), algebra.projective("c0")]
         parts.append(algebra.simple("d1"))
-        total, _, _ = direct_sum(algebra, parts)
-        return total
+        return direct_sum(algebra, parts)
     if m == 1:
         s = string_module(algebra, zt_walk(1, t))
-        total, _, _ = direct_sum(algebra, [s, algebra.simple("d0")])
-        return total
+        return direct_sum(algebra, [s, algebra.simple("d0")])
     return string_module(algebra, zt_walk(m, t))
 
 
@@ -188,8 +184,10 @@ def build_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
     if m == 1:
         s_src, s_tgt, smap = _string_prefix_map(
             algebra, zt_walk(1, t), zt_walk(1, t + 1), keep=5 * t + 2)
-        src, src_inj, _ = direct_sum(algebra, [s_src, algebra.simple("d0")])
-        tgt, tgt_inj, _ = direct_sum(algebra, [s_tgt, algebra.simple("d0")])
+        src = direct_sum(algebra, [s_src, algebra.simple("d0")])
+        tgt_parts = [s_tgt, algebra.simple("d0")]
+        tgt = direct_sum(algebra, tgt_parts)
+        tgt_inj, _ = direct_sum_maps(tgt, tgt_parts)
         mats = {}
         for v in algebra.vertices:
             block = tgt_inj[0].mats[v] @ smap.mats[v]
@@ -218,9 +216,7 @@ def build_U(algebra: Algebra, m: int, t: int) -> Representation:
     if m == 0:
         return algebra.simple("d1")
     if m == 1:
-        total, _, _ = direct_sum(
-            algebra, [algebra.simple("u"), algebra.simple("d0")])
-        return total
+        return direct_sum(algebra, [algebra.simple("u"), algebra.simple("d0")])
     if m == 2:
         return string_module(algebra, StringWord("a1", [(_be("a1", "a0"), 1)]))
     return algebra.zero_module()
@@ -253,7 +249,7 @@ def random_extension(algebra: Algebra, base: Representation,
         if c:
             g = g + h.scale(algebra.field(c))
     # Pushout: (cover (+) base) / graph of (inclusion, -g).
-    total, _, _ = direct_sum(algebra, [cover.cover, base])
+    total = direct_sum(algebra, [cover.cover, base])
     field = algebra.field
     mats = {}
     for v in algebra.vertices:
@@ -294,7 +290,7 @@ def sample_finite_pd_modules(algebra: Algebra, count: int, seed: int,
         kind = rng.random()
         if kind < 0.4:
             parts = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-            m, _, _ = direct_sum(algebra, parts)
+            m = direct_sum(algebra, parts)
         else:
             top = rng.choice(pool)
             base = rng.choice(pool)

@@ -236,7 +236,7 @@ def _pd_additivity_case(algebras, seed) -> bool:
     for alg in (alg_q, alg_p):
         a = random_module(alg, seed=seed * 2 + 1, budget=8)
         b = random_module(alg, seed=seed * 2 + 2, budget=8)
-        total, _, _ = direct_sum(alg, [a, b])
+        total = direct_sum(alg, [a, b])
         ra, rb = projdim(a, cutoff=9), projdim(b, cutoff=9)
         rt = projdim(total, cutoff=9)
         if "inconclusive" in (ra.verdict, rb.verdict, rt.verdict):

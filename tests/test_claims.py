@@ -96,3 +96,78 @@ def test_inconclusive_claim_status():
     report = run_claim("prop-2", FamilyConfig(r=1, m_max=0, cutoff=1))
     assert report.status == "inconclusive"
     assert any(c.status == "inconclusive" for c in report.checks)
+
+
+def test_record_carries_evidence_only_for_non_pass_checks():
+    from biserial.claims import CheckResult, ClaimReport
+    from biserial.homology import record_digest
+
+    passing = CheckResult("ok", "pass", {"dims": [["u", 1]]})
+    failing = CheckResult("bad", "fail", {"support": ["a2"]})
+    missed = CheckResult("miss", "inconclusive", {"iso_trials": 40})
+    rec = ClaimReport("x", "pass", [passing], SMALL).to_record()
+    # An all-pass record keeps its old shape and bytes.
+    assert rec["checks"] == [{"name": "ok", "status": "pass",
+                              "digest": record_digest(passing.evidence)}]
+    rec = ClaimReport("x", "fail", [passing, failing, missed], SMALL).to_record()
+    assert "evidence" not in rec["checks"][0]
+    assert rec["checks"][1]["evidence"] == {"support": ["a2"]}
+    assert rec["checks"][1]["digest"] == record_digest(failing.evidence)
+    assert rec["checks"][2]["evidence"] == {"iso_trials": 40}
+    json.dumps(rec, sort_keys=True)
+
+
+def test_iso_check_is_three_valued():
+    from biserial.claims import _iso_check
+
+    cfg = FamilyConfig(r=1, trials=0)
+    alg = cfg.algebra("lambda", 1)
+    p = alg.projective("c1")
+    # No trials: the search cannot find the isomorphism, which proves nothing.
+    miss = _iso_check("x", p, p, cfg, {"k": 1})
+    assert miss.status == "inconclusive"
+    assert miss.evidence == {"k": 1, "reason": "no isomorphism found",
+                             "iso_trials": 0}
+    # Different dimension vectors are a sound negative.
+    other = _iso_check("x", p, alg.simple("c1"), cfg, {})
+    assert other.status == "fail"
+    assert other.evidence["reason"] == "dimension vectors differ"
+    found = _iso_check("x", p, p, FamilyConfig(r=1), {"k": 1})
+    assert found.status == "pass" and found.evidence == {"k": 1}
+
+
+def test_config_builds_each_algebra_once():
+    cfg = FamilyConfig(r=1)
+    a = cfg.algebra("lambda", 2)
+    assert cfg.algebra("lambda", 2) is a
+    assert cfg.algebra("lambda1prime") is cfg.algebra("lambda1prime")
+    assert cfg.algebra("lambda", 1) is not a
+    assert a.pres.name == "lambda_r1_m2"
+    other = FamilyConfig(r=1, field_spec="fp:3").algebra("lambda", 2)
+    assert other is not a and other.field != a.field
+    assert other.field.p == 3
+
+
+def test_config_rejects_bad_flags_by_name():
+    from biserial.claims import ConfigError
+
+    for kwargs in ({"samples": -1}, {"max_dim": -1}, {"cutoff": 0},
+                   {"r": 0}, {"m_max": -1}, {"t_max": 0}):
+        with pytest.raises(ConfigError):
+            FamilyConfig(**kwargs)
+
+
+# Final digests of `verify all --samples 30 --structured`, recorded before
+# the elimination kernel went sparse and algebras were shared across claims.
+@pytest.mark.parametrize("field_spec, digest", [
+    ("q", "670070e83f3717ca"),
+    ("fp:3", "66ad91ec3552a35e"),
+    ("fp:101", "de8e0f20ff6f3ef5"),
+])
+def test_verify_all_digest_is_pinned(field_spec, digest, capsys):
+    from biserial.cli import main
+
+    assert main(["verify", "all", "--samples", "30", "--field", field_spec,
+                 "--structured"]) == 0
+    last = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert last["digest"] == digest

@@ -243,3 +243,54 @@ def test_raw_module_bad_integer_names_line(tmp_path, capsys, body, line):
     assert main(["module", "pd", str(path), "--algebra", "lambda:r=1,m=0"]) == 2
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "nonnegative integer" in err
+
+
+def test_iso_search_miss_over_gf2_is_inconclusive(capsys):
+    # Over GF(2) forty random trials miss the isomorphism from the syzygy
+    # of member (1, 2) to member (0, 2); that proves nothing, so the claim
+    # is inconclusive (it used to fail and exit 1).
+    assert main(["verify", "section-4", "--field", "fp:2", "--structured"]) == 3
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[0]["status"] == "inconclusive"
+    missed = [c for c in records[0]["checks"] if c["status"] != "pass"]
+    assert [c["name"] for c in missed] == [
+        "syzygy of member (m=1, t=2) is member (m=0, t=2)"]
+    assert missed[0]["status"] == "inconclusive"
+    assert missed[0]["evidence"]["reason"] == "no isomorphism found"
+    assert missed[0]["evidence"]["iso_trials"] == 40
+
+
+def test_internal_error_is_not_a_usage_error(z3_file, monkeypatch, capsys):
+    import biserial.cli
+
+    def broken(module):
+        raise ValueError("span not stable under arrow al_c2_c1")
+
+    monkeypatch.setattr(biserial.cli, "syzygy", broken)
+    assert main(["module", "syzygy", z3_file, "--algebra", "lambda:r=1,m=3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError: span not stable")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "lemma-2", "--max-dim", "-1"], "max_dim must be nonnegative"),
+    (["verify", "prop-2", "--cutoff", "0"], "cutoff must be at least 1"),
+    (["algebra", "build", "--family", "lambda", "--r", "1", "--m", "1",
+      "--length-bound", "0"], "--length-bound must be at least 1"),
+])
+def test_bad_flag_values_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bad_module_cutoff_exits_2(z3_file, capsys):
+    assert main(["module", "pd", z3_file, "--algebra", "lambda:r=1,m=3",
+                 "--cutoff", "0"]) == 2
+    assert "--cutoff must be at least 1" in capsys.readouterr().err
+
+
+def test_unreadable_presentation_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.alg"
+    path.write_bytes(b"\xff\xfe\x00algebra")
+    assert main(["algebra", "parse", str(path)]) == 2
+    assert main(["algebra", "parse", str(tmp_path)]) == 2

@@ -109,7 +109,7 @@ def test_strip_multiplicity_matches_peel_oracle(algp):
 
 
 def test_strip_planted_copies(algp):
-    planted, _, _ = direct_sum(
+    planted = direct_sum(
         algp, [algp.projective("c2"), algp.projective("c2"),
                xset(algp)[2], algp.projective("a1")])
     res = strip_pc2(planted)
@@ -118,7 +118,7 @@ def test_strip_planted_copies(algp):
 
 
 def test_strip_works_over_level_two(alg2):
-    m, _, _ = direct_sum(alg2, [alg2.projective("c2"), alg2.projective("a2")])
+    m = direct_sum(alg2, [alg2.projective("c2"), alg2.projective("a2")])
     res = strip_pc2(m)
     assert res.multiplicity == 1
     # P(a2) reaches c2 but its long alpha path vanishes there.
@@ -214,7 +214,7 @@ def test_split_of_inflated_level_one_module(algp, alg1):
 
 
 def test_split_of_all_ten(algp):
-    total, _, _ = direct_sum(algp, xset(algp))
+    total = direct_sum(algp, xset(algp))
     split = lemma2_split(total)
     assert split.a == 0
     assert split.x_multiplicities == [1] * 10
@@ -223,7 +223,7 @@ def test_split_of_all_ten(algp):
 
 def test_split_mixed(algp):
     members = xset(algp)
-    m, _, _ = direct_sum(algp, [algp.projective("c2"), members[6], members[6],
+    m = direct_sum(algp, [algp.projective("c2"), members[6], members[6],
                                 algp.projective("b1"), algp.simple("w")])
     split = lemma2_split(m)
     assert split.a == 1
@@ -244,7 +244,7 @@ def test_split_random_sweep(algp):
 
 def test_split_proof_obligations_reported(algp):
     members = xset(algp)
-    m, _, _ = direct_sum(algp, [members[0], algp.projective("a0")])
+    m = direct_sum(algp, [members[0], algp.projective("a0")])
     split = lemma2_split(m)
     assert all(split.proof_checks.values())
     assert len(split.proof_checks) == 10
@@ -286,3 +286,21 @@ def test_corollary_syzygies_split_trivially(alg2, algp):
         assert sum(split.x_multiplicities) == 0
         assert split.a == 0
         assert split.m_prime.supported_on(level1)
+
+
+def test_xset_and_u_algebra_are_built_once(algp):
+    from biserial.families import build_lambda1prime
+
+    first, second = xset(algp), xset(algp)
+    assert first is not second and first == second
+    assert all(a is b for a, b in zip(first, second))
+    first.pop()
+    assert len(xset(algp)) == 10  # callers get their own list
+    assert all(not m.violated_relations() for m in xset(algp))
+    sub, order = u_algebra(algp)
+    assert u_algebra(algp)[0] is sub and sub.field == algp.field
+    assert order == ["d0", "a1", "a0", "c1", "c2", "b1"]
+    # Another algebra, even over the same presentation, has its own.
+    other = Algebra(build_lambda1prime(1))
+    assert xset(other)[0] is not first[0]
+    assert u_algebra(other)[0] is not sub

@@ -159,3 +159,26 @@ def test_exactness_round_trip():
     a = Fraction(10**40 + 1, 3)
     b = Fraction(-7, 10**20)
     assert a / b * b == a
+
+
+def test_rref_over_prime_field_reduces_unreduced_input():
+    f7 = PrimeField(7)
+    raw = [[8, 15, -3, 0], [2, 9, 100, -14], [10, 24, 97, 7]]
+    m = Matrix(f7, 3, 4, raw)
+    red, pivots, rank = m.rref()
+    assert all(0 <= x < 7 for row in red.data for x in row)
+    reduced = Matrix(f7, 3, 4, [[x % 7 for x in row] for row in raw])
+    assert (red, pivots, rank) == reduced.rref()
+    assert m.rank() == rank
+    assert raw[0] == [8, 15, -3, 0]  # the input rows are not touched
+
+
+def test_rref_sparse_rows_match_dense_elimination():
+    # Elimination touches only the pivot row's nonzero columns; the result
+    # must still be the reduced echelon form.
+    data = [[0, 2, 0, 0, 4], [1, 0, 0, 3, 0], [1, 2, 0, 3, 4], [0, 0, 5, 0, 0]]
+    red, pivots, rank = Matrix.from_rows(QQ, data).rref()
+    assert pivots == [0, 1, 2] and rank == 3
+    assert red.data == [[1, 0, 0, 3, 0], [0, 1, 0, 0, 2], [0, 0, 1, 0, 0],
+                        [0, 0, 0, 0, 0]]
+    assert all(isinstance(x, Fraction) for row in red.data for x in row)

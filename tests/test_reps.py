@@ -4,8 +4,9 @@ from biserial.families import build_lambda, lambda_vertices
 from biserial.homology import hom_basis, projdim
 from biserial.matrices import Matrix
 from biserial.reps import (Algebra, InvalidString, ModuleMap,
-                           RepresentationError, StringWord, check_morphism,
-                           direct_sum, inflate, random_module, restrict,
+                           Representation, RepresentationError, StringWord, check_morphism,
+                           direct_sum, direct_sum_maps, inflate,
+                           random_module, restrict,
                            string_module, supported_on)
 from biserial.witnesses import build_Z, z_walk
 
@@ -70,7 +71,8 @@ def test_projective_u_over_level_zero():
 
 
 def test_direct_sum_empty(alg1):
-    total, injs, projs = direct_sum(alg1, [])
+    total = direct_sum(alg1, [])
+    injs, projs = direct_sum_maps(total, [])
     assert total.is_zero() and not injs and not projs
 
 
@@ -78,21 +80,22 @@ def test_direct_sum_with_zero_is_isomorphic(alg1):
     from biserial.homology import certified_iso
 
     m = string_module(alg1, z_walk(1))
-    total, _, _ = direct_sum(alg1, [m, alg1.zero_module()])
+    total = direct_sum(alg1, [m, alg1.zero_module()])
     assert certified_iso(total, m, seed=0) is not None
 
 
 def test_direct_sum_dims_add(alg1):
     a = alg1.projective("c1")
     b = alg1.simple("u")
-    total, _, _ = direct_sum(alg1, [a, b])
+    total = direct_sum(alg1, [a, b])
     for v in alg1.vertices:
         assert total.dims[v] == a.dims[v] + b.dims[v]
 
 
 def test_direct_sum_maps_intertwine(alg1):
     a, b = alg1.projective("a1"), alg1.projective("b1")
-    total, injs, projs = direct_sum(alg1, [a, b])
+    total = direct_sum(alg1, [a, b])
+    injs, projs = direct_sum_maps(total, [a, b])
     assert all(check_morphism(f) for f in injs + projs)
 
 
@@ -210,3 +213,44 @@ def test_string_end_algebra_dimensions(alg3):
     alg1 = Algebra(build_lambda(1, 1))
     z1s = string_module(alg1, z_walk(1))
     assert len(hom_basis(z1s, z1s)) == 2
+
+
+def test_direct_sum_maps_split(alg1):
+    parts = [alg1.projective("c1"), alg1.simple("u"), alg1.zero_module()]
+    total = direct_sum(alg1, parts)
+    injs, projs = direct_sum_maps(total, parts)
+    for k, part in enumerate(parts):
+        for j in range(len(parts)):
+            composite = projs[j].compose(injs[k])
+            want = (ModuleMap.identity(part) if j == k
+                    else ModuleMap.zero(part, parts[j]))
+            assert composite.mats == want.mats
+
+
+def _thin(alg, arrows):
+    """Dims one at each end of the given arrows, each acting by [[1]]."""
+    quiver = alg.pres.quiver
+    dims = {v: 0 for v in alg.vertices}
+    for name in arrows:
+        dims[quiver.arrows[name].source] = dims[quiver.arrows[name].target] = 1
+    mats = {name: Matrix.from_rows(alg.field, [[1]]) for name in arrows}
+    return dims, mats
+
+
+def test_violated_zero_relation_found_among_zero_dimensional_arrows(alg2):
+    # alpha a0->c0 then beta c0->w must vanish; every other arrow of the
+    # algebra has a zero-dimensional end here.
+    dims, mats = _thin(alg2, ["al_a0_c0", "be_c0_w"])
+    with pytest.raises(RepresentationError, match="zero"):
+        Representation(alg2, dims, mats)
+
+
+def test_violated_eq_relation_through_zero_dimensional_vertex(alg2):
+    # At c2 alpha^3 = beta^2.  The alpha side runs through c1 and a0, which
+    # are zero here, so it is zero while the beta side is not: violated.
+    dims, mats = _thin(alg2, ["be_c2_b1", "be_b1_c0"])
+    with pytest.raises(RepresentationError, match="eq"):
+        Representation(alg2, dims, mats)
+    # With c0 zero too, both sides end in a zero space: the relation holds.
+    dims, mats = _thin(alg2, ["be_c2_b1"])
+    assert not Representation(alg2, dims, mats).violated_relations()
