@@ -6,13 +6,12 @@ from .matrices import Matrix
 from .presentation import (ParseError, Presentation, PresentationError,
                            Quiver, Relation, emit_presentation,
                            parse_presentation)
-from .pathbasis import BoundExceeded, PathBasis, build_path_basis
+from .pathbasis import BoundExceeded, PathBasis
 from .families import (build_lambda, build_lambda1prime, build_subquiver_U,
                        family_from_spec)
 from .reps import (Algebra, InvalidString, ModuleMap, Representation,
-                   RepresentationError, StringWord, check_morphism,
-                   direct_sum, direct_sum_maps, inflate, random_module, restrict,
-                   string_module, supported_on)
+                   RepresentationError, StringWord, direct_sum, direct_sum_maps,
+                   inflate, random_module, restrict, string_module)
 from .homology import (CoverData, PdReport, certified_iso, cokernel_of,
                        hom_basis, is_direct_summand_simple, kernel_of,
                        projdim, projective_cover, radical, syzygy, top_dims)

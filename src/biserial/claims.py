@@ -35,9 +35,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .families import build_lambda, build_lambda1prime, lambda_vertices, vname
 from .fields import field_from_spec
-from .homology import (certified_iso, hom_dim, is_direct_summand_simple,
-                       iso_trials, kernel_of, projdim, radical, record_digest,
-                       syzygy)
+from .homology import (decide_iso, is_direct_summand_simple,
+                       kernel_of, projdim, radical, record_digest, syzygy)
 from .decomp import CertificateFailure, lemma2_split, xset
 from .reps import Algebra, random_module
 from .witnesses import (build_U, build_Z, build_Zt, build_phi,
@@ -78,6 +77,8 @@ class FamilyConfig:
             raise ConfigError("max_dim must be nonnegative")
         if self.cutoff is not None and self.cutoff < 1:
             raise ConfigError("cutoff must be at least 1")
+        if self.trials is not None and self.trials < 0:
+            raise ConfigError("trials must be nonnegative")
 
     @property
     def field(self):
@@ -168,21 +169,16 @@ def _sampled_status(samples: int, failures: int) -> str:
 
 def _iso_check(name: str, m, n, config: FamilyConfig, evidence: dict
                ) -> CheckResult:
-    """PASS with a certified isomorphism M -> N.  Without one, FAIL only
-    on a sound negative (the dimension vectors differ, or Hom(M, N) is
-    zero); otherwise the random search missed, which proves nothing, so
-    the check is INCONCLUSIVE and records the trials spent."""
-    if certified_iso(m, n, trials=config.trials, seed=config.seed) is not None:
+    """PASS with a certified isomorphism M -> N, FAIL on a sound negative,
+    and INCONCLUSIVE, with the trials spent, when the random search missed,
+    which proves nothing."""
+    decision = decide_iso(m, n, trials=config.trials, seed=config.seed)
+    if decision.status == "iso":
         return CheckResult(name, PASS, evidence)
-    if m.dims != n.dims:
-        return CheckResult(name, FAIL,
-                           {**evidence, "reason": "dimension vectors differ"})
-    if hom_dim(m, n) == 0:
-        return CheckResult(name, FAIL,
-                           {**evidence, "reason": "Hom space is zero"})
+    if decision.status == "not_iso":
+        return CheckResult(name, FAIL, {**evidence, "reason": decision.reason})
     return CheckResult(name, INCONCLUSIVE, {
-        **evidence, "reason": "no isomorphism found",
-        "iso_trials": iso_trials(m.algebra.field, config.trials)})
+        **evidence, "reason": decision.reason, "iso_trials": decision.trials})
 
 
 def _verdict_check(name: str, report, expected: Optional[int]) -> CheckResult:

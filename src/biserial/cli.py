@@ -6,9 +6,10 @@ Subcommands::
     module  pd|syzygy|hom|iso|split|dot        homological computations
     verify  <claim ...>|all                    the claim catalog
 
-Exit codes: 0 success / all claims pass, 1 a claim or isomorphism search
-failed, 2 usage or parse error, 3 an inconclusive verdict (with
-``--strict`` for ``module pd``), 4 an internal error (a bug, reported as
+Exit codes: 0 success / all claims pass, 1 a claim failed or ``module
+iso`` proved the modules not isomorphic, 2 usage or parse error, 3 an
+inconclusive verdict (with ``--strict`` for ``module pd``; a ``module iso``
+search that missed), 4 an internal error (a bug, reported as
 ``internal error: ...``), 141 the reader of stdout went away, as for a
 writer killed by SIGPIPE (``biserial verify all | head -1``).
 ``--structured`` switches reports to line-delimited JSON records,
@@ -27,8 +28,7 @@ from .claims import CLAIMS, ConfigError, FamilyConfig, run_claim
 from .decomp import CertificateFailure, NotPathQuiver, lemma2_split
 from .families import family_from_spec
 from .fields import FieldError, field_from_spec
-from .homology import (certified_iso, hom_basis, projdim, record_digest,
-                       syzygy)
+from .homology import decide_iso, hom_basis, projdim, record_digest, syzygy
 from .modfiles import (ModuleFileError, dot_quiver, dot_representation,
                        emit_module_raw, parse_module_file)
 from .pathbasis import BoundExceeded
@@ -67,6 +67,8 @@ def _check_flags(args) -> None:
         raise UsageError("--length-bound must be at least 1")
     if args.command == "module" and getattr(args, "cutoff", 1) < 1:
         raise UsageError("--cutoff must be at least 1")
+    if args.command == "module" and (getattr(args, "trials", None) or 0) < 0:
+        raise UsageError("--trials must be nonnegative")
 
 
 def _algebra_from_args(args) -> Algebra:
@@ -220,15 +222,17 @@ def cmd_module(args) -> int:
     if args.module_cmd == "iso":
         name_a, mod_a = _resolve_module(args.file, algebra)
         name_b, mod_b = _resolve_module(args.other, algebra)
-        cert = certified_iso(mod_a, mod_b, trials=args.trials, seed=args.seed)
-        if cert is None:
-            if mod_a.dims != mod_b.dims:
-                print(f"not isomorphic: dimension vectors differ "
-                      f"({dict(mod_a.dim_vector())} vs {dict(mod_b.dim_vector())})")
-            else:
-                print(f"no isomorphism found after {args.trials or 'default'} trials "
-                      f"(not a proof of non-isomorphism)")
+        decision = decide_iso(mod_a, mod_b, trials=args.trials, seed=args.seed)
+        if decision.status == "not_iso":
+            detail = (f" ({dict(mod_a.dim_vector())} vs {dict(mod_b.dim_vector())})"
+                      if mod_a.dims != mod_b.dims else "")
+            print(f"not isomorphic: {decision.reason}{detail}")
             return EXIT_FAIL
+        if decision.status == "not_found":
+            print(f"no isomorphism found after {decision.trials} trials "
+                  f"(not a proof of non-isomorphism)")
+            return EXIT_INCONCLUSIVE
+        cert = decision.iso
         if args.structured:
             payload = {v: [[algebra.field.format(x) for x in row]
                            for row in m.data]

@@ -20,7 +20,6 @@ Three layers, each producing a verified certificate:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -28,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .families import build_subquiver_U
 from .homology import (_sub_representation, hom_basis, kernel_of,
-                       map_from_projectives)
+                       map_from_projectives, record_digest, split_pair)
 from .matrices import Matrix
 from .presentation import Presentation, PresentationError
 from .reps import (Algebra, ModuleMap, Representation, RepresentationError,
@@ -143,7 +142,7 @@ def strip_pc2(module: Representation) -> StripResult:
 
     # Complement of the kernel inside the c2 space, chosen deterministically.
     n = module.dims["c2"]
-    chosen = kernel.extending_units()
+    chosen, _ = kernel.unit_extension()
     assert len(chosen) == a
 
     psum = direct_sum(algebra, [algebra.projective("c2")] * a)
@@ -170,15 +169,11 @@ def strip_pc2(module: Representation) -> StripResult:
 
 def _assemble_sum_map(total: Representation, maps: Sequence[ModuleMap],
                       target: Representation) -> ModuleMap:
-    """Map out of a direct sum given maps out of its summands, by hstack."""
+    """Map out of a direct sum given maps out of its summands, side by side."""
     field = total.algebra.field
-    mats = {}
-    for v in total.algebra.vertices:
-        m = Matrix.zeros(field, target.dims[v], 0)
-        for f in maps:
-            m = m.hstack(f.mats[v])
-        mats[v] = m
-    return ModuleMap(total, target, mats)
+    return ModuleMap(total, target, {
+        v: Matrix.hcat(field, target.dims[v], [f.mats[v] for f in maps])
+        for v in total.algebra.vertices})
 
 
 # -- interval decomposition over path quivers --------------------------------
@@ -282,11 +277,7 @@ def interval_decompose(module: Representation,
             except RepresentationError:
                 # Relations on the path quiver can rule an interval out.
                 continue
-            sections = hom_basis(j_rep, current)
-            if not sections:
-                continue
-            retractions = hom_basis(current, j_rep)
-            pair = _nonzero_pairing(j_rep, order[lo], sections, retractions)
+            pair = split_pair(j_rep, order[lo], current)
             if pair is None:
                 continue
             s, p = pair
@@ -305,30 +296,11 @@ def interval_decompose(module: Representation,
     summands = [IntervalSummand(tuple(order[rng[0]:rng[1] + 1]), mult)
                 for rng, mult in sorted(counts.items())]
     reps = [interval_module(algebra, order, lo, hi) for (lo, hi), _ in pieces]
-    if reps:
-        total = direct_sum(algebra, reps)
-    else:
-        total = algebra.zero_module()
+    total = direct_sum(algebra, reps)
     certificate = _assemble_sum_map(total, [f for _, f in pieces], module)
     if not certificate.is_iso():
         raise CertificateFailure("interval decomposition certificate failed")
     return IntervalDecomposition(order, summands, pieces, certificate)
-
-
-def _nonzero_pairing(j_rep: Representation, probe_vertex: str,
-                     sections: Sequence[ModuleMap],
-                     retractions: Sequence[ModuleMap]
-                     ) -> Optional[Tuple[ModuleMap, ModuleMap]]:
-    """A pair (s, p) with p o s = id; interval modules are bricks, so any
-    nonzero composite is a scalar and can be normalized."""
-    field = j_rep.algebra.field
-    for s in sections:
-        for p in retractions:
-            comp = p.compose(s)
-            val = comp.mats[probe_vertex].data[0][0]
-            if val:
-                return s, p.scale(field.inv(val))
-    return None
 
 
 # -- the full splitting -------------------------------------------------------
@@ -386,10 +358,8 @@ class Lemma2Split:
 
 def _map_checksum(f: ModuleMap) -> str:
     field = f.source.algebra.field
-    payload = {v: [[field.format(x) for x in row] for row in m.data]
-               for v, m in sorted(f.mats.items())}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return record_digest({v: [[field.format(x) for x in row] for row in m.data]
+                          for v, m in sorted(f.mats.items())})
 
 
 def lemma2_split(module: Representation) -> Lemma2Split:
@@ -424,33 +394,18 @@ def lemma2_split(module: Representation) -> Lemma2Split:
 
     field = algebra.field
     # Assemble X as a sum of canonical strings, embedded into core.
-    x_parts = [walk for walk, _ in x_embeddings]
-    if x_parts:
-        x_rep = direct_sum(algebra, x_parts)
-    else:
-        x_rep = algebra.zero_module()
-    x_map_mats = {v: Matrix.zeros(field, core.dims[v], 0) for v in algebra.vertices}
-    for walk, emb in x_embeddings:
-        for v in algebra.vertices:
-            if v in u_verts:
-                block = emb.mats[v]
-            else:
-                block = Matrix.zeros(field, core.dims[v], walk.dims[v])
-            x_map_mats[v] = x_map_mats[v].hstack(block)
+    x_rep = direct_sum(algebra, [walk for walk, _ in x_embeddings])
+    x_map_mats = {v: Matrix.hcat(field, core.dims[v], [
+        emb.mats[v] if v in u_verts else Matrix.zeros(field, core.dims[v], walk.dims[v])
+        for walk, emb in x_embeddings]) for v in algebra.vertices}
     x_into_core = ModuleMap(x_rep, core, x_map_mats)
     if not x_into_core.is_morphism():
         raise CertificateFailure("c2-interval part is not a submodule")
 
     # M' spans the complementary intervals on U and everything off U.
-    incl_mats: Dict[str, Matrix] = {}
-    for v in algebra.vertices:
-        if v in u_verts:
-            cols = Matrix.zeros(field, core.dims[v], 0)
-            for emb in y_pieces:
-                cols = cols.hstack(emb.mats[v])
-            incl_mats[v] = cols
-        else:
-            incl_mats[v] = Matrix.identity(field, core.dims[v])
+    incl_mats = {v: (Matrix.hcat(field, core.dims[v], [emb.mats[v] for emb in y_pieces])
+                     if v in u_verts else Matrix.identity(field, core.dims[v]))
+                 for v in algebra.vertices}
     try:
         m_prime, m_prime_incl = _sub_representation(core, incl_mats)
     except ValueError as exc:

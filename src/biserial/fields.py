@@ -3,7 +3,8 @@
 Every computation in this package runs over one of these two field
 contexts.  Elements are plain Python values (``fractions.Fraction`` for
 the rationals, ``int`` residues for a prime field); the field object
-supplies construction, parsing and formatting.  All arithmetic is exact,
+supplies construction, parsing, formatting, ``inv``, ``neg`` and the
+normal form ``reduce`` of raw sums and products.  All arithmetic is exact,
 so results are proof-grade: ``a / b * b == a`` whenever ``b != 0``.
 """
 
@@ -31,6 +32,14 @@ class Rationals:
     def inv(self, x: Fraction) -> Fraction:
         """The inverse of a nonzero element."""
         return self.one / x
+
+    def neg(self, x: Fraction) -> Fraction:
+        return -x
+
+    def reduce(self, rows: list) -> list:
+        """Rows of raw sums and products in normal form: rationals need
+        none, so the rows themselves."""
+        return rows
 
     def parse(self, token: str) -> Fraction:
         try:
@@ -77,6 +86,14 @@ class PrimeField:
     def inv(self, x: int) -> int:
         """The inverse of a nonzero residue, by Fermat's little theorem."""
         return pow(x, self.p - 2, self.p)
+
+    def neg(self, x: int) -> int:
+        return -x % self.p
+
+    def reduce(self, rows: list) -> list:
+        """Rows of raw integer sums and products, reduced to 0 <= x < p."""
+        p = self.p
+        return [[x % p for x in row] for row in rows]
 
     def parse(self, token: str) -> int:
         try:

@@ -16,7 +16,8 @@ dimensions agree too.
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
 search are only "no isomorphism found" -- except when the dimension
-vectors differ or Hom(M, N) is zero, which are sound.
+vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
+tells the two apart.
 """
 
 from __future__ import annotations
@@ -35,18 +36,18 @@ from .reps import ModuleMap, Representation, direct_sum
 # -- subspace plumbing -------------------------------------------------------
 
 
+def _arrow_images(module: Representation, vertex: str) -> Matrix:
+    """The matrices of all arrows into ``vertex`` side by side: their
+    column space is the radical of M at ``vertex``."""
+    return Matrix.hcat(module.algebra.field, module.dims[vertex],
+                       [module.mats[a.name]
+                        for a in module.algebra.pres.quiver.arrows_into(vertex)])
+
+
 def radical(module: Representation) -> Tuple[Representation, ModuleMap]:
     """rad M = sum of all arrow images, with its inclusion into M."""
-    algebra = module.algebra
-    field = algebra.field
-    incl_mats: Dict[str, Matrix] = {}
-    for v in algebra.vertices:
-        cols = Matrix.zeros(field, module.dims[v], 0)
-        for a in algebra.pres.quiver.arrows_into(v):
-            m = module.mats[a.name]
-            if m.cols:
-                cols = cols.hstack(m)
-        incl_mats[v] = cols.image_basis()
+    incl_mats = {v: _arrow_images(module, v).image_basis()
+                 for v in module.algebra.vertices}
     return _sub_representation(module, incl_mats)
 
 
@@ -75,16 +76,8 @@ def _sub_representation(module: Representation, incl_mats: Dict[str, Matrix]
 
 def top_dims(module: Representation) -> Dict[str, int]:
     """Dimension vector of M / rad M."""
-    algebra = module.algebra
-    out = {}
-    for v in algebra.vertices:
-        cols = Matrix.zeros(algebra.field, module.dims[v], 0)
-        for a in algebra.pres.quiver.arrows_into(v):
-            m = module.mats[a.name]
-            if m.cols:
-                cols = cols.hstack(m)
-        out[v] = module.dims[v] - cols.rank()
-    return out
+    return {v: module.dims[v] - _arrow_images(module, v).rank()
+            for v in module.algebra.vertices}
 
 
 def kernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
@@ -101,16 +94,12 @@ def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
     section_mats: Dict[str, Matrix] = {}
     for v in algebra.vertices:
         n = f.target.dims[v]
-        image = f.mats[v].image_basis()
-        rank = image.cols
-        # Extend the image basis by unit vectors and read off coordinates.
-        section = Matrix.units(field, n, image.extending_units())
-        inv = image.hstack(section).inverse()
-        if inv is None:
-            raise ValueError("basis extension failed")
-        # Quotient coordinates are the rows of the inverse past the image part.
-        proj_mats[v] = Matrix(field, n - rank, n, inv.data[rank:])
-        section_mats[v] = section
+        # Extend a basis of the image by unit vectors e_i; the rows of the
+        # inverse of that basis past the image part are the quotient
+        # coordinates, and the e_i span a section of the projection.
+        chosen, inv = f.mats[v].unit_extension()
+        proj_mats[v] = Matrix(field, len(chosen), n, inv.data[n - len(chosen):])
+        section_mats[v] = Matrix.units(field, n, chosen)
     dims = {v: proj_mats[v].rows for v in algebra.vertices}
     mats = {a.name: (proj_mats[a.target] @ f.target.mats[a.name]
                      @ section_mats[a.source])
@@ -169,7 +158,7 @@ def projective_cover(module: Representation) -> CoverData:
         if n == 0:
             continue
         # A basis of the top at v: unit vectors extending a basis of rad M.
-        for i in rad_incl.mats[v].extending_units():
+        for i in rad_incl.mats[v].unit_extension()[0]:
             generators.append((v, Matrix.units(field, n, [i])))
             summands.append(algebra.projective(v))
             multiplicities[v] = multiplicities.get(v, 0) + 1
@@ -210,9 +199,7 @@ def map_from_projectives(module: Representation,
         for class_id in basis.classes_from(vertex):
             columns[basis.class_target(class_id)].append(
                 image(images, basis.class_path(class_id)))
-    return {v: Matrix(algebra.field, module.dims[v], len(vecs),
-                      [[vec.data[row][0] for vec in vecs]
-                       for row in range(module.dims[v])])
+    return {v: Matrix.hcat(algebra.field, module.dims[v], vecs)
             for v, vecs in columns.items()}
 
 
@@ -258,23 +245,18 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
                         row[base_x + k * source.dims[x] + j] -= coeff
                 if any(row):
                     rows.append(row)
-    if not rows:
-        kernel = Matrix.identity(field, total)
-    else:
-        kernel = Matrix(field, len(rows), total,
-                        [[field(x) if x else zero for x in row]
-                         for row in rows]).kernel_basis()
+    kernel = Matrix(field, len(rows), total,
+                    [[field(x) if x else zero for x in row] for row in rows]
+                    ).kernel_basis()
     out: List[ModuleMap] = []
     blocks = [v for v in algebra.vertices if source.dims[v] and target.dims[v]]
     for c in range(kernel.cols):
         mats: Dict[str, Matrix] = {}
         for v in blocks:
-            m = Matrix.zeros(field, target.dims[v], source.dims[v])
-            base = offsets[v]
-            for i in range(target.dims[v]):
-                for j in range(source.dims[v]):
-                    m.data[i][j] = kernel.data[base + i * source.dims[v] + j][c]
-            mats[v] = m
+            height, width, base = target.dims[v], source.dims[v], offsets[v]
+            mats[v] = Matrix(field, height, width, [
+                [kernel.data[base + i * width + j][c] for j in range(width)]
+                for i in range(height)])
         out.append(ModuleMap(source, target, mats))
     return out
 
@@ -322,24 +304,66 @@ def certified_iso(m: Representation, n: Representation, trials: Optional[int] = 
     return None
 
 
-def is_direct_summand_simple(vertex: str, module: Representation
-                             ) -> Tuple[bool, Optional[Tuple[ModuleMap, ModuleMap]]]:
-    """Split-pair test for the simple at ``vertex`` inside ``module``.
+@dataclass
+class IsoDecision:
+    """A three-valued isomorphism answer from ``decide_iso``.
 
-    Sound in both directions: the simple is a summand iff the composition
-    pairing Hom(S, M) x Hom(M, S) -> k is nonzero; the witness pair
-    composes to the identity of the simple.
+    ``status`` is ``iso`` (``iso`` holds the certificate), ``not_iso``
+    (a sound negative, named by ``reason``) or ``not_found`` (the random
+    search missed after ``trials`` trials, which proves nothing).
     """
-    algebra = module.algebra
-    simple = algebra.simple(vertex)
-    sections = hom_basis(simple, module)
-    retractions = hom_basis(module, simple)
+
+    status: str
+    iso: Optional[ModuleMap] = None
+    reason: Optional[str] = None
+    trials: Optional[int] = None
+
+
+def decide_iso(m: Representation, n: Representation, trials: Optional[int] = None,
+               seed: int = 0) -> IsoDecision:
+    """``certified_iso``, with a miss told apart from a sound negative:
+    M and N are not isomorphic when their dimension vectors differ or
+    Hom(M, N) is zero; any other miss is ``not_found``."""
+    iso = certified_iso(m, n, trials=trials, seed=seed)
+    if iso is not None:
+        return IsoDecision("iso", iso)
+    if m.dims != n.dims:
+        return IsoDecision("not_iso", reason="dimension vectors differ")
+    if hom_dim(m, n) == 0:
+        return IsoDecision("not_iso", reason="Hom space is zero")
+    return IsoDecision("not_found", reason="no isomorphism found",
+                       trials=iso_trials(m.algebra.field, trials))
+
+
+def split_pair(brick: Representation, probe: str, module: Representation
+               ) -> Optional[Tuple[ModuleMap, ModuleMap]]:
+    """Maps s: B -> M and p: M -> B with p o s = id_B, or None when the
+    brick B (End B = k) is not a direct summand of M.
+
+    Sound in both directions: B is a summand iff the composition pairing
+    Hom(B, M) x Hom(M, B) -> End B = k is nonzero.  A composite is a scalar
+    times id_B, read at ``probe``, a vertex where B is one-dimensional,
+    and the first nonzero one is normalized to the identity.
+    """
+    sections = hom_basis(brick, module)
+    if not sections:
+        return None
+    retractions = hom_basis(module, brick)
+    inv = module.algebra.field.inv
     for s in sections:
         for p in retractions:
-            val = (p.mats[vertex] @ s.mats[vertex]).data[0][0]
+            val = (p.mats[probe] @ s.mats[probe]).data[0][0]
             if val:
-                return True, (s, p.scale(algebra.field.inv(val)))
-    return False, None
+                return s, p.scale(inv(val))
+    return None
+
+
+def is_direct_summand_simple(vertex: str, module: Representation
+                             ) -> Tuple[bool, Optional[Tuple[ModuleMap, ModuleMap]]]:
+    """Split-pair test for the simple at ``vertex`` inside ``module``; the
+    witness pair composes to the identity of the simple."""
+    pair = split_pair(module.algebra.simple(vertex), vertex, module)
+    return pair is not None, pair
 
 
 # -- projective dimension ----------------------------------------------------
@@ -361,9 +385,6 @@ class PdReport:
     cutoff: Optional[int] = None
     seed: int = 0
     iso: Optional[ModuleMap] = None
-
-    def is_finite(self) -> bool:
-        return self.verdict == "finite"
 
     def describe(self) -> str:
         if self.verdict == "finite":

@@ -1,11 +1,15 @@
 """Dense exact matrices with reduced row echelon form, kernels and solving.
 
 Matrices are immutable-by-convention row-major grids of field elements.
-Everything downstream (syzygies, Hom spaces, certificates) reduces to the
-three operations ``rref``, ``kernel_basis`` and ``solve``.  Storage is
-dense, but Gauss-Jordan elimination is sparse in its updates: each row
-operation touches only the nonzero columns of the pivot row, which is
-what keeps the very sparse Hom systems cheap.  All arithmetic is exact.
+Everything downstream (syzygies, Hom spaces, certificates) reduces to one
+Gauss-Jordan elimination, ``rref``: ``rank``, ``kernel_basis``,
+``image_basis``, ``solve``, ``inverse`` and ``unit_extension`` each read
+their answer off one rref.  Storage is dense, but elimination is sparse in
+its updates: each row operation touches only the nonzero columns of the
+pivot row, which is what keeps the very sparse Hom systems cheap.  All
+arithmetic is exact; the field puts each result in normal form once
+(``field.reduce``), so only ``_rref``, which picks the kernel, looks at
+which field it runs over.
 
 Pivot selection over the rationals prefers entries with denominator 1 and
 small numerator, which keeps intermediate fractions from growing.
@@ -62,9 +66,6 @@ class Matrix:
 
     # -- basic algebra -----------------------------------------------------
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -72,9 +73,6 @@ class Matrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(self.field.format(x) for x in row) for row in self.data)
@@ -86,72 +84,45 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            data = [
-                [(a + b) % p for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        else:
-            data = [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        return Matrix(self.field, self.rows, self.cols, data)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            data = [
-                [(a - b) % p for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        else:
-            data = [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        return Matrix(self.field, self.rows, self.cols, data)
+        data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return Matrix(self.field, self.rows, self.cols, self.field.reduce(data))
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-self.field.one)
+        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c) -> "Matrix":
         c = self.field(c)
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            data = [[(c * x) % p for x in row] for row in self.data]
-        else:
-            data = [[c * x for x in row] for row in self.data]
-        return Matrix(self.field, self.rows, self.cols, data)
+        data = [[c * x for x in row] for row in self.data]
+        return Matrix(self.field, self.rows, self.cols, self.field.reduce(data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = Matrix.zeros(self.field, self.rows, other.cols)
         zero = self.field.zero
         bt = list(zip(*other.data)) if other.rows else [()] * other.cols
-        modp = self.field.p if isinstance(self.field, PrimeField) else None
-        for i, arow in enumerate(self.data):
-            orow = out.data[i]
-            for j in range(other.cols):
-                bcol = bt[j]
+        data = []
+        for arow in self.data:
+            orow = []
+            for bcol in bt:
                 acc = zero
                 for a, b in zip(arow, bcol):
                     if a and b:
                         acc += a * b
-                orow[j] = acc % modp if modp else acc
-        return out
+                orow.append(acc)
+            data.append(orow)
+        return Matrix(self.field, self.rows, other.cols, self.field.reduce(data))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, [list(r) for r in zip(*self.data)] if self.data and self.cols else [[] for _ in range(self.cols)])
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+    @classmethod
+    def hcat(cls, field, rows: int, blocks: Sequence["Matrix"]) -> "Matrix":
+        """The blocks side by side, each with ``rows`` rows; no blocks give
+        the rows x 0 matrix."""
+        data: List[list] = [[] for _ in range(rows)]
+        for b in blocks:
+            if b.rows != rows:
+                raise ValueError(f"hcat of a {b.rows}-row block into {rows} rows")
+            for row, brow in zip(data, b.data):
+                row.extend(brow)
+        return cls(field, rows, sum(b.cols for b in blocks), data)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -190,15 +161,14 @@ class Matrix:
             for i, pj in enumerate(pivots):
                 val = red.data[i][j]
                 if val:
-                    out.data[pj][k] = -val if not isinstance(field, PrimeField) else (-val) % field.p
+                    out.data[pj][k] = field.neg(val)
         return out
 
     def solve(self, b: "Matrix") -> Optional["Matrix"]:
         """One solution X of self @ X = b, or None when b is inconsistent."""
         if b.rows != self.rows:
             raise ValueError("right-hand side row count mismatch")
-        aug = self.hstack(b)
-        red, pivots, _ = aug.rref()
+        red, pivots, _ = Matrix.hcat(self.field, self.rows, [self, b]).rref()
         field = self.field
         # Any pivot inside the appended block certifies inconsistency.
         if any(p >= self.cols for p in pivots):
@@ -209,23 +179,26 @@ class Matrix:
         return x
 
     def inverse(self) -> Optional["Matrix"]:
+        """The inverse, or None for a singular or non-square matrix.  A
+        consistent solve of self @ X = I is the inverse: [self | I] has
+        rank n, so any rank deficiency of self puts a pivot in I."""
         if self.rows != self.cols:
             return None
-        sol = self.solve(Matrix.identity(self.field, self.rows))
-        if sol is None:
-            return None
-        # A consistent square solve may still be rank deficient.
-        if (self @ sol) != Matrix.identity(self.field, self.rows):
-            return None
-        return sol
+        return self.solve(Matrix.identity(self.field, self.rows))
 
-    def extending_units(self) -> List[int]:
-        """Indices i of the unit vectors e_i that extend the independent
-        columns of self to a basis, chosen greedily by increasing i.  Those
-        are the pivot columns past self of [self | I], so one rref finds
-        them all."""
-        _, pivots, _ = self.hstack(Matrix.identity(self.field, self.rows)).rref()
-        return [j - self.cols for j in pivots if j >= self.cols]
+    def unit_extension(self) -> Tuple[List[int], "Matrix"]:
+        """Extend the column space of self to a basis by unit vectors.
+
+        Returns the indices i of the unit vectors e_i, chosen greedily by
+        increasing i, and the inverse of B = [pivot columns of self | those
+        e_i].  One rref of [self | I] gives both: its pivots past self are
+        the chosen units, and its row operations E, the right block, send
+        the pivot columns, which are the columns of B in order, to the unit
+        vectors, so E @ B = I."""
+        n = self.rows
+        red, pivots, _ = Matrix.hcat(self.field, n, [self, Matrix.identity(self.field, n)]).rref()
+        chosen = [j - self.cols for j in pivots if j >= self.cols]
+        return chosen, red.submatrix_cols(range(self.cols, self.cols + n))
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the pivot columns of self."""
@@ -238,9 +211,10 @@ def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
     """Gauss-Jordan elimination on a copy of ``data``; returns the reduced
     rows and the pivot column list.  Over GF(p) the copy is reduced to
     ``0 <= x < p`` first, so every entry of the result is too."""
+    # The one place that looks at the field's type: the two kernels differ
+    # in pivot policy, not only in arithmetic.
     if isinstance(field, PrimeField):
-        p = field.p
-        work = [[x % p for x in row] for row in data]
+        work = field.reduce(data)  # a fresh, reduced copy
         return work, _rref_inplace_p(work, field)
     work = [row[:] for row in data]
     return work, _rref_inplace_q(work)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from .fields import QQ
+from .matrices import Matrix
 from .presentation import Presentation
 
 Path = Tuple[str, ...]  # arrow names, first applied first; () is an idempotent
@@ -32,6 +34,12 @@ class BoundExceeded(RuntimeError):
             f"algebra {pres_name!r}: path {'*'.join(path)} of length {bound} "
             f"survives the zero relations; raise the length bound or check "
             f"finite-dimensionality")
+
+
+def _contains_any(path: Path, subpaths: List[Path]) -> bool:
+    """Whether some subpath occurs in ``path`` as consecutive arrows."""
+    return any(path[i:i + len(z)] == z
+               for z in subpaths for i in range(len(path) - len(z) + 1))
 
 
 class PathBasis:
@@ -53,15 +61,6 @@ class PathBasis:
         zero_paths = [rel.left for rel in pres.relations if rel.kind == "zero"]
         eq_rels = [(rel.left, rel.right) for rel in pres.relations if rel.kind == "eq"]
 
-        def killed(path: Path) -> bool:
-            for z in zero_paths:
-                n = len(z)
-                if n <= len(path):
-                    for i in range(len(path) - n + 1):
-                        if path[i:i + n] == z:
-                            return True
-            return False
-
         # Enumerate zero-free nonempty paths breadth-first by length; the
         # idempotents e_v are separate classes added up front.
         paths: List[Path] = []
@@ -72,7 +71,7 @@ class PathBasis:
         for v in quiver.vertices:
             for a in quiver.arrows_from(v):
                 p: Path = (a.name,)
-                if not killed(p):
+                if not _contains_any(p, zero_paths):
                     paths.append(p)
                     endpoints[p] = (a.source, a.target)
                     frontier.append(p)
@@ -84,7 +83,7 @@ class PathBasis:
                 src, tgt = endpoints[p]
                 for a in quiver.arrows_from(tgt):
                     q = p + (a.name,)
-                    if not killed(q):
+                    if not _contains_any(q, zero_paths):
                         paths.append(q)
                         endpoints[q] = (src, a.target)
                         new_frontier.append(q)
@@ -146,26 +145,10 @@ class PathBasis:
                             hit = True
                         if hit and any(vec):
                             vectors.append(vec)
-            # Row reduce the cut-out subspace to find pivot (eliminated) paths.
-            pivots: List[int] = []
-            reduced: List[List[Fraction]] = []
-            for vec in vectors:
-                vec = vec[:]
-                for prow, pcol in zip(reduced, pivots):
-                    if vec[pcol]:
-                        f = vec[pcol]
-                        vec = [a - f * b for a, b in zip(vec, prow)]
-                lead = next((j for j, x in enumerate(vec) if x), None)
-                if lead is None:
-                    continue
-                inv = 1 / vec[lead]
-                vec = [x * inv for x in vec]
-                for prow, pcol in zip(reduced, pivots):
-                    if prow[lead]:
-                        f = prow[lead]
-                        prow[:] = [a - f * b for a, b in zip(prow, vec)]
-                reduced.append(vec)
-                pivots.append(lead)
+            # The cut-out subspace in reduced row echelon form: its pivot paths
+            # are eliminated, each row expressing one through the basis paths.
+            reduced, pivots, _ = Matrix(QQ, len(vectors), len(block_sorted),
+                                        vectors).rref()
             pivot_set = set(pivots)
             basis_positions = [j for j in range(len(block_sorted)) if j not in pivot_set]
             pos_to_class: Dict[int, int] = {}
@@ -173,7 +156,7 @@ class PathBasis:
                 pos_to_class[j] = len(classes)
                 classes.append((src, tgt, block_sorted[j]))
                 reduce_map[block_sorted[j]] = {pos_to_class[j]: Fraction(1)}
-            for prow, pcol in zip(reduced, pivots):
+            for prow, pcol in zip(reduced.data, pivots):
                 expansion: Dict[int, Fraction] = {}
                 for j in basis_positions:
                     if prow[j]:
@@ -203,11 +186,8 @@ class PathBasis:
         """Expand a raw path (possibly not a representative) in the basis."""
         if not path:
             return {self.idempotents[source]: Fraction(1)}
-        for z in self._zero_paths:
-            n = len(z)
-            for i in range(len(path) - n + 1):
-                if path[i:i + n] == z:
-                    return {}
+        if _contains_any(path, self._zero_paths):
+            return {}
         if path in self.reduce:
             return dict(self.reduce[path])
         # A path absent from the enumeration is killed by the zero ideal.
@@ -221,9 +201,6 @@ class PathBasis:
         """Basis classes whose representative starts at ``vertex``, in
         increasing order."""
         return self._from.get(vertex, ())
-
-    def class_source(self, i: int) -> str:
-        return self.classes[i][0]
 
     def class_target(self, i: int) -> str:
         return self.classes[i][1]
@@ -259,7 +236,3 @@ class PathBasis:
                 if lhs != rhs:
                     return False
         return True
-
-
-def build_path_basis(pres: Presentation, length_bound: int = 64) -> PathBasis:
-    return PathBasis(pres, length_bound)

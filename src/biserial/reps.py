@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import QQ
 from .matrices import Matrix, block_diag
-from .pathbasis import PathBasis, build_path_basis
+from .pathbasis import PathBasis
 from .presentation import Presentation
 
 
@@ -38,7 +38,7 @@ class Algebra:
                  basis: Optional[PathBasis] = None):
         self.pres = pres
         self.field = field
-        self.basis = basis if basis is not None else build_path_basis(pres, length_bound)
+        self.basis = basis if basis is not None else PathBasis(pres, length_bound)
         self._projectives: Dict[str, "Representation"] = {}
         self._memo: Dict[str, object] = {}
         self._empty: Dict[Tuple[int, int], Matrix] = {}
@@ -286,10 +286,6 @@ class ModuleMap:
         return f"ModuleMap({self.source!r} -> {self.target!r})"
 
 
-def check_morphism(f: ModuleMap) -> bool:
-    return f.is_morphism()
-
-
 # -- string modules ----------------------------------------------------------
 
 DIRECT = 1
@@ -339,6 +335,17 @@ class StringWord:
                         f"letter {k}: immediate backtrack along {name}")
         return verts
 
+    def positions(self, pres: Presentation) -> Tuple[List[str], List[int]]:
+        """The walk's vertices and, for each, its index among the walk
+        positions at the same vertex: the basis vector it draws there."""
+        verts = self.walk_vertices(pres)
+        seen: Dict[str, int] = {}
+        local = []
+        for v in verts:
+            local.append(seen.get(v, 0))
+            seen[v] = local[-1] + 1
+        return verts, local
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -350,15 +357,8 @@ class StringWord:
 def string_module(algebra: Algebra, word: StringWord) -> Representation:
     """The module drawn by a walk: one basis vector per walk vertex."""
     pres = algebra.pres
-    verts = word.walk_vertices(pres)
-    positions: Dict[str, List[int]] = {}
-    for idx, v in enumerate(verts):
-        positions.setdefault(v, []).append(idx)
-    dims = {v: len(positions.get(v, ())) for v in algebra.vertices}
-    local_index = {}
-    for v, idxs in positions.items():
-        for k, idx in enumerate(idxs):
-            local_index[idx] = k
+    verts, local = word.positions(pres)
+    dims = {v: verts.count(v) for v in algebra.vertices}
     field = algebra.field
     mats: Dict[str, Matrix] = {
         name: Matrix.zeros(field, dims[pres.quiver.arrows[name].target],
@@ -370,7 +370,7 @@ def string_module(algebra: Algebra, word: StringWord) -> Representation:
             src_idx, tgt_idx = k, k + 1
         else:
             src_idx, tgt_idx = k + 1, k
-        mats[name].data[local_index[tgt_idx]][local_index[src_idx]] = one
+        mats[name].data[local[tgt_idx]][local[src_idx]] = one
     try:
         return Representation(algebra, dims, mats)
     except RepresentationError as exc:
@@ -449,10 +449,6 @@ def restrict(module: Representation, small: Algebra) -> Representation:
     return Representation(small, dims, mats)
 
 
-def supported_on(module: Representation, vertex_set: Iterable[str]) -> bool:
-    return module.supported_on(vertex_set)
-
-
 def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
     """Cokernel of a seeded random map between sums of projectives.
 
@@ -483,20 +479,15 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
         return target
     source = direct_sum(algebra, rels)
     field = algebra.field
-    mats = {v: Matrix.zeros(field, target.dims[v], source.dims[v])
-            for v in algebra.vertices}
-    col = {v: 0 for v in algebra.vertices}
+    maps: List[ModuleMap] = []
     for rel in rels:
         f = ModuleMap.zero(rel, target)
         for h in hom_basis(rel, target):
             c = rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
             if c:
                 f = f + h.scale(field(c))
-        for v in algebra.vertices:
-            off = col[v]
-            for i in range(target.dims[v]):
-                for j in range(rel.dims[v]):
-                    mats[v].data[i][off + j] = f.mats[v].data[i][j]
-            col[v] = off + rel.dims[v]
+        maps.append(f)
+    mats = {v: Matrix.hcat(field, target.dims[v], [f.mats[v] for f in maps])
+            for v in algebra.vertices}
     coker, _ = cokernel_of(ModuleMap(source, target, mats))
     return coker

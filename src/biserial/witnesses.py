@@ -132,24 +132,12 @@ def _string_prefix_map(algebra: Algebra, src_word: StringWord,
                        ) -> Tuple[Representation, Representation, ModuleMap]:
     """Map between two string modules sending walk position i to position i
     for i < keep and the rest to zero; the walks must agree up to keep."""
-    pres = algebra.pres
-    src_verts = src_word.walk_vertices(pres)
-    tgt_verts = tgt_word.walk_vertices(pres)
+    src_verts, src_local = src_word.positions(algebra.pres)
+    tgt_verts, tgt_local = tgt_word.positions(algebra.pres)
     if src_verts[:keep] != tgt_verts[:keep]:
         raise ValueError("walk prefixes disagree")
     src = string_module(algebra, src_word)
     tgt = string_module(algebra, tgt_word)
-
-    def local_indices(verts: List[str]) -> List[int]:
-        counts = {}
-        out = []
-        for v in verts:
-            out.append(counts.get(v, 0))
-            counts[v] = counts.get(v, 0) + 1
-        return out
-
-    src_local = local_indices(src_verts)
-    tgt_local = local_indices(tgt_verts)
     field = algebra.field
     mats = {v: Matrix.zeros(field, tgt.dims[v], src.dims[v])
             for v in algebra.vertices}
@@ -168,15 +156,11 @@ def build_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
         src = build_Zt(algebra, 0, t)
         tgt = build_Zt(algebra, 0, t + 1)
         # Component layout: d0, P(a0), t blocks of (P(b0), P(c0)), d1.
-        mats = {v: Matrix.zeros(field, tgt.dims[v], src.dims[v])
-                for v in algebra.vertices}
         # All components except the final d1 summand map identically; the
         # target's extra block and its own d1 receive nothing.  Only the d1
-        # summand itself contributes a d1 coordinate, and it comes last.
-        for v in algebra.vertices:
-            n = src.dims[v] - (1 if v == "d1" else 0)
-            for i in range(n):
-                mats[v].data[i][i] = field.one
+        # summand itself contributes a d1 coordinate, so d1 maps to zero.
+        mats = {v: Matrix.units(field, tgt.dims[v], range(src.dims[v]))
+                for v in algebra.vertices if v != "d1"}
         phi = ModuleMap(src, tgt, mats)
         if not phi.is_morphism():
             raise AssertionError("connecting map failed at level 0")
@@ -191,9 +175,8 @@ def build_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
         mats = {}
         for v in algebra.vertices:
             block = tgt_inj[0].mats[v] @ smap.mats[v]
-            zero_cols = Matrix.zeros(field, tgt.dims[v],
-                                     src.dims[v] - block.cols)
-            mats[v] = block.hstack(zero_cols)
+            zero_cols = Matrix.zeros(field, tgt.dims[v], src.dims[v] - block.cols)
+            mats[v] = Matrix.hcat(field, tgt.dims[v], [block, zero_cols])
         phi = ModuleMap(src, tgt, mats)
         if not phi.is_morphism():
             raise AssertionError("connecting map failed at level 1")
@@ -250,20 +233,7 @@ def random_extension(algebra: Algebra, base: Representation,
             g = g + h.scale(algebra.field(c))
     # Pushout: (cover (+) base) / graph of (inclusion, -g).
     total = direct_sum(algebra, [cover.cover, base])
-    field = algebra.field
-    mats = {}
-    for v in algebra.vertices:
-        upper = cover.inclusion.mats[v]
-        lower = g.mats[v].scale(-field.one)
-        m = Matrix.zeros(field, total.dims[v], cover.syzygy.dims[v])
-        for i in range(upper.rows):
-            for j in range(upper.cols):
-                m.data[i][j] = upper.data[i][j]
-        off = upper.rows
-        for i in range(lower.rows):
-            for j in range(lower.cols):
-                m.data[off + i][j] = lower.data[i][j]
-        mats[v] = m
+    mats = {v: cover.inclusion.mats[v].vstack(-g.mats[v]) for v in algebra.vertices}
     graph = ModuleMap(cover.syzygy, total, mats)
     ext, _ = cokernel_of(graph)
     return ext

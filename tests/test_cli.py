@@ -294,3 +294,37 @@ def test_unreadable_presentation_exits_2(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe\x00algebra")
     assert main(["algebra", "parse", str(path)]) == 2
     assert main(["algebra", "parse", str(tmp_path)]) == 2
+
+
+def test_module_iso_miss_exits_3_with_the_trials_spent(z3_file, capsys):
+    # With no trials the search cannot find the isomorphism Z3 -> Z3; a
+    # miss proves nothing (it used to exit 1 and print 'default trials').
+    assert main(["module", "iso", z3_file, z3_file, "--algebra", "lambda:r=1,m=3",
+                 "--trials", "0"]) == 3
+    assert "no isomorphism found after 0 trials" in capsys.readouterr().out
+
+
+def test_module_iso_zero_hom_is_a_proof(tmp_path, capsys):
+    # Two arrows x -> y; the strings along either one have the same
+    # dimension vector, but every map between them is zero.
+    alg = tmp_path / "k.alg"
+    alg.write_text("algebra K\nvertex x\nvertex y\n"
+                   "arrow a : alpha x -> y\narrow b : beta x -> y\n")
+    a = tmp_path / "a.mod"
+    a.write_text("module a over K\nstring x [ a^+1 ]\n")
+    b = tmp_path / "b.mod"
+    b.write_text("module b over K\nstring x [ b^+1 ]\n")
+    assert main(["module", "iso", str(a), str(b), "--algebra", str(alg)]) == 1
+    assert "not isomorphic: Hom space is zero" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["module", "iso", "{z3}", "{z3}", "--algebra", "lambda:r=1,m=3", "--trials", "-5"],
+     "--trials must be nonnegative"),
+    (["module", "pd", "{z3}", "--algebra", "lambda:r=1,m=3", "--trials", "-1"],
+     "--trials must be nonnegative"),
+    (["verify", "prop-2", "--trials", "-1"], "trials must be nonnegative"),
+])
+def test_negative_trials_exit_2(argv, message, z3_file, capsys):
+    assert main([a.replace("{z3}", z3_file) for a in argv]) == 2
+    assert message in capsys.readouterr().err

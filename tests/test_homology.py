@@ -7,10 +7,11 @@ from biserial import homology
 from biserial.decomp import xset
 from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
 from biserial.fields import PrimeField
-from biserial.homology import (certified_iso, cokernel_of,
+from biserial.homology import (certified_iso, cokernel_of, decide_iso,
                                hom_basis, is_direct_summand_simple, kernel_of,
                                projdim, projective_cover, radical,
-                               record_digest, syzygy, top_dims)
+                               record_digest, split_pair, syzygy, top_dims)
+from biserial.presentation import parse_presentation
 from biserial.reps import (Algebra, ModuleMap, Representation, StringWord,
                            direct_sum, random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, z_walk
@@ -500,3 +501,37 @@ def test_pd_reports_match_pinned(name):
     assert rec["verdict"] == verdict
     assert rec.get("pd", rec.get("cycle")) == value
     assert record_digest(rec) == digest
+
+
+def test_split_pair_composes_to_identity(alg1):
+    simple = alg1.simple("c1")
+    module = direct_sum(alg1, [alg1.projective("a1"), simple])
+    s, p = split_pair(simple, "c1", module)
+    assert s.is_morphism() and p.is_morphism()
+    identity = p.compose(s)
+    assert identity.mats["c1"] == ModuleMap.identity(simple).mats["c1"]
+    # The top of an indecomposable projective of length > 1 does not split.
+    assert split_pair(simple, "c1", alg1.projective("c1")) is None
+    assert is_direct_summand_simple("c1", alg1.projective("c1")) == (False, None)
+
+
+def test_decide_iso_tells_a_miss_from_a_proof():
+    alg = Algebra(parse_presentation(
+        "algebra K\nvertex x\nvertex y\n"
+        "arrow a : alpha x -> y\narrow b : beta x -> y\n"))
+    along_a = string_module(alg, StringWord("x", [("a", 1)]))
+    along_b = string_module(alg, StringWord("x", [("b", 1)]))
+    found = decide_iso(along_a, along_a)
+    assert found.status == "iso" and found.iso.is_iso()
+    zero_hom = decide_iso(along_a, along_b)
+    assert (zero_hom.status, zero_hom.reason) == ("not_iso", "Hom space is zero")
+    dims = decide_iso(along_a, alg.simple("x"))
+    assert (dims.status, dims.reason) == ("not_iso", "dimension vectors differ")
+    miss = decide_iso(along_a, along_a, trials=0)
+    assert (miss.status, miss.iso, miss.trials) == ("not_found", None, 0)
+    # Over GF(2) the default 40 trials miss this isomorphism (section-4).
+    gf2 = Algebra(build_lambda(1, 1), field=PrimeField(2))
+    omega = syzygy(build_Zt(gf2, 1, 2))
+    miss = decide_iso(omega, build_Zt(gf2, 0, 2))
+    assert (miss.status, miss.reason, miss.trials) == (
+        "not_found", "no isomorphism found", 40)

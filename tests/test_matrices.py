@@ -182,3 +182,51 @@ def test_rref_sparse_rows_match_dense_elimination():
     assert red.data == [[1, 0, 0, 3, 0], [0, 1, 0, 0, 2], [0, 0, 1, 0, 0],
                         [0, 0, 0, 0, 0]]
     assert all(isinstance(x, Fraction) for row in red.data for x in row)
+
+
+F2 = PrimeField(2)
+
+
+def _greedy_units(a: Matrix) -> list:
+    """The unit vectors e_i that raise the rank of [a | chosen so far],
+    tried in increasing i: the definition unit_extension must meet."""
+    chosen = []
+    for i in range(a.rows):
+        current = Matrix.hcat(a.field, a.rows, [a, Matrix.units(a.field, a.rows, chosen)])
+        trial = Matrix.hcat(a.field, a.rows, [current, Matrix.units(a.field, a.rows, [i])])
+        if trial.rank() > current.rank():
+            chosen.append(i)
+    return chosen
+
+
+@pytest.mark.parametrize("strategy", [qq_matrices(), fp_matrices(F2), fp_matrices(F101)],
+                         ids=["qq", "f2", "f101"])
+@given(data=st.data())
+def test_unit_extension_inverts_the_extended_basis(strategy, data):
+    a = data.draw(strategy).image_basis()  # independent columns
+    field, n = a.field, a.rows
+    chosen, inv = a.unit_extension()
+    assert chosen == _greedy_units(a)
+    basis = Matrix.hcat(field, n, [a, Matrix.units(field, n, chosen)])
+    assert basis @ inv == Matrix.identity(field, n)
+    assert inv == basis.inverse()
+
+
+def test_inverse_of_singular_matrix_over_gf2_is_none():
+    # [[1, 1], [1, 1]] and a rank-2 3x3 matrix whose rows sum to zero mod 2.
+    assert Matrix.from_rows(F2, [[1, 1], [1, 1]]).inverse() is None
+    assert Matrix.from_rows(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]).inverse() is None
+    m = Matrix.from_rows(F2, [[1, 1], [0, 1]])
+    assert m @ m.inverse() == Matrix.identity(F2, 2)
+
+
+def test_hcat_with_empty_blocks():
+    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    empty = Matrix.zeros(QQ, 2, 0)
+    assert Matrix.hcat(QQ, 2, [empty, a, empty]) == a
+    assert Matrix.hcat(QQ, 2, [a, Matrix.column(QQ, [5, 6])]).data == [[1, 2, 5], [3, 4, 6]]
+    assert Matrix.hcat(QQ, 2, []) == empty
+    no_rows = Matrix.hcat(QQ, 0, [Matrix.zeros(QQ, 0, 3), Matrix.zeros(QQ, 0, 2)])
+    assert (no_rows.rows, no_rows.cols, no_rows.data) == (0, 5, [])
+    with pytest.raises(ValueError):
+        Matrix.hcat(QQ, 3, [a])

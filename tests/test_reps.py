@@ -4,10 +4,9 @@ from biserial.families import build_lambda, lambda_vertices
 from biserial.homology import hom_basis, projdim
 from biserial.matrices import Matrix
 from biserial.reps import (Algebra, InvalidString, ModuleMap,
-                           Representation, RepresentationError, StringWord, check_morphism,
+                           Representation, RepresentationError, StringWord,
                            direct_sum, direct_sum_maps, inflate,
-                           random_module, restrict,
-                           string_module, supported_on)
+                           random_module, restrict, string_module)
 from biserial.witnesses import build_Z, z_walk
 
 
@@ -96,7 +95,7 @@ def test_direct_sum_maps_intertwine(alg1):
     a, b = alg1.projective("a1"), alg1.projective("b1")
     total = direct_sum(alg1, [a, b])
     injs, projs = direct_sum_maps(total, [a, b])
-    assert all(check_morphism(f) for f in injs + projs)
+    assert all(f.is_morphism() for f in injs + projs)
 
 
 def test_inflate_simple(alg0, alg1):
@@ -135,17 +134,16 @@ def test_inflate_preserves_hom_dimensions(alg0, alg1):
 
 def test_supported_on(alg2, algp):
     lam1 = set(lambda_vertices(1, 1))
-    assert not supported_on(alg2.simple("c2"), lam1)
-    assert supported_on(alg2.zero_module(), set())
+    assert not alg2.simple("c2").supported_on(lam1)
+    assert alg2.zero_module().supported_on(set())
     # The c2 projective over the level-2 algebra avoids a2 and b2.
-    assert supported_on(alg2.projective("c2"),
-                        set(algp.pres.quiver.vertices))
+    assert alg2.projective("c2").supported_on(set(algp.pres.quiver.vertices))
 
 
 def test_check_morphism_identity_and_zero(alg1):
     m = alg1.projective("c1")
-    assert check_morphism(ModuleMap.identity(m))
-    assert check_morphism(ModuleMap.zero(m, alg1.simple("u")))
+    assert ModuleMap.identity(m).is_morphism()
+    assert ModuleMap.zero(m, alg1.simple("u")).is_morphism()
 
 
 def test_check_morphism_reports_violated_arrow(alg1):
