@@ -205,12 +205,13 @@ def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
         alg = config.algebra("lambda", m)
         for i in range(config.r + 1):
             rep = projdim(alg.simple(vname("d", i)),
-                          cutoff=config.chain_cutoff(m), seed=config.seed)
+                          cutoff=config.chain_cutoff(m), seed=config.seed,
+                          trials=config.trials)
             checks.append(_verdict_check(
                 f"pd d{i} = {config.r - i} over level {m}", rep, config.r - i))
         for v in loops:
             rep = projdim(alg.simple(v), cutoff=config.chain_cutoff(m),
-                          seed=config.seed)
+                          seed=config.seed, trials=config.trials)
             checks.append(_verdict_check(
                 f"pd {v} infinite over level {m}", rep, None))
     return ClaimReport("simples-pd", _aggregate(checks), checks, config)
@@ -230,7 +231,7 @@ def claim_prop_2(config: FamilyConfig) -> ClaimReport:
              "witness_dims": list(z_here.dim_vector())}))
         native = config.algebra("lambda", m)
         rep = projdim(build_Z(native, m), cutoff=config.chain_cutoff(m),
-                      seed=config.seed)
+                      seed=config.seed, trials=config.trials)
         checks.append(_verdict_check(
             f"pd witness {m} = {config.r + m}", rep, config.r + m))
         if m >= 1:
@@ -248,7 +249,8 @@ def claim_lemma_1(config: FamilyConfig) -> ClaimReport:
     alg = config.algebra("lambda1prime")
     members = xset(alg)
     for idx, x in enumerate(members, start=1):
-        rep = projdim(x, cutoff=max(config.chain_cutoff(2), 8), seed=config.seed)
+        rep = projdim(x, cutoff=max(config.chain_cutoff(2), 8), seed=config.seed,
+                      trials=config.trials)
         checks.append(_verdict_check(f"pd of c2-string {idx} infinite", rep, None))
         if idx <= 5:
             target = syzygy(syzygy(x))
@@ -357,7 +359,8 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
             checks.append(_iso_check(
                 f"syzygy of member (m={m + 1}, t={t}) is member (m={m}, t={t})",
                 omega, zt, config, {"dims": list(zt.dim_vector())}))
-            rep = projdim(zt, cutoff=config.chain_cutoff(m), seed=config.seed)
+            rep = projdim(zt, cutoff=config.chain_cutoff(m), seed=config.seed,
+                          trials=config.trials)
             checks.append(_verdict_check(
                 f"pd member (m={m}, t={t}) = {config.r + m}", rep,
                 config.r + m))
@@ -459,7 +462,7 @@ def claim_findim_witness(config: FamilyConfig) -> ClaimReport:
     for m in range(config.m_max + 1):
         alg = config.algebra("lambda", m)
         rep = projdim(build_Z(alg, m), cutoff=config.chain_cutoff(m),
-                      seed=config.seed)
+                      seed=config.seed, trials=config.trials)
         checks.append(_verdict_check(
             f"lower bound witness: pd = {config.r + m} at level {m}",
             rep, config.r + m))

@@ -223,15 +223,21 @@ def cmd_module(args) -> int:
         name_a, mod_a = _resolve_module(args.file, algebra)
         name_b, mod_b = _resolve_module(args.other, algebra)
         decision = decide_iso(mod_a, mod_b, trials=args.trials, seed=args.seed)
-        if decision.status == "not_iso":
-            detail = (f" ({dict(mod_a.dim_vector())} vs {dict(mod_b.dim_vector())})"
-                      if mod_a.dims != mod_b.dims else "")
-            print(f"not isomorphic: {decision.reason}{detail}")
-            return EXIT_FAIL
-        if decision.status == "not_found":
-            print(f"no isomorphism found after {decision.trials} trials "
-                  f"(not a proof of non-isomorphism)")
-            return EXIT_INCONCLUSIVE
+        if decision.status != "iso":
+            if args.structured:
+                rec = {"source": name_a, "target": name_b, "field": args.field,
+                       "status": decision.status, "reason": decision.reason}
+                if decision.trials is not None:
+                    rec["trials"] = decision.trials
+                print(json.dumps(rec, sort_keys=True))
+            elif decision.status == "not_iso":
+                detail = (f" ({dict(mod_a.dim_vector())} vs {dict(mod_b.dim_vector())})"
+                          if mod_a.dims != mod_b.dims else "")
+                print(f"not isomorphic: {decision.reason}{detail}")
+            else:
+                print(f"no isomorphism found after {decision.trials} trials "
+                      f"(not a proof of non-isomorphism)")
+            return EXIT_FAIL if decision.status == "not_iso" else EXIT_INCONCLUSIVE
         cert = decision.iso
         if args.structured:
             payload = {v: [[algebra.field.format(x) for x in row]

@@ -8,10 +8,11 @@ syzygies, which forces the chain to cycle forever.  When neither happens
 within the cutoff the report says so; an inconclusive outcome is never
 silently treated as finite.
 
-The chain compares syzygies by a cheap fingerprint (dimension vector and
-top); the dimension of End(M) is solved only for syzygies whose
-fingerprints collide, and the isomorphism search runs only when those
-dimensions agree too.
+The chain walks projective covers: each module's cover is built once,
+its syzygy is the next module, and its multiplicities are the top in the
+module's cheap fingerprint (dimension vector and top).  The dimension of
+End(M) is solved only for syzygies whose fingerprints collide, and the
+isomorphism search runs only when those dimensions agree too.
 
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
@@ -149,7 +150,6 @@ def projective_cover(module: Representation) -> CoverData:
     """Minimal cover: one projective summand per top basis vector."""
     algebra = module.algebra
     field = algebra.field
-    _, rad_incl = radical(module)
     summands: List[Representation] = []
     generators: List[Tuple[str, Matrix]] = []  # (vertex, chosen lift column)
     multiplicities: Dict[str, int] = {}
@@ -157,15 +157,12 @@ def projective_cover(module: Representation) -> CoverData:
         n = module.dims[v]
         if n == 0:
             continue
-        # A basis of the top at v: unit vectors extending a basis of rad M.
-        for i in rad_incl.mats[v].unit_extension()[0]:
+        # A basis of the top at v: unit vectors extending the column space
+        # of the arrow images, which is rad M at v.
+        for i in _arrow_images(module, v).unit_extension()[0]:
             generators.append((v, Matrix.units(field, n, [i])))
             summands.append(algebra.projective(v))
             multiplicities[v] = multiplicities.get(v, 0) + 1
-    if not summands:
-        zero = algebra.zero_module()
-        return CoverData(module, zero, ModuleMap.zero(zero, module),
-                         zero, ModuleMap.zero(zero, zero), {})
     cover = direct_sum(algebra, summands)
     cover_map = ModuleMap(cover, module, map_from_projectives(module, generators))
     syzygy_rep, inclusion = kernel_of(cover_map)
@@ -224,7 +221,6 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
     if total == 0:
         return []
     rows: List[List] = []
-    zero = field.zero
     for a in algebra.pres.quiver.arrows.values():
         x, y = a.source, a.target
         A = source.mats[a.name]   # dims[y] x dims[x]
@@ -232,7 +228,7 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
         # Equation F_y A - B F_x = 0, entrywise over unknowns F_v[i][j].
         for i in range(target.dims[y]):
             for j in range(source.dims[x]):
-                row = [zero] * total
+                row = [field.zero] * total
                 base_y = offsets[y]
                 for k in range(source.dims[y]):
                     coeff = A.data[k][j]
@@ -245,9 +241,7 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
                         row[base_x + k * source.dims[x] + j] -= coeff
                 if any(row):
                     rows.append(row)
-    kernel = Matrix(field, len(rows), total,
-                    [[field(x) if x else zero for x in row] for row in rows]
-                    ).kernel_basis()
+    kernel = Matrix(field, len(rows), total, field.reduce(rows)).kernel_basis()
     out: List[ModuleMap] = []
     blocks = [v for v in algebra.vertices if source.dims[v] and target.dims[v]]
     for c in range(kernel.cols):
@@ -266,42 +260,11 @@ def hom_dim(source: Representation, target: Representation) -> int:
 
 
 def iso_trials(field, trials: Optional[int] = None) -> int:
-    """The number of random trials ``certified_iso`` makes: ``trials`` when
+    """The number of random trials ``decide_iso`` makes: ``trials`` when
     given, else 40 over GF(p) and 20 over Q."""
     if trials is not None:
         return trials
     return 40 if isinstance(field, PrimeField) else 20
-
-
-def certified_iso(m: Representation, n: Representation, trials: Optional[int] = None,
-                  seed: int = 0) -> Optional[ModuleMap]:
-    """Search for a verified isomorphism; None means none was found.
-
-    A returned map is a certificate: intertwining and invertible at every
-    vertex.  None is a sound negative only when the dimension vectors
-    differ or Hom(M, N) is zero; otherwise it just reports that ``trials``
-    random combinations of a Hom basis all failed.  Coefficients are drawn
-    from all of GF(p), or from -9..9 over Q.
-    """
-    if m.dims != n.dims:
-        return None
-    if m.is_zero():
-        return ModuleMap.zero(m, n)
-    field = m.algebra.field
-    trials = iso_trials(field, trials)
-    basis = hom_basis(m, n)
-    if not basis:
-        return None
-    rng = random.Random(f"certified-iso:{seed}")
-    verts = m.algebra.vertices
-    low, high = (0, field.p) if isinstance(field, PrimeField) else (-9, 10)
-    for _ in range(trials):
-        cand = basis[0].scale(field(rng.randrange(low, high)))
-        for h in basis[1:]:
-            cand = cand + h.scale(field(rng.randrange(low, high)))
-        if all(cand.mats[v].rank() == m.dims[v] for v in verts):
-            return cand
-    return None
 
 
 @dataclass
@@ -321,18 +284,40 @@ class IsoDecision:
 
 def decide_iso(m: Representation, n: Representation, trials: Optional[int] = None,
                seed: int = 0) -> IsoDecision:
-    """``certified_iso``, with a miss told apart from a sound negative:
-    M and N are not isomorphic when their dimension vectors differ or
-    Hom(M, N) is zero; any other miss is ``not_found``."""
-    iso = certified_iso(m, n, trials=trials, seed=seed)
-    if iso is not None:
-        return IsoDecision("iso", iso)
+    """Search for a verified isomorphism M -> N, telling a miss apart from
+    a sound negative.
+
+    A found map is a certificate: intertwining and invertible at every
+    vertex.  M and N are not isomorphic when their dimension vectors
+    differ or Hom(M, N) is zero; any other miss is ``not_found``: the
+    ``trials`` random combinations of a Hom basis all failed.
+    Coefficients are drawn from all of GF(p), or from -9..9 over Q.
+    """
     if m.dims != n.dims:
         return IsoDecision("not_iso", reason="dimension vectors differ")
-    if hom_dim(m, n) == 0:
+    if m.is_zero():
+        return IsoDecision("iso", ModuleMap.zero(m, n))
+    basis = hom_basis(m, n)
+    if not basis:
         return IsoDecision("not_iso", reason="Hom space is zero")
-    return IsoDecision("not_found", reason="no isomorphism found",
-                       trials=iso_trials(m.algebra.field, trials))
+    field = m.algebra.field
+    trials = iso_trials(field, trials)
+    rng = random.Random(f"certified-iso:{seed}")
+    verts = m.algebra.vertices
+    low, high = (0, field.p) if isinstance(field, PrimeField) else (-9, 10)
+    for _ in range(trials):
+        cand = basis[0].scale(field(rng.randrange(low, high)))
+        for h in basis[1:]:
+            cand = cand + h.scale(field(rng.randrange(low, high)))
+        if all(cand.mats[v].rank() == m.dims[v] for v in verts):
+            return IsoDecision("iso", cand)
+    return IsoDecision("not_found", reason="no isomorphism found", trials=trials)
+
+
+def certified_iso(m: Representation, n: Representation, trials: Optional[int] = None,
+                  seed: int = 0) -> Optional[ModuleMap]:
+    """The certificate from ``decide_iso``; None means none was found."""
+    return decide_iso(m, n, trials=trials, seed=seed).iso
 
 
 def split_pair(brick: Representation, probe: str, module: Representation
@@ -410,12 +395,6 @@ class PdReport:
         return rec
 
 
-def _fingerprint(module: Representation) -> tuple:
-    tops = top_dims(module)
-    return (module.dim_vector(),
-            tuple(sorted((v, d) for v, d in tops.items() if d)))
-
-
 def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
             trials: Optional[int] = None) -> PdReport:
     """Projective dimension by iterated minimal syzygies.
@@ -426,6 +405,8 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
     invariants); Inconclusive after ``cutoff`` steps.  The zero module
     gets the distinct verdict ``minus_infinity``.
 
+    Each chain module's cover is built once: its syzygy is the next
+    module and its multiplicities are the top in the module's fingerprint.
     Two syzygies are only searched for an isomorphism when their
     fingerprints and their End dimensions agree; the End dimension of a
     syzygy is solved the first time its fingerprint collides, then kept.
@@ -443,13 +424,18 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
             end_dims[idx] = hom_dim(rep, rep)
         return end_dims[idx]
 
-    seen: List[Tuple[tuple, Representation, int]] = [(_fingerprint(current), current, 0)]
+    def fingerprint(cover: CoverData) -> tuple:
+        return (cover.module.dim_vector(), tuple(sorted(cover.multiplicities.items())))
+
+    cover = projective_cover(current)
+    seen: List[Tuple[tuple, Representation, int]] = [(fingerprint(cover), current, 0)]
     for step in range(1, cutoff + 1):
-        current = syzygy(current)
+        current = cover.syzygy
         chain.append(current.dim_vector())
         if current.is_zero():
             return PdReport("finite", chain, value=step - 1, seed=seed)
-        fp = _fingerprint(current)
+        cover = projective_cover(current)
+        fp = fingerprint(cover)
         for old_fp, old_rep, old_idx in seen:
             if old_fp == fp and end_dim(old_rep, old_idx) == end_dim(current, step):
                 iso = certified_iso(old_rep, current, trials=trials, seed=seed)

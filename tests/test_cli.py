@@ -328,3 +328,39 @@ def test_module_iso_zero_hom_is_a_proof(tmp_path, capsys):
 def test_negative_trials_exit_2(argv, message, z3_file, capsys):
     assert main([a.replace("{z3}", z3_file) for a in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_module_iso_negatives_are_structured_records(z3_file, tmp_path, capsys):
+    # A sound negative and a search miss each print one JSON record, with
+    # the same exit codes as the plain-text answers.
+    a = tmp_path / "a.mod"
+    a.write_text("module a over lambda_r1_m0\nraw\ndim u 1\n")
+    b = tmp_path / "b.mod"
+    b.write_text("module b over lambda_r1_m0\nraw\ndim v 1\n")
+    assert main(["module", "iso", str(a), str(b), "--algebra", "lambda:r=1,m=0",
+                 "--structured"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "source": "a", "target": "b", "field": "q", "status": "not_iso",
+        "reason": "dimension vectors differ"}
+    assert main(["module", "iso", z3_file, z3_file, "--algebra", "lambda:r=1,m=3",
+                 "--trials", "0", "--field", "fp:101", "--structured"]) == 3
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "source": "Z3", "target": "Z3", "field": "fp:101", "status": "not_found",
+        "reason": "no isomorphism found", "trials": 0}
+
+
+def test_verify_pd_chains_use_the_trials_flag(capsys):
+    # With no iso trials the loop simples' chains cannot certify a cycle,
+    # so their infinite verdicts are inconclusive (they used to pass on
+    # the default trials while the record said "trials": 0).
+    assert main(["verify", "simples-pd", "--m-max", "0", "--trials", "0",
+                 "--structured"]) == 3
+    record = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert record["status"] == "inconclusive"
+    loops = [c for c in record["checks"] if c["name"].endswith("infinite over level 0")]
+    assert len(loops) == 5
+    assert all(c["status"] == "inconclusive" for c in loops)
+    finite = [c for c in record["checks"] if c not in loops]
+    assert finite and all(c["status"] == "pass" for c in finite)

@@ -1,12 +1,15 @@
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biserial import homology
 from biserial.decomp import xset
 from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
-from biserial.fields import PrimeField
+from biserial.fields import QQ, PrimeField
 from biserial.homology import (certified_iso, cokernel_of, decide_iso,
                                hom_basis, is_direct_summand_simple, kernel_of,
                                projdim, projective_cover, radical,
@@ -381,20 +384,20 @@ def test_pd_report_serialization(alg0):
 # -- the pd engine does no work that cannot change its answer ------------------
 
 
-def _count_hom_systems(monkeypatch):
+def _counting(monkeypatch, name):
     calls = []
-    real = homology.hom_basis
+    real = getattr(homology, name)
 
-    def counting(source, target):
-        calls.append((source, target))
-        return real(source, target)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(homology, "hom_basis", counting)
+    monkeypatch.setattr(homology, name, counting)
     return calls
 
 
 def test_finite_chain_with_distinct_dims_solves_no_hom_system(alg3, monkeypatch):
-    calls = _count_hom_systems(monkeypatch)
+    calls = _counting(monkeypatch, "hom_basis")
     rep = projdim(build_Z(alg3, 3), cutoff=8)
     assert rep.verdict == "finite" and rep.value == 4
     assert len(set(rep.chain)) == len(rep.chain)
@@ -414,19 +417,68 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(alg0, monkeyp
                                     alg0.simple("a0")])
     second = direct_sum(alg0, [walk("a0", [(to_c0.name, 1)]),
                                      walk("a0", [(to_u.name, 1)])])
-    assert homology._fingerprint(first) == homology._fingerprint(second)
+    real_cover = homology.projective_cover
+    assert first.dims == second.dims
+    assert real_cover(first).multiplicities == real_cover(second).multiplicities
     chain = {id(first): second, id(second): alg0.zero_module()}
-    monkeypatch.setattr(homology, "syzygy", lambda module: chain[id(module)])
+    monkeypatch.setattr(homology, "projective_cover", lambda module: dataclasses.replace(
+        real_cover(module), syzygy=chain[id(module)]))
     searches = []
     monkeypatch.setattr(homology, "certified_iso",
                         lambda *args, **kwargs: searches.append(args))
-    calls = _count_hom_systems(monkeypatch)
+    calls = _counting(monkeypatch, "hom_basis")
     rep = projdim(first)
     assert rep.verdict == "finite" and rep.value == 1
     assert searches == []
     # End is solved once for each of the two colliding syzygies.
     assert [(s is t) for s, t in calls] == [True, True]
     assert {id(s) for s, _ in calls} == {id(first), id(second)}
+
+
+def test_pd_chain_builds_one_cover_per_module(alg3, monkeypatch):
+    covers = _counting(monkeypatch, "projective_cover")
+    tops = _counting(monkeypatch, "radical") + _counting(monkeypatch, "top_dims")
+    rep = projdim(build_Z(alg3, 3), cutoff=8)
+    assert rep.verdict == "finite" and rep.value == 4
+    # Every nonzero chain module is covered once; the last one is zero.
+    assert [m.dim_vector() for (m,) in covers] == rep.chain[:-1]
+    assert len({id(m) for (m,) in covers}) == len(covers)
+    assert tops == []
+
+
+def test_iso_search_miss_solves_hom_once(alg3, monkeypatch):
+    calls = _counting(monkeypatch, "hom_basis")
+    module = build_Z(alg3, 3)
+    decision = decide_iso(module, module, trials=0)
+    assert decision.status == "not_found" and decision.trials == 0
+    assert len(calls) == 1
+
+
+def test_cover_of_zero_module_is_zero(alg1):
+    cover = projective_cover(alg1.zero_module())
+    assert cover.multiplicities == {}
+    assert cover.cover.is_zero() and cover.syzygy.is_zero()
+    assert cover.verify()
+
+
+@functools.lru_cache(maxsize=None)
+def _cover_algebra(family, field):
+    pres = build_lambda(1, 2) if family == "lambda" else build_lambda1prime(1)
+    return Algebra(pres, field=QQ if field is None else PrimeField(field))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["lambda", "lambda1prime"]), st.sampled_from([None, 2, 101]),
+       st.integers(0, 10 ** 6), st.integers(1, 20))
+def test_cover_generators_extend_the_arrow_images(family, field, seed, budget):
+    # The arrow images span rad M, so extending them picks the same top
+    # basis as extending the radical's own basis.
+    module = random_module(_cover_algebra(family, field), seed=seed, budget=budget)
+    _, incl = radical(module)
+    for v in module.algebra.vertices:
+        assert (homology._arrow_images(module, v).unit_extension()[0]
+                == incl.mats[v].unit_extension()[0])
+    assert projective_cover(module).verify()
 
 
 def test_projective_built_and_checked_once(monkeypatch):
