@@ -14,23 +14,31 @@ module's cheap fingerprint (dimension vector and top).  The dimension of
 End(M) is solved only for syzygies whose fingerprints collide, and the
 isomorphism search runs only when those dimensions agree too.
 
+A syzygy is read off the cover's path-class basis (see
+``projective_cover``); the cover's own matrices are built only when
+asked for.
+
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
 search are only "no isomorphism found" -- except when the dimension
 vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
-tells the two apart.
+tells the two apart.  The Hom system of an iso question is solved once;
+each random candidate is summed over the Hom kernel's nonzero entries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .matrices import Matrix
 from .fields import PrimeField
+from .presentation import Arrow
 from .reps import ModuleMap, Representation, direct_sum
 
 
@@ -83,8 +91,41 @@ def top_dims(module: Representation) -> Dict[str, int]:
 
 def kernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
     """Vertexwise kernel with induced arrow action and inclusion."""
-    incl = {v: f.mats[v].kernel_basis() for v in f.source.algebra.vertices}
-    return _sub_representation(f.source, incl)
+    source = f.source
+    sub, incl = _kernel(source.algebra, source.dims, f.mats,
+                        lambda a, basis: source.mats[a.name] @ basis)
+    return sub, ModuleMap(sub, source, incl)
+
+
+def _kernel(algebra, dims: Dict[str, int], f_mats: Dict[str, Matrix],
+            arrow_image: Callable[[Arrow, Matrix], Matrix]
+            ) -> Tuple[Representation, Dict[str, Matrix]]:
+    """The kernel of the vertexwise maps ``f_mats`` out of a module of
+    dimensions ``dims``, and its basis K_v at each vertex.
+
+    ``arrow_image(a, K)`` is the source module's arrow a applied to the
+    columns of K.  K_y is the identity on its free rows, so the induced
+    action of a: x -> y is the image of K_x read at those rows.  The image
+    must lie in ker f_y, which is what makes the kernel arrow-stable; it
+    is checked, so a map that is not a module map raises.
+    """
+    field = algebra.field
+    empty = algebra.zero_matrix(0, 0)
+    kernels = {v: f_mats[v].kernel_with_free() if dims[v] else (empty, [])
+               for v in algebra.vertices}
+    sub_dims = {v: basis.cols for v, (basis, _) in kernels.items()}
+    mats: Dict[str, Matrix] = {}
+    for a in algebra.pres.quiver.arrows.values():
+        x, y = a.source, a.target
+        if not (sub_dims[x] and sub_dims[y]):
+            continue
+        image = arrow_image(a, kernels[x][0])
+        if not (f_mats[y] @ image).is_zero():
+            raise ValueError(f"span not stable under arrow {a.name}")
+        mats[a.name] = Matrix(field, sub_dims[y], sub_dims[x],
+                              [image.data[i] for i in kernels[y][1]])
+    sub = Representation(algebra, sub_dims, mats, check=False)
+    return sub, {v: basis for v, (basis, _) in kernels.items()}
 
 
 def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
@@ -121,14 +162,32 @@ def image_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
 
 @dataclass
 class CoverData:
-    """Minimal projective cover of a module with its syzygy."""
+    """Minimal projective cover of a module with its syzygy.
+
+    ``cover``, ``cover_map`` and ``inclusion`` are built on first access,
+    from the vertex of each generator (``tops``) and the vertexwise
+    matrices: the pd chain reads only ``syzygy`` and ``multiplicities``.
+    """
 
     module: Representation
-    cover: Representation
-    cover_map: ModuleMap
     syzygy: Representation
-    inclusion: ModuleMap
     multiplicities: Dict[str, int]
+    tops: List[str] = dataclasses.field(repr=False)
+    cover_mats: Dict[str, Matrix] = dataclasses.field(repr=False)
+    inclusion_mats: Dict[str, Matrix] = dataclasses.field(repr=False)
+
+    @cached_property
+    def cover(self) -> Representation:
+        algebra = self.module.algebra
+        return direct_sum(algebra, [algebra.projective(v) for v in self.tops])
+
+    @cached_property
+    def cover_map(self) -> ModuleMap:
+        return ModuleMap(self.cover, self.module, self.cover_mats)
+
+    @cached_property
+    def inclusion(self) -> ModuleMap:
+        return ModuleMap(self.syzygy, self.cover, self.inclusion_mats)
 
     def verify(self) -> bool:
         """Surjectivity, exactness of dims, and cover minimality."""
@@ -147,10 +206,17 @@ class CoverData:
 
 
 def projective_cover(module: Representation) -> CoverData:
-    """Minimal cover: one projective summand per top basis vector."""
+    """Minimal cover: one projective summand per top basis vector.
+
+    The cover's basis at w is the pairs (generator g, path class p ending
+    at w), in ``direct_sum`` block order.  The syzygy is the kernel of the
+    cover map on that basis, where an arrow acts on a kernel basis through
+    the path-class action on its nonzero entries, so the cover's
+    block-diagonal matrices are never built.
+    """
     algebra = module.algebra
     field = algebra.field
-    summands: List[Representation] = []
+    basis = algebra.basis
     generators: List[Tuple[str, Matrix]] = []  # (vertex, chosen lift column)
     multiplicities: Dict[str, int] = {}
     for v in algebra.vertices:
@@ -161,13 +227,36 @@ def projective_cover(module: Representation) -> CoverData:
         # of the arrow images, which is rad M at v.
         for i in _arrow_images(module, v).unit_extension()[0]:
             generators.append((v, Matrix.units(field, n, [i])))
-            summands.append(algebra.projective(v))
             multiplicities[v] = multiplicities.get(v, 0) + 1
-    cover = direct_sum(algebra, summands)
-    cover_map = ModuleMap(cover, module, map_from_projectives(module, generators))
-    syzygy_rep, inclusion = kernel_of(cover_map)
-    return CoverData(module, cover, cover_map, syzygy_rep, inclusion,
-                     multiplicities)
+    tops = [v for v, _ in generators]
+    labels: Dict[str, List[Tuple[int, int]]] = {v: [] for v in algebra.vertices}
+    for g, v in enumerate(tops):
+        for p in basis.classes_from(v):
+            labels[basis.class_target(p)].append((g, p))
+    row_of = {label: i for pairs in labels.values() for i, label in enumerate(pairs)}
+    # (arrow, class p) -> the terms (class q, c) of arrow·p, c in the field.
+    action = algebra.memo("path-action", lambda alg: {
+        key: [(q, alg.field(c)) for q, c in vec.items() if alg.field(c)]
+        for key, vec in alg.basis.act.items()})
+
+    def arrow_image(a: Arrow, kernel: Matrix) -> Matrix:
+        # The cover's arrow a sends (g, p) to the sum of c * (g, q) over
+        # the terms c * q of a·p.
+        out = [[field.zero] * kernel.cols for _ in labels[a.target]]
+        for (g, p), krow in zip(labels[a.source], kernel.data):
+            for q, c in action[a.name, p]:
+                row = out[row_of[g, q]]
+                for j, x in enumerate(krow):
+                    if x:
+                        row[j] += c * x
+        return Matrix(field, len(out), kernel.cols, field.reduce(out))
+
+    cover_mats = map_from_projectives(module, generators)
+    syzygy_rep, inclusion_mats = _kernel(
+        algebra, {v: len(pairs) for v, pairs in labels.items()}, cover_mats,
+        arrow_image)
+    return CoverData(module, syzygy_rep, multiplicities, tops, cover_mats,
+                     inclusion_mats)
 
 
 def map_from_projectives(module: Representation,
@@ -178,25 +267,38 @@ def map_from_projectives(module: Representation,
 
     The projective's basis classes are the path classes at ``v``; class p
     goes to p·gen, computed as p's last arrow applied to the image of its
-    prefix, so each class costs one matrix-vector product.  Columns follow
-    the block order of ``direct_sum``.
+    prefix, so each class costs one matrix-vector product over the
+    prefix image's nonzero entries.  Columns follow the block order of
+    ``direct_sum``.
     """
     algebra = module.algebra
     basis = algebra.basis
-    columns: Dict[str, List[Matrix]] = {v: [] for v in algebra.vertices}
+    field = algebra.field
+    columns: Dict[str, List[list]] = {v: [] for v in algebra.vertices}
 
-    def image(images: Dict[tuple, Matrix], path: tuple) -> Matrix:
+    def image(images: Dict[tuple, list], path: tuple) -> list:
         vec = images.get(path)
         if vec is None:
-            vec = images[path] = module.mats[path[-1]] @ image(images, path[:-1])
+            prev = [(k, x) for k, x in enumerate(image(images, path[:-1])) if x]
+            vec = []
+            for row in module.mats[path[-1]].data:
+                acc = field.zero
+                for k, x in prev:
+                    if row[k]:
+                        acc += row[k] * x
+                vec.append(acc)
+            vec = images[path] = field.reduce([vec])[0]
         return vec
 
     for vertex, gen in generators:
-        images = {(): gen}
+        images = {(): [row[0] for row in gen.data]}
         for class_id in basis.classes_from(vertex):
             columns[basis.class_target(class_id)].append(
                 image(images, basis.class_path(class_id)))
-    return {v: Matrix.hcat(algebra.field, module.dims[v], vecs)
+    return {v: Matrix(field, module.dims[v], len(vecs),
+                      [list(row) for row in zip(*vecs)])
+            if vecs and module.dims[v]
+            else algebra.zero_matrix(module.dims[v], len(vecs))
             for v, vecs in columns.items()}
 
 
@@ -209,6 +311,16 @@ def syzygy(module: Representation) -> Representation:
 
 def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]:
     """Basis of the intertwining solution space Hom(source, target)."""
+    kernel, offsets = _hom_kernel(source, target)
+    return [_hom_map(source, target, offsets, column)
+            for column in zip(*kernel.data)]
+
+
+def _hom_kernel(source: Representation, target: Representation
+                ) -> Tuple[Matrix, Dict[str, int]]:
+    """The kernel of the intertwining equations of Hom(source, target),
+    one basis map per column, and the offset of each vertex's block of
+    unknowns F_v[i][j], row-major, in a column."""
     if source.algebra.pres is not target.algebra.pres:
         raise ValueError("hom across different presentations")
     algebra = source.algebra
@@ -219,7 +331,7 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
         offsets[v] = total
         total += target.dims[v] * source.dims[v]
     if total == 0:
-        return []
+        return algebra.zero_matrix(0, 0), offsets
     rows: List[List] = []
     for a in algebra.pres.quiver.arrows.values():
         x, y = a.source, a.target
@@ -242,21 +354,26 @@ def hom_basis(source: Representation, target: Representation) -> List[ModuleMap]
                 if any(row):
                     rows.append(row)
     kernel = Matrix(field, len(rows), total, field.reduce(rows)).kernel_basis()
-    out: List[ModuleMap] = []
-    blocks = [v for v in algebra.vertices if source.dims[v] and target.dims[v]]
-    for c in range(kernel.cols):
-        mats: Dict[str, Matrix] = {}
-        for v in blocks:
-            height, width, base = target.dims[v], source.dims[v], offsets[v]
+    return kernel, offsets
+
+
+def _hom_map(source: Representation, target: Representation,
+             offsets: Dict[str, int], column: Sequence) -> ModuleMap:
+    """The map whose unknowns, laid out as in ``_hom_kernel``, are
+    ``column``."""
+    field = source.algebra.field
+    mats: Dict[str, Matrix] = {}
+    for v in source.algebra.vertices:
+        height, width, base = target.dims[v], source.dims[v], offsets[v]
+        if height and width:
             mats[v] = Matrix(field, height, width, [
-                [kernel.data[base + i * width + j][c] for j in range(width)]
+                list(column[base + i * width:base + (i + 1) * width])
                 for i in range(height)])
-        out.append(ModuleMap(source, target, mats))
-    return out
+    return ModuleMap(source, target, mats)
 
 
 def hom_dim(source: Representation, target: Representation) -> int:
-    return len(hom_basis(source, target))
+    return _hom_kernel(source, target)[0].cols
 
 
 def iso_trials(field, trials: Optional[int] = None) -> int:
@@ -291,25 +408,31 @@ def decide_iso(m: Representation, n: Representation, trials: Optional[int] = Non
     vertex.  M and N are not isomorphic when their dimension vectors
     differ or Hom(M, N) is zero; any other miss is ``not_found``: the
     ``trials`` random combinations of a Hom basis all failed.
-    Coefficients are drawn from all of GF(p), or from -9..9 over Q.
+    Coefficients are drawn from all of GF(p), or from -9..9 over Q.  A
+    candidate is K·c for the Hom kernel K and the drawn coefficients c,
+    summed over K's nonzero entries only.
     """
     if m.dims != n.dims:
         return IsoDecision("not_iso", reason="dimension vectors differ")
     if m.is_zero():
         return IsoDecision("iso", ModuleMap.zero(m, n))
-    basis = hom_basis(m, n)
-    if not basis:
+    kernel, offsets = _hom_kernel(m, n)
+    if not kernel.cols:
         return IsoDecision("not_iso", reason="Hom space is zero")
     field = m.algebra.field
     trials = iso_trials(field, trials)
     rng = random.Random(f"certified-iso:{seed}")
-    verts = m.algebra.vertices
     low, high = (0, field.p) if isinstance(field, PrimeField) else (-9, 10)
+    nonzeros = [(r, [(k, x) for k, x in enumerate(row) if x])
+                for r, row in enumerate(kernel.data)]
+    nonzeros = [(r, terms) for r, terms in nonzeros if terms]
     for _ in range(trials):
-        cand = basis[0].scale(field(rng.randrange(low, high)))
-        for h in basis[1:]:
-            cand = cand + h.scale(field(rng.randrange(low, high)))
-        if all(cand.mats[v].rank() == m.dims[v] for v in verts):
+        coeffs = [field(rng.randrange(low, high)) for _ in range(kernel.cols)]
+        column = [field.zero] * kernel.rows
+        for r, terms in nonzeros:
+            column[r] = sum(x * coeffs[k] for k, x in terms)
+        cand = _hom_map(m, n, offsets, field.reduce([column])[0])
+        if all(cand.mats[v].rank() == d for v, d in m.dims.items() if d):
             return IsoDecision("iso", cand)
     return IsoDecision("not_found", reason="no isomorphism found", trials=trials)
 

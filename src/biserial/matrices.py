@@ -4,9 +4,12 @@ Matrices are immutable-by-convention row-major grids of field elements.
 Everything downstream (syzygies, Hom spaces, certificates) reduces to one
 Gauss-Jordan elimination, ``rref``: ``rank``, ``kernel_basis``,
 ``image_basis``, ``solve``, ``inverse`` and ``unit_extension`` each read
-their answer off one rref.  Storage is dense, but elimination is sparse in
-its updates: each row operation touches only the nonzero columns of the
-pivot row, which is what keeps the very sparse Hom systems cheap.  All
+their answer off one rref.  ``kernel_with_free`` also names the free
+columns of that rref: the kernel basis is the identity on those rows, so
+a null vector's coordinates in it are read off with no solve.  Storage
+is dense, but elimination is sparse in its updates: each row operation
+touches only the nonzero columns of the pivot row, which is what keeps
+the very sparse Hom systems cheap.  All
 arithmetic is exact; the field puts each result in normal form once
 (``field.reduce``), so only ``_rref``, which picks the kernel, looks at
 which field it runs over.
@@ -150,6 +153,12 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns form a basis of the null space of self."""
+        return self.kernel_with_free()[0]
+
+    def kernel_with_free(self) -> Tuple["Matrix", List[int]]:
+        """``kernel_basis`` and the free columns of the rref it is read
+        off.  The basis is the identity on the free rows, so the
+        coordinates of a null vector in it are its entries there."""
         red, pivots, _rank = self.rref()
         field = self.field
         pivot_set = set(pivots)
@@ -162,7 +171,7 @@ class Matrix:
                 val = red.data[i][j]
                 if val:
                     out.data[pj][k] = field.neg(val)
-        return out
+        return out, free
 
     def solve(self, b: "Matrix") -> Optional["Matrix"]:
         """One solution X of self @ X = b, or None when b is inconsistent."""

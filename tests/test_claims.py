@@ -182,3 +182,27 @@ def test_verify_all_digest_is_pinned(args, digest, code, capsys):
     assert main(["verify", *args, "--structured"]) == code
     last = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert last["digest"] == digest
+
+
+def test_corollary_3_covers_only_what_its_sampler_covers(monkeypatch):
+    # The claim reads each sample's syzygy off the pd chain the sampler
+    # has already walked, so the claim builds exactly the sampler's covers.
+    from biserial import homology
+    from biserial.claims import claim_corollary_3
+    from biserial.witnesses import sample_finite_pd_modules
+
+    covers = []
+    real = homology.projective_cover
+
+    def counting(module):
+        covers.append(module)
+        return real(module)
+
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    cfg = FamilyConfig(r=1, samples=5, seed=13)
+    sample_finite_pd_modules(cfg.algebra("lambda", 2), cfg.samples, seed=cfg.seed,
+                             max_dim=max(cfg.max_dim, 60))
+    sampled = len(covers)
+    covers.clear()
+    assert claim_corollary_3(cfg).status == "pass"
+    assert sampled > 0 and len(covers) == sampled

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,11 @@ from pathlib import Path
 import pytest
 
 from biserial.cli import main
+from biserial.families import build_lambda1prime
+from biserial.fields import field_from_spec
+from biserial.matrices import Matrix
+from biserial.modfiles import emit_module_raw
+from biserial.reps import Algebra, Representation, random_module
 
 
 @pytest.fixture()
@@ -364,3 +370,37 @@ def test_verify_pd_chains_use_the_trials_flag(capsys):
     assert all(c["status"] == "inconclusive" for c in loops)
     finite = [c for c in record["checks"] if c not in loops]
     assert finite and all(c["status"] == "pass" for c in finite)
+
+
+def _scrambled_pair(tmp_path, field_spec):
+    """Files holding a random lambda1prime(1) module and a copy of it in
+    the basis changed by the upper unitriangular all-ones matrix."""
+    alg = Algebra(build_lambda1prime(1), field=field_from_spec(field_spec))
+    module = random_module(alg, seed=5, budget=16)
+    change = {v: Matrix.from_rows(alg.field, [[int(j >= i) for j in range(d)]
+                                              for i in range(d)])
+              for v, d in module.dims.items() if d}
+    mats = {a.name: change[a.target] @ module.mats[a.name] @ change[a.source].inverse()
+            for a in alg.pres.quiver.arrows.values()
+            if module.dims[a.source] and module.dims[a.target]}
+    paths = tmp_path / "m.mod", tmp_path / "n.mod"
+    paths[0].write_text(emit_module_raw("m", module))
+    paths[1].write_text(emit_module_raw("n", Representation(alg, module.dims, mats)))
+    return [str(path) for path in paths]
+
+
+# Digests of the whole `module iso --structured` line for the pair above,
+# recorded from the engine that built each candidate from scaled and
+# summed Hom basis maps.
+PINNED_ISO = {"q": "7cc2e0a775f3d7ee", "fp:2": "1502be3f28ff96e3",
+              "fp:101": "07e864a528dc91aa"}
+
+
+@pytest.mark.parametrize("field_spec", list(PINNED_ISO))
+def test_module_iso_certificates_are_pinned(field_spec, tmp_path, capsys):
+    m_file, n_file = _scrambled_pair(tmp_path, field_spec)
+    assert main(["module", "iso", m_file, n_file, "--algebra", "lambda1prime:r=1",
+                 "--field", field_spec, "--seed", "2", "--structured"]) == 0
+    out = capsys.readouterr().out
+    assert "certificate" in json.loads(out)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_ISO[field_spec]

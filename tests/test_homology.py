@@ -14,6 +14,7 @@ from biserial.homology import (certified_iso, cokernel_of, decide_iso,
                                hom_basis, is_direct_summand_simple, kernel_of,
                                projdim, projective_cover, radical,
                                record_digest, split_pair, syzygy, top_dims)
+from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
 from biserial.reps import (Algebra, ModuleMap, Representation, StringWord,
                            direct_sum, random_module, string_module)
@@ -150,6 +151,23 @@ def test_kernel_of_identity(alg1):
     m = alg1.projective("b1")
     ker, _ = kernel_of(ModuleMap.identity(m))
     assert ker.is_zero()
+
+
+def test_kernel_of_a_non_morphism_raises():
+    # The Kronecker module k -> k^2 (a to e1, b to e2) with f = 0 at x and
+    # the projection to e1 at y: f is no module map, and a sends ker f_x
+    # outside ker f_y = span(e2).
+    alg = Algebra(parse_presentation(
+        "algebra K\nvertex x\nvertex y\n"
+        "arrow a : alpha x -> y\narrow b : beta x -> y\n"))
+    module = Representation(alg, {"x": 1, "y": 2},
+                            {"a": Matrix.from_rows(QQ, [[1], [0]]),
+                             "b": Matrix.from_rows(QQ, [[0], [1]])})
+    f = ModuleMap(module, module, {"x": Matrix.zeros(QQ, 1, 1),
+                                   "y": Matrix.from_rows(QQ, [[1, 0], [0, 0]])})
+    assert not f.is_morphism()
+    with pytest.raises(ValueError, match="not stable under arrow a"):
+        kernel_of(f)
 
 
 def test_cokernel_of_zero_map(alg1):
@@ -397,7 +415,7 @@ def _counting(monkeypatch, name):
 
 
 def test_finite_chain_with_distinct_dims_solves_no_hom_system(alg3, monkeypatch):
-    calls = _counting(monkeypatch, "hom_basis")
+    calls = _counting(monkeypatch, "_hom_kernel")
     rep = projdim(build_Z(alg3, 3), cutoff=8)
     assert rep.verdict == "finite" and rep.value == 4
     assert len(set(rep.chain)) == len(rep.chain)
@@ -426,7 +444,7 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(alg0, monkeyp
     searches = []
     monkeypatch.setattr(homology, "certified_iso",
                         lambda *args, **kwargs: searches.append(args))
-    calls = _counting(monkeypatch, "hom_basis")
+    calls = _counting(monkeypatch, "_hom_kernel")
     rep = projdim(first)
     assert rep.verdict == "finite" and rep.value == 1
     assert searches == []
@@ -438,16 +456,19 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(alg0, monkeyp
 def test_pd_chain_builds_one_cover_per_module(alg3, monkeypatch):
     covers = _counting(monkeypatch, "projective_cover")
     tops = _counting(monkeypatch, "radical") + _counting(monkeypatch, "top_dims")
+    sums = _counting(monkeypatch, "direct_sum")
     rep = projdim(build_Z(alg3, 3), cutoff=8)
     assert rep.verdict == "finite" and rep.value == 4
     # Every nonzero chain module is covered once; the last one is zero.
     assert [m.dim_vector() for (m,) in covers] == rep.chain[:-1]
     assert len({id(m) for (m,) in covers}) == len(covers)
     assert tops == []
+    # The syzygies are read off the path-class basis: no cover is summed.
+    assert sums == []
 
 
 def test_iso_search_miss_solves_hom_once(alg3, monkeypatch):
-    calls = _counting(monkeypatch, "hom_basis")
+    calls = _counting(monkeypatch, "_hom_kernel")
     module = build_Z(alg3, 3)
     decision = decide_iso(module, module, trials=0)
     assert decision.status == "not_found" and decision.trials == 0
@@ -587,3 +608,23 @@ def test_decide_iso_tells_a_miss_from_a_proof():
     miss = decide_iso(omega, build_Zt(gf2, 0, 2))
     assert (miss.status, miss.reason, miss.trials) == (
         "not_found", "no isomorphism found", 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["lambda", "lambda1prime"]), st.sampled_from([None, 2, 101]),
+       st.integers(0, 10 ** 6), st.integers(1, 20))
+def test_syzygy_on_the_path_class_basis_is_the_kernel_of_the_cover_map(
+        family, field, seed, budget):
+    # The syzygy read off the cover's path-class basis equals the kernel
+    # of the cover map computed on the block-diagonal cover, matrix for
+    # matrix, and the induced action solved arrow by arrow on that cover;
+    # the cover built on demand passes its own checks.
+    module = random_module(_cover_algebra(family, field), seed=seed, budget=budget)
+    cover = projective_cover(module)
+    kernel, inclusion = kernel_of(cover.cover_map)
+    assert kernel.dims == cover.syzygy.dims
+    assert kernel.mats == cover.syzygy.mats
+    assert inclusion.mats == cover.inclusion.mats
+    solved, _ = homology._sub_representation(cover.cover, inclusion.mats)
+    assert solved.mats == cover.syzygy.mats
+    assert cover.verify()
