@@ -1,24 +1,48 @@
 """Special biserial algebra presentations, string modules, syzygies, and
-projective-dimension verification by exact linear algebra."""
+projective-dimension verification by exact linear algebra.
 
-from .fields import QQ, FieldError, PrimeField, field_from_spec
-from .matrices import Matrix
-from .presentation import (ParseError, Presentation, PresentationError,
-                           Quiver, Relation, emit_presentation,
-                           parse_presentation)
-from .pathbasis import BoundExceeded, PathBasis
-from .families import (build_lambda, build_lambda1prime, build_subquiver_U,
-                       family_from_spec)
-from .reps import (Algebra, InvalidString, ModuleMap, Representation,
-                   RepresentationError, StringWord, direct_sum, direct_sum_maps,
-                   inflate, random_module, restrict, string_module)
-from .homology import (CoverData, PdReport, certified_iso, cokernel_of,
-                       hom_basis, is_direct_summand_simple, kernel_of,
-                       projdim, projective_cover, radical, syzygy, top_dims)
-from .decomp import (CertificateFailure, IntervalSummand, Lemma2Split,
-                     NotPathQuiver, interval_decompose, lemma2_split,
-                     strip_pc2, xset)
-from .witnesses import build_U, build_Z, build_Zt, build_phi
-from .claims import CLAIMS, ClaimReport, FamilyConfig, run_claim, run_claims
+The public names below are resolved from their home modules on first
+access (PEP 562), so ``import biserial`` loads no layer and a command
+pays only for the layers it runs.
+"""
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "fields": "QQ FieldError PrimeField field_from_spec",
+    "matrices": "Matrix",
+    "presentation": "ParseError Presentation PresentationError Quiver Relation "
+                    "emit_presentation parse_presentation",
+    "pathbasis": "BoundExceeded PathBasis",
+    "families": "build_lambda build_lambda1prime build_subquiver_U family_from_spec",
+    "reps": "Algebra InvalidString ModuleMap Representation RepresentationError "
+            "StringWord direct_sum direct_sum_maps inflate random_module restrict "
+            "string_module",
+    "homology": "CoverData PdReport certified_iso cokernel_of hom_basis "
+                "is_direct_summand_simple kernel_of projdim projective_cover "
+                "radical radical_filtration syzygy top_dims",
+    "decomp": "CertificateFailure IntervalSummand Lemma2Split NotPathQuiver "
+              "interval_decompose lemma2_split strip_pc2 xset",
+    "witnesses": "build_U build_Z build_Zt build_phi",
+    "claims": "CLAIMS ClaimReport ConfigError FamilyConfig run_claim run_claims",
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = list(_HOME_OF)
+
+
+def _lazy_getattr(module_name: str):
+    """A PEP 562 ``__getattr__``: a public name imports its home module."""
+    def __getattr__(name: str):
+        if name not in _HOME_OF:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_HOME_OF[name]}"), name)
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(__name__)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME_OF))

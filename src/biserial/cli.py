@@ -14,6 +14,11 @@ search that missed), 4 an internal error (a bug, reported as
 writer killed by SIGPIPE (``biserial verify all | head -1``).
 ``--structured`` switches reports to line-delimited JSON records,
 byte-stable for identical flags.
+
+Each subcommand imports the layers it runs: the claim catalog (and with
+it the witnesses and the splitting layer) only for ``verify``, the
+splitting layer only for ``module split``, and the family builders only
+for a family spec.  A command on files loads none of them.
 """
 
 from __future__ import annotations
@@ -24,18 +29,19 @@ import os
 import sys
 from typing import List, Optional
 
-from .claims import CLAIMS, ConfigError, FamilyConfig, run_claim
-from .decomp import CertificateFailure, NotPathQuiver, lemma2_split
-from .families import family_from_spec
+from . import _HOME_OF, _lazy_getattr
 from .fields import FieldError, field_from_spec
-from .homology import decide_iso, hom_basis, projdim, record_digest, syzygy
+from .homology import (decide_iso, hom_basis, projdim, radical_filtration,
+                       record_digest, syzygy)
 from .modfiles import (ModuleFileError, dot_quiver, dot_representation,
                        emit_module_raw, parse_module_file)
 from .pathbasis import BoundExceeded
-from .presentation import PresentationError, parse_presentation
-from .presentation import emit_presentation
-from .claims import radical_filtration
+from .presentation import PresentationError, emit_presentation, parse_presentation
 from .reps import Algebra, InvalidString, RepresentationError
+
+# The layers only some subcommands run are imported by those commands;
+# their names still resolve as attributes of this module (PEP 562).
+__getattr__ = _lazy_getattr(__name__)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 EXIT_BROKEN_PIPE = 141
@@ -45,16 +51,32 @@ class UsageError(ValueError):
     """A flag value the command cannot run with."""
 
 
+class _ClaimIdsHelp(str):
+    """``verify``'s claim-id help: argparse %-formats it only to print it."""
+
+    def __mod__(self, params) -> str:
+        return f"{self}; known: {', '.join(__getattr__('CLAIMS'))}"
+
+
 # Errors in what the user gave: flags, files and their contents.  They exit
 # EXIT_USAGE with their message; any other exception is a bug.
-INPUT_ERRORS = (UsageError, ConfigError, PresentationError, ModuleFileError,
-                FieldError, BoundExceeded, RepresentationError, InvalidString,
-                NotPathQuiver, OSError, UnicodeDecodeError)
+INPUT_ERRORS = (UsageError, PresentationError, ModuleFileError, FieldError,
+                BoundExceeded, RepresentationError, InvalidString, OSError,
+                UnicodeDecodeError)
+
+
+def _input_errors() -> tuple:
+    """INPUT_ERRORS and those of the loaded lazy layers (an unloaded one raised none)."""
+    return INPUT_ERRORS + tuple(
+        __getattr__(name) for name in ("ConfigError", "NotPathQuiver")
+        if f"{__package__}.{_HOME_OF[name]}" in sys.modules)
 
 
 def _load_presentation(spec: str):
     """A family spec like ``lambda:r=1,m=3`` or a presentation file path."""
     if ":" in spec or spec in ("lambda", "lambda1prime"):
+        from .families import family_from_spec
+
         return family_from_spec(spec)
     with open(spec, encoding="utf-8") as fh:
         return parse_presentation(fh.read())
@@ -71,20 +93,18 @@ def _check_flags(args) -> None:
         raise UsageError("--trials must be nonnegative")
 
 
-def _algebra_from_args(args) -> Algebra:
-    pres = _load_presentation(args.algebra)
+def _algebra(pres, args) -> Algebra:
     return Algebra(pres, field=field_from_spec(args.field),
                    length_bound=args.length_bound)
 
 
 def _family_presentation(args):
-    if args.family == "lambda":
-        if args.m is None:
-            raise PresentationError("family 'lambda' needs --m")
-        return family_from_spec(f"lambda:r={args.r},m={args.m}")
-    if args.family == "lambda1prime":
-        return family_from_spec(f"lambda1prime:r={args.r}")
-    raise PresentationError(f"unknown family {args.family!r}")
+    if args.family not in ("lambda", "lambda1prime"):
+        raise PresentationError(f"unknown family {args.family!r}")
+    if args.family == "lambda" and args.m is None:
+        raise PresentationError("family 'lambda' needs --m")
+    m = f",m={args.m}" if args.family == "lambda" else ""
+    return _load_presentation(f"{args.family}:r={args.r}{m}")
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -106,39 +126,31 @@ def _resolve_module(path: str, algebra: Algebra):
 
 
 def cmd_algebra(args) -> int:
-    if args.algebra_cmd == "parse":
+    if getattr(args, "file", None):
         with open(args.file, encoding="utf-8") as fh:
             pres = parse_presentation(fh.read())
+    else:
+        pres = _family_presentation(args)
+
+    if args.algebra_cmd == "parse":
         print(f"ok: {pres.name}: {len(pres.quiver.vertices)} vertices, "
               f"{len(pres.quiver.arrows)} arrows, {len(pres.relations)} relations")
         return EXIT_OK
 
-    if args.algebra_cmd in ("build", "emit", "projectives", "dot"):
-        if getattr(args, "file", None):
-            with open(args.file, encoding="utf-8") as fh:
-                pres = parse_presentation(fh.read())
-        else:
-            pres = _family_presentation(args)
-
-    if args.algebra_cmd == "build":
-        if args.emit:
-            _write(emit_presentation(pres), args.output)
-        else:
-            algebra = Algebra(pres, field=field_from_spec(args.field),
-                              length_bound=args.length_bound)
-            print(f"{pres.name}: {len(pres.quiver.vertices)} vertices, "
-                  f"{len(pres.quiver.arrows)} arrows, "
-                  f"{len(pres.relations)} relations, "
-                  f"dimension {algebra.dim()} over field {args.field}")
-        return EXIT_OK
-
-    if args.algebra_cmd == "emit":
+    if args.algebra_cmd == "emit" or getattr(args, "emit", False):
         _write(emit_presentation(pres), args.output)
         return EXIT_OK
 
+    if args.algebra_cmd == "build":
+        algebra = _algebra(pres, args)
+        print(f"{pres.name}: {len(pres.quiver.vertices)} vertices, "
+              f"{len(pres.quiver.arrows)} arrows, "
+              f"{len(pres.relations)} relations, "
+              f"dimension {algebra.dim()} over field {args.field}")
+        return EXIT_OK
+
     if args.algebra_cmd == "projectives":
-        algebra = Algebra(pres, field=field_from_spec(args.field),
-                          length_bound=args.length_bound)
+        algebra = _algebra(pres, args)
         records = []
         for v in algebra.vertices:
             proj = algebra.projective(v)
@@ -171,10 +183,8 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_module(args) -> int:
-    algebra = _algebra_from_args(args)
-
-    if args.module_cmd in ("pd", "syzygy", "split", "dot"):
-        name, module = _resolve_module(args.file, algebra)
+    algebra = _algebra(_load_presentation(args.algebra), args)
+    name, module = _resolve_module(args.file, algebra)
 
     if args.module_cmd == "pd":
         report = projdim(module, cutoff=args.cutoff, seed=args.seed,
@@ -207,32 +217,30 @@ def cmd_module(args) -> int:
         return EXIT_OK
 
     if args.module_cmd == "hom":
-        name_a, mod_a = _resolve_module(args.file, algebra)
         name_b, mod_b = _resolve_module(args.other, algebra)
-        basis = hom_basis(mod_a, mod_b)
+        basis = hom_basis(module, mod_b)
         if args.structured:
-            print(json.dumps({"source": name_a, "target": name_b,
+            print(json.dumps({"source": name, "target": name_b,
                               "field": args.field, "hom_dim": len(basis)},
                              sort_keys=True))
         else:
-            print(f"dim Hom({name_a}, {name_b}) = {len(basis)} "
+            print(f"dim Hom({name}, {name_b}) = {len(basis)} "
                   f"(field {args.field})")
         return EXIT_OK
 
     if args.module_cmd == "iso":
-        name_a, mod_a = _resolve_module(args.file, algebra)
         name_b, mod_b = _resolve_module(args.other, algebra)
-        decision = decide_iso(mod_a, mod_b, trials=args.trials, seed=args.seed)
+        decision = decide_iso(module, mod_b, trials=args.trials, seed=args.seed)
         if decision.status != "iso":
             if args.structured:
-                rec = {"source": name_a, "target": name_b, "field": args.field,
+                rec = {"source": name, "target": name_b, "field": args.field,
                        "status": decision.status, "reason": decision.reason}
                 if decision.trials is not None:
                     rec["trials"] = decision.trials
                 print(json.dumps(rec, sort_keys=True))
             elif decision.status == "not_iso":
-                detail = (f" ({dict(mod_a.dim_vector())} vs {dict(mod_b.dim_vector())})"
-                          if mod_a.dims != mod_b.dims else "")
+                detail = (f" ({dict(module.dim_vector())} vs {dict(mod_b.dim_vector())})"
+                          if module.dims != mod_b.dims else "")
                 print(f"not isomorphic: {decision.reason}{detail}")
             else:
                 print(f"no isomorphism found after {decision.trials} trials "
@@ -243,11 +251,11 @@ def cmd_module(args) -> int:
             payload = {v: [[algebra.field.format(x) for x in row]
                            for row in m.data]
                        for v, m in sorted(cert.mats.items()) if m.rows or m.cols}
-            print(json.dumps({"source": name_a, "target": name_b,
+            print(json.dumps({"source": name, "target": name_b,
                               "field": args.field, "certificate": payload},
                              sort_keys=True))
         else:
-            print(f"{name_a} ~ {name_b}: certified isomorphism")
+            print(f"{name} ~ {name_b}: certified isomorphism")
             for v, m in sorted(cert.mats.items()):
                 if m.rows and m.cols:
                     rows = "; ".join(" ".join(algebra.field.format(x) for x in row)
@@ -256,6 +264,8 @@ def cmd_module(args) -> int:
         return EXIT_OK
 
     if args.module_cmd == "split":
+        from .decomp import CertificateFailure, lemma2_split
+
         try:
             split = lemma2_split(module)
         except CertificateFailure as exc:
@@ -284,6 +294,8 @@ def cmd_module(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .claims import CLAIMS, FamilyConfig, run_claim
+
     claim_ids = list(args.claims)
     if claim_ids == ["all"]:
         claim_ids = list(CLAIMS)
@@ -440,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run verification claims")
     ver.add_argument("claims", nargs="+",
-                     help=f"claim ids or 'all'; known: {', '.join(CLAIMS)}")
+                     help=_ClaimIdsHelp("claim ids or 'all'"))
     ver.add_argument("--r", type=int, default=1)
     ver.add_argument("--m-max", type=int, default=3)
     ver.add_argument("--t-max", type=int, default=3)
@@ -470,7 +482,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Send what is still buffered nowhere, so the final flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except INPUT_ERRORS as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

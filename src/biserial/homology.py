@@ -28,13 +28,10 @@ each random candidate is summed over the Hom kernel's nonzero entries.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Matrix
 from .fields import PrimeField
@@ -81,6 +78,18 @@ def _sub_representation(module: Representation, incl_mats: Dict[str, Matrix]
         mats[a.name] = induced
     sub = Representation(algebra, dims, mats, check=False)
     return sub, ModuleMap(sub, module, incl_mats)
+
+
+def radical_filtration(module: Representation) -> List[Dict[str, int]]:
+    """Dimension vectors of the radical layers rad^k M / rad^{k+1} M."""
+    layers = []
+    current = module
+    while current.total_dim():
+        sub, _ = radical(current)
+        layer = {v: current.dims[v] - sub.dims[v] for v in current.algebra.vertices}
+        layers.append({v: d for v, d in layer.items() if d})
+        current = sub
+    return layers
 
 
 def top_dims(module: Representation) -> Dict[str, int]:
@@ -160,7 +169,6 @@ def image_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
 # -- covers and syzygies -----------------------------------------------------
 
 
-@dataclass
 class CoverData:
     """Minimal projective cover of a module with its syzygy.
 
@@ -169,12 +177,15 @@ class CoverData:
     matrices: the pd chain reads only ``syzygy`` and ``multiplicities``.
     """
 
-    module: Representation
-    syzygy: Representation
-    multiplicities: Dict[str, int]
-    tops: List[str] = dataclasses.field(repr=False)
-    cover_mats: Dict[str, Matrix] = dataclasses.field(repr=False)
-    inclusion_mats: Dict[str, Matrix] = dataclasses.field(repr=False)
+    def __init__(self, module: Representation, syzygy: Representation,
+                 multiplicities: Dict[str, int], tops: List[str],
+                 cover_mats: Dict[str, Matrix], inclusion_mats: Dict[str, Matrix]):
+        self.module = module
+        self.syzygy = syzygy
+        self.multiplicities = multiplicities
+        self.tops = tops
+        self.cover_mats = cover_mats
+        self.inclusion_mats = inclusion_mats
 
     @cached_property
     def cover(self) -> Representation:
@@ -384,8 +395,7 @@ def iso_trials(field, trials: Optional[int] = None) -> int:
     return 40 if isinstance(field, PrimeField) else 20
 
 
-@dataclass
-class IsoDecision:
+class IsoDecision(NamedTuple):
     """A three-valued isomorphism answer from ``decide_iso``.
 
     ``status`` is ``iso`` (``iso`` holds the certificate), ``not_iso``
@@ -477,8 +487,7 @@ def is_direct_summand_simple(vertex: str, module: Representation
 # -- projective dimension ----------------------------------------------------
 
 
-@dataclass
-class PdReport:
+class PdReport(NamedTuple):
     """Outcome of a syzygy-chain run.
 
     ``verdict`` is one of ``finite``, ``infinite``, ``inconclusive``,
@@ -571,5 +580,7 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
 
 def record_digest(record) -> str:
     """Stable short digest of a JSON-serializable record."""
+    import hashlib  # only ``verify`` digests; keep it off the start-up path
+
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -1,9 +1,11 @@
 """Linear basis of the quotient algebra of a presentation.
 
-Paths are enumerated up to a length bound, pruning any path that contains
-a zero relation as a consecutive subpath.  Equality relations are then
-imposed by linear quotienting: every two-sided multiple ``u (p - q) v`` of
-an equality ``p = q`` spans the cut-out subspace, and the surviving path
+Paths are enumerated breadth-first up to a length bound, each extending a
+zero-free path by one arrow.  Such an extension can hold a zero relation
+only as a suffix ending in the new arrow, so only the zero relations ending
+in that arrow are compared, and only as suffixes.  Equality relations are
+then imposed by linear quotienting: every two-sided multiple ``u (p - q) v``
+of an equality ``p = q`` spans the cut-out subspace, and the surviving path
 classes form the basis.  This direct approach is exact and covers the
 algebras in scope, where equalities identify two parallel socle paths; no
 rewriting machinery is attempted.
@@ -36,12 +38,6 @@ class BoundExceeded(RuntimeError):
             f"finite-dimensionality")
 
 
-def _contains_any(path: Path, subpaths: List[Path]) -> bool:
-    """Whether some subpath occurs in ``path`` as consecutive arrows."""
-    return any(path[i:i + len(z)] == z
-               for z in subpaths for i in range(len(path) - len(z) + 1))
-
-
 class PathBasis:
     """Basis path classes of the algebra, grouped by (source, target)."""
 
@@ -55,96 +51,75 @@ class PathBasis:
     # Class data: self.classes[i] is the representative path of class i.
     # self.reduce maps any surviving raw path to {class index: coefficient}.
 
+    def _zero_free_paths(self) -> Dict[Path, Tuple[str, str]]:
+        """The nonempty paths holding no zero relation, breadth-first by
+        length, each with its (source, target)."""
+        quiver = self.pres.quiver
+        zero_by_last: Dict[str, List[Path]] = {}
+        for rel in self.pres.relations:
+            if rel.kind == "zero":
+                zero_by_last.setdefault(rel.left[-1], []).append(rel.left)
+        endpoints: Dict[Path, Tuple[str, str]] = {}
+        frontier: List[Tuple[Path, str, str]] = [((), v, v) for v in quiver.vertices]
+        while frontier:
+            current, frontier = frontier, []
+            for p, src, tgt in current:
+                if len(p) >= self.length_bound:
+                    raise BoundExceeded(self.pres.name, p, self.length_bound)
+                for a in quiver.arrows_from(tgt):
+                    q = p + (a.name,)
+                    if not any(q[-len(z):] == z for z in zero_by_last.get(a.name, ())):
+                        endpoints[q] = (src, a.target)
+                        frontier.append((q, src, a.target))
+        return endpoints
+
     def _build(self) -> None:
         pres = self.pres
         quiver = pres.quiver
-        zero_paths = [rel.left for rel in pres.relations if rel.kind == "zero"]
         eq_rels = [(rel.left, rel.right) for rel in pres.relations if rel.kind == "eq"]
+        endpoints = self._zero_free_paths()
 
-        # Enumerate zero-free nonempty paths breadth-first by length; the
-        # idempotents e_v are separate classes added up front.
-        paths: List[Path] = []
-        endpoints: Dict[Path, Tuple[str, str]] = {}
-        frontier: List[Path] = []
-        self.idempotents: Dict[str, int] = {}
-
-        for v in quiver.vertices:
-            for a in quiver.arrows_from(v):
-                p: Path = (a.name,)
-                if not _contains_any(p, zero_paths):
-                    paths.append(p)
-                    endpoints[p] = (a.source, a.target)
-                    frontier.append(p)
-        while frontier:
-            new_frontier: List[Path] = []
-            for p in frontier:
-                if len(p) >= self.length_bound:
-                    raise BoundExceeded(pres.name, p, self.length_bound)
-                src, tgt = endpoints[p]
-                for a in quiver.arrows_from(tgt):
-                    q = p + (a.name,)
-                    if not _contains_any(q, zero_paths):
-                        paths.append(q)
-                        endpoints[q] = (src, a.target)
-                        new_frontier.append(q)
-            frontier = new_frontier
-
-        # Group by endpoint pair; quotient each block by equality consequences.
+        # Group the paths by endpoint pair, to quotient each block by the
+        # equality consequences, and pool them as prefixes and suffixes.
         by_pair: Dict[Tuple[str, str], List[Path]] = {}
-        for p in paths:
-            by_pair.setdefault(endpoints[p], []).append(p)
-        path_set = set(paths)
-        arrows = quiver.arrows
-
-        def path_source(p: Path) -> str:
-            return arrows[p[0]].source
-
-        def path_target(p: Path) -> str:
-            return arrows[p[-1]].target
-
-        # Precompute suffix/prefix extension pools keyed by vertex.
         starting_at: Dict[str, List[Path]] = {v: [()] for v in quiver.vertices}
         ending_at: Dict[str, List[Path]] = {v: [()] for v in quiver.vertices}
-        for p in paths:
-            starting_at[path_source(p)].append(p)
-            ending_at[path_target(p)].append(p)
+        for p, (src, tgt) in endpoints.items():
+            by_pair.setdefault((src, tgt), []).append(p)
+            starting_at[src].append(p)
+            ending_at[tgt].append(p)
 
-        classes: List[Tuple[str, str, Path]] = []  # (source, target, representative)
+        # Every two-sided multiple v (lhs - rhs) u of an equality, by the
+        # endpoint pair of its paths.
+        multiples: Dict[Tuple[str, str], List[Tuple[Path, Path]]] = {}
+        for lhs, rhs in eq_rels:
+            rel_src, rel_tgt = pres.path_endpoints(lhs)
+            for v_pre in ending_at[rel_src]:
+                src = endpoints[v_pre][0] if v_pre else rel_src
+                for u_post in starting_at[rel_tgt]:
+                    tgt = endpoints[u_post][1] if u_post else rel_tgt
+                    multiples.setdefault((src, tgt), []).append(
+                        (v_pre + lhs + u_post, v_pre + rhs + u_post))
+
+        # (source, target, representative); the idempotents come first.
+        classes: List[Tuple[str, str, Path]] = [(v, v, ()) for v in quiver.vertices]
+        self.idempotents = {v: i for i, v in enumerate(quiver.vertices)}
         reduce_map: Dict[Path, Dict[int, Fraction]] = {}
-
-        # Idempotent classes first, one per vertex.
-        for v in quiver.vertices:
-            self.idempotents[v] = len(classes)
-            classes.append((v, v, ()))
 
         for (src, tgt), block in sorted(by_pair.items()):
             # Longer paths first so elimination expresses them via shorter ones.
             block_sorted = sorted(block, key=lambda p: (-len(p), p))
             index = {p: i for i, p in enumerate(block_sorted)}
             vectors: List[List[Fraction]] = []
-            for (lhs, rhs) in eq_rels:
-                rel_src, rel_tgt = pres.path_endpoints(lhs)
-                for v_pre in ending_at[rel_src]:
-                    if v_pre and path_source(v_pre) != src:
-                        continue
-                    if not v_pre and rel_src != src:
-                        continue
-                    for u_post in starting_at[rel_tgt]:
-                        u_end = path_target(u_post) if u_post else rel_tgt
-                        if u_end != tgt:
-                            continue
-                        left = v_pre + lhs + u_post
-                        right = v_pre + rhs + u_post
-                        vec = [Fraction(0)] * len(block_sorted)
-                        hit = False
-                        if left in path_set:
-                            vec[index[left]] += 1
-                            hit = True
-                        if right in path_set:
-                            vec[index[right]] -= 1
-                            hit = True
-                        if hit and any(vec):
-                            vectors.append(vec)
+            for left, right in multiples.get((src, tgt), ()):
+                # A side holding a zero relation is not enumerated: it is 0.
+                vec = [Fraction(0)] * len(block_sorted)
+                if left in index:
+                    vec[index[left]] += 1
+                if right in index:
+                    vec[index[right]] -= 1
+                if any(vec):
+                    vectors.append(vec)
             # The cut-out subspace in reduced row echelon form: its pivot paths
             # are eliminated, each row expressing one through the basis paths.
             reduced, pivots, _ = Matrix(QQ, len(vectors), len(block_sorted),
@@ -165,9 +140,6 @@ class PathBasis:
 
         self.classes = classes
         self.reduce = reduce_map
-        self._endpoints = endpoints
-        self._path_set = path_set
-        self._zero_paths = zero_paths
         self.by_pair: Dict[Tuple[str, str], List[int]] = {}
         from_vertex: Dict[str, List[int]] = {}
         for i, (src, tgt, _) in enumerate(classes):
@@ -186,14 +158,8 @@ class PathBasis:
         """Expand a raw path (possibly not a representative) in the basis."""
         if not path:
             return {self.idempotents[source]: Fraction(1)}
-        if _contains_any(path, self._zero_paths):
-            return {}
-        if path in self.reduce:
-            return dict(self.reduce[path])
-        # A path absent from the enumeration is killed by the zero ideal.
-        if path not in self._path_set:
-            return {}
-        raise AssertionError(f"unreduced surviving path {path}")
+        # Every enumerated path is reduced; any other holds a zero relation.
+        return dict(self.reduce.get(path, {}))
 
     # -- queries -----------------------------------------------------------
 

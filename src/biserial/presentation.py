@@ -21,8 +21,7 @@ sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -42,17 +41,16 @@ class ParseError(PresentationError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
     letter: str  # ALPHA or BETA
 
 
-@dataclass(frozen=True)
-class Relation:
-    """Zero relation (right empty) or equality of two parallel paths."""
+class Relation(NamedTuple):
+    """Zero relation (right empty) or equality of two parallel paths;
+    relations sort by (kind, left, right)."""
 
     kind: str  # "zero" | "eq"
     left: Tuple[str, ...]
@@ -121,7 +119,7 @@ class Presentation:
         for rel in relations:
             self._validate_relation(rel)
             rels.append(rel)
-        self.relations: Tuple[Relation, ...] = tuple(sorted(rels, key=_relation_key))
+        self.relations: Tuple[Relation, ...] = tuple(sorted(rels))
         # Family bookkeeping (generator parameters); not part of the file format.
         self.meta = dict(meta or {})
 
@@ -193,10 +191,6 @@ class Presentation:
     def __repr__(self) -> str:
         return (f"Presentation({self.name!r}, {len(self.quiver.vertices)} vertices, "
                 f"{len(self.quiver.arrows)} arrows, {len(self.relations)} relations)")
-
-
-def _relation_key(rel: Relation):
-    return (rel.kind, rel.left, rel.right)
 
 
 # -- text format -----------------------------------------------------------

@@ -219,6 +219,16 @@ def test_verify_zero_samples_is_inconclusive(claim, capsys):
     assert records[0]["checks"][0]["status"] == "inconclusive"
 
 
+def test_verify_lemma_2_on_zero_modules_only_is_inconclusive(capsys):
+    # --max-dim 0 draws every sample at budget 0: the zero module, whose
+    # splitting verifies nothing.
+    assert main(["verify", "lemma-2", "--max-dim", "0", "--samples", "3",
+                 "--structured"]) == 3
+    check = json.loads(capsys.readouterr().out.splitlines()[0])["checks"][0]
+    assert check["status"] == "inconclusive"
+    assert check["evidence"]["nonzero_samples"] == 0
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_verify_into_closed_pipe_exits_quietly(unbuffered):
     src = Path(__file__).resolve().parent.parent / "src"

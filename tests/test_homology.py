@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -439,8 +438,13 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(alg0, monkeyp
     assert first.dims == second.dims
     assert real_cover(first).multiplicities == real_cover(second).multiplicities
     chain = {id(first): second, id(second): alg0.zero_module()}
-    monkeypatch.setattr(homology, "projective_cover", lambda module: dataclasses.replace(
-        real_cover(module), syzygy=chain[id(module)]))
+
+    def stub_cover(module):
+        real = real_cover(module)
+        return homology.CoverData(module, chain[id(module)], real.multiplicities,
+                                  real.tops, real.cover_mats, real.inclusion_mats)
+
+    monkeypatch.setattr(homology, "projective_cover", stub_cover)
     searches = []
     monkeypatch.setattr(homology, "certified_iso",
                         lambda *args, **kwargs: searches.append(args))

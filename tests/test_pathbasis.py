@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from biserial.families import build_lambda, build_lambda1prime
 from biserial.pathbasis import BoundExceeded, PathBasis
@@ -121,3 +122,92 @@ def _basis_digest(basis) -> str:
 def test_path_basis_is_pinned(family, r, m, digest):
     pres = build_lambda(r, m) if family == "lambda" else build_lambda1prime(r)
     assert _basis_digest(PathBasis(pres)) == digest
+
+
+class _AllOffsetBasis(PathBasis):
+    """The reference: every path is tested against every zero relation at
+    every offset, and so is every path the action expands."""
+
+    def _holds_zero(self, path):
+        zeros = [rel.left for rel in self.pres.relations if rel.kind == "zero"]
+        return any(path[i:i + len(z)] == z
+                   for z in zeros for i in range(len(path) - len(z) + 1))
+
+    def _zero_free_paths(self):
+        arrows = self.pres.quiver.arrows
+        endpoints = {}
+        frontier = [(b.name,) for v in self.pres.quiver.vertices
+                    for b in self.pres.quiver.arrows_from(v)]
+        while frontier:
+            survivors = [p for p in frontier if not self._holds_zero(p)]
+            for p in survivors:
+                if len(p) >= self.length_bound:
+                    raise BoundExceeded(self.pres.name, p, self.length_bound)
+                endpoints[p] = (arrows[p[0]].source, arrows[p[-1]].target)
+            frontier = [p + (b.name,) for p in survivors
+                        for b in self.pres.quiver.arrows_from(arrows[p[-1]].target)]
+        return endpoints
+
+    def _reduce_path(self, path, source):
+        if self._holds_zero(path):
+            return {}
+        return super()._reduce_path(path, source)
+
+
+def _assert_same_basis(pres, length_bound=64):
+    try:
+        basis = PathBasis(pres, length_bound)
+    except BoundExceeded as exc:
+        with pytest.raises(BoundExceeded) as ref_exc:
+            _AllOffsetBasis(pres, length_bound)
+        assert ref_exc.value.path == exc.path
+        return
+    reference = _AllOffsetBasis(pres, length_bound)
+    assert basis.classes == reference.classes
+    assert basis.reduce == reference.reduce
+    assert basis.act == reference.act
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_suffix_zero_check_matches_all_offset_reference(r):
+    for m in range(7):
+        _assert_same_basis(build_lambda(r, m))
+    _assert_same_basis(build_lambda1prime(r))
+
+
+@st.composite
+def _alg_texts(draw):
+    """Small presentation files: random arrows, zero relations along
+    composable paths of length 1 to 3, and sometimes an equality.  Arrows
+    never lead to a lower vertex, so only loops can make the algebra
+    infinite-dimensional."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    lines = ["algebra H"] + [f"vertex v{i}" for i in range(n)]
+    arrows = []
+    for k in range(draw(st.integers(min_value=0, max_value=6))):
+        src = draw(st.integers(0, n - 1))
+        tgt = draw(st.integers(src, n - 1))
+        arrows.append((f"f{k}", src, tgt))
+        letter = draw(st.sampled_from(["alpha", "beta"]))
+        lines.append(f"arrow f{k} : {letter} v{src} -> v{tgt}")
+    if arrows:
+        for _ in range(draw(st.integers(min_value=0, max_value=8))):
+            path = [draw(st.sampled_from(arrows))]
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                nexts = [a for a in arrows if a[1] == path[-1][2]]
+                if not nexts:
+                    break
+                path.append(draw(st.sampled_from(nexts)))
+            # The file lists a path with its last-applied arrow first.
+            lines.append("rel zero " + " ".join(a[0] for a in reversed(path)))
+        parallel = [(a, b) for a in arrows for b in arrows
+                    if a < b and a[1:] == b[1:]]
+        if parallel and draw(st.booleans()):
+            a, b = draw(st.sampled_from(parallel))
+            lines.append(f"rel eq {a[0]} = {b[0]}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_alg_texts())
+def test_suffix_zero_check_matches_reference_on_random_files(text):
+    _assert_same_basis(parse_presentation(text), length_bound=6)

@@ -1,0 +1,111 @@
+"""What a command loads: the package resolves its public names lazily,
+and each subcommand imports only the layers it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import biserial
+from biserial.families import build_lambda
+from biserial.presentation import emit_presentation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every name ``biserial`` exported when its __init__ imported all layers.
+PUBLIC_NAMES = [
+    "QQ", "FieldError", "PrimeField", "field_from_spec", "Matrix",
+    "ParseError", "Presentation", "PresentationError", "Quiver", "Relation",
+    "emit_presentation", "parse_presentation", "BoundExceeded", "PathBasis",
+    "build_lambda", "build_lambda1prime", "build_subquiver_U",
+    "family_from_spec", "Algebra", "InvalidString", "ModuleMap",
+    "Representation", "RepresentationError", "StringWord", "direct_sum",
+    "direct_sum_maps", "inflate", "random_module", "restrict", "string_module",
+    "CoverData", "PdReport", "certified_iso", "cokernel_of", "hom_basis",
+    "is_direct_summand_simple", "kernel_of", "projdim", "projective_cover",
+    "radical", "syzygy", "top_dims", "CertificateFailure", "IntervalSummand",
+    "Lemma2Split", "NotPathQuiver", "interval_decompose", "lemma2_split",
+    "strip_pc2", "xset", "build_U", "build_Z", "build_Zt", "build_phi",
+    "CLAIMS", "ClaimReport", "FamilyConfig", "run_claim", "run_claims",
+]
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_public_name_still_imports(name):
+    namespace = {}
+    exec(f"from biserial import {name}", namespace)
+    assert namespace[name] is not None
+    assert name in dir(biserial)
+
+
+def test_unknown_public_name_is_an_attribute_error():
+    assert biserial.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        biserial.no_such_name
+    with pytest.raises(ImportError):
+        exec("from biserial import no_such_name", {})
+
+
+def _run(argv, cwd, probe=()):
+    """``python -m biserial ARGV`` in a fresh interpreter without site
+    hooks; returns the process and which of ``probe`` it had imported."""
+    code = ("import json, runpy, sys\n"
+            f"sys.argv = ['biserial', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('biserial', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+            "sys.stdout.flush()\n"
+            f"print(json.dumps([m for m in {list(probe)!r} if m in sys.modules]),"
+            " file=sys.stderr)\n"
+            "sys.exit(status)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    *err, loaded = proc.stderr.splitlines()
+    return proc, "\n".join(err), json.loads(loaded)
+
+
+def test_module_pd_on_files_loads_only_its_layers(tmp_path):
+    (tmp_path / "l.alg").write_text(emit_presentation(build_lambda(1, 3)))
+    (tmp_path / "z.mod").write_text(
+        "module Z3 over lambda_r1_m3\n"
+        "string a3 [ be_a3_b2^+1 al_b3_b2^-1 be_b3_c2^+1 al_a2_c2^-1 ]\n")
+    unwanted = ["biserial.claims", "biserial.decomp", "biserial.witnesses",
+                "biserial.families", "dataclasses", "inspect", "hashlib"]
+    proc, err, loaded = _run(["module", "pd", "--algebra", "l.alg", "z.mod",
+                              "--structured"], tmp_path, unwanted)
+    assert proc.returncode == 0 and err == ""
+    assert json.loads(proc.stdout)["pd"] == 4
+    assert loaded == []
+
+
+def test_lazy_layer_errors_exit_2_in_a_fresh_process(tmp_path):
+    # ConfigError comes from the claim catalog, NotPathQuiver from the
+    # splitting layer; neither is loaded before the command runs.
+    proc, err, _ = _run(["verify", "lemma-2", "--samples", "-1"], tmp_path)
+    assert proc.returncode == 2
+    assert err == "error: samples must be nonnegative"
+    # lambda1prime(1) with one more arrow between two vertices of the
+    # splitting's path subquiver, which is then no longer a path.
+    text = emit_presentation(biserial.build_lambda1prime(1)).replace(
+        "arrow al_b0_bm1", "arrow x : alpha d0 -> b1\narrow al_b0_bm1")
+    (tmp_path / "npq.alg").write_text(text)
+    (tmp_path / "s.mod").write_text("module s over lambda1prime_r1\nraw\ndim c2 1\n")
+    proc, err, _ = _run(["module", "split", "--algebra", "npq.alg", "s.mod"], tmp_path)
+    assert proc.returncode == 2
+    assert err == "error: edge count does not match a path"
+
+
+def test_cli_still_exposes_its_lazily_imported_names():
+    import biserial.claims
+    import biserial.cli as cli
+    import biserial.decomp
+
+    assert cli.run_claim is biserial.claims.run_claim
+    assert cli.NotPathQuiver is biserial.decomp.NotPathQuiver
+    with pytest.raises(AttributeError):
+        cli.no_such_name
