@@ -296,11 +296,11 @@ def claim_lemma_2(config: FamilyConfig) -> ClaimReport:
                                       {"m_prime_support": split.m_prime.support()}))
     evidence = {"samples": config.samples, "failures": failures,
                 "c2_string_summands_seen": total_x, "projective_copies_seen": total_a}
+    name = f"{config.samples} random splittings verified, complements at level 1"
     if not nonzero:  # every sample was the zero module: nothing was split
         evidence["nonzero_samples"] = 0
-    checks.insert(0, CheckResult(
-        f"{config.samples} random splittings verified, complements at level 1",
-        _sampled_status(nonzero, failures), evidence))
+        name = f"{config.samples} random samples, no nonzero sample drawn: no splitting verified"
+    checks.insert(0, CheckResult(name, _sampled_status(nonzero, failures), evidence))
     return ClaimReport("lemma-2", _aggregate(checks), checks, config)
 
 

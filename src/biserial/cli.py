@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from . import _HOME_OF, _lazy_getattr
 from .fields import FieldError, field_from_spec
-from .homology import (decide_iso, hom_basis, projdim, radical_filtration,
+from .homology import (decide_iso, hom_dim, projdim, radical_filtration,
                        record_digest, syzygy)
 from .modfiles import (ModuleFileError, dot_quiver, dot_representation,
                        emit_module_raw, parse_module_file)
@@ -99,8 +99,8 @@ def _algebra(pres, args) -> Algebra:
 
 
 def _family_presentation(args):
-    if args.family not in ("lambda", "lambda1prime"):
-        raise PresentationError(f"unknown family {args.family!r}")
+    if args.family is None:  # argparse has checked any given family name
+        raise UsageError(f"algebra {args.algebra_cmd} needs a presentation FILE or --family")
     if args.family == "lambda" and args.m is None:
         raise PresentationError("family 'lambda' needs --m")
     m = f",m={args.m}" if args.family == "lambda" else ""
@@ -218,13 +218,13 @@ def cmd_module(args) -> int:
 
     if args.module_cmd == "hom":
         name_b, mod_b = _resolve_module(args.other, algebra)
-        basis = hom_basis(module, mod_b)
+        dim = hom_dim(module, mod_b)
         if args.structured:
             print(json.dumps({"source": name, "target": name_b,
-                              "field": args.field, "hom_dim": len(basis)},
+                              "field": args.field, "hom_dim": dim},
                              sort_keys=True))
         else:
-            print(f"dim Hom({name}, {name_b}) = {len(basis)} "
+            print(f"dim Hom({name}, {name_b}) = {dim} "
                   f"(field {args.field})")
         return EXIT_OK
 

@@ -1,11 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Every computation in this package runs over one of these two field
-contexts.  Elements are plain Python values (``fractions.Fraction`` for
-the rationals, ``int`` residues for a prime field); the field object
-supplies construction, parsing, formatting, ``inv``, ``neg`` and the
-normal form ``reduce`` of raw sums and products.  All arithmetic is exact,
-so results are proof-grade: ``a / b * b == a`` whenever ``b != 0``.
+This module is the one place that knows field types.  Elements are plain
+Python values (``fractions.Fraction`` over Q, ``int`` residues over GF(p)),
+falsy exactly when zero, and the field object is the whole interface the
+other layers use: ``zero``, ``one``, ``inv``, ``neg``, construction,
+``parse``, ``format`` and ``reduce``, the normal form of raw sums and
+products; for the elimination kernel, the pivot preference (``pivot_key``
+and ``best_pivot_key``) and one call per row operation (``scale_row``,
+``sub_row``); for the isomorphism search, its defaults (``iso_trials``
+and the coefficient ``draw``).  All arithmetic is exact, so results are
+proof-grade: ``a / b * b == a`` whenever ``b != 0``.
 """
 
 from __future__ import annotations
@@ -25,9 +29,30 @@ class Rationals:
     # Fractions are immutable, so every caller can share one zero and one.
     zero = Fraction(0)
     one = Fraction(1)
+    # Pivot on integral entries of small height, which keeps intermediate
+    # fractions from growing; a unit cannot be beaten.
+    best_pivot_key = (False, 2)
+    iso_trials = 20
 
     def __call__(self, value) -> Fraction:
         return Fraction(value)
+
+    @staticmethod
+    def pivot_key(x: Fraction) -> tuple:
+        return (x.denominator != 1, abs(x.numerator) + abs(x.denominator))
+
+    def scale_row(self, row: list, support: list, c: Fraction) -> None:
+        for j in support:
+            row[j] *= c
+
+    def sub_row(self, row: list, pivot_row: list, support: list, f: Fraction) -> None:
+        """``row -= f * pivot_row`` at the columns in ``support``."""
+        for j in support:
+            row[j] -= f * pivot_row[j]
+
+    def draw(self, rng) -> Fraction:
+        """A random coefficient for the isomorphism search, from -9..9."""
+        return Fraction(rng.randrange(-9, 10))
 
     def inv(self, x: Fraction) -> Fraction:
         """The inverse of a nonzero element."""
@@ -77,11 +102,33 @@ class PrimeField:
             den = value.denominator % self.p
             if den == 0:
                 raise FieldError(f"denominator divisible by {self.p}")
-            return value.numerator * pow(den, self.p - 2, self.p) % self.p
+            return value.numerator * self.inv(den) % self.p
         return int(value) % self.p
 
     zero = 0
     one = 1
+    # Every nonzero residue is as good a pivot as any: the first one wins.
+    best_pivot_key = 0
+    iso_trials = 40
+
+    @staticmethod
+    def pivot_key(x: int) -> int:
+        return 0
+
+    def scale_row(self, row: list, support: list, c: int) -> None:
+        p = self.p
+        for j in support:
+            row[j] = row[j] * c % p
+
+    def sub_row(self, row: list, pivot_row: list, support: list, f: int) -> None:
+        """``row -= f * pivot_row`` at the columns in ``support``, mod p."""
+        p = self.p
+        for j in support:
+            row[j] = (row[j] - f * pivot_row[j]) % p
+
+    def draw(self, rng) -> int:
+        """A random coefficient for the isomorphism search, from all of GF(p)."""
+        return rng.randrange(0, self.p)
 
     def inv(self, x: int) -> int:
         """The inverse of a nonzero residue, by Fermat's little theorem."""

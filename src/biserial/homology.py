@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Matrix
-from .fields import PrimeField
 from .presentation import Arrow
 from .reps import ModuleMap, Representation, direct_sum
 
@@ -387,14 +386,6 @@ def hom_dim(source: Representation, target: Representation) -> int:
     return _hom_kernel(source, target)[0].cols
 
 
-def iso_trials(field, trials: Optional[int] = None) -> int:
-    """The number of random trials ``decide_iso`` makes: ``trials`` when
-    given, else 40 over GF(p) and 20 over Q."""
-    if trials is not None:
-        return trials
-    return 40 if isinstance(field, PrimeField) else 20
-
-
 class IsoDecision(NamedTuple):
     """A three-valued isomorphism answer from ``decide_iso``.
 
@@ -417,10 +408,11 @@ def decide_iso(m: Representation, n: Representation, trials: Optional[int] = Non
     A found map is a certificate: intertwining and invertible at every
     vertex.  M and N are not isomorphic when their dimension vectors
     differ or Hom(M, N) is zero; any other miss is ``not_found``: the
-    ``trials`` random combinations of a Hom basis all failed.
-    Coefficients are drawn from all of GF(p), or from -9..9 over Q.  A
-    candidate is K·c for the Hom kernel K and the drawn coefficients c,
-    summed over K's nonzero entries only.
+    ``trials`` random combinations of a Hom basis all failed.  The field
+    sets the search policy: ``trials`` defaults to its ``iso_trials`` and
+    each coefficient is its ``draw``.  A candidate is K·c for the Hom
+    kernel K and the drawn coefficients c, summed over K's nonzero
+    entries only.
     """
     if m.dims != n.dims:
         return IsoDecision("not_iso", reason="dimension vectors differ")
@@ -430,14 +422,14 @@ def decide_iso(m: Representation, n: Representation, trials: Optional[int] = Non
     if not kernel.cols:
         return IsoDecision("not_iso", reason="Hom space is zero")
     field = m.algebra.field
-    trials = iso_trials(field, trials)
+    if trials is None:
+        trials = field.iso_trials
     rng = random.Random(f"certified-iso:{seed}")
-    low, high = (0, field.p) if isinstance(field, PrimeField) else (-9, 10)
     nonzeros = [(r, [(k, x) for k, x in enumerate(row) if x])
                 for r, row in enumerate(kernel.data)]
     nonzeros = [(r, terms) for r, terms in nonzeros if terms]
     for _ in range(trials):
-        coeffs = [field(rng.randrange(low, high)) for _ in range(kernel.cols)]
+        coeffs = [field.draw(rng) for _ in range(kernel.cols)]
         column = [field.zero] * kernel.rows
         for r, terms in nonzeros:
             column[r] = sum(x * coeffs[k] for k, x in terms)

@@ -9,20 +9,21 @@ columns of that rref: the kernel basis is the identity on those rows, so
 a null vector's coordinates in it are read off with no solve.  Storage
 is dense, but elimination is sparse in its updates: each row operation
 touches only the nonzero columns of the pivot row, which is what keeps
-the very sparse Hom systems cheap.  All
-arithmetic is exact; the field puts each result in normal form once
-(``field.reduce``), so only ``_rref``, which picks the kernel, looks at
-which field it runs over.
+the very sparse Hom systems cheap.
 
-Pivot selection over the rationals prefers entries with denominator 1 and
-small numerator, which keeps intermediate fractions from growing.
+All arithmetic is exact and goes through the field interface of
+``biserial.fields``, the one place that knows field types: ``reduce``
+puts each result in normal form once, and the one elimination loop,
+``_rref``, takes its pivot preference and its row operations from the
+field.  So it runs unchanged over Q (pivots of small height keep
+fractions from growing), over GF(p) (the first nonzero entry wins) and
+over any object with that interface.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import QQ, PrimeField
 
 
 class Matrix:
@@ -217,25 +218,18 @@ class Matrix:
 
 
 def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
-    """Gauss-Jordan elimination on a copy of ``data``; returns the reduced
-    rows and the pivot column list.  Over GF(p) the copy is reduced to
-    ``0 <= x < p`` first, so every entry of the result is too."""
-    # The one place that looks at the field's type: the two kernels differ
-    # in pivot policy, not only in arithmetic.
-    if isinstance(field, PrimeField):
-        work = field.reduce(data)  # a fresh, reduced copy
-        return work, _rref_inplace_p(work, field)
-    work = [row[:] for row in data]
-    return work, _rref_inplace_q(work)
-
-
-# Both kernels update a row only at the pivot row's nonzero columns.  The
-# columns left of the pivot are already zero in every row from the pivot
-# row down, so the scan for them starts past the pivot column.
-
-
-def _rref_inplace_q(work: List[list]) -> List[int]:
-    zero, one = QQ.zero, QQ.one
+    """Gauss-Jordan elimination on a copy of ``data`` in normal form;
+    returns the reduced rows and the pivot column list.  The field picks
+    each pivot (least ``pivot_key``, the scan stopping at ``best_pivot_key``)
+    and does each row operation at the pivot row's nonzero columns, all
+    right of the pivot: left of it every row from the pivot row down is
+    already zero."""
+    work = field.reduce(data)
+    if work is data:  # already in normal form: copy before eliminating
+        work = [row[:] for row in data]
+    zero, one = field.zero, field.one
+    key, stop = field.pivot_key, field.best_pivot_key
+    scale_row, sub_row = field.scale_row, field.sub_row
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: List[int] = []
@@ -243,16 +237,14 @@ def _rref_inplace_q(work: List[list]) -> List[int]:
     for c in range(ncols):
         if r == nrows:
             break
-        # Prefer integral pivots with small magnitude to limit fraction growth.
-        best = -1
-        best_key = None
+        best, best_key = -1, None
         for i in range(r, nrows):
             v = work[i][c]
             if v:
-                key = (v.denominator != 1, abs(v.numerator) + abs(v.denominator))
-                if best < 0 or key < best_key:
-                    best, best_key = i, key
-                    if key == (False, 2):  # a unit entry; cannot do better
+                k = key(v)
+                if best < 0 or k < best_key:
+                    best, best_key = i, k
+                    if k == stop:
                         break
         if best < 0:
             continue
@@ -261,58 +253,17 @@ def _rref_inplace_q(work: List[list]) -> List[int]:
         row = work[r]
         support = [j for j in range(c + 1, ncols) if row[j]]
         if row[c] != one:
-            inv = QQ.inv(row[c])
-            for j in support:
-                row[j] *= inv
+            scale_row(row, support, field.inv(row[c]))
             row[c] = one
         for i in range(nrows):
             other = work[i]
             f = other[c]
             if f and i != r:
-                for j in support:
-                    other[j] -= f * row[j]
+                sub_row(other, row, support, f)
                 other[c] = zero
         pivots.append(c)
         r += 1
-    return pivots
-
-
-def _rref_inplace_p(work: List[list], field: PrimeField) -> List[int]:
-    """As ``_rref_inplace_q`` over GF(p); entries must be reduced mod p."""
-    p = field.p
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = -1
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        row = work[r]
-        support = [j for j in range(c + 1, ncols) if row[j]]
-        if row[c] != 1:
-            inv = field.inv(row[c])
-            for j in support:
-                row[j] = row[j] * inv % p
-            row[c] = 1
-        for i in range(nrows):
-            other = work[i]
-            f = other[c]
-            if f and i != r:
-                for j in support:
-                    other[j] = (other[j] - f * row[j]) % p
-                other[c] = 0
-        pivots.append(c)
-        r += 1
-    return pivots
+    return work, pivots
 
 
 def block_diag(field, blocks: Sequence[Matrix]) -> Matrix:

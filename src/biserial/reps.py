@@ -15,7 +15,7 @@ it.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .fields import QQ
 from .matrices import Matrix, block_diag
@@ -34,11 +34,10 @@ class InvalidString(ValueError):
 class Algebra:
     """Presentation + path basis + field: the computation context."""
 
-    def __init__(self, pres: Presentation, field=QQ, length_bound: int = 64,
-                 basis: Optional[PathBasis] = None):
+    def __init__(self, pres: Presentation, field=QQ, length_bound: int = 64):
         self.pres = pres
         self.field = field
-        self.basis = basis if basis is not None else PathBasis(pres, length_bound)
+        self.basis = PathBasis(pres, length_bound)
         self._projectives: Dict[str, "Representation"] = {}
         self._memo: Dict[str, object] = {}
         self._empty: Dict[Tuple[int, int], Matrix] = {}

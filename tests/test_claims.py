@@ -171,6 +171,9 @@ def _pinned(args, digest, code, name):
     _pinned(["all", "--samples", "30", "--field", "fp:101"], "de8e0f20ff6f3ef5", 0,
             "fp:101"),
     _pinned(["all", "--samples", "30", "--field", "fp:2"], "8a165916c8053f25", 3, "fp:2"),
+    # The largest supported prime, through the same elimination loop.
+    _pinned(["all", "--samples", "30", "--field", "fp:2147483647"], "193b892ce6b23b36", 0,
+            "fp:2147483647"),
     _pinned(["all", "--r", "2", "--m-max", "4", "--t-max", "4", "--samples", "40",
              "--seed", "5", "--field", "fp:5"], "b24d26fc7b044848", 0, "r2-fp:5"),
     _pinned(["section-4", "--r", "2", "--m-max", "5", "--t-max", "5"],

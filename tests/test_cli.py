@@ -227,6 +227,15 @@ def test_verify_lemma_2_on_zero_modules_only_is_inconclusive(capsys):
     check = json.loads(capsys.readouterr().out.splitlines()[0])["checks"][0]
     assert check["status"] == "inconclusive"
     assert check["evidence"]["nonzero_samples"] == 0
+    assert check["name"] == ("3 random samples, no nonzero sample drawn: "
+                             "no splitting verified")
+
+
+@pytest.mark.parametrize("subcommand", ["emit", "projectives", "dot"])
+def test_algebra_without_file_or_family_names_both(subcommand, capsys):
+    assert main(["algebra", subcommand]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: algebra {subcommand} needs a presentation FILE or --family\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from biserial.fields import QQ, PrimeField
+from biserial.fields import QQ, PrimeField, Rationals
 from biserial.matrices import Matrix, block_diag
 
 F7 = PrimeField(7)
@@ -230,3 +230,46 @@ def test_hcat_with_empty_blocks():
     assert (no_rows.rows, no_rows.cols, no_rows.data) == (0, 5, [])
     with pytest.raises(ValueError):
         Matrix.hcat(QQ, 3, [a])
+
+
+class RecordingRationals(Rationals):
+    """Q that records the factor of each row scaling."""
+
+    def __init__(self):
+        self.scalings = []
+
+    def scale_row(self, row, support, c):
+        self.scalings.append(c)
+        super().scale_row(row, support, c)
+
+
+class FirstNonzeroRationals(RecordingRationals):
+    """Q with the GF(p) pivot policy: the first nonzero entry of a column
+    wins, whatever its height."""
+
+    best_pivot_key = 0
+
+    @staticmethod
+    def pivot_key(x):
+        return 0
+
+
+def test_elimination_takes_its_pivots_from_the_field():
+    # Column 0 holds 3 above 1: Q's policy pivots on the unit and scales
+    # only the second pivot row, the first-nonzero policy pivots on 3.  The
+    # reduced form is the same.
+    data = [[3, 1], [1, 1]]
+    small, first = RecordingRationals(), FirstNonzeroRationals()
+    assert Matrix.from_rows(first, data).rref() == Matrix.from_rows(small, data).rref()
+    assert small.scalings == [Fraction(-1, 2)]
+    assert first.scalings == [Fraction(1, 3), Fraction(3, 2)]
+
+
+@given(m=qq_matrices())
+def test_any_pivot_policy_gives_the_same_answers(m):
+    # The rref is unique, so only intermediate fractions may depend on the
+    # pivot choice, never a kernel basis or a unit extension.
+    other = Matrix(FirstNonzeroRationals(), m.rows, m.cols, m.data)
+    assert other.rref() == m.rref()
+    assert other.kernel_basis() == m.kernel_basis()
+    assert other.unit_extension() == m.unit_extension()
