@@ -229,14 +229,13 @@ def claim_prop_2(config: FamilyConfig) -> ClaimReport:
             omega, z_here, config,
             {"omega_dims": list(omega.dim_vector()),
              "witness_dims": list(z_here.dim_vector())}))
-        native = config.algebra("lambda", m)
-        rep = projdim(build_Z(native, m), cutoff=config.chain_cutoff(m),
+        z_native = build_Z(config.algebra("lambda", m), m)
+        rep = projdim(z_native, cutoff=config.chain_cutoff(m),
                       seed=config.seed, trials=config.trials)
         checks.append(_verdict_check(
             f"pd witness {m} = {config.r + m}", rep, config.r + m))
         if m >= 1:
             below = set(lambda_vertices(config.r, m - 1))
-            z_native = build_Z(native, m)
             checks.append(CheckResult(
                 f"witness {m} uses level {m} properly",
                 PASS if not z_native.supported_on(below) else FAIL,
@@ -354,6 +353,7 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
     for m in range(config.m_max + 1):
         alg = config.algebra("lambda", m + 1)
+        phi_next = None
         for t in range(1, config.t_max + 1):
             zt = build_Zt(alg, m, t)
             if t == 1:
@@ -369,7 +369,8 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
             checks.append(_verdict_check(
                 f"pd member (m={m}, t={t}) = {config.r + m}", rep,
                 config.r + m))
-            phi = build_phi(alg, m, t)
+            # The previous t built this map for its composite check.
+            phi = phi_next if phi_next is not None else build_phi(alg, m, t)
             ker, _ = kernel_of(phi)
             u_expected = build_U(alg, m, t)
             name = f"kernel of connecting map (m={m}, t={t}) as expected"

@@ -142,7 +142,7 @@ def strip_pc2(module: Representation) -> StripResult:
 
     # Complement of the kernel inside the c2 space, chosen deterministically.
     n = module.dims["c2"]
-    chosen, _ = kernel.unit_extension()
+    chosen = kernel.unit_complement()
     assert len(chosen) == a
 
     psum = direct_sum(algebra, [algebra.projective("c2")] * a)

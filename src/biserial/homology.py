@@ -8,11 +8,15 @@ syzygies, which forces the chain to cycle forever.  When neither happens
 within the cutoff the report says so; an inconclusive outcome is never
 silently treated as finite.
 
-The chain walks projective covers: each module's cover is built once,
-its syzygy is the next module, and its multiplicities are the top in the
-module's cheap fingerprint (dimension vector and top).  The dimension of
-End(M) is solved only for syzygies whose fingerprints collide, and the
-isomorphism search runs only when those dimensions agree too.
+The chain walks projective covers: each module's syzygy is the next
+module, and its cover's multiplicities are the top in the module's cheap
+fingerprint (dimension vector and top).  Syzygies are memoized in the
+``Algebra``, keyed by module content (dimension vector and each arrow's
+nonzero entries), and kept as long as the algebra: every chain and every
+``syzygy`` call over one algebra -- in ``verify``, every claim of one run
+-- builds each content's cover once.  The dimension of End(M) is solved
+only for syzygies whose fingerprints collide, and the isomorphism search
+runs only when those dimensions agree too.
 
 A syzygy is read off the cover's path-class basis (see
 ``projective_cover``); the cover's own matrices are built only when
@@ -235,7 +239,7 @@ def projective_cover(module: Representation) -> CoverData:
             continue
         # A basis of the top at v: unit vectors extending the column space
         # of the arrow images, which is rad M at v.
-        for i in _arrow_images(module, v).unit_extension()[0]:
+        for i in _arrow_images(module, v).unit_complement():
             generators.append((v, Matrix.units(field, n, [i])))
             multiplicities[v] = multiplicities.get(v, 0) + 1
     tops = [v for v, _ in generators]
@@ -313,7 +317,47 @@ def map_from_projectives(module: Representation,
 
 
 def syzygy(module: Representation) -> Representation:
-    return projective_cover(module).syzygy
+    """The minimal syzygy of ``module``, computed once per algebra for
+    each module content (see ``_syzygy_step``) and then shared."""
+    return _syzygy_step(module)[0]
+
+
+def _syzygy_step(module: Representation
+                 ) -> Tuple[Representation, Dict[str, int]]:
+    """The syzygy of ``module`` and the multiplicities of its top: all that
+    the pd chain reads of a cover.
+
+    Memoized in the module's ``Algebra``, keyed by the module's content
+    (``_content_key``).  The cover is a function of that content alone,
+    so two content-equal modules share one syzygy object.  The memo lives
+    as long as the algebra, like its projectives; in ``verify`` that is
+    one run, across every claim.
+    """
+    memo = module.algebra.memo("syzygies", lambda alg: {})
+    key = _content_key(module)
+    step = memo.get(key)
+    if step is None:
+        cover = projective_cover(module)
+        step = memo[key] = (cover.syzygy, cover.multiplicities)
+    return step
+
+
+def _content_key(module: Representation) -> tuple:
+    """One flat tuple naming the module's content within its algebra: the
+    dimension at each vertex, then each nonzero arrow entry as its
+    position in the arrows' entries laid end to end, row-major, and its
+    value.  The dimensions fix every matrix's shape, so the positions are
+    unambiguous."""
+    key = list(module.dims.values())
+    offset = 0
+    for m in module.mats.values():
+        for i, row in enumerate(m.data):
+            base = offset + i * m.cols
+            for j, x in enumerate(row):
+                if x:
+                    key += (base + j, x)
+        offset += m.rows * m.cols
+    return tuple(key)
 
 
 # -- Hom spaces and isomorphism ----------------------------------------------
@@ -529,11 +573,13 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
     invariants); Inconclusive after ``cutoff`` steps.  The zero module
     gets the distinct verdict ``minus_infinity``.
 
-    Each chain module's cover is built once: its syzygy is the next
-    module and its multiplicities are the top in the module's fingerprint.
-    Two syzygies are only searched for an isomorphism when their
-    fingerprints and their End dimensions agree; the End dimension of a
-    syzygy is solved the first time its fingerprint collides, then kept.
+    Each chain module's syzygy and top multiplicities come from
+    ``_syzygy_step``, so a module content met before in any chain over the
+    same algebra costs no cover: its syzygy is the next module and its
+    multiplicities are the top in the module's fingerprint.  Two
+    syzygies are only searched for an isomorphism when their fingerprints
+    and their End dimensions agree; the End dimension of a syzygy is
+    solved the first time its fingerprint collides, then kept.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -548,18 +594,19 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
             end_dims[idx] = hom_dim(rep, rep)
         return end_dims[idx]
 
-    def fingerprint(cover: CoverData) -> tuple:
-        return (cover.module.dim_vector(), tuple(sorted(cover.multiplicities.items())))
+    def fingerprint(rep: Representation, multiplicities: Dict[str, int]) -> tuple:
+        return (rep.dim_vector(), tuple(sorted(multiplicities.items())))
 
-    cover = projective_cover(current)
-    seen: List[Tuple[tuple, Representation, int]] = [(fingerprint(cover), current, 0)]
+    omega, multiplicities = _syzygy_step(current)
+    seen: List[Tuple[tuple, Representation, int]] = [
+        (fingerprint(current, multiplicities), current, 0)]
     for step in range(1, cutoff + 1):
-        current = cover.syzygy
+        current = omega
         chain.append(current.dim_vector())
         if current.is_zero():
             return PdReport("finite", chain, value=step - 1, seed=seed)
-        cover = projective_cover(current)
-        fp = fingerprint(cover)
+        omega, multiplicities = _syzygy_step(current)
+        fp = fingerprint(current, multiplicities)
         for old_fp, old_rep, old_idx in seen:
             if old_fp == fp and end_dim(old_rep, old_idx) == end_dim(current, step):
                 iso = certified_iso(old_rep, current, trials=trials, seed=seed)

@@ -6,10 +6,12 @@ Gauss-Jordan elimination, ``rref``: ``rank``, ``kernel_basis``,
 ``image_basis``, ``solve``, ``inverse`` and ``unit_extension`` each read
 their answer off one rref.  ``kernel_with_free`` also names the free
 columns of that rref: the kernel basis is the identity on those rows, so
-a null vector's coordinates in it are read off with no solve.  Storage
-is dense, but elimination is sparse in its updates: each row operation
-touches only the nonzero columns of the pivot row, which is what keeps
-the very sparse Hom systems cheap.
+a null vector's coordinates in it are read off with no solve.
+``unit_complement`` gives ``unit_extension``'s unit indices alone, from
+an rref of the transpose, for callers that do not need the inverse.
+Storage is dense, but elimination is sparse in its updates: each row
+operation touches only the nonzero columns of the pivot row, which is
+what keeps the very sparse Hom systems cheap.
 
 All arithmetic is exact and goes through the field interface of
 ``biserial.fields``, the one place that knows field types: ``reduce``
@@ -209,6 +211,18 @@ class Matrix:
         red, pivots, _ = Matrix.hcat(self.field, n, [self, Matrix.identity(self.field, n)]).rref()
         chosen = [j - self.cols for j in pivots if j >= self.cols]
         return chosen, red.submatrix_cols(range(self.cols, self.cols + n))
+
+    def unit_complement(self) -> List[int]:
+        """The indices ``unit_extension`` chooses, without its inverse.
+
+        e_i is chosen exactly when no vector of the column space has its
+        last nonzero entry at i.  Those last entries are the pivots of the
+        rows of self^T with coordinates reversed, so one rref of that
+        cols x rows matrix gives them."""
+        n = self.rows
+        reversed_t = [list(reversed(col)) for col in zip(*self.data)]
+        taken = {n - 1 - p for p in _rref(reversed_t, self.field)[1]}
+        return [i for i in range(n) if i not in taken]
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the pivot columns of self."""

@@ -178,6 +178,11 @@ def _pinned(args, digest, code, name):
              "--seed", "5", "--field", "fp:5"], "b24d26fc7b044848", 0, "r2-fp:5"),
     _pinned(["section-4", "--r", "2", "--m-max", "5", "--t-max", "5"],
             "94bf9e83c5b2e136", 0, "section-4-heavy"),
+    # The benchmark's towers-q command: five claims over shared algebras,
+    # so chains of one claim meet syzygies another claim already built.
+    _pinned(["simples-pd", "prop-2", "lemma-1", "section-4", "findim-witness",
+             "--r", "2", "--m-max", "4", "--t-max", "3", "--seed", "3"],
+            "b256182d8ebb5c0f", 0, "towers-q"),
 ])
 def test_verify_all_digest_is_pinned(args, digest, code, capsys):
     from biserial.cli import main
@@ -189,19 +194,20 @@ def test_verify_all_digest_is_pinned(args, digest, code, capsys):
 
 def test_corollary_3_covers_only_what_its_sampler_covers(monkeypatch):
     # The claim reads each sample's syzygy off the pd chain the sampler
-    # has already walked, so the claim builds exactly the sampler's covers.
+    # has already walked, so the claim takes exactly the sampler's
+    # syzygy steps.
     from biserial import homology
     from biserial.claims import claim_corollary_3
     from biserial.witnesses import sample_finite_pd_modules
 
     covers = []
-    real = homology.projective_cover
+    real = homology._syzygy_step
 
     def counting(module):
         covers.append(module)
         return real(module)
 
-    monkeypatch.setattr(homology, "projective_cover", counting)
+    monkeypatch.setattr(homology, "_syzygy_step", counting)
     cfg = FamilyConfig(r=1, samples=5, seed=13)
     sample_finite_pd_modules(cfg.algebra("lambda", 2), cfg.samples, seed=cfg.seed,
                              max_dim=max(cfg.max_dim, 60))
@@ -209,3 +215,20 @@ def test_corollary_3_covers_only_what_its_sampler_covers(monkeypatch):
     covers.clear()
     assert claim_corollary_3(cfg).status == "pass"
     assert sampled > 0 and len(covers) == sampled
+
+
+def test_section_4_builds_each_connecting_map_once(monkeypatch):
+    # The composite check's map for t + 1 is the next t's map.
+    from biserial import claims
+
+    calls = []
+    real = claims.build_phi
+
+    def counting(alg, m, t):
+        calls.append((m, t))
+        return real(alg, m, t)
+
+    monkeypatch.setattr(claims, "build_phi", counting)
+    cfg = FamilyConfig(r=2, m_max=4, t_max=3, seed=3)
+    assert claims.claim_section_4(cfg).status == "pass"
+    assert sorted(calls) == [(m, t) for m in range(5) for t in range(1, 4)]

@@ -421,10 +421,12 @@ def test_finite_chain_with_distinct_dims_solves_no_hom_system(alg3, monkeypatch)
     assert calls == []
 
 
-def test_fingerprint_collision_with_different_end_skips_iso_search(alg0, monkeypatch):
+def test_fingerprint_collision_with_different_end_skips_iso_search(monkeypatch):
     # Two modules with dimension vector a0:2, c0:1, u:1 and top a0:2:
     # c0 <- a0 -> u plus S(a0) has End of dimension 3, while
-    # (a0 -> c0) plus (a0 -> u) has End of dimension 2.
+    # (a0 -> c0) plus (a0 -> u) has End of dimension 2.  The stubbed
+    # syzygies land in the syzygy memo, so the algebra is this test's own.
+    alg0 = Algebra(build_lambda(1, 0))
     to_c0, to_u = alg0.pres.quiver.arrows_from("a0")
 
     def walk(base, letters):
@@ -457,8 +459,10 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(alg0, monkeyp
     assert {id(s) for s, _ in calls} == {id(first), id(second)}
 
 
-def test_pd_chain_builds_one_cover_per_module(alg3, monkeypatch):
-    covers = _counting(monkeypatch, "projective_cover")
+def test_pd_chain_builds_one_cover_per_module(monkeypatch):
+    # A fresh algebra, so that every step builds its cover.
+    alg3 = Algebra(build_lambda(1, 3))
+    covers = _counting(monkeypatch, "_syzygy_step")
     tops = _counting(monkeypatch, "radical") + _counting(monkeypatch, "top_dims")
     sums = _counting(monkeypatch, "direct_sum")
     rep = projdim(build_Z(alg3, 3), cutoff=8)
@@ -469,6 +473,35 @@ def test_pd_chain_builds_one_cover_per_module(alg3, monkeypatch):
     assert tops == []
     # The syzygies are read off the path-class basis: no cover is summed.
     assert sums == []
+
+
+def test_content_equal_modules_share_one_syzygy(monkeypatch):
+    alg = Algebra(build_lambda(1, 2))
+    first, second = build_Z(alg, 2), build_Z(alg, 2)
+    assert first is not second
+    covers = _counting(monkeypatch, "projective_cover")
+    omega = syzygy(first)
+    assert syzygy(second) is omega
+    assert len(covers) == 1
+    # The chain reads the same memo: only the syzygy's own steps are new.
+    rep = projdim(second)
+    assert rep.verdict == "finite"
+    assert len(covers) == len(rep.chain) - 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+def test_syzygy_memo_is_per_algebra(field, monkeypatch):
+    # The same presentation and content over another Algebra, or over
+    # another field, is covered again.
+    pres = build_lambda(1, 2)
+    alg = Algebra(pres)
+    omega = syzygy(build_Z(alg, 2))
+    covers = _counting(monkeypatch, "projective_cover")
+    other = Algebra(pres, field=field)
+    other_omega = syzygy(build_Z(other, 2))
+    assert len(covers) == 1
+    assert other_omega is not omega and other_omega.algebra is other
+    assert other_omega.dim_vector() == omega.dim_vector()
 
 
 def test_iso_search_miss_solves_hom_once(alg3, monkeypatch):

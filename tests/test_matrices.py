@@ -212,6 +212,22 @@ def test_unit_extension_inverts_the_extended_basis(strategy, data):
     assert inv == basis.inverse()
 
 
+@pytest.mark.parametrize("strategy", [qq_matrices(), fp_matrices(F2), fp_matrices(F101)],
+                         ids=["qq", "f2", "f101"])
+@given(data=st.data())
+def test_unit_complement_is_unit_extensions_choice(strategy, data):
+    # Any columns, dependent ones and 0-row or 0-column shapes included.
+    a = data.draw(strategy)
+    assert a.unit_complement() == a.unit_extension()[0]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F101], ids=["qq", "f2", "f101"])
+def test_unit_complement_of_empty_shapes(field):
+    assert Matrix(field, 3, 0, [[], [], []]).unit_complement() == [0, 1, 2]
+    assert Matrix(field, 0, 2, []).unit_complement() == []
+    assert Matrix(field, 0, 0, []).unit_complement() == []
+
+
 def test_inverse_of_singular_matrix_over_gf2_is_none():
     # [[1, 1], [1, 1]] and a rank-2 3x3 matrix whose rows sum to zero mod 2.
     assert Matrix.from_rows(F2, [[1, 1], [1, 1]]).inverse() is None
