@@ -121,16 +121,13 @@ def strip_pc2(module: Representation) -> StripResult:
     """Split off all P(c2) direct summands, certified.
 
     The multiplicity equals the rank of the long alpha path acting on the
-    c2 component; the orthogonal complement of its kernel (chosen by rref
-    pivots) generates the projective part, which splits off because P(c2)
-    is also injective.
+    c2 component; the unit vectors at its rref pivots span a complement of
+    its kernel (each kernel vector ends at a free column) and generate the
+    projective part, which splits off because P(c2) is also injective.
     """
     algebra = module.algebra
-    field = algebra.field
     alpha_path, beta_path = _c2_amalgam_paths(algebra.pres)
-    long_alpha = module.path_matrix(alpha_path)
-    kernel = long_alpha.kernel_basis()
-    a = module.dims["c2"] - kernel.cols
+    _, chosen, a = module.path_matrix(alpha_path).rref()
 
     if a == 0:
         zero_p = algebra.zero_module()
@@ -140,14 +137,8 @@ def strip_pc2(module: Representation) -> StripResult:
         return StripResult(0, module, ModuleMap.identity(module),
                            ModuleMap.zero(zero_p, module), cert)
 
-    # Complement of the kernel inside the c2 space, chosen deterministically.
-    n = module.dims["c2"]
-    chosen = kernel.unit_complement()
-    assert len(chosen) == a
-
     psum = direct_sum(algebra, [algebra.projective("c2")] * a)
-    gens = [("c2", Matrix.units(field, n, [i0])) for i0 in chosen]
-    embed_mats = map_from_projectives(module, gens)
+    embed_mats = map_from_projectives(module, [("c2", i) for i in chosen])
     embedding = ModuleMap(psum, module, embed_mats)
     if not embedding.is_morphism():
         raise CertificateFailure("projective embedding is not a module map")

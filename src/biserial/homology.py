@@ -141,32 +141,24 @@ def _kernel(algebra, dims: Dict[str, int], f_mats: Dict[str, Matrix],
 
 
 def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
-    """Vertexwise cokernel with induced action and the projection map."""
+    """Vertexwise cokernel with induced action and the projection map.
+
+    At each vertex the unit vectors e_i that extend the image of f span a
+    complement of it, and Q, the quotient coordinates in that basis, is
+    the projection (see ``Matrix.quotient_coordinates``).  An arrow a:
+    x -> y acts on the cokernel as Q_y applied to M_a's columns at the
+    chosen i of x.
+    """
     algebra = f.target.algebra
-    field = algebra.field
-    proj_mats: Dict[str, Matrix] = {}
-    section_mats: Dict[str, Matrix] = {}
-    for v in algebra.vertices:
-        n = f.target.dims[v]
-        # Extend a basis of the image by unit vectors e_i; the rows of the
-        # inverse of that basis past the image part are the quotient
-        # coordinates, and the e_i span a section of the projection.
-        chosen, inv = f.mats[v].unit_extension()
-        proj_mats[v] = Matrix(field, len(chosen), n, inv.data[n - len(chosen):])
-        section_mats[v] = Matrix.units(field, n, chosen)
-    dims = {v: proj_mats[v].rows for v in algebra.vertices}
-    mats = {a.name: (proj_mats[a.target] @ f.target.mats[a.name]
-                     @ section_mats[a.source])
+    quotients = {v: f.mats[v].quotient_coordinates() for v in algebra.vertices}
+    proj_mats = {v: q for v, (_, q) in quotients.items()}
+    dims = {v: q.rows for v, q in proj_mats.items()}
+    mats = {a.name: (proj_mats[a.target]
+                     @ f.target.mats[a.name].submatrix_cols(quotients[a.source][0]))
             for a in algebra.pres.quiver.arrows.values()
             if dims[a.source] and dims[a.target]}
     coker = Representation(algebra, dims, mats, check=False)
     return coker, ModuleMap(f.target, coker, proj_mats)
-
-
-def image_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
-    """Vertexwise image as a subrepresentation of the target."""
-    incl = {v: f.mats[v].image_basis() for v in f.target.algebra.vertices}
-    return _sub_representation(f.target, incl)
 
 
 # -- covers and syzygies -----------------------------------------------------
@@ -231,16 +223,15 @@ def projective_cover(module: Representation) -> CoverData:
     algebra = module.algebra
     field = algebra.field
     basis = algebra.basis
-    generators: List[Tuple[str, Matrix]] = []  # (vertex, chosen lift column)
+    generators: List[Tuple[str, int]] = []  # (vertex, index of the lift e_i)
     multiplicities: Dict[str, int] = {}
     for v in algebra.vertices:
-        n = module.dims[v]
-        if n == 0:
+        if module.dims[v] == 0:
             continue
         # A basis of the top at v: unit vectors extending the column space
         # of the arrow images, which is rad M at v.
         for i in _arrow_images(module, v).unit_complement():
-            generators.append((v, Matrix.units(field, n, [i])))
+            generators.append((v, i))
             multiplicities[v] = multiplicities.get(v, 0) + 1
     tops = [v for v, _ in generators]
     labels: Dict[str, List[Tuple[int, int]]] = {v: [] for v in algebra.vertices}
@@ -248,10 +239,7 @@ def projective_cover(module: Representation) -> CoverData:
         for p in basis.classes_from(v):
             labels[basis.class_target(p)].append((g, p))
     row_of = {label: i for pairs in labels.values() for i, label in enumerate(pairs)}
-    # (arrow, class p) -> the terms (class q, c) of arrow·p, c in the field.
-    action = algebra.memo("path-action", lambda alg: {
-        key: [(q, alg.field(c)) for q, c in vec.items() if alg.field(c)]
-        for key, vec in alg.basis.act.items()})
+    action = algebra.action
 
     def arrow_image(a: Arrow, kernel: Matrix) -> Matrix:
         # The cover's arrow a sends (g, p) to the sum of c * (g, q) over
@@ -274,13 +262,13 @@ def projective_cover(module: Representation) -> CoverData:
 
 
 def map_from_projectives(module: Representation,
-                         generators: List[Tuple[str, Matrix]]) -> Dict[str, Matrix]:
+                         generators: List[Tuple[str, int]]) -> Dict[str, Matrix]:
     """Vertexwise matrices of the map from the direct sum of the P(v), one
-    per ``(v, gen)`` in order, to ``module`` that sends the top of each
-    summand to its column ``gen`` of the module at ``v``.
+    per ``(v, i)`` in order, to ``module`` that sends the top of each
+    summand to the unit vector e_i of the module at ``v``.
 
     The projective's basis classes are the path classes at ``v``; class p
-    goes to p·gen, computed as p's last arrow applied to the image of its
+    goes to p·e_i, computed as p's last arrow applied to the image of its
     prefix, so each class costs one matrix-vector product over the
     prefix image's nonzero entries.  Columns follow the block order of
     ``direct_sum``.
@@ -304,8 +292,9 @@ def map_from_projectives(module: Representation,
             vec = images[path] = field.reduce([vec])[0]
         return vec
 
-    for vertex, gen in generators:
-        images = {(): [row[0] for row in gen.data]}
+    for vertex, i in generators:
+        images = {(): [field.one if k == i else field.zero
+                       for k in range(module.dims[vertex])]}
         for class_id in basis.classes_from(vertex):
             columns[basis.class_target(class_id)].append(
                 image(images, basis.class_path(class_id)))

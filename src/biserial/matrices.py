@@ -3,12 +3,14 @@
 Matrices are immutable-by-convention row-major grids of field elements.
 Everything downstream (syzygies, Hom spaces, certificates) reduces to one
 Gauss-Jordan elimination, ``rref``: ``rank``, ``kernel_basis``,
-``image_basis``, ``solve``, ``inverse`` and ``unit_extension`` each read
-their answer off one rref.  ``kernel_with_free`` also names the free
-columns of that rref: the kernel basis is the identity on those rows, so
-a null vector's coordinates in it are read off with no solve.
-``unit_complement`` gives ``unit_extension``'s unit indices alone, from
-an rref of the transpose, for callers that do not need the inverse.
+``image_basis``, ``solve`` and ``inverse`` each read their answer off one
+rref.  ``kernel_with_free`` also names the free columns of that rref: the
+kernel basis is the identity on those rows, so a null vector's
+coordinates in it are read off with no solve.  Basis extension is one
+rref of the transpose with its columns reversed: ``unit_complement``
+reads the unit vectors that extend the column space off its pivots, and
+``quotient_coordinates`` reads the coordinates of the quotient by the
+column space off its kernel, with no inverse.
 Storage is dense, but elimination is sparse in its updates: each row
 operation touches only the nonzero columns of the pivot row, which is
 what keeps the very sparse Hom systems cheap.
@@ -198,31 +200,38 @@ class Matrix:
             return None
         return self.solve(Matrix.identity(self.field, self.rows))
 
-    def unit_extension(self) -> Tuple[List[int], "Matrix"]:
-        """Extend the column space of self to a basis by unit vectors.
-
-        Returns the indices i of the unit vectors e_i, chosen greedily by
-        increasing i, and the inverse of B = [pivot columns of self | those
-        e_i].  One rref of [self | I] gives both: its pivots past self are
-        the chosen units, and its row operations E, the right block, send
-        the pivot columns, which are the columns of B in order, to the unit
-        vectors, so E @ B = I."""
-        n = self.rows
-        red, pivots, _ = Matrix.hcat(self.field, n, [self, Matrix.identity(self.field, n)]).rref()
-        chosen = [j - self.cols for j in pivots if j >= self.cols]
-        return chosen, red.submatrix_cols(range(self.cols, self.cols + n))
-
     def unit_complement(self) -> List[int]:
-        """The indices ``unit_extension`` chooses, without its inverse.
+        """The indices i, increasing, of the unit vectors e_i that extend
+        the column space of self to the whole space, each e_i chosen when
+        it is independent of the column space and the e_j before it.
 
         e_i is chosen exactly when no vector of the column space has its
         last nonzero entry at i.  Those last entries are the pivots of the
         rows of self^T with coordinates reversed, so one rref of that
         cols x rows matrix gives them."""
         n = self.rows
-        reversed_t = [list(reversed(col)) for col in zip(*self.data)]
-        taken = {n - 1 - p for p in _rref(reversed_t, self.field)[1]}
+        taken = {n - 1 - p for p in _rref(self._flipped_transpose().data, self.field)[1]}
         return [i for i in range(n) if i not in taken]
+
+    def quotient_coordinates(self) -> Tuple[List[int], "Matrix"]:
+        """``unit_complement`` and the matrix Q of the projection onto the
+        quotient by the column space, in the basis of those unit vectors.
+
+        Q is the unique matrix with Q @ self = 0 whose columns at the
+        chosen indices are the identity, so its rows are a basis of the
+        left kernel of self.  Reversed, that is the kernel of the flipped
+        transpose, whose basis is the identity on the free columns of its
+        rref: the chosen indices reversed.  So Q is that kernel basis with
+        its rows and its columns in reverse order."""
+        n = self.rows
+        kernel, free = self._flipped_transpose().kernel_with_free()
+        rows = [list(col[::-1]) for col in zip(*kernel.data)][::-1]
+        return [n - 1 - j for j in reversed(free)], Matrix(self.field, len(free), n, rows)
+
+    def _flipped_transpose(self) -> "Matrix":
+        """self^T with its columns in reverse order."""
+        rows = [list(col[::-1]) for col in zip(*self.data)] or [[] for _ in range(self.cols)]
+        return Matrix(self.field, self.cols, self.rows, rows)
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the pivot columns of self."""

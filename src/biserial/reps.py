@@ -15,6 +15,7 @@ it.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .fields import QQ
@@ -60,6 +61,12 @@ class Algebra:
             self._empty[rows, cols] = Matrix.zeros(self.field, rows, cols)
         return self._empty[rows, cols]
 
+    @cached_property
+    def action(self) -> Dict[Tuple[str, int], List[Tuple[int, object]]]:
+        """(arrow, class p) -> the terms (q, c) of arrow·p, c nonzero in the field."""
+        return {key: [(q, x) for q, c in vec.items() if (x := self.field(c))]
+                for key, vec in self.basis.act.items()}
+
     @property
     def vertices(self) -> Tuple[str, ...]:
         return self.pres.quiver.vertices
@@ -97,14 +104,13 @@ class Algebra:
         position = {i: k for tgt, grp in local.items() for k, i in enumerate(grp)}
         dims = {v: len(local.get(v, ())) for v in self.vertices}
         mats: Dict[str, Matrix] = {}
-        field = self.field
         for a in self.pres.quiver.arrows.values():
             if not (dims[a.source] and dims[a.target]):
                 continue
-            m = Matrix.zeros(field, dims[a.target], dims[a.source])
+            m = Matrix.zeros(self.field, dims[a.target], dims[a.source])
             for i in local.get(a.source, ()):
-                for j, coeff in basis.act[(a.name, i)].items():
-                    m.data[position[j]][position[i]] = field(coeff)
+                for j, coeff in self.action[a.name, i]:
+                    m.data[position[j]][position[i]] = coeff
             mats[a.name] = m
         proj = self._projectives[vertex] = Representation(self, dims, mats)
         return proj

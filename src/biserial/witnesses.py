@@ -24,10 +24,10 @@ from typing import List, Optional, Tuple
 from .decomp import _WALKS
 from .families import arrow_name, vname
 from .homology import cokernel_of, hom_basis, projective_cover, projdim
-from .matrices import Matrix
+from .matrices import Matrix, block_diag
 from .presentation import ALPHA, BETA
 from .reps import (Algebra, ModuleMap, Representation, StringWord,
-                   direct_sum, direct_sum_maps, string_module)
+                   direct_sum, string_module)
 
 Letter = Tuple[str, int]
 
@@ -168,15 +168,13 @@ def build_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
     if m == 1:
         s_src, s_tgt, smap = _string_prefix_map(
             algebra, zt_walk(1, t), zt_walk(1, t + 1), keep=5 * t + 2)
-        src = direct_sum(algebra, [s_src, algebra.simple("d0")])
-        tgt_parts = [s_tgt, algebra.simple("d0")]
-        tgt = direct_sum(algebra, tgt_parts)
-        tgt_inj, _ = direct_sum_maps(tgt, tgt_parts)
-        mats = {}
-        for v in algebra.vertices:
-            block = tgt_inj[0].mats[v] @ smap.mats[v]
-            zero_cols = Matrix.zeros(field, tgt.dims[v], src.dims[v] - block.cols)
-            mats[v] = Matrix.hcat(field, tgt.dims[v], [block, zero_cols])
+        d0 = algebra.simple("d0")
+        src = direct_sum(algebra, [s_src, d0])
+        tgt = direct_sum(algebra, [s_tgt, d0])
+        # The string map, and zero on the d0 summand.
+        mats = {v: block_diag(field, [smap.mats[v],
+                                      Matrix.zeros(field, d0.dims[v], d0.dims[v])])
+                for v in algebra.vertices}
         phi = ModuleMap(src, tgt, mats)
         if not phi.is_morphism():
             raise AssertionError("connecting map failed at level 1")

@@ -183,6 +183,11 @@ def _pinned(args, digest, code, name):
     _pinned(["simples-pd", "prop-2", "lemma-1", "section-4", "findim-witness",
              "--r", "2", "--m-max", "4", "--t-max", "3", "--seed", "3"],
             "b256182d8ebb5c0f", 0, "towers-q"),
+    # The benchmark's sampling-fp101 command: random cokernels, covers and
+    # Lemma-2 splittings over GF(101).
+    _pinned(["lemma-2", "corollary-3", "syzygy-descent", "--r", "2", "--m-max", "5",
+             "--samples", "100", "--max-dim", "60", "--field", "fp:101", "--seed", "3"],
+            "cb1cb6dd6f155166", 0, "sampling-fp101"),
 ])
 def test_verify_all_digest_is_pinned(args, digest, code, capsys):
     from biserial.cli import main

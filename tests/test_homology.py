@@ -189,16 +189,6 @@ def test_cokernel_of_radical_inclusion_is_top(alg1):
     assert dict(cok.dim_vector()) == {"c1": 1}
 
 
-def test_image_of_cover_map_is_whole_module(algp):
-    from biserial.homology import image_of
-
-    m = random_module(algp, seed=61, budget=14)
-    cover = projective_cover(m)
-    img, incl = image_of(cover.cover_map)
-    assert img.dims == m.dims
-    assert incl.is_morphism()
-
-
 # -- hom spaces ----------------------------------------------------------------
 
 
@@ -530,12 +520,17 @@ def _cover_algebra(family, field):
        st.integers(0, 10 ** 6), st.integers(1, 20))
 def test_cover_generators_extend_the_arrow_images(family, field, seed, budget):
     # The arrow images span rad M, so extending them picks the same top
-    # basis as extending the radical's own basis.
+    # basis as extending the radical's own basis, whose quotient
+    # coordinates are the rows past the radical of the extended basis's
+    # inverse.
     module = random_module(_cover_algebra(family, field), seed=seed, budget=budget)
     _, incl = radical(module)
     for v in module.algebra.vertices:
-        assert (homology._arrow_images(module, v).unit_extension()[0]
-                == incl.mats[v].unit_extension()[0])
+        rad = incl.mats[v]
+        chosen, q = rad.quotient_coordinates()
+        assert homology._arrow_images(module, v).unit_complement() == chosen
+        basis = Matrix.hcat(rad.field, rad.rows, [rad, Matrix.units(rad.field, rad.rows, chosen)])
+        assert q.data == basis.inverse().data[rad.cols:]
     assert projective_cover(module).verify()
 
 

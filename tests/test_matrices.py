@@ -189,7 +189,7 @@ F2 = PrimeField(2)
 
 def _greedy_units(a: Matrix) -> list:
     """The unit vectors e_i that raise the rank of [a | chosen so far],
-    tried in increasing i: the definition unit_extension must meet."""
+    tried in increasing i: the definition unit_complement must meet."""
     chosen = []
     for i in range(a.rows):
         current = Matrix.hcat(a.field, a.rows, [a, Matrix.units(a.field, a.rows, chosen)])
@@ -199,26 +199,41 @@ def _greedy_units(a: Matrix) -> list:
     return chosen
 
 
-@pytest.mark.parametrize("strategy", [qq_matrices(), fp_matrices(F2), fp_matrices(F101)],
-                         ids=["qq", "f2", "f101"])
+ALL_FIELDS = pytest.mark.parametrize(
+    "strategy", [qq_matrices(), fp_matrices(F2), fp_matrices(F101)], ids=["qq", "f2", "f101"])
+
+
+@ALL_FIELDS
 @given(data=st.data())
 def test_unit_extension_inverts_the_extended_basis(strategy, data):
-    a = data.draw(strategy).image_basis()  # independent columns
+    # Any columns, dependent ones and 0-row or 0-column shapes included:
+    # extend the image basis by the chosen units; the quotient coordinates
+    # are the rows of its inverse past the image.
+    a = data.draw(strategy)
     field, n = a.field, a.rows
-    chosen, inv = a.unit_extension()
+    image = a.image_basis()
+    chosen, q = a.quotient_coordinates()
     assert chosen == _greedy_units(a)
-    basis = Matrix.hcat(field, n, [a, Matrix.units(field, n, chosen)])
-    assert basis @ inv == Matrix.identity(field, n)
-    assert inv == basis.inverse()
+    inv = Matrix.hcat(field, n, [image, Matrix.units(field, n, chosen)]).inverse()
+    assert (q.rows, q.cols) == (len(chosen), n)
+    assert q.data == inv.data[image.cols:]
+    assert (q @ a).is_zero()
 
 
-@pytest.mark.parametrize("strategy", [qq_matrices(), fp_matrices(F2), fp_matrices(F101)],
-                         ids=["qq", "f2", "f101"])
+@ALL_FIELDS
 @given(data=st.data())
 def test_unit_complement_is_unit_extensions_choice(strategy, data):
-    # Any columns, dependent ones and 0-row or 0-column shapes included.
     a = data.draw(strategy)
-    assert a.unit_complement() == a.unit_extension()[0]
+    assert a.unit_complement() == _greedy_units(a)
+
+
+@ALL_FIELDS
+@given(data=st.data())
+def test_rref_pivots_complement_the_kernel(strategy, data):
+    # Each kernel basis vector ends at its own free column, so the unit
+    # vectors at the pivot columns are the kernel's unit complement.
+    a = data.draw(strategy)
+    assert a.rref()[1] == a.kernel_basis().unit_complement()
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F101], ids=["qq", "f2", "f101"])
@@ -226,6 +241,9 @@ def test_unit_complement_of_empty_shapes(field):
     assert Matrix(field, 3, 0, [[], [], []]).unit_complement() == [0, 1, 2]
     assert Matrix(field, 0, 2, []).unit_complement() == []
     assert Matrix(field, 0, 0, []).unit_complement() == []
+    assert (Matrix(field, 3, 0, [[], [], []]).quotient_coordinates()
+            == ([0, 1, 2], Matrix.identity(field, 3)))
+    assert Matrix(field, 0, 2, []).quotient_coordinates() == ([], Matrix(field, 0, 0, []))
 
 
 def test_inverse_of_singular_matrix_over_gf2_is_none():
@@ -284,8 +302,9 @@ def test_elimination_takes_its_pivots_from_the_field():
 @given(m=qq_matrices())
 def test_any_pivot_policy_gives_the_same_answers(m):
     # The rref is unique, so only intermediate fractions may depend on the
-    # pivot choice, never a kernel basis or a unit extension.
+    # pivot choice, never a kernel basis or a basis extension.
     other = Matrix(FirstNonzeroRationals(), m.rows, m.cols, m.data)
     assert other.rref() == m.rref()
     assert other.kernel_basis() == m.kernel_basis()
-    assert other.unit_extension() == m.unit_extension()
+    assert other.unit_complement() == m.unit_complement()
+    assert other.quotient_coordinates() == m.quotient_coordinates()
