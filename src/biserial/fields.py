@@ -1,15 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields.
 
 This module is the one place that knows field types.  Elements are plain
-Python values (``fractions.Fraction`` over Q, ``int`` residues over GF(p)),
-falsy exactly when zero, and the field object is the whole interface the
-other layers use: ``zero``, ``one``, ``inv``, ``neg``, construction,
-``parse``, ``format`` and ``reduce``, the normal form of raw sums and
-products; for the elimination kernel, the pivot preference (``pivot_key``
-and ``best_pivot_key``) and one call per row operation (``scale_row``,
-``sub_row``); for the isomorphism search, its defaults (``iso_trials``
-and the coefficient ``draw``).  All arithmetic is exact, so results are
-proof-grade: ``a / b * b == a`` whenever ``b != 0``.
+Python values (over Q an ``int`` when integral, else a ``fractions.Fraction``;
+``int`` residues over GF(p)), falsy exactly when zero, and the field object
+is the whole interface the other layers use: ``zero``, ``one``, ``inv``,
+``neg``, construction, ``parse``, ``format`` and ``reduce``, the normal form
+of raw sums and products; for the elimination kernel, the pivot preference
+(``pivot_key`` and ``best_pivot_key``) and one call per row operation
+(``scale_row``, ``sub_row``); for the isomorphism search, its defaults
+(``iso_trials`` and the coefficient ``draw``).  All arithmetic is exact, so
+results are proof-grade: ``a / b * b == a`` whenever ``b != 0``.
 """
 
 from __future__ import annotations
@@ -21,58 +21,65 @@ class FieldError(ValueError):
     """Raised for invalid field specifications or elements."""
 
 
+def _normal(x):
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals:
-    """The field of rational numbers with arbitrary-precision integers."""
+    """Q: an element is an ``int`` when integral, else a ``Fraction``."""
 
     char = 0
     name = "q"
-    # Fractions are immutable, so every caller can share one zero and one.
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
     # Pivot on integral entries of small height, which keeps intermediate
     # fractions from growing; a unit cannot be beaten.
     best_pivot_key = (False, 2)
     iso_trials = 20
 
-    def __call__(self, value) -> Fraction:
-        return Fraction(value)
+    def __call__(self, value):
+        return _normal(Fraction(value))
 
     @staticmethod
-    def pivot_key(x: Fraction) -> tuple:
+    def pivot_key(x) -> tuple:
         return (x.denominator != 1, abs(x.numerator) + abs(x.denominator))
 
-    def scale_row(self, row: list, support: list, c: Fraction) -> None:
+    def scale_row(self, row: list, support: list, c) -> None:
         for j in support:
-            row[j] *= c
+            x = row[j] * c
+            row[j] = x if type(x) is int else _normal(x)
 
-    def sub_row(self, row: list, pivot_row: list, support: list, f: Fraction) -> None:
+    def sub_row(self, row: list, pivot_row: list, support: list, f) -> None:
         """``row -= f * pivot_row`` at the columns in ``support``."""
         for j in support:
-            row[j] -= f * pivot_row[j]
+            x = row[j] - f * pivot_row[j]
+            row[j] = x if type(x) is int else _normal(x)
 
-    def draw(self, rng) -> Fraction:
+    def draw(self, rng) -> int:
         """A random coefficient for the isomorphism search, from -9..9."""
-        return Fraction(rng.randrange(-9, 10))
+        return rng.randrange(-9, 10)
 
-    def inv(self, x: Fraction) -> Fraction:
+    def inv(self, x):
         """The inverse of a nonzero element."""
-        return self.one / x
+        return _normal(Fraction(x.denominator, x.numerator))
 
-    def neg(self, x: Fraction) -> Fraction:
+    def neg(self, x):
         return -x
 
     def reduce(self, rows: list) -> list:
-        """Rows of raw sums and products in normal form: rationals need
-        none, so the rows themselves."""
-        return rows
+        """Rows of raw sums and products in normal form.  A row's sum, run
+        in C, is a ``Fraction`` exactly when one of its entries is."""
+        if Fraction not in map(type, map(sum, rows)):
+            return rows
+        return [[_normal(x) for x in row] for row in rows]
 
-    def parse(self, token: str) -> Fraction:
+    def parse(self, token: str):
         try:
-            return Fraction(token)
+            return self(token)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {token!r}") from exc
 
-    def format(self, value: Fraction) -> str:
+    def format(self, value) -> str:
         return str(value)
 
     def __eq__(self, other) -> bool:

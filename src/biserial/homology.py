@@ -396,7 +396,7 @@ def _hom_kernel(source: Representation, target: Representation
                         row[base_x + k * source.dims[x] + j] -= coeff
                 if any(row):
                     rows.append(row)
-    kernel = Matrix(field, len(rows), total, field.reduce(rows)).kernel_basis()
+    kernel = Matrix(field, len(rows), total, rows).kernel_basis()
     return kernel, offsets
 
 

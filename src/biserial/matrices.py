@@ -87,8 +87,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)

@@ -16,7 +16,6 @@ classes, which is all the representation layer needs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .fields import QQ
@@ -104,16 +103,16 @@ class PathBasis:
         # (source, target, representative); the idempotents come first.
         classes: List[Tuple[str, str, Path]] = [(v, v, ()) for v in quiver.vertices]
         self.idempotents = {v: i for i, v in enumerate(quiver.vertices)}
-        reduce_map: Dict[Path, Dict[int, Fraction]] = {}
+        reduce_map: Dict[Path, dict] = {}
 
         for (src, tgt), block in sorted(by_pair.items()):
             # Longer paths first so elimination expresses them via shorter ones.
             block_sorted = sorted(block, key=lambda p: (-len(p), p))
             index = {p: i for i, p in enumerate(block_sorted)}
-            vectors: List[List[Fraction]] = []
+            vectors: List[list] = []
             for left, right in multiples.get((src, tgt), ()):
                 # A side holding a zero relation is not enumerated: it is 0.
-                vec = [Fraction(0)] * len(block_sorted)
+                vec = [QQ.zero] * len(block_sorted)
                 if left in index:
                     vec[index[left]] += 1
                 if right in index:
@@ -130,9 +129,9 @@ class PathBasis:
             for j in basis_positions:
                 pos_to_class[j] = len(classes)
                 classes.append((src, tgt, block_sorted[j]))
-                reduce_map[block_sorted[j]] = {pos_to_class[j]: Fraction(1)}
+                reduce_map[block_sorted[j]] = {pos_to_class[j]: QQ.one}
             for prow, pcol in zip(reduced.data, pivots):
-                expansion: Dict[int, Fraction] = {}
+                expansion = {}
                 for j in basis_positions:
                     if prow[j]:
                         expansion[pos_to_class[j]] = -prow[j]
@@ -149,15 +148,15 @@ class PathBasis:
         self.dim = len(classes)
 
         # Arrow action tables: arrow a acting on class i gives a sparse vector.
-        self.act: Dict[Tuple[str, int], Dict[int, Fraction]] = {}
+        self.act: Dict[Tuple[str, int], dict] = {}
         for i, (src, tgt, rep) in enumerate(classes):
             for a in quiver.arrows_from(tgt):
                 self.act[(a.name, i)] = self._reduce_path(rep + (a.name,), src)
 
-    def _reduce_path(self, path: Path, source: str) -> Dict[int, Fraction]:
+    def _reduce_path(self, path: Path, source: str) -> dict:
         """Expand a raw path (possibly not a representative) in the basis."""
         if not path:
-            return {self.idempotents[source]: Fraction(1)}
+            return {self.idempotents[source]: QQ.one}
         # Every enumerated path is reduced; any other holds a zero relation.
         return dict(self.reduce.get(path, {}))
 
@@ -192,10 +191,10 @@ class PathBasis:
             a = outs[rng.randrange(len(outs))]
             via_a = self.act[(a.name, i)]
             for b in quiver.arrows_from(a.target):
-                lhs: Dict[int, Fraction] = {}
+                lhs: dict = {}
                 for j, c in via_a.items():
                     for k, d in self.act[(b.name, j)].items():
-                        lhs[k] = lhs.get(k, Fraction(0)) + c * d
+                        lhs[k] = lhs.get(k, QQ.zero) + c * d
                 rhs = self._reduce_path(rep + (a.name, b.name), src)
                 lhs = {k: v for k, v in lhs.items() if v}
                 rhs = {k: v for k, v in rhs.items() if v}

@@ -243,13 +243,8 @@ class ModuleMap:
         return not self.violations()
 
     def is_iso(self) -> bool:
-        if not self.is_morphism():
-            return False
-        for v in self.source.algebra.vertices:
-            m = self.mats[v]
-            if m.rows != m.cols or m.rank() != m.rows:
-                return False
-        return True
+        return self.is_morphism() and all(m.rows == m.cols == m.rank()
+                                          for m in self.mats.values())
 
     def inverse(self) -> "ModuleMap":
         invs = {}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,32 @@ def test_parse_and_format_round_trip():
     assert f7.format(4) == "4"
     with pytest.raises(FieldError):
         QQ.parse("x")
+
+
+def test_integral_rationals_are_ints_and_print_alike():
+    # Over Q an integral element is an int however it was written, and it
+    # prints the same as the Fraction it equals, so .mod files and
+    # ``module syzygy -o`` keep their bytes.
+    assert QQ.format(3) == QQ.format(Fraction(3)) == QQ.format(QQ.parse("3")) == "3"
+    assert QQ.format(-2) == QQ.format(Fraction(-4, 2)) == "-2"
+    six_halves = QQ.parse("6/2")
+    assert six_halves == 3 and type(six_halves) is int
+    assert QQ.format(six_halves) == QQ.format(QQ.parse("3")) == "3"
+    half = QQ.parse("2/4")
+    assert half == Fraction(1, 2) and QQ.format(half) == "1/2"
+    for x in (QQ(Fraction(4, 2)), QQ("-9/3"), QQ(5), QQ.zero, QQ.one,
+              QQ.inv(Fraction(1, 3)), QQ.inv(-1)):
+        assert type(x) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and QQ.inv(2) == Fraction(1, 2)
+
+
+def test_rational_draws_follow_the_seeded_stream():
+    # The isomorphism search draws the same coefficients from the same rng
+    # calls, now as ints.
+    rng, twin = random.Random(11), random.Random(11)
+    draws = [QQ.draw(rng) for _ in range(50)]
+    assert draws == [twin.randrange(-9, 10) for _ in range(50)]
+    assert all(type(x) is int for x in draws)
 
 
 def test_field_equality_and_names():

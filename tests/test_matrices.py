@@ -181,7 +181,8 @@ def test_rref_sparse_rows_match_dense_elimination():
     assert pivots == [0, 1, 2] and rank == 3
     assert red.data == [[1, 0, 0, 3, 0], [0, 1, 0, 0, 2], [0, 0, 1, 0, 0],
                         [0, 0, 0, 0, 0]]
-    assert all(isinstance(x, Fraction) for row in red.data for x in row)
+    # Over Q an integral entry is stored as an int, any other as a Fraction.
+    assert all(type(x) is int for row in red.data for x in row)
 
 
 F2 = PrimeField(2)
@@ -308,3 +309,149 @@ def test_any_pivot_policy_gives_the_same_answers(m):
     assert other.kernel_basis() == m.kernel_basis()
     assert other.unit_complement() == m.unit_complement()
     assert other.quotient_coordinates() == m.quotient_coordinates()
+
+
+# -- the normal form over Q ---------------------------------------------------
+#
+# Over Q an integral element is stored as an int and any other as a Fraction.
+# The inputs below mix ints, integral Fractions such as Fraction(4, 2) (not in
+# normal form) and proper fractions, built directly with Matrix(QQ, ...) so
+# nothing normalises them first; every answer must match a textbook
+# elimination done in Fractions alone, and be in normal form.
+
+mixed_rational = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.builds(lambda k, d: Fraction(k * d, d),
+              st.integers(min_value=-4, max_value=4),
+              st.integers(min_value=1, max_value=3)),
+    small_fraction,
+)
+
+
+def mixed_qq_matrices(rows, cols):
+    return st.lists(st.lists(mixed_rational, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: Matrix(QQ, rows, cols, data))
+
+
+def _is_normal(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _all_normal(m: Matrix) -> bool:
+    return all(_is_normal(x) for row in m.data for x in row)
+
+
+def _values(m: Matrix) -> list:
+    return [[Fraction(x) for x in row] for row in m.data]
+
+
+def _ref_rref(rows: list, ncols: int):
+    """Gauss-Jordan in Fractions, pivoting on the first nonzero entry."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        best = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if best is None:
+            continue
+        work[r], work[best] = work[best], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                work[i] = [a - row[c] * b for a, b in zip(row, work[r])]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def _ref_kernel(rows: list, ncols: int):
+    """The kernel basis as columns, the identity on the free rows."""
+    red, pivots = _ref_rref(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = [[Fraction(0)] * len(free) for _ in range(ncols)]
+    for k, j in enumerate(free):
+        basis[j][k] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            basis[pj][k] = -red[i][j]
+    return basis, free
+
+
+def _ref_matmul(a: list, b: list, inner: int, cols: int) -> list:
+    return [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+def _ref_inverse(rows: list, n: int):
+    ext = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    red, pivots = _ref_rref(ext, 2 * n)
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def _ref_quotient_coordinates(rows: list, n: int, cols: int):
+    """The greedy unit complement of the column space, and the rows of the
+    left kernel that are the identity at those units."""
+    chosen = []
+    for i in range(n):
+        trial = [list(row) + [Fraction(int(r == c)) for c in chosen + [i]]
+                 for r, row in enumerate(rows)]
+        if len(_ref_rref(trial, cols + len(chosen) + 1)[1]) > len(
+                _ref_rref([row[:-1] for row in trial], cols + len(chosen))[1]):
+            chosen.append(i)
+    transpose = [[rows[i][j] for i in range(n)] for j in range(cols)]
+    left, _ = _ref_kernel(transpose, n)  # columns span the left kernel
+    k = len(chosen)
+    left_rows = [[left[i][c] for i in range(n)] for c in range(k)]
+    change = _ref_inverse([[row[i] for i in chosen] for row in left_rows], k)
+    return chosen, _ref_matmul(change, left_rows, k, n)
+
+
+@given(data=st.data())
+def test_rational_answers_match_fraction_elimination_in_normal_form(data):
+    r = data.draw(st.integers(min_value=0, max_value=4))
+    c = data.draw(st.integers(min_value=0, max_value=4))
+    a = data.draw(mixed_qq_matrices(r, c))
+    before = [row[:] for row in a.data]
+    values = _values(a)
+
+    red, pivots, rank = a.rref()
+    ref_red, ref_pivots = _ref_rref(values, c)
+    assert (_values(red), pivots, rank) == (ref_red, ref_pivots, len(ref_pivots))
+    assert _all_normal(red)
+
+    kernel, free = a.kernel_with_free()
+    ref_kernel, ref_free = _ref_kernel(values, c)
+    assert (_values(kernel), free) == (ref_kernel, ref_free)
+    assert _all_normal(kernel)
+
+    chosen, q = a.quotient_coordinates()
+    ref_chosen, ref_q = _ref_quotient_coordinates(values, r, c)
+    assert chosen == ref_chosen and _values(q) == ref_q
+    assert _all_normal(q)
+
+    square = data.draw(mixed_qq_matrices(r, r))
+    inverse, ref_inverse = square.inverse(), _ref_inverse(_values(square), r)
+    assert (inverse is None) == (ref_inverse is None)
+    if inverse is not None:
+        assert _values(inverse) == ref_inverse and _all_normal(inverse)
+
+    s = data.draw(st.integers(min_value=0, max_value=4))
+    b = data.draw(mixed_qq_matrices(c, s))
+    product = a @ b
+    assert _values(product) == _ref_matmul(values, _values(b), c, s)
+    assert _all_normal(product)
+
+    other = data.draw(mixed_qq_matrices(r, c))
+    total = a + other
+    assert _values(total) == [[x + y for x, y in zip(p, q)]
+                              for p, q in zip(values, _values(other))]
+    assert _all_normal(total)
+
+    scalar = data.draw(mixed_rational)
+    scaled = a.scale(scalar)
+    assert _values(scaled) == [[Fraction(scalar) * x for x in row] for row in values]
+    assert _all_normal(scaled)
+
+    # The input is not touched, not even put in normal form.
+    assert [list(map(type, row)) for row in a.data] == [list(map(type, row)) for row in before]
+    assert a.data == before

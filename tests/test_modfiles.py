@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
+from biserial.matrices import Matrix
 from biserial.modfiles import (ModuleFileError, dot_quiver,
                                dot_representation, emit_module_raw,
                                parse_module_file)
+from biserial.reps import Representation
 from biserial.witnesses import build_Z
 
 
@@ -40,6 +44,17 @@ def test_parse_raw_round_trip(alg1):
     back = modules["Z1"]
     assert back.dims == z1.dims
     assert back.mats == z1.mats
+
+
+def test_raw_emit_ignores_how_integral_entries_are_stored(alg1):
+    # The same module with its entries stored as Fractions emits the same
+    # text as with its entries stored as ints.
+    z1 = build_Z(alg1, 1)
+    as_fractions = Representation(alg1, z1.dims, {
+        name: Matrix(m.field, m.rows, m.cols, [[Fraction(x) for x in row]
+                                               for row in m.data])
+        for name, m in z1.mats.items()})
+    assert emit_module_raw("Z1", as_fractions) == emit_module_raw("Z1", z1)
 
 
 def test_wrong_algebra_name_rejected(alg1):
