@@ -23,15 +23,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .families import build_subquiver_U
-from .homology import (_sub_representation, hom_basis, kernel_of,
-                       map_from_projectives, record_digest, split_pair)
+# hom_basis stays importable as decomp.hom_basis, which bench/test_bench.py traces.
+from .homology import (_hom_kernel, _sub_representation, hom_basis, hom_combination,
+                       kernel_of, map_from_projectives, record_digest, split_pair)
 from .matrices import Matrix
 from .presentation import Presentation, PresentationError
-from .reps import (Algebra, ModuleMap, Representation, RepresentationError,
-                   StringWord, direct_sum, string_module)
+from .reps import (Algebra, ModuleMap, Representation, RepresentationError, StringWord,
+                   assemble_sum_map, direct_sum, string_module)
 
 
 class NotPathQuiver(ValueError):
@@ -81,31 +82,31 @@ def _c2_amalgam_paths(pres: Presentation) -> Tuple[Tuple[str, ...], Tuple[str, .
 
 
 def solve_retraction(embed: ModuleMap) -> Optional[ModuleMap]:
-    """A module map r with r o embed = id on embed's source, if one exists."""
+    """A module map r with r o embed = id on embed's source, if one exists:
+    the ``hom_combination`` of a solution c of sum_k c_k (h_k o embed) = id,
+    each h_k o embed read off the Hom kernel with no map built for it."""
     M, N = embed.target, embed.source
-    basis = hom_basis(M, N)
-    if not basis:
+    kernel, offsets = hom = _hom_kernel(M, N)
+    if not kernel.cols:
         return None if N.total_dim() else ModuleMap.zero(M, N)
-    composites = [h.compose(embed) for h in basis]
     field = M.algebra.field
-    rows: List[List] = []
-    rhs: List[List] = []
-    for v in M.algebra.vertices:
-        d = N.dims[v]
+    rows, rhs = [], []
+    for v, d in N.dims.items():
+        width, base = M.dims[v], offsets[v]
         for i in range(d):
+            # Entry (i, j) of h_k o embed is sum_l h_k[i][l] embed[l][j].
+            block = list(zip(embed.mats[v].data,
+                             kernel.data[base + i * width:base + (i + 1) * width]))
             for j in range(d):
-                rows.append([c.mats[v].data[i][j] for c in composites])
+                terms = [(row[j], krow) for row, krow in block if row[j]]
+                rows.append([sum(e * krow[k] for e, krow in terms)
+                             for k in range(kernel.cols)])
                 rhs.append([field.one if i == j else field.zero])
-    system = Matrix(field, len(rows), len(basis), rows)
+    system = Matrix(field, len(rows), kernel.cols, field.reduce(rows))
     sol = system.solve(Matrix(field, len(rhs), 1, rhs))
     if sol is None:
         return None
-    r = ModuleMap.zero(M, N)
-    for k, h in enumerate(basis):
-        c = sol.data[k][0]
-        if c:
-            r = r + h.scale(c)
-    return r
+    return hom_combination(M, N, hom, [row[0] for row in sol.data])
 
 
 @dataclass
@@ -132,7 +133,7 @@ def strip_pc2(module: Representation) -> StripResult:
     if a == 0:
         zero_p = algebra.zero_module()
         cert_total = direct_sum(algebra, [zero_p, module])
-        cert = _assemble_sum_map(
+        cert = assemble_sum_map(
             cert_total, [ModuleMap.zero(zero_p, module), ModuleMap.identity(module)], module)
         return StripResult(0, module, ModuleMap.identity(module),
                            ModuleMap.zero(zero_p, module), cert)
@@ -147,7 +148,7 @@ def strip_pc2(module: Representation) -> StripResult:
         raise CertificateFailure("no retraction onto the projective part")
     complement, incl = kernel_of(retraction)
     total = direct_sum(algebra, [psum, complement])
-    cert = _assemble_sum_map(total, [embedding, incl], module)
+    cert = assemble_sum_map(total, [embedding, incl], module)
     if not cert.is_iso():
         raise CertificateFailure("strip certificate is not an isomorphism")
     # The complement carries no surviving long alpha path out of c2.
@@ -156,15 +157,6 @@ def strip_pc2(module: Representation) -> StripResult:
     if not comp_alpha.is_zero() or not comp_beta.is_zero():
         raise CertificateFailure("complement still has a projective c2 summand")
     return StripResult(a, complement, incl, embedding, cert)
-
-
-def _assemble_sum_map(total: Representation, maps: Sequence[ModuleMap],
-                      target: Representation) -> ModuleMap:
-    """Map out of a direct sum given maps out of its summands, side by side."""
-    field = total.algebra.field
-    return ModuleMap(total, target, {
-        v: Matrix.hcat(field, target.dims[v], [f.mats[v] for f in maps])
-        for v in total.algebra.vertices})
 
 
 # -- interval decomposition over path quivers --------------------------------
@@ -288,7 +280,7 @@ def interval_decompose(module: Representation,
                 for rng, mult in sorted(counts.items())]
     reps = [interval_module(algebra, order, lo, hi) for (lo, hi), _ in pieces]
     total = direct_sum(algebra, reps)
-    certificate = _assemble_sum_map(total, [f for _, f in pieces], module)
+    certificate = assemble_sum_map(total, [f for _, f in pieces], module)
     if not certificate.is_iso():
         raise CertificateFailure("interval decomposition certificate failed")
     return IntervalDecomposition(order, summands, pieces, certificate)
@@ -384,11 +376,11 @@ def lemma2_split(module: Representation) -> Lemma2Split:
             y_pieces.append(emb)
 
     field = algebra.field
-    # Assemble X as a sum of canonical strings, embedded into core.
+    # Assemble X as a sum of canonical strings, embedded into core: by the
+    # interval embeddings on U, and by zero off U.
     x_rep = direct_sum(algebra, [walk for walk, _ in x_embeddings])
-    x_map_mats = {v: Matrix.hcat(field, core.dims[v], [
-        emb.mats[v] if v in u_verts else Matrix.zeros(field, core.dims[v], walk.dims[v])
-        for walk, emb in x_embeddings]) for v in algebra.vertices}
+    x_map_mats = {v: Matrix.hcat(field, core.dims[v], [emb.mats[v] for _, emb in x_embeddings])
+                  for v in u_verts if core.dims[v] and x_rep.dims[v]}
     x_into_core = ModuleMap(x_rep, core, x_map_mats)
     if not x_into_core.is_morphism():
         raise CertificateFailure("c2-interval part is not a submodule")
@@ -405,7 +397,7 @@ def lemma2_split(module: Representation) -> Lemma2Split:
     # Certificate: X (+) P(c2)^a (+) M' -> M.
     psum = stripped.projective_embedding.source
     total = direct_sum(algebra, [x_rep, psum, m_prime])
-    cert = _assemble_sum_map(
+    cert = assemble_sum_map(
         total,
         [stripped.complement_inclusion.compose(x_into_core),
          stripped.projective_embedding,

@@ -26,8 +26,10 @@ Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
 search are only "no isomorphism found" -- except when the dimension
 vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
-tells the two apart.  The Hom system of an iso question is solved once;
-each random candidate is summed over the Hom kernel's nonzero entries.
+tells the two apart.  The Hom system of an iso question is solved once.
+A combination of a Hom basis is one ``hom_combination``, with no map per
+basis element: ``decide_iso``'s candidates, ``reps.random_module``,
+``witnesses.random_extension`` and ``decomp.solve_retraction``.
 """
 
 from __future__ import annotations
@@ -150,13 +152,14 @@ def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
     chosen i of x.
     """
     algebra = f.target.algebra
-    quotients = {v: f.mats[v].quotient_coordinates() for v in algebra.vertices}
+    quotients = {v: f.mats[v].quotient_coordinates()
+                 for v, d in f.target.dims.items() if d}
     proj_mats = {v: q for v, (_, q) in quotients.items()}
     dims = {v: q.rows for v, q in proj_mats.items()}
     mats = {a.name: (proj_mats[a.target]
                      @ f.target.mats[a.name].submatrix_cols(quotients[a.source][0]))
             for a in algebra.pres.quiver.arrows.values()
-            if dims[a.source] and dims[a.target]}
+            if dims.get(a.source) and dims.get(a.target)}
     coker = Representation(algebra, dims, mats, check=False)
     return coker, ModuleMap(f.target, coker, proj_mats)
 
@@ -415,6 +418,15 @@ def _hom_map(source: Representation, target: Representation,
     return ModuleMap(source, target, mats)
 
 
+def hom_combination(source: Representation, target: Representation,
+                    hom: Tuple[Matrix, Dict[str, int]], coeffs: Sequence) -> ModuleMap:
+    """sum_k c_k h_k for the Hom basis h_k held column by column in ``hom``,
+    what ``_hom_kernel`` returns: each unknown is its kernel row's nonzero
+    entries summed against ``coeffs``, and one map is built."""
+    column = [sum(x * c for x, c in zip(row, coeffs) if x) for row in hom[0].data]
+    return _hom_map(source, target, hom[1], source.algebra.field.reduce([column])[0])
+
+
 def hom_dim(source: Representation, target: Representation) -> int:
     return _hom_kernel(source, target)[0].cols
 
@@ -443,30 +455,22 @@ def decide_iso(m: Representation, n: Representation, trials: Optional[int] = Non
     differ or Hom(M, N) is zero; any other miss is ``not_found``: the
     ``trials`` random combinations of a Hom basis all failed.  The field
     sets the search policy: ``trials`` defaults to its ``iso_trials`` and
-    each coefficient is its ``draw``.  A candidate is K·c for the Hom
-    kernel K and the drawn coefficients c, summed over K's nonzero
-    entries only.
+    each coefficient is its ``draw``.  A candidate is the
+    ``hom_combination`` of the drawn coefficients.
     """
     if m.dims != n.dims:
         return IsoDecision("not_iso", reason="dimension vectors differ")
     if m.is_zero():
         return IsoDecision("iso", ModuleMap.zero(m, n))
-    kernel, offsets = _hom_kernel(m, n)
-    if not kernel.cols:
+    hom = _hom_kernel(m, n)
+    if not hom[0].cols:
         return IsoDecision("not_iso", reason="Hom space is zero")
     field = m.algebra.field
     if trials is None:
         trials = field.iso_trials
     rng = random.Random(f"certified-iso:{seed}")
-    nonzeros = [(r, [(k, x) for k, x in enumerate(row) if x])
-                for r, row in enumerate(kernel.data)]
-    nonzeros = [(r, terms) for r, terms in nonzeros if terms]
     for _ in range(trials):
-        coeffs = [field.draw(rng) for _ in range(kernel.cols)]
-        column = [field.zero] * kernel.rows
-        for r, terms in nonzeros:
-            column[r] = sum(x * coeffs[k] for k, x in terms)
-        cand = _hom_map(m, n, offsets, field.reduce([column])[0])
+        cand = hom_combination(m, n, hom, [field.draw(rng) for _ in range(hom[0].cols)])
         if all(cand.mats[v].rank() == d for v, d in m.dims.items() if d):
             return IsoDecision("iso", cand)
     return IsoDecision("not_found", reason="no isomorphism found", trials=trials)

@@ -243,8 +243,10 @@ class ModuleMap:
         return not self.violations()
 
     def is_iso(self) -> bool:
-        return self.is_morphism() and all(m.rows == m.cols == m.rank()
-                                          for m in self.mats.values())
+        # Equal dimension vectors make every block square.
+        return (self.source.dims == self.target.dims and self.is_morphism()
+                and all(self.mats[v].rank() == self.source.dims[v]
+                        for v in self._blocks()))
 
     def inverse(self) -> "ModuleMap":
         invs = {}
@@ -394,6 +396,16 @@ def direct_sum(algebra: Algebra, summands: Sequence[Representation]
     return Representation(algebra, dims, mats, check=False)
 
 
+def assemble_sum_map(total: Representation, maps: Sequence[ModuleMap],
+                     target: Representation) -> ModuleMap:
+    """Map out of a direct sum given maps out of its summands, side by side;
+    blocks are assembled only where both ends are nonzero."""
+    field = total.algebra.field
+    return ModuleMap(total, target, {
+        v: Matrix.hcat(field, target.dims[v], [f.mats[v] for f in maps])
+        for v in total.algebra.vertices if total.dims[v] and target.dims[v]})
+
+
 def direct_sum_maps(total: Representation, summands: Sequence[Representation]
                     ) -> Tuple[List[ModuleMap], List[ModuleMap]]:
     """Injections into and projections out of ``total``, the
@@ -454,9 +466,9 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
 
     Always a valid module by construction, deterministic per seed; the
     cover sum of projectives has total dimension at most ``budget``, so
-    the result does too.
+    the result does too.  Each relation maps by one ``hom_combination``.
     """
-    from .homology import cokernel_of, hom_basis
+    from .homology import _hom_kernel, cokernel_of, hom_combination
 
     rng = random.Random(f"random-module:{seed}:{budget}")
     verts = list(algebra.vertices)
@@ -477,17 +489,10 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
             for _ in range(rng.randrange(0, len(gens) + 2))]
     if not rels:
         return target
-    source = direct_sum(algebra, rels)
-    field = algebra.field
     maps: List[ModuleMap] = []
     for rel in rels:
-        f = ModuleMap.zero(rel, target)
-        for h in hom_basis(rel, target):
-            c = rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
-            if c:
-                f = f + h.scale(field(c))
-        maps.append(f)
-    mats = {v: Matrix.hcat(field, target.dims[v], [f.mats[v] for f in maps])
-            for v in algebra.vertices}
-    coker, _ = cokernel_of(ModuleMap(source, target, mats))
-    return coker
+        hom = _hom_kernel(rel, target)
+        coeffs = [rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
+                  for _ in range(hom[0].cols)]
+        maps.append(hom_combination(rel, target, hom, coeffs))
+    return cokernel_of(assemble_sum_map(direct_sum(algebra, rels), maps, target))[0]

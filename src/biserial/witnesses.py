@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .decomp import _WALKS
 from .families import arrow_name, vname
-from .homology import cokernel_of, hom_basis, projective_cover, projdim
+from .homology import _hom_kernel, cokernel_of, hom_combination, projective_cover, projdim
 from .matrices import Matrix, block_diag
 from .presentation import ALPHA, BETA
 from .reps import (Algebra, ModuleMap, Representation, StringWord,
@@ -220,18 +220,17 @@ def finite_pd_pool(algebra: Algebra) -> List[Representation]:
 
 def random_extension(algebra: Algebra, base: Representation,
                      top: Representation, rng: random.Random) -> Representation:
-    """A random extension of ``top`` by ``base``; its projective dimension
-    is bounded by the larger of the two."""
+    """A random extension of ``top`` by ``base``, the pushout along a
+    ``hom_combination`` Omega(top) -> base; its projective dimension is
+    bounded by the larger of the two."""
     cover = projective_cover(top)
-    homs = hom_basis(cover.syzygy, base)
-    g = ModuleMap.zero(cover.syzygy, base)
-    for h in homs:
-        c = rng.choice((-1, 0, 0, 1))
-        if c:
-            g = g + h.scale(algebra.field(c))
+    hom = _hom_kernel(cover.syzygy, base)
+    g = hom_combination(cover.syzygy, base, hom,
+                        [rng.choice((-1, 0, 0, 1)) for _ in range(hom[0].cols)])
     # Pushout: (cover (+) base) / graph of (inclusion, -g).
     total = direct_sum(algebra, [cover.cover, base])
-    mats = {v: cover.inclusion.mats[v].vstack(-g.mats[v]) for v in algebra.vertices}
+    mats = {v: cover.inclusion_mats[v].vstack(-g.mats[v])
+            for v, d in cover.syzygy.dims.items() if d}
     graph = ModuleMap(cover.syzygy, total, mats)
     ext, _ = cokernel_of(graph)
     return ext

@@ -304,3 +304,17 @@ def test_xset_and_u_algebra_are_built_once(algp):
     other = Algebra(build_lambda1prime(1))
     assert xset(other)[0] is not first[0]
     assert u_algebra(other)[0] is not sub
+
+
+def test_split_with_pc2_summands_is_pinned(algp, algp_f101):
+    # Two P(c2) summands send strip_pc2 through solve_retraction; the
+    # record, certificate checksum included, is the same over both fields.
+    pinned = {"x_multiplicities": [0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+              "pc2_copies": 2,
+              "m_prime_dims": [["a0", 2], ["c0", 3], ["cm1", 3], ["u", 2], ["w", 3]],
+              "certificate_checksum": "6ba97d6e9b15abbd"}
+    for alg in (algp, algp_f101):
+        module = direct_sum(alg, [alg.projective("c2"),
+                                  random_module(alg, seed=9, budget=28),
+                                  alg.projective("c2"), xset(alg)[3]])
+        assert lemma2_split(module).to_record() == pinned

@@ -10,7 +10,8 @@ from biserial.decomp import xset
 from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
 from biserial.fields import QQ, PrimeField
 from biserial.homology import (certified_iso, cokernel_of, decide_iso,
-                               hom_basis, is_direct_summand_simple, kernel_of,
+                               hom_basis, hom_combination,
+                               is_direct_summand_simple, kernel_of,
                                projdim, projective_cover, radical,
                                record_digest, split_pair, syzygy, top_dims)
 from biserial.matrices import Matrix
@@ -187,6 +188,24 @@ def test_cokernel_of_radical_inclusion_is_top(alg1):
     sub, incl = radical(p)
     cok, _ = cokernel_of(incl)
     assert dict(cok.dim_vector()) == {"c1": 1}
+
+
+@pytest.mark.parametrize("top, into", [("a0", "a1"), ("b0", "c1"), ("d0", "a1")])
+def test_cokernel_where_source_or_target_vanishes(alg1, top, into):
+    # P(top) -> P(into): at some vertex only the source is nonzero, at
+    # another only the target, so the map has 0 x d and d x 0 blocks.
+    source, target = alg1.projective(top), alg1.projective(into)
+    assert any(source.dims[v] and not target.dims[v] for v in alg1.vertices)
+    assert any(target.dims[v] and not source.dims[v] for v in alg1.vertices)
+    f = hom_basis(source, target)[0]
+    cok, proj = cokernel_of(f)
+    assert not cok.violated_relations()
+    assert proj.is_morphism()
+    for v in alg1.vertices:
+        # proj is onto and its kernel is exactly the image of f.
+        assert cok.dims[v] == target.dims[v] - f.mats[v].rank()
+        assert proj.mats[v].rank() == cok.dims[v]
+        assert (proj.mats[v] @ f.mats[v]).is_zero()
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -660,3 +679,53 @@ def test_syzygy_on_the_path_class_basis_is_the_kernel_of_the_cover_map(
     solved, _ = homology._sub_representation(cover.cover, inclusion.mats)
     assert solved.mats == cover.syzygy.mats
     assert cover.verify()
+
+
+@functools.lru_cache(maxsize=None)
+def _combination_algebra(name, field):
+    pres = {"lambda(1, 1)": lambda: build_lambda(1, 1),
+            "lambda(2, 2)": lambda: build_lambda(2, 2),
+            "lambda1prime(2)": lambda: build_lambda1prime(2)}[name]()
+    return Algebra(pres, field=QQ if field is None else PrimeField(field))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["lambda(1, 1)", "lambda(2, 2)", "lambda1prime(2)"]),
+       st.sampled_from([None, 2, 101]), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.sampled_from([0, 8, 16, 24]),
+       st.sampled_from([0, 8, 16, 24]), st.sampled_from(["random", "same", "sum"]),
+       st.booleans())
+def test_hom_combination_is_the_sum_of_scaled_basis_maps(
+        name, field, seed_m, seed_n, budget_m, budget_n, target, all_zero):
+    # The shared combination equals the ModuleMap arithmetic it replaced,
+    # sum of c_k h_k built with + and scale over hom_basis, and is a
+    # morphism.  A budget of 0 gives the zero module, and two random
+    # modules often have no maps between them, so zero Hom spaces come up;
+    # a target containing the source has a nonzero one.
+    algebra = _combination_algebra(name, field)
+    m = random_module(algebra, seed=seed_m, budget=budget_m)
+    n = random_module(algebra, seed=seed_n, budget=budget_n)
+    if target == "same":
+        n = m
+    elif target == "sum":
+        n = direct_sum(algebra, [n, m])
+    basis = hom_basis(m, n)
+    rng = random.Random(seed_m ^ seed_n)
+    coeffs = [0 if all_zero else rng.randint(-3, 3) for _ in basis]
+    combo = hom_combination(m, n, homology._hom_kernel(m, n), coeffs)
+    expected = ModuleMap.zero(m, n)
+    for c, h in zip(coeffs, basis):
+        expected = expected + h.scale(algebra.field(c))
+    assert combo.mats == expected.mats
+    assert combo.is_morphism()
+    if all_zero:
+        assert all(f.is_zero() for f in combo.mats.values())
+
+
+def test_hom_combination_over_a_zero_hom_space(alg1):
+    u, v = alg1.simple("u"), alg1.simple("v")
+    hom = homology._hom_kernel(u, v)
+    assert hom[0].cols == 0
+    zero = hom_combination(u, v, hom, [])
+    assert zero.mats == ModuleMap.zero(u, v).mats
+    assert zero.is_morphism()

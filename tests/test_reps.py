@@ -252,3 +252,45 @@ def test_violated_eq_relation_through_zero_dimensional_vertex(alg2):
     # With c0 zero too, both sides end in a zero space: the relation holds.
     dims, mats = _thin(alg2, ["be_c2_b1"])
     assert not Representation(alg2, dims, mats).violated_relations()
+
+
+def test_is_iso_rejects_a_block_with_one_empty_side(alg1):
+    # S(u) and S(u) (+) S(v) differ only at v, where one side is zero: the
+    # maps between them have a 1 x 0 or a 0 x 1 block there.
+    u = alg1.simple("u")
+    both = direct_sum(alg1, [u, alg1.simple("v")])
+    one = {"u": Matrix.identity(alg1.field, 1)}
+    into, out = ModuleMap(u, both, one), ModuleMap(both, u, one)
+    assert (into.mats["v"].rows, into.mats["v"].cols) == (1, 0)
+    assert (out.mats["v"].rows, out.mats["v"].cols) == (0, 1)
+    assert into.is_morphism() and out.is_morphism()
+    assert not into.is_iso()
+    assert not out.is_iso()
+    assert ModuleMap.identity(both).is_iso()
+
+
+# sha256 prefixes of the raw text of random modules over lambda(2, 2).
+# Each Hom basis element draws exactly one coefficient, in kernel-column
+# order, so the random stream and every module it gives stay fixed.
+RANDOM_MODULE_TEXT = {
+    (0, 12): ("895f1799e206f861", "895f1799e206f861"),
+    (1, 20): ("52b023b18994120c", "52b023b18994120c"),
+    (4, 30): ("fd4a61c3b9193254", "fd4a61c3b9193254"),
+    (7, 40): ("03628f0373e58517", "03628f0373e58517"),
+    (12, 24): ("fb85b21d1795f0f9", "305bc8f1284614ec"),
+    (33, 60): ("126e939ed3f4fcc7", "1f9a0cebd63295a3"),
+}
+
+
+@pytest.mark.parametrize("seed, budget", list(RANDOM_MODULE_TEXT))
+def test_random_module_bytes_are_pinned(seed, budget):
+    import hashlib
+
+    from biserial.fields import QQ, PrimeField
+    from biserial.modfiles import emit_module_raw
+
+    for field, digest in zip((QQ, PrimeField(101)), RANDOM_MODULE_TEXT[seed, budget]):
+        module = random_module(Algebra(build_lambda(2, 2), field=field),
+                               seed=seed, budget=budget)
+        text = emit_module_raw("M", module)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

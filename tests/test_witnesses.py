@@ -158,3 +158,29 @@ def test_zt_requires_positive_t(alg3):
         build_Zt(alg3, 1, 0)
     with pytest.raises(ValueError):
         build_phi(alg3, 1, 0)
+
+
+# The dimension vectors of eight finite-pd samples over lambda(1, 2) at
+# seed 4, and their pds.  Each extension draws exactly one coefficient per
+# Hom basis element, so the sampler's random stream stays fixed.
+PINNED_SAMPLE_DIMS = [
+    {"b0": 1, "b1": 1, "b2": 1, "c1": 1, "d0": 1},
+    {"a0": 1, "b1": 1, "c0": 1, "c1": 1, "c2": 1, "w": 2},
+    {"a0": 3, "a1": 1, "b0": 1, "b1": 1, "c0": 2, "c1": 1, "cm1": 1, "d0": 1, "u": 2},
+    {"u": 2, "v": 2},
+    {"a0": 1, "b0": 1, "c0": 1, "c1": 1, "cm1": 1, "d0": 1, "d1": 1, "v": 1},
+    {"b0": 1, "b1": 1, "b2": 1, "c1": 1, "d1": 1},
+    {"d1": 2},
+    {"a0": 1, "b0": 1, "c0": 1, "c1": 1, "cm1": 1, "u": 2, "v": 1},
+]
+
+
+@pytest.mark.parametrize("field", [None, 101], ids=["qq", "f101"])
+def test_finite_pd_samples_are_pinned(field):
+    from biserial.fields import PrimeField
+
+    alg = Algebra(build_lambda(1, 2)) if field is None else \
+        Algebra(build_lambda(1, 2), field=PrimeField(field))
+    samples = sample_finite_pd_modules(alg, 8, seed=4)
+    assert [dict(m.dim_vector()) for m, _ in samples] == PINNED_SAMPLE_DIMS
+    assert [report.value for _, report in samples] == [1, 0, 2, 0, 0, 0, 0, 0]
