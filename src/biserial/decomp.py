@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .families import build_subquiver_U
 # hom_basis stays importable as decomp.hom_basis, which bench/test_bench.py traces.
-from .homology import (_hom_kernel, _sub_representation, hom_basis, hom_combination,
-                       kernel_of, map_from_projectives, record_digest, split_pair)
+from .homology import (_sub_representation, hom_basis, kernel_of, map_from_projectives,
+                       record_digest, solve_retraction, split_pair)
 from .matrices import Matrix
 from .presentation import Presentation, PresentationError
 from .reps import (Algebra, ModuleMap, Representation, RepresentationError, StringWord,
@@ -81,34 +81,6 @@ def _c2_amalgam_paths(pres: Presentation) -> Tuple[Tuple[str, ...], Tuple[str, .
     raise PresentationError(f"{pres.name} has no amalgam relation at c2")
 
 
-def solve_retraction(embed: ModuleMap) -> Optional[ModuleMap]:
-    """A module map r with r o embed = id on embed's source, if one exists:
-    the ``hom_combination`` of a solution c of sum_k c_k (h_k o embed) = id,
-    each h_k o embed read off the Hom kernel with no map built for it."""
-    M, N = embed.target, embed.source
-    kernel, offsets = hom = _hom_kernel(M, N)
-    if not kernel.cols:
-        return None if N.total_dim() else ModuleMap.zero(M, N)
-    field = M.algebra.field
-    rows, rhs = [], []
-    for v, d in N.dims.items():
-        width, base = M.dims[v], offsets[v]
-        for i in range(d):
-            # Entry (i, j) of h_k o embed is sum_l h_k[i][l] embed[l][j].
-            block = list(zip(embed.mats[v].data,
-                             kernel.data[base + i * width:base + (i + 1) * width]))
-            for j in range(d):
-                terms = [(row[j], krow) for row, krow in block if row[j]]
-                rows.append([sum(e * krow[k] for e, krow in terms)
-                             for k in range(kernel.cols)])
-                rhs.append([field.one if i == j else field.zero])
-    system = Matrix(field, len(rows), kernel.cols, field.reduce(rows))
-    sol = system.solve(Matrix(field, len(rhs), 1, rhs))
-    if sol is None:
-        return None
-    return hom_combination(M, N, hom, [row[0] for row in sol.data])
-
-
 @dataclass
 class StripResult:
     multiplicity: int
@@ -139,7 +111,8 @@ def strip_pc2(module: Representation) -> StripResult:
                            ModuleMap.zero(zero_p, module), cert)
 
     psum = direct_sum(algebra, [algebra.projective("c2")] * a)
-    embed_mats = map_from_projectives(module, [("c2", i) for i in chosen])
+    embed_mats = map_from_projectives(module, [("c2", i) for i in chosen],
+                                      algebra.free_basis(["c2"] * a))
     embedding = ModuleMap(psum, module, embed_mats)
     if not embedding.is_morphism():
         raise CertificateFailure("projective embedding is not a module map")

@@ -18,9 +18,10 @@ nonzero entries), and kept as long as the algebra: every chain and every
 only for syzygies whose fingerprints collide, and the isomorphism search
 runs only when those dimensions agree too.
 
-A syzygy is read off the cover's path-class basis (see
-``projective_cover``); the cover's own matrices are built only when
-asked for.
+A cover is the free module on its generators' vertices, and its basis,
+the (summand, path class) pairs, is ``Algebra.free_basis``: the cover
+map and the syzygy both read that one layout (see ``projective_cover``),
+and the cover's own matrices are built only when asked for.
 
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
@@ -29,7 +30,8 @@ vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
 tells the two apart.  The Hom system of an iso question is solved once.
 A combination of a Hom basis is one ``hom_combination``, with no map per
 basis element: ``decide_iso``'s candidates, ``reps.random_module``,
-``witnesses.random_extension`` and ``decomp.solve_retraction``.
+``witnesses.random_extension`` and ``solve_retraction``.  Only this
+module reads the Hom kernel's layout (``_hom_kernel``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Matrix
 from .presentation import Arrow
-from .reps import ModuleMap, Representation, direct_sum
+from .reps import FreeBasis, ModuleMap, Representation, direct_sum
 
 
 # -- subspace plumbing -------------------------------------------------------
@@ -175,13 +177,12 @@ class CoverData:
     matrices: the pd chain reads only ``syzygy`` and ``multiplicities``.
     """
 
-    def __init__(self, module: Representation, syzygy: Representation,
-                 multiplicities: Dict[str, int], tops: List[str],
+    def __init__(self, module: Representation, syzygy: Representation, tops: List[str],
                  cover_mats: Dict[str, Matrix], inclusion_mats: Dict[str, Matrix]):
         self.module = module
         self.syzygy = syzygy
-        self.multiplicities = multiplicities
         self.tops = tops
+        self.multiplicities = {v: tops.count(v) for v in tops}
         self.cover_mats = cover_mats
         self.inclusion_mats = inclusion_mats
 
@@ -208,8 +209,7 @@ class CoverData:
                 return False
         if not self.cover_map.is_morphism() or not self.inclusion.is_morphism():
             return False
-        composite = self.cover_map.compose(self.inclusion)
-        if any(not composite.mats[v].is_zero() for v in m.algebra.vertices):
+        if not self.cover_map.compose(self.inclusion).is_zero():
             return False
         return top_dims(self.cover) == top_dims(self.module)
 
@@ -217,69 +217,44 @@ class CoverData:
 def projective_cover(module: Representation) -> CoverData:
     """Minimal cover: one projective summand per top basis vector.
 
-    The cover's basis at w is the pairs (generator g, path class p ending
-    at w), in ``direct_sum`` block order.  The syzygy is the kernel of the
-    cover map on that basis, where an arrow acts on a kernel basis through
-    the path-class action on its nonzero entries, so the cover's
-    block-diagonal matrices are never built.
+    The cover is the free module on the generators' vertices, on its
+    ``Algebra.free_basis``: the pairs (generator g, path class p ending at
+    w) at each vertex w, in ``direct_sum`` block order.  The basis is
+    built once and read by both the cover map (``map_from_projectives``)
+    and the syzygy, the kernel of that map, on which an arrow acts by
+    ``Algebra.free_action``; the cover's block-diagonal matrices are never
+    built.
     """
     algebra = module.algebra
-    field = algebra.field
-    basis = algebra.basis
-    generators: List[Tuple[str, int]] = []  # (vertex, index of the lift e_i)
-    multiplicities: Dict[str, int] = {}
-    for v in algebra.vertices:
-        if module.dims[v] == 0:
-            continue
-        # A basis of the top at v: unit vectors extending the column space
-        # of the arrow images, which is rad M at v.
-        for i in _arrow_images(module, v).unit_complement():
-            generators.append((v, i))
-            multiplicities[v] = multiplicities.get(v, 0) + 1
+    # (vertex, index of the lift e_i).  A basis of the top at v: unit
+    # vectors extending the column space of the arrow images, which is
+    # rad M at v.
+    generators = [(v, i) for v in algebra.vertices if module.dims[v]
+                  for i in _arrow_images(module, v).unit_complement()]
     tops = [v for v, _ in generators]
-    labels: Dict[str, List[Tuple[int, int]]] = {v: [] for v in algebra.vertices}
-    for g, v in enumerate(tops):
-        for p in basis.classes_from(v):
-            labels[basis.class_target(p)].append((g, p))
-    row_of = {label: i for pairs in labels.values() for i, label in enumerate(pairs)}
-    action = algebra.action
-
-    def arrow_image(a: Arrow, kernel: Matrix) -> Matrix:
-        # The cover's arrow a sends (g, p) to the sum of c * (g, q) over
-        # the terms c * q of a·p.
-        out = [[field.zero] * kernel.cols for _ in labels[a.target]]
-        for (g, p), krow in zip(labels[a.source], kernel.data):
-            for q, c in action[a.name, p]:
-                row = out[row_of[g, q]]
-                for j, x in enumerate(krow):
-                    if x:
-                        row[j] += c * x
-        return Matrix(field, len(out), kernel.cols, field.reduce(out))
-
-    cover_mats = map_from_projectives(module, generators)
+    free = algebra.free_basis(tops)
+    cover_mats = map_from_projectives(module, generators, free)
     syzygy_rep, inclusion_mats = _kernel(
-        algebra, {v: len(pairs) for v, pairs in labels.items()}, cover_mats,
-        arrow_image)
-    return CoverData(module, syzygy_rep, multiplicities, tops, cover_mats,
-                     inclusion_mats)
+        algebra, {v: len(rows) for v, rows in free.items()}, cover_mats,
+        lambda a, kernel: algebra.free_action(free, a, kernel))
+    return CoverData(module, syzygy_rep, tops, cover_mats, inclusion_mats)
 
 
-def map_from_projectives(module: Representation,
-                         generators: List[Tuple[str, int]]) -> Dict[str, Matrix]:
+def map_from_projectives(module: Representation, generators: List[Tuple[str, int]],
+                         free: FreeBasis) -> Dict[str, Matrix]:
     """Vertexwise matrices of the map from the direct sum of the P(v), one
     per ``(v, i)`` in order, to ``module`` that sends the top of each
     summand to the unit vector e_i of the module at ``v``.
 
-    The projective's basis classes are the path classes at ``v``; class p
-    goes to p·e_i, computed as p's last arrow applied to the image of its
-    prefix, so each class costs one matrix-vector product over the
-    prefix image's nonzero entries.  Columns follow the block order of
-    ``direct_sum``.
+    Columns follow ``free``, the ``Algebra.free_basis`` of the
+    generators' vertices: pair (g, p) goes to p·e_i for generator g,
+    computed as p's last arrow applied to the image of its prefix, so
+    each class costs one matrix-vector product over the prefix image's
+    nonzero entries.
     """
     algebra = module.algebra
     basis = algebra.basis
     field = algebra.field
-    columns: Dict[str, List[list]] = {v: [] for v in algebra.vertices}
 
     def image(images: Dict[tuple, list], path: tuple) -> list:
         vec = images.get(path)
@@ -295,17 +270,16 @@ def map_from_projectives(module: Representation,
             vec = images[path] = field.reduce([vec])[0]
         return vec
 
-    for vertex, i in generators:
-        images = {(): [field.one if k == i else field.zero
-                       for k in range(module.dims[vertex])]}
-        for class_id in basis.classes_from(vertex):
-            columns[basis.class_target(class_id)].append(
-                image(images, basis.class_path(class_id)))
-    return {v: Matrix(field, module.dims[v], len(vecs),
-                      [list(row) for row in zip(*vecs)])
-            if vecs and module.dims[v]
-            else algebra.zero_matrix(module.dims[v], len(vecs))
-            for v, vecs in columns.items()}
+    images = [{(): [field.one if k == i else field.zero for k in range(module.dims[v])]}
+              for v, i in generators]
+    out: Dict[str, Matrix] = {}
+    for w, rows in free.items():
+        if not (rows and module.dims[w]):
+            out[w] = algebra.zero_matrix(module.dims[w], len(rows))
+            continue
+        vecs = [image(images[g], basis.class_path(p)) for g, p in rows]
+        out[w] = Matrix(field, module.dims[w], len(vecs), [list(row) for row in zip(*vecs)])
+    return out
 
 
 def syzygy(module: Representation) -> Representation:
@@ -425,6 +399,34 @@ def hom_combination(source: Representation, target: Representation,
     entries summed against ``coeffs``, and one map is built."""
     column = [sum(x * c for x, c in zip(row, coeffs) if x) for row in hom[0].data]
     return _hom_map(source, target, hom[1], source.algebra.field.reduce([column])[0])
+
+
+def solve_retraction(embed: ModuleMap) -> Optional[ModuleMap]:
+    """A module map r with r o embed = id on embed's source, if one exists:
+    the ``hom_combination`` of a solution c of sum_k c_k (h_k o embed) = id,
+    each h_k o embed read off the Hom kernel with no map built for it."""
+    M, N = embed.target, embed.source
+    kernel, offsets = hom = _hom_kernel(M, N)
+    if not kernel.cols:
+        return None if N.total_dim() else ModuleMap.zero(M, N)
+    field = M.algebra.field
+    rows, rhs = [], []
+    for v, d in N.dims.items():
+        width, base = M.dims[v], offsets[v]
+        for i in range(d):
+            # Entry (i, j) of h_k o embed is sum_l h_k[i][l] embed[l][j].
+            block = list(zip(embed.mats[v].data,
+                             kernel.data[base + i * width:base + (i + 1) * width]))
+            for j in range(d):
+                terms = [(row[j], krow) for row, krow in block if row[j]]
+                rows.append([sum(e * krow[k] for e, krow in terms)
+                             for k in range(kernel.cols)])
+                rhs.append([field.one if i == j else field.zero])
+    system = Matrix(field, len(rows), kernel.cols, field.reduce(rows))
+    sol = system.solve(Matrix(field, len(rhs), 1, rhs))
+    if sol is None:
+        return None
+    return hom_combination(M, N, hom, [row[0] for row in sol.data])
 
 
 def hom_dim(source: Representation, target: Representation) -> int:

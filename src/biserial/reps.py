@@ -9,7 +9,10 @@ after construction; all operations are pure.
 
 The ``Algebra`` context bundles a presentation with its path basis and a
 coefficient field; projectives, simples and random modules are built from
-it.
+it.  It also decides the basis of every free module, a direct sum of
+projectives (``free_basis``), and the arrow action on it (``free_action``):
+projectives, projective covers and the maps out of them all read that one
+layout.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 from .fields import QQ
 from .matrices import Matrix, block_diag
 from .pathbasis import PathBasis
-from .presentation import Presentation
+from .presentation import Arrow, Presentation
+
+
+# The basis of a free module at each vertex: pair (summand g, path class p)
+# -> its row.
+FreeBasis = Dict[str, Dict[Tuple[int, int], int]]
 
 
 class RepresentationError(ValueError):
@@ -39,7 +47,6 @@ class Algebra:
         self.pres = pres
         self.field = field
         self.basis = PathBasis(pres, length_bound)
-        self._projectives: Dict[str, "Representation"] = {}
         self._memo: Dict[str, object] = {}
         self._empty: Dict[Tuple[int, int], Matrix] = {}
 
@@ -67,6 +74,34 @@ class Algebra:
         return {key: [(q, x) for q, c in vec.items() if (x := self.field(c))]
                 for key, vec in self.basis.act.items()}
 
+    def free_basis(self, tops: Sequence[str]) -> FreeBasis:
+        """The basis of the free module, the direct sum of the P(tops[g]):
+        at each vertex w, the pairs (g, p) of a summand g and a path class
+        p from tops[g] to w, in ``direct_sum`` block order, each mapped to
+        its row."""
+        basis = self.basis
+        rows: FreeBasis = {v: {} for v in self.vertices}
+        for g, v in enumerate(tops):
+            for p in basis.classes_from(v):
+                at = rows[basis.class_target(p)]
+                at[g, p] = len(at)
+        return rows
+
+    def free_action(self, free: FreeBasis, arrow: Arrow, columns: Matrix) -> Matrix:
+        """``arrow`` applied to ``columns`` on the ``free_basis`` ``free``:
+        (g, p) goes to the sum of c * (g, q) over the terms c * q of
+        arrow·p, and only the nonzero entries of ``columns`` are read."""
+        field, action = self.field, self.action
+        rows = free[arrow.target]
+        out = [[field.zero] * columns.cols for _ in rows]
+        for (g, p), entries in zip(free[arrow.source], columns.data):
+            for q, c in action[arrow.name, p]:
+                row = out[rows[g, q]]
+                for j, x in enumerate(entries):
+                    if x:
+                        row[j] += c * x
+        return Matrix(field, len(out), columns.cols, field.reduce(out))
+
     @property
     def vertices(self) -> Tuple[str, ...]:
         return self.pres.quiver.vertices
@@ -84,36 +119,24 @@ class Algebra:
         return Representation(self, dims, {})
 
     def projective(self, vertex: str) -> "Representation":
-        """Indecomposable projective with top at ``vertex``, realized on the
-        path-class basis at that source.
+        """Indecomposable projective with top at ``vertex``: the free module
+        on ``[vertex]``, whose arrows act on the identity.
 
-        Built and relation-checked on the first call, then the same object
-        is returned: representations are immutable by convention, so every
+        Built and relation-checked on the first call, then kept in
+        ``memo``: representations are immutable by convention, so every
         caller may share it.
         """
-        cached = self._projectives.get(vertex)
-        if cached is not None:
-            return cached
-        basis = self.basis
         if vertex not in self.pres.quiver.vertices:
             raise RepresentationError(f"unknown vertex {vertex!r}")
-        ids = basis.classes_from(vertex)
-        local: Dict[str, List[int]] = {}
-        for i in ids:
-            local.setdefault(basis.class_target(i), []).append(i)
-        position = {i: k for tgt, grp in local.items() for k, i in enumerate(grp)}
-        dims = {v: len(local.get(v, ())) for v in self.vertices}
-        mats: Dict[str, Matrix] = {}
-        for a in self.pres.quiver.arrows.values():
-            if not (dims[a.source] and dims[a.target]):
-                continue
-            m = Matrix.zeros(self.field, dims[a.target], dims[a.source])
-            for i in local.get(a.source, ()):
-                for j, coeff in self.action[a.name, i]:
-                    m.data[position[j]][position[i]] = coeff
-            mats[a.name] = m
-        proj = self._projectives[vertex] = Representation(self, dims, mats)
-        return proj
+
+        def build(alg: Algebra) -> Representation:
+            free = alg.free_basis([vertex])
+            dims = {v: len(rows) for v, rows in free.items()}
+            return Representation(alg, dims, {
+                a.name: alg.free_action(free, a, Matrix.identity(alg.field, dims[a.source]))
+                for a in alg.pres.quiver.arrows.values() if dims[a.source] and dims[a.target]})
+
+        return self.memo("projective " + vertex, build)
 
     def __repr__(self) -> str:
         return f"Algebra({self.pres.name}, {self.field!r})"
@@ -241,6 +264,9 @@ class ModuleMap:
 
     def is_morphism(self) -> bool:
         return not self.violations()
+
+    def is_zero(self) -> bool:
+        return all(self.mats[v].is_zero() for v in self._blocks())
 
     def is_iso(self) -> bool:
         # Equal dimension vectors make every block square.

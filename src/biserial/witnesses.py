@@ -19,7 +19,7 @@ stored ones in the tests.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .decomp import _WALKS
 from .families import arrow_name, vname
@@ -162,10 +162,7 @@ def build_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
         mats = {v: Matrix.units(field, tgt.dims[v], range(src.dims[v]))
                 for v in algebra.vertices if v != "d1"}
         phi = ModuleMap(src, tgt, mats)
-        if not phi.is_morphism():
-            raise AssertionError("connecting map failed at level 0")
-        return phi
-    if m == 1:
+    elif m == 1:
         s_src, s_tgt, smap = _string_prefix_map(
             algebra, zt_walk(1, t), zt_walk(1, t + 1), keep=5 * t + 2)
         d0 = algebra.simple("d0")
@@ -176,15 +173,10 @@ def build_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
                                       Matrix.zeros(field, d0.dims[v], d0.dims[v])])
                 for v in algebra.vertices}
         phi = ModuleMap(src, tgt, mats)
-        if not phi.is_morphism():
-            raise AssertionError("connecting map failed at level 1")
-        return phi
-    if m == 2:
-        keep = 4 * t + 3
     else:
-        keep = len(zt_walk(m, t)) + 1
-    _, _, phi = _string_prefix_map(algebra, zt_walk(m, t),
-                                   zt_walk(m, t + 1), keep=keep)
+        keep = 4 * t + 3 if m == 2 else len(zt_walk(m, t)) + 1
+        _, _, phi = _string_prefix_map(algebra, zt_walk(m, t),
+                                       zt_walk(m, t + 1), keep=keep)
     if not phi.is_morphism():
         raise AssertionError(f"connecting map failed at level {m}")
     return phi
@@ -237,17 +229,15 @@ def random_extension(algebra: Algebra, base: Representation,
 
 
 def sample_finite_pd_modules(algebra: Algebra, count: int, seed: int,
-                             max_dim: int = 60, cutoff: Optional[int] = None
+                             max_dim: int = 60
                              ) -> List[Tuple[Representation, "object"]]:
     """Certified finite-pd modules over a level-2 algebra, with reports.
 
     Built from the seed pool by direct sums and random extensions (both
     preserve finite projective dimension); every sample's verdict is
-    certified by the syzygy chain before it is returned.
+    certified by the syzygy chain, cut off at r + 6, before it is returned.
     """
-    r = algebra.pres.meta.get("r", 1)
-    if cutoff is None:
-        cutoff = r + 2 + 4
+    cutoff = algebra.pres.meta.get("r", 1) + 6
     rng = random.Random(f"finite-pd-samples:{seed}")
     pool = finite_pd_pool(algebra)
     out = []

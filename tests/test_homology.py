@@ -452,8 +452,8 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(monkeypatch):
 
     def stub_cover(module):
         real = real_cover(module)
-        return homology.CoverData(module, chain[id(module)], real.multiplicities,
-                                  real.tops, real.cover_mats, real.inclusion_mats)
+        return homology.CoverData(module, chain[id(module)], real.tops,
+                                  real.cover_mats, real.inclusion_mats)
 
     monkeypatch.setattr(homology, "projective_cover", stub_cover)
     searches = []
@@ -679,6 +679,35 @@ def test_syzygy_on_the_path_class_basis_is_the_kernel_of_the_cover_map(
     solved, _ = homology._sub_representation(cover.cover, inclusion.mats)
     assert solved.mats == cover.syzygy.mats
     assert cover.verify()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["lambda", "lambda1prime"]), st.sampled_from([None, 2, 101]),
+       st.integers(0, 10 ** 6), st.integers(1, 20), st.integers(0, 10 ** 6),
+       st.integers(0, 5))
+def test_map_from_projectives_is_a_module_map(family, field, seed, budget, pick, count):
+    # Any (v, i) generator list gives a module map out of the direct sum
+    # of the P(v) that sends the top of summand g to e_i; the free basis
+    # of the generators' vertices is that sum's basis, and the free action
+    # on it is the sum's block-diagonal arrow action.
+    algebra = _cover_algebra(family, field)
+    module = random_module(algebra, seed=seed, budget=budget)
+    rng = random.Random(pick)
+    spots = [(v, i) for v, d in module.dims.items() for i in range(d)]
+    generators = [rng.choice(spots) for _ in range(count)] if spots else []
+    tops = [v for v, _ in generators]
+    free = algebra.free_basis(tops)
+    total = direct_sum(algebra, [algebra.projective(v) for v in tops])
+    assert {v: len(rows) for v, rows in free.items()} == total.dims
+    for a in algebra.pres.quiver.arrows.values():
+        if total.dims[a.source] and total.dims[a.target]:
+            unit = Matrix.identity(algebra.field, total.dims[a.source])
+            assert algebra.free_action(free, a, unit) == total.mats[a.name]
+    f = ModuleMap(total, module, homology.map_from_projectives(module, generators, free))
+    assert f.is_morphism()
+    for g, (v, i) in enumerate(generators):
+        column = [row[free[v][g, algebra.basis.idempotents[v]]] for row in f.mats[v].data]
+        assert column == [int(k == i) for k in range(module.dims[v])]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import pytest
 
-from biserial.families import build_lambda, lambda_vertices
+from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
+from biserial.fields import QQ, PrimeField
 from biserial.homology import hom_basis, projdim
 from biserial.matrices import Matrix
 from biserial.reps import (Algebra, InvalidString, ModuleMap,
@@ -67,6 +68,45 @@ def test_projective_u_over_level_zero():
     for r in (1, 2):
         alg = Algebra(build_lambda(r, 0))
         assert dict(alg.projective("u").dim_vector()) == {"u": 2}
+
+
+def _projective_by_local_positions(algebra, vertex):
+    """Oracle: P(vertex) built directly on the path classes from vertex,
+    grouped by target, with each arrow's matrix filled from the path-class
+    action one class at a time."""
+    basis = algebra.basis
+    local = {}
+    for i in basis.classes_from(vertex):
+        local.setdefault(basis.class_target(i), []).append(i)
+    position = {i: k for grp in local.values() for k, i in enumerate(grp)}
+    dims = {v: len(local.get(v, ())) for v in algebra.vertices}
+    mats = {}
+    for a in algebra.pres.quiver.arrows.values():
+        if not (dims[a.source] and dims[a.target]):
+            continue
+        m = Matrix.zeros(algebra.field, dims[a.target], dims[a.source])
+        for i in local.get(a.source, ()):
+            for j, coeff in algebra.action[a.name, i]:
+                m.data[position[j]][position[i]] = coeff
+        mats[a.name] = m
+    return Representation(algebra, dims, mats)
+
+
+@pytest.mark.parametrize("pres", [lambda: build_lambda(1, 1), lambda: build_lambda(2, 3),
+                                  lambda: build_lambda1prime(2)],
+                         ids=["lambda(1, 1)", "lambda(2, 3)", "lambda1prime(2)"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)],
+                         ids=["q", "fp:2", "fp:101"])
+def test_projective_is_the_free_module_on_its_vertex(pres, field):
+    # The free module on [v] equals the projective built class by class,
+    # entry for entry and with the same entry types.
+    algebra = Algebra(pres(), field=field)
+    for v in algebra.vertices:
+        p, oracle = algebra.projective(v), _projective_by_local_positions(algebra, v)
+        assert p.dims == oracle.dims
+        for name, m in p.mats.items():
+            assert [[(type(x), x) for x in row] for row in m.data] == \
+                [[(type(x), x) for x in row] for row in oracle.mats[name].data]
 
 
 def test_direct_sum_empty(alg1):
@@ -286,7 +326,6 @@ RANDOM_MODULE_TEXT = {
 def test_random_module_bytes_are_pinned(seed, budget):
     import hashlib
 
-    from biserial.fields import QQ, PrimeField
     from biserial.modfiles import emit_module_raw
 
     for field, digest in zip((QQ, PrimeField(101)), RANDOM_MODULE_TEXT[seed, budget]):
