@@ -87,7 +87,7 @@ class StripResult:
     complement: Representation
     complement_inclusion: ModuleMap      # complement -> M
     projective_embedding: ModuleMap      # P(c2)^multiplicity -> M
-    certificate: ModuleMap               # P(c2)^a (+) complement -> M
+    certificate: ModuleMap               # P(c2)^a (+) complement -> M; id_M if a == 0
 
 
 def strip_pc2(module: Representation) -> StripResult:
@@ -103,12 +103,9 @@ def strip_pc2(module: Representation) -> StripResult:
     _, chosen, a = module.path_matrix(alpha_path).rref()
 
     if a == 0:
-        zero_p = algebra.zero_module()
-        cert_total = direct_sum(algebra, [zero_p, module])
-        cert = assemble_sum_map(
-            cert_total, [ModuleMap.zero(zero_p, module), ModuleMap.identity(module)], module)
-        return StripResult(0, module, ModuleMap.identity(module),
-                           ModuleMap.zero(zero_p, module), cert)
+        identity = ModuleMap.identity(module)
+        return StripResult(0, module, identity,
+                           ModuleMap.zero(algebra.zero_module(), module), identity)
 
     psum = direct_sum(algebra, [algebra.projective("c2")] * a)
     embed_mats = map_from_projectives(module, [("c2", i) for i in chosen],
@@ -120,8 +117,7 @@ def strip_pc2(module: Representation) -> StripResult:
     if retraction is None:
         raise CertificateFailure("no retraction onto the projective part")
     complement, incl = kernel_of(retraction)
-    total = direct_sum(algebra, [psum, complement])
-    cert = assemble_sum_map(total, [embedding, incl], module)
+    cert = assemble_sum_map([embedding, incl], module)
     if not cert.is_iso():
         raise CertificateFailure("strip certificate is not an isomorphism")
     # The complement carries no surviving long alpha path out of c2.
@@ -251,9 +247,7 @@ def interval_decompose(module: Representation,
         counts[rng] = counts.get(rng, 0) + 1
     summands = [IntervalSummand(tuple(order[rng[0]:rng[1] + 1]), mult)
                 for rng, mult in sorted(counts.items())]
-    reps = [interval_module(algebra, order, lo, hi) for (lo, hi), _ in pieces]
-    total = direct_sum(algebra, reps)
-    certificate = assemble_sum_map(total, [f for _, f in pieces], module)
+    certificate = assemble_sum_map([f for _, f in pieces], module)
     if not certificate.is_iso():
         raise CertificateFailure("interval decomposition certificate failed")
     return IntervalDecomposition(order, summands, pieces, certificate)
@@ -338,27 +332,24 @@ def lemma2_split(module: Representation) -> Lemma2Split:
 
     x_walks = xset(algebra)
     x_mult = [0] * 10
-    x_embeddings: List[Tuple[Representation, ModuleMap]] = []
+    x_embeddings: List[ModuleMap] = []
     y_pieces: List[ModuleMap] = []
     for (lo, hi), emb in decomposition.pieces:
         if lo <= c2_pos <= hi:
             idx = _X_POSITIONS[(lo, hi)]
             x_mult[idx - 1] += 1
-            x_embeddings.append((x_walks[idx - 1], emb))
+            x_embeddings.append(ModuleMap(x_walks[idx - 1], core, emb.mats))
         else:
             y_pieces.append(emb)
 
-    field = algebra.field
-    # Assemble X as a sum of canonical strings, embedded into core: by the
-    # interval embeddings on U, and by zero off U.
-    x_rep = direct_sum(algebra, [walk for walk, _ in x_embeddings])
-    x_map_mats = {v: Matrix.hcat(field, core.dims[v], [emb.mats[v] for _, emb in x_embeddings])
-                  for v in u_verts if core.dims[v] and x_rep.dims[v]}
-    x_into_core = ModuleMap(x_rep, core, x_map_mats)
+    # X is the sum of the canonical strings, embedded into core by the
+    # interval embeddings on U and by zero off U.
+    x_into_core = assemble_sum_map(x_embeddings, core)
     if not x_into_core.is_morphism():
         raise CertificateFailure("c2-interval part is not a submodule")
 
     # M' spans the complementary intervals on U and everything off U.
+    field = algebra.field
     incl_mats = {v: (Matrix.hcat(field, core.dims[v], [emb.mats[v] for emb in y_pieces])
                      if v in u_verts else Matrix.identity(field, core.dims[v]))
                  for v in algebra.vertices}
@@ -368,10 +359,7 @@ def lemma2_split(module: Representation) -> Lemma2Split:
         raise CertificateFailure(f"complement part is not a submodule: {exc}") from exc
 
     # Certificate: X (+) P(c2)^a (+) M' -> M.
-    psum = stripped.projective_embedding.source
-    total = direct_sum(algebra, [x_rep, psum, m_prime])
     cert = assemble_sum_map(
-        total,
         [stripped.complement_inclusion.compose(x_into_core),
          stripped.projective_embedding,
          stripped.complement_inclusion.compose(m_prime_incl)],
@@ -379,19 +367,20 @@ def lemma2_split(module: Representation) -> Lemma2Split:
     if not cert.is_iso():
         raise CertificateFailure("final splitting certificate failed")
 
-    proof_checks = _proof_obligations(algebra, core, x_into_core, x_rep)
+    proof_checks = _proof_obligations(x_into_core)
     if not all(proof_checks.values()):
         raise CertificateFailure(f"proof obligations failed: {proof_checks}")
 
-    return Lemma2Split(module, x_rep, x_mult, stripped.multiplicity,
+    return Lemma2Split(module, x_into_core.source, x_mult, stripped.multiplicity,
                        m_prime, cert, proof_checks)
 
 
-def _proof_obligations(algebra: Algebra, core: Representation,
-                       x_into_core: ModuleMap, x_rep: Representation
-                       ) -> Dict[str, bool]:
-    """The subspace facts that make X a submodule: the internal alpha and
-    beta maps surject, and the boundary arrows annihilate the X part."""
+def _proof_obligations(x_into_core: ModuleMap) -> Dict[str, bool]:
+    """The subspace facts that make X, the source of ``x_into_core``, a
+    submodule of the core: the internal alpha and beta maps surject, and
+    the boundary arrows annihilate the X part."""
+    core, x_rep = x_into_core.target, x_into_core.source
+
     def rank_of(arrow: str, vertex: str) -> int:
         return (core.mats[arrow] @ x_into_core.mats[vertex]).rank()
 

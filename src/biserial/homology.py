@@ -29,9 +29,11 @@ search are only "no isomorphism found" -- except when the dimension
 vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
 tells the two apart.  The Hom system of an iso question is solved once.
 A combination of a Hom basis is one ``hom_combination``, with no map per
-basis element: ``decide_iso``'s candidates, ``reps.random_module``,
-``witnesses.random_extension`` and ``solve_retraction``.  Only this
-module reads the Hom kernel's layout (``_hom_kernel``).
+basis element: ``decide_iso``'s candidates, ``solve_retraction``, and
+the random maps of ``reps.random_module`` and
+``witnesses.random_extension``, whose coefficients
+``random_hom_combination`` draws from a pool.  Only this module reads
+the Hom kernel's layout (``_hom_kernel``).
 """
 
 from __future__ import annotations
@@ -399,6 +401,14 @@ def hom_combination(source: Representation, target: Representation,
     entries summed against ``coeffs``, and one map is built."""
     column = [sum(x * c for x, c in zip(row, coeffs) if x) for row in hom[0].data]
     return _hom_map(source, target, hom[1], source.algebra.field.reduce([column])[0])
+
+
+def random_hom_combination(source: Representation, target: Representation,
+                           rng: random.Random, pool: Sequence) -> ModuleMap:
+    """The ``hom_combination`` of one ``rng.choice(pool)`` per Hom basis
+    element, drawn in kernel-column order."""
+    hom = _hom_kernel(source, target)
+    return hom_combination(source, target, hom, [rng.choice(pool) for _ in range(hom[0].cols)])
 
 
 def solve_retraction(embed: ModuleMap) -> Optional[ModuleMap]:

@@ -11,8 +11,9 @@ A module file defines one or more named modules over a named algebra::
     mat <arrow> <rows> <cols>
     <row of entries, exact rationals like 3/2, or residues over a prime field>
 
-``sum`` refers to earlier modules in the same file.  The file's result is
-its last module.  DOT export draws one node per basis vector labeled by
+``sum`` refers to earlier modules in the same file; a ``raw`` body has at
+most one ``dim`` per vertex and one ``mat`` per arrow.  The file's result
+is its last module.  DOT export draws one node per basis vector labeled by
 its vertex, solid edges for alpha arrows and dashed for beta.
 """
 
@@ -139,6 +140,8 @@ def _parse_raw(lines: List[str], i: int, algebra: Algebra
                 raise ModuleFileError(lineno, "expected: dim <vertex> <n>")
             if tokens[1] not in algebra.pres.quiver.vertices:
                 raise ModuleFileError(lineno, f"unknown vertex {tokens[1]!r}")
+            if tokens[1] in dims:
+                raise ModuleFileError(lineno, f"repeated dim for vertex {tokens[1]!r}")
             dims[tokens[1]] = _count(tokens[2], lineno, "dimension")
         elif tokens[0] == "mat":
             if len(tokens) != 4:
@@ -148,6 +151,8 @@ def _parse_raw(lines: List[str], i: int, algebra: Algebra
             cols = _count(tokens[3], lineno, "column count")
             if name not in algebra.pres.quiver.arrows:
                 raise ModuleFileError(lineno, f"unknown arrow {name!r}")
+            if name in mats:
+                raise ModuleFileError(lineno, f"repeated mat for arrow {name!r}")
             data = []
             for _ in range(rows):
                 if i >= len(lines):

@@ -422,14 +422,15 @@ def direct_sum(algebra: Algebra, summands: Sequence[Representation]
     return Representation(algebra, dims, mats, check=False)
 
 
-def assemble_sum_map(total: Representation, maps: Sequence[ModuleMap],
-                     target: Representation) -> ModuleMap:
-    """Map out of a direct sum given maps out of its summands, side by side;
-    blocks are assembled only where both ends are nonzero."""
-    field = total.algebra.field
+def assemble_sum_map(maps: Sequence[ModuleMap], target: Representation) -> ModuleMap:
+    """The map out of the ``direct_sum`` of the maps' sources that is each
+    map on its summand: the maps side by side, with blocks assembled only
+    where both ends are nonzero."""
+    algebra = target.algebra
+    total = direct_sum(algebra, [f.source for f in maps])
     return ModuleMap(total, target, {
-        v: Matrix.hcat(field, target.dims[v], [f.mats[v] for f in maps])
-        for v in total.algebra.vertices if total.dims[v] and target.dims[v]})
+        v: Matrix.hcat(algebra.field, target.dims[v], [f.mats[v] for f in maps])
+        for v in algebra.vertices if total.dims[v] and target.dims[v]})
 
 
 def direct_sum_maps(total: Representation, summands: Sequence[Representation]
@@ -492,9 +493,9 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
 
     Always a valid module by construction, deterministic per seed; the
     cover sum of projectives has total dimension at most ``budget``, so
-    the result does too.  Each relation maps by one ``hom_combination``.
+    the result does too.  Each relation maps by one ``random_hom_combination``.
     """
-    from .homology import _hom_kernel, cokernel_of, hom_combination
+    from .homology import cokernel_of, random_hom_combination
 
     rng = random.Random(f"random-module:{seed}:{budget}")
     verts = list(algebra.vertices)
@@ -515,10 +516,6 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
             for _ in range(rng.randrange(0, len(gens) + 2))]
     if not rels:
         return target
-    maps: List[ModuleMap] = []
-    for rel in rels:
-        hom = _hom_kernel(rel, target)
-        coeffs = [rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
-                  for _ in range(hom[0].cols)]
-        maps.append(hom_combination(rel, target, hom, coeffs))
-    return cokernel_of(assemble_sum_map(direct_sum(algebra, rels), maps, target))[0]
+    maps = [random_hom_combination(rel, target, rng, (-2, -1, -1, 0, 0, 0, 1, 1, 2))
+            for rel in rels]
+    return cokernel_of(assemble_sum_map(maps, target))[0]

@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 from .decomp import _WALKS
 from .families import arrow_name, vname
-from .homology import _hom_kernel, cokernel_of, hom_combination, projective_cover, projdim
+from .homology import cokernel_of, projective_cover, projdim, random_hom_combination
 from .matrices import Matrix, block_diag
 from .presentation import ALPHA, BETA
 from .reps import (Algebra, ModuleMap, Representation, StringWord,
@@ -213,14 +213,12 @@ def finite_pd_pool(algebra: Algebra) -> List[Representation]:
 def random_extension(algebra: Algebra, base: Representation,
                      top: Representation, rng: random.Random) -> Representation:
     """A random extension of ``top`` by ``base``, the pushout along a
-    ``hom_combination`` Omega(top) -> base; its projective dimension is
+    ``random_hom_combination`` Omega(top) -> base; its projective dimension is
     bounded by the larger of the two."""
     cover = projective_cover(top)
-    hom = _hom_kernel(cover.syzygy, base)
-    g = hom_combination(cover.syzygy, base, hom,
-                        [rng.choice((-1, 0, 0, 1)) for _ in range(hom[0].cols)])
+    g = random_hom_combination(cover.syzygy, base, rng, (-1, 0, 0, 1))
     # Pushout: (cover (+) base) / graph of (inclusion, -g).
-    total = direct_sum(algebra, [cover.cover, base])
+    total = direct_sum(algebra, [algebra.projective(v) for v in cover.tops] + [base])
     mats = {v: cover.inclusion_mats[v].vstack(-g.mats[v])
             for v, d in cover.syzygy.dims.items() if d}
     graph = ModuleMap(cover.syzygy, total, mats)

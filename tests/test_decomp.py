@@ -101,6 +101,23 @@ def test_strip_simple_c2(algp):
     assert res.complement.dims == algp.simple("c2").dims
 
 
+def test_strip_without_pc2_certifies_by_the_identity(algp, monkeypatch):
+    # With no P(c2) summand the split is M itself: the certificate is its
+    # identity, and no direct sum is built for it.
+    from biserial import decomp, reps
+
+    sums = []
+    for module in (decomp, reps):
+        monkeypatch.setattr(module, "direct_sum", lambda *args: sums.append(args))
+    s_c2 = algp.simple("c2")
+    res = strip_pc2(s_c2)
+    assert sums == []
+    assert res.certificate.is_iso()
+    assert res.certificate.source is s_c2 and res.certificate.target is s_c2
+    assert res.complement_inclusion.is_iso()
+    assert res.projective_embedding.source.is_zero()
+
+
 def test_strip_multiplicity_matches_peel_oracle(algp):
     module = random_module(algp, seed=7, budget=35)
     res = strip_pc2(module)

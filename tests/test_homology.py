@@ -13,11 +13,13 @@ from biserial.homology import (certified_iso, cokernel_of, decide_iso,
                                hom_basis, hom_combination,
                                is_direct_summand_simple, kernel_of,
                                projdim, projective_cover, radical,
-                               record_digest, split_pair, syzygy, top_dims)
+                               random_hom_combination, record_digest,
+                               split_pair, syzygy, top_dims)
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
 from biserial.reps import (Algebra, ModuleMap, Representation, StringWord,
-                           direct_sum, random_module, string_module)
+                           assemble_sum_map, direct_sum, direct_sum_maps,
+                           random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, z_walk
 
 
@@ -713,7 +715,9 @@ def test_map_from_projectives_is_a_module_map(family, field, seed, budget, pick,
 @functools.lru_cache(maxsize=None)
 def _combination_algebra(name, field):
     pres = {"lambda(1, 1)": lambda: build_lambda(1, 1),
+            "lambda(1, 2)": lambda: build_lambda(1, 2),
             "lambda(2, 2)": lambda: build_lambda(2, 2),
+            "lambda1prime(1)": lambda: build_lambda1prime(1),
             "lambda1prime(2)": lambda: build_lambda1prime(2)}[name]()
     return Algebra(pres, field=QQ if field is None else PrimeField(field))
 
@@ -758,3 +762,45 @@ def test_hom_combination_over_a_zero_hom_space(alg1):
     zero = hom_combination(u, v, hom, [])
     assert zero.mats == ModuleMap.zero(u, v).mats
     assert zero.is_morphism()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["lambda(1, 2)", "lambda1prime(1)"]), st.sampled_from([None, 2, 101]),
+       st.integers(0, 10 ** 6), st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                                         max_size=3))
+def test_assembled_sum_of_hom_combinations_is_a_morphism(name, field, seed, sources):
+    # Random maps into one target, out of projectives at its support (Hom
+    # from P(v) is the target at v, so nonzero) and random modules (which
+    # often have no maps into it), assemble to a morphism out of the sum
+    # of their sources that is each map on its summand.
+    algebra = _combination_algebra(name, field)
+    target = random_module(algebra, seed=seed, budget=20)
+    tops = target.support() or list(algebra.vertices)
+    rng = random.Random(seed)
+    maps = []
+    for projective, k in sources:
+        source = (algebra.projective(tops[k % len(tops)]) if projective
+                  else random_module(algebra, seed=k, budget=12))
+        maps.append(random_hom_combination(source, target, rng, (-2, -1, 0, 1, 2)))
+    f = assemble_sum_map(maps, target)
+    assert f.is_morphism()
+    assert f.source.dims == {v: sum(g.source.dims[v] for g in maps) for v in algebra.vertices}
+    injections, _ = direct_sum_maps(f.source, [g.source for g in maps])
+    for g, inj in zip(maps, injections):
+        assert f.compose(inj).mats == g.mats
+
+
+def test_random_hom_combination_draws_one_coefficient_per_kernel_column(alg1):
+    # The draws are rng.choice(pool) in kernel-column order: the same
+    # stream, handed to hom_combination by hand, gives the same map and
+    # leaves the generator in the same state.
+    m = alg1.projective("bm1")
+    n = random_module(alg1, seed=0, budget=20)
+    pool = (-1, 0, 0, 1)
+    drawn, by_hand = random.Random(9), random.Random(9)
+    f = random_hom_combination(m, n, drawn, pool)
+    hom = homology._hom_kernel(m, n)
+    assert hom[0].cols == 5
+    g = hom_combination(m, n, hom, [by_hand.choice(pool) for _ in range(hom[0].cols)])
+    assert f.mats == g.mats
+    assert drawn.random() == by_hand.random()

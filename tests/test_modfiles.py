@@ -89,6 +89,25 @@ def test_raw_truncated_matrix(alg1):
         parse_module_file(text, alg1)
 
 
+def test_raw_repeated_dim_rejected_at_its_line(alg1):
+    # A second dim for a vertex would silently replace the first.
+    text = "module m over lambda_r1_m1\nraw\ndim d0 1\ndim d0 2\n"
+    with pytest.raises(ModuleFileError) as exc:
+        parse_module_file(text, alg1)
+    assert exc.value.line == 4
+    assert "repeated dim" in str(exc.value) and "'d0'" in str(exc.value)
+
+
+def test_raw_repeated_mat_rejected_at_its_line(alg1):
+    # A second mat for an arrow would silently replace the first.
+    text = ("module m over lambda_r1_m1\nraw\ndim u 1\n"
+            "mat al_u_u 1 1\n0\nmat al_u_u 1 1\n0\n")
+    with pytest.raises(ModuleFileError) as exc:
+        parse_module_file(text, alg1)
+    assert exc.value.line == 6
+    assert "repeated mat" in str(exc.value) and "'al_u_u'" in str(exc.value)
+
+
 def test_dot_representation(alg3):
     z3 = build_Z(alg3, 3)
     dot = dot_representation("Z3", z3)

@@ -6,7 +6,7 @@ from biserial.homology import hom_basis, projdim
 from biserial.matrices import Matrix
 from biserial.reps import (Algebra, InvalidString, ModuleMap,
                            Representation, RepresentationError, StringWord,
-                           direct_sum, direct_sum_maps, inflate,
+                           assemble_sum_map, direct_sum, direct_sum_maps, inflate,
                            random_module, restrict, string_module)
 from biserial.witnesses import build_Z, z_walk
 
@@ -136,6 +136,26 @@ def test_direct_sum_maps_intertwine(alg1):
     total = direct_sum(alg1, [a, b])
     injs, projs = direct_sum_maps(total, [a, b])
     assert all(f.is_morphism() for f in injs + projs)
+
+
+def test_assemble_sum_map_builds_the_direct_sum_of_the_sources(alg1):
+    # Assembling the injections of a sum gives back its identity, out of a
+    # source that equals the direct sum of the summands arrow for arrow.
+    parts = [alg1.projective("c1"), alg1.simple("u"), string_module(alg1, z_walk(1))]
+    target = direct_sum(alg1, parts)
+    injections, _ = direct_sum_maps(target, parts)
+    f = assemble_sum_map(injections, target)
+    expected = direct_sum(alg1, parts)
+    assert f.source.dims == expected.dims
+    assert f.source.mats == expected.mats
+    assert f.mats == ModuleMap.identity(target).mats
+
+
+def test_assemble_sum_map_of_no_maps_has_the_zero_source(alg1):
+    target = alg1.projective("c1")
+    f = assemble_sum_map([], target)
+    assert f.source.is_zero() and f.target is target
+    assert f.is_morphism() and f.is_zero()
 
 
 def test_inflate_simple(alg0, alg1):
