@@ -7,10 +7,10 @@ Three layers, each producing a verified certificate:
   path out of c2, and the split is certified by an explicit isomorphism.
 * ``interval_decompose`` decomposes a representation of a path-shaped
   quiver (arbitrary arrow orientations) into interval summands.  Interval
-  modules are bricks, so a summand copy exists iff the composition
-  pairing Hom(J, V) x Hom(V, J) is nonzero, and one copy can be peeled
-  off deterministically from any nonzero pairing entry.  Iterating yields
-  the multiset of intervals and an invertible vertexwise basis change.
+  modules are bricks, so a copy splits off iff some Hom(J, V) basis
+  section has a retraction, and the first such pair (``split_pair``)
+  peels one copy off deterministically.  Iterating yields the multiset
+  of intervals and an invertible vertexwise basis change.
 * ``lemma2_split`` combines the two: after stripping P(c2) copies, the
   restriction to the six-vertex path subquiver decomposes into intervals;
   those whose support contains c2 assemble into a submodule isomorphic to
@@ -200,8 +200,8 @@ def interval_decompose(module: Representation,
     """Decompose a path-quiver representation into interval summands.
 
     Deterministic split-pair peeling: intervals are scanned longest first;
-    a nonzero entry of the composition pairing yields an idempotent that
-    splits one copy off exactly.  The certificate is the assembled
+    the first ``split_pair`` found, a section with its retraction, splits
+    one copy off exactly.  The certificate is the assembled
     isomorphism from the direct sum of the found intervals.
 
     ``order`` fixes the path orientation used for interval bookkeeping;
@@ -220,7 +220,6 @@ def interval_decompose(module: Representation,
     current = module
     into_original = ModuleMap.identity(module)
     while current.total_dim():
-        peeled = False
         for lo, hi in candidates:
             if any(current.dims[order[k]] == 0 for k in range(lo, hi + 1)):
                 continue
@@ -229,7 +228,7 @@ def interval_decompose(module: Representation,
             except RepresentationError:
                 # Relations on the path quiver can rule an interval out.
                 continue
-            pair = split_pair(j_rep, order[lo], current)
+            pair = split_pair(j_rep, current)
             if pair is None:
                 continue
             s, p = pair
@@ -237,9 +236,8 @@ def interval_decompose(module: Representation,
             pieces.append(((lo, hi), into_original.compose(s)))
             into_original = into_original.compose(incl)
             current = complement
-            peeled = True
             break
-        if not peeled:
+        else:
             raise CertificateFailure(
                 "no interval summand found in a nonzero path-quiver module")
     counts: Dict[Tuple[int, int], int] = {}

@@ -29,11 +29,12 @@ search are only "no isomorphism found" -- except when the dimension
 vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
 tells the two apart.  The Hom system of an iso question is solved once.
 A combination of a Hom basis is one ``hom_combination``, with no map per
-basis element: ``decide_iso``'s candidates, ``solve_retraction``, and
-the random maps of ``reps.random_module`` and
-``witnesses.random_extension``, whose coefficients
-``random_hom_combination`` draws from a pool.  Only this module reads
-the Hom kernel's layout (``_hom_kernel``).
+basis element: ``decide_iso``'s candidates, ``solve_retraction``, and the
+random maps of ``reps.random_module`` and ``witnesses.random_extension``
+(coefficients drawn from a pool by ``random_hom_combination``).  Only
+this module reads the Hom kernel (``_hom_kernel``): those, ``hom_basis``,
+``hom_dim``, and ``split_pair``, which tries one basis section at a
+time with ``solve_retraction``, the one retraction search.
 """
 
 from __future__ import annotations
@@ -257,21 +258,6 @@ def map_from_projectives(module: Representation, generators: List[Tuple[str, int
     algebra = module.algebra
     basis = algebra.basis
     field = algebra.field
-
-    def image(images: Dict[tuple, list], path: tuple) -> list:
-        vec = images.get(path)
-        if vec is None:
-            prev = [(k, x) for k, x in enumerate(image(images, path[:-1])) if x]
-            vec = []
-            for row in module.mats[path[-1]].data:
-                acc = field.zero
-                for k, x in prev:
-                    if row[k]:
-                        acc += row[k] * x
-                vec.append(acc)
-            vec = images[path] = field.reduce([vec])[0]
-        return vec
-
     images = [{(): [field.one if k == i else field.zero for k in range(module.dims[v])]}
               for v, i in generators]
     out: Dict[str, Matrix] = {}
@@ -279,9 +265,26 @@ def map_from_projectives(module: Representation, generators: List[Tuple[str, int
         if not (rows and module.dims[w]):
             out[w] = algebra.zero_matrix(module.dims[w], len(rows))
             continue
-        vecs = [image(images[g], basis.class_path(p)) for g, p in rows]
+        vecs = [_path_image(module, images[g], basis.class_path(p)) for g, p in rows]
         out[w] = Matrix(field, module.dims[w], len(vecs), [list(row) for row in zip(*vecs)])
     return out
+
+
+def _path_image(module: Representation, images: Dict[tuple, list], path: tuple) -> list:
+    """A generator's image under ``path``; ``images`` memoizes it by path."""
+    vec = images.get(path)
+    if vec is None:
+        field = module.algebra.field
+        prev = [(k, x) for k, x in enumerate(_path_image(module, images, path[:-1])) if x]
+        vec = []
+        for row in module.mats[path[-1]].data:
+            acc = field.zero
+            for k, x in prev:
+                if row[k]:
+                    acc += row[k] * x
+            vec.append(acc)
+        vec = images[path] = field.reduce([vec])[0]
+    return vec
 
 
 def syzygy(module: Representation) -> Representation:
@@ -494,26 +497,24 @@ def certified_iso(m: Representation, n: Representation, trials: Optional[int] = 
     return decide_iso(m, n, trials=trials, seed=seed).iso
 
 
-def split_pair(brick: Representation, probe: str, module: Representation
+def split_pair(brick: Representation, module: Representation
                ) -> Optional[Tuple[ModuleMap, ModuleMap]]:
     """Maps s: B -> M and p: M -> B with p o s = id_B, or None when the
-    brick B (End B = k) is not a direct summand of M.
+    brick B is not a direct summand of M.
 
-    Sound in both directions: B is a summand iff the composition pairing
-    Hom(B, M) x Hom(M, B) -> End B = k is nonzero.  A composite is a scalar
-    times id_B, read at ``probe``, a vertex where B is one-dimensional,
-    and the first nonzero one is normalized to the identity.
+    B must be a brick (End B = k): then every composite p o s_k with a
+    Hom(B, M) basis section s_k is a scalar lambda_k(p) times id_B.  If
+    some s = sum_k a_k s_k has a retraction p, then sum_k a_k lambda_k(p)
+    = 1, so some lambda_k(p) is nonzero and s_k has the retraction
+    p / lambda_k(p).  Trying the basis sections in kernel-column order,
+    each with ``solve_retraction``, is therefore a complete search.
     """
-    sections = hom_basis(brick, module)
-    if not sections:
-        return None
-    retractions = hom_basis(module, brick)
-    inv = module.algebra.field.inv
-    for s in sections:
-        for p in retractions:
-            val = (p.mats[probe] @ s.mats[probe]).data[0][0]
-            if val:
-                return s, p.scale(inv(val))
+    kernel, offsets = _hom_kernel(brick, module)
+    for column in zip(*kernel.data):
+        s = _hom_map(brick, module, offsets, column)
+        p = solve_retraction(s)
+        if p is not None:
+            return s, p
     return None
 
 
@@ -521,7 +522,7 @@ def is_direct_summand_simple(vertex: str, module: Representation
                              ) -> Tuple[bool, Optional[Tuple[ModuleMap, ModuleMap]]]:
     """Split-pair test for the simple at ``vertex`` inside ``module``; the
     witness pair composes to the identity of the simple."""
-    pair = split_pair(module.algebra.simple(vertex), vertex, module)
+    pair = split_pair(module.algebra.simple(vertex), module)
     return pair is not None, pair
 
 
