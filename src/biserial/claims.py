@@ -30,7 +30,6 @@ are reported, never thrown.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .families import build_lambda, build_lambda1prime, lambda_vertices, vname
@@ -49,22 +48,15 @@ class ConfigError(ValueError):
     """A verify parameter outside its allowed range."""
 
 
-@dataclass
 class FamilyConfig:
-    r: int = 1
-    m_max: int = 3
-    t_max: int = 3
-    field_spec: str = "q"
-    seed: int = 0
-    cutoff: Optional[int] = None
-    samples: int = 100
-    max_dim: int = 40
-    trials: Optional[int] = None
-    # Algebras built for this configuration, by (family, level); see algebra().
-    _algebras: Dict[Tuple[str, Optional[int]], Algebra] = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, r: int = 1, m_max: int = 3, t_max: int = 3, field_spec: str = "q",
+                 seed: int = 0, cutoff: Optional[int] = None, samples: int = 100,
+                 max_dim: int = 40, trials: Optional[int] = None):
+        self.r, self.m_max, self.t_max, self.field_spec = r, m_max, t_max, field_spec
+        self.seed, self.cutoff, self.samples = seed, cutoff, samples
+        self.max_dim, self.trials = max_dim, trials
+        # Algebras built for this configuration, by (family, level); see algebra().
+        self._algebras: Dict[Tuple[str, Optional[int]], Algebra] = {}
         if self.r < 1:
             raise ConfigError("r must be at least 1")
         if self.m_max < 0:
@@ -111,19 +103,16 @@ class FamilyConfig:
         }
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    evidence: dict = dataclass_field(default_factory=dict)
+    def __init__(self, name: str, status: str, evidence: Optional[dict] = None):
+        self.name, self.status = name, status
+        self.evidence = {} if evidence is None else evidence
 
 
-@dataclass
 class ClaimReport:
-    claim_id: str
-    status: str
-    checks: List[CheckResult]
-    config: FamilyConfig
+    def __init__(self, claim_id: str, status: str, checks: List[CheckResult],
+                 config: FamilyConfig):
+        self.claim_id, self.status, self.checks, self.config = claim_id, status, checks, config
 
     def to_record(self) -> dict:
         """The claim as a JSON record.  Every check carries the digest of
@@ -346,6 +335,9 @@ def claim_syzygy_descent(config: FamilyConfig) -> ClaimReport:
         checks.append(CheckResult(
             f"syzygies over level {m} land in {label} ({per_level} samples)",
             PASS if bad == 0 else FAIL, {"failures": bad}))
+    if not checks:  # m_max 0: no level was sampled, so nothing was checked
+        checks.append(CheckResult("no level in 1..m_max: no syzygy sampled", INCONCLUSIVE,
+                                  {"m_max": config.m_max}))
     return ClaimReport("syzygy-descent", _aggregate(checks), checks, config)
 
 

@@ -21,9 +21,8 @@ Three layers, each producing a verified certificate:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .families import build_subquiver_U
 # hom_basis stays importable as decomp.hom_basis, which bench/test_bench.py traces.
@@ -81,8 +80,7 @@ def _c2_amalgam_paths(pres: Presentation) -> Tuple[Tuple[str, ...], Tuple[str, .
     raise PresentationError(f"{pres.name} has no amalgam relation at c2")
 
 
-@dataclass
-class StripResult:
+class StripResult(NamedTuple):
     multiplicity: int
     complement: Representation
     complement_inclusion: ModuleMap      # complement -> M
@@ -178,14 +176,12 @@ def interval_module(algebra: Algebra, order: List[str], lo: int, hi: int
     return Representation(algebra, dims, mats)
 
 
-@dataclass
-class IntervalSummand:
+class IntervalSummand(NamedTuple):
     interval: Tuple[str, ...]
     multiplicity: int
 
 
-@dataclass
-class IntervalDecomposition:
+class IntervalDecomposition(NamedTuple):
     order: List[str]
     summands: List[IntervalSummand]
     pieces: List[Tuple[Tuple[int, int], ModuleMap]]  # each embeds into the input
@@ -282,8 +278,7 @@ _X_POSITIONS = {  # (lo, hi) in U path order -> 1-based index in the figure
 }
 
 
-@dataclass
-class Lemma2Split:
+class Lemma2Split(NamedTuple):
     """Certified decomposition M = X (+) P(c2)^a (+) M'."""
 
     module: Representation

@@ -21,7 +21,10 @@ runs only when those dimensions agree too.
 A cover is the free module on its generators' vertices, and its basis,
 the (summand, path class) pairs, is ``Algebra.free_basis``: the cover
 map and the syzygy both read that one layout (see ``projective_cover``),
-and the cover's own matrices are built only when asked for.
+and the cover's own matrices are built only when asked for.  The one
+cokernel, ``_cokernel``, reads only the target and the vertexwise maps:
+``cokernel_of`` adds the projection map, and ``reps.random_module`` puts
+its relations' images side by side with no sum of their sources built.
 
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
@@ -148,7 +151,17 @@ def _kernel(algebra, dims: Dict[str, int], f_mats: Dict[str, Matrix],
 
 
 def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
-    """Vertexwise cokernel with induced action and the projection map.
+    """Vertexwise cokernel with induced action and the projection map: the
+    ``_cokernel`` of f's matrices, the one cokernel (``random_module`` too)."""
+    coker, proj_mats = _cokernel(f.target, f.mats)
+    return coker, ModuleMap(f.target, coker, proj_mats)
+
+
+def _cokernel(target: Representation, f_mats: Dict[str, Matrix]
+              ) -> Tuple[Representation, Dict[str, Matrix]]:
+    """The cokernel of the vertexwise maps ``f_mats`` into ``target`` and
+    its projection Q_v at each vertex; only the vertices where ``target``
+    is nonzero are read, so the source need not exist as a module.
 
     At each vertex the unit vectors e_i that extend the image of f span a
     complement of it, and Q, the quotient coordinates in that basis, is
@@ -156,17 +169,13 @@ def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
     x -> y acts on the cokernel as Q_y applied to M_a's columns at the
     chosen i of x.
     """
-    algebra = f.target.algebra
-    quotients = {v: f.mats[v].quotient_coordinates()
-                 for v, d in f.target.dims.items() if d}
+    quotients = {v: f_mats[v].quotient_coordinates()
+                 for v, d in target.dims.items() if d}
     proj_mats = {v: q for v, (_, q) in quotients.items()}
     dims = {v: q.rows for v, q in proj_mats.items()}
-    mats = {a.name: (proj_mats[a.target]
-                     @ f.target.mats[a.name].submatrix_cols(quotients[a.source][0]))
-            for a in algebra.pres.quiver.arrows.values()
-            if dims.get(a.source) and dims.get(a.target)}
-    coker = Representation(algebra, dims, mats, check=False)
-    return coker, ModuleMap(f.target, coker, proj_mats)
+    mats = {name: proj_mats[y] @ target.mats[name].submatrix_cols(quotients[x][0])
+            for name, x, y in target.algebra.arrow_ends if dims.get(x) and dims.get(y)}
+    return Representation(target.algebra, dims, mats, check=False), proj_mats
 
 
 # -- covers and syzygies -----------------------------------------------------

@@ -34,8 +34,11 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows: int, cols: int, data: List[list]):
-        if len(data) != rows or any(len(r) != cols for r in data):
+        if len(data) != rows:
             raise ValueError(f"ragged data for {rows}x{cols} matrix")
+        for r in data:  # a plain loop: about half the cost of any(genexpr)
+            if len(r) != cols:
+                raise ValueError(f"ragged data for {rows}x{cols} matrix")
         self.field = field
         self.rows = rows
         self.cols = cols

@@ -69,6 +69,11 @@ class Algebra:
         return self._empty[rows, cols]
 
     @cached_property
+    def arrow_ends(self) -> List[Tuple[str, str, str]]:
+        """(name, source, target) of each arrow, in quiver order."""
+        return [(a.name, a.source, a.target) for a in self.pres.quiver.arrows.values()]
+
+    @cached_property
     def action(self) -> Dict[Tuple[str, int], List[Tuple[int, object]]]:
         """(arrow, class p) -> the terms (q, c) of arrow·p, c nonzero in the field."""
         return {key: [(q, x) for q, c in vec.items() if (x := self.field(c))]
@@ -148,20 +153,20 @@ class Representation:
     def __init__(self, algebra: Algebra, dims: Dict[str, int],
                  mats: Dict[str, Matrix], check: bool = True):
         self.algebra = algebra
-        quiver = algebra.pres.quiver
-        self.dims = {v: int(dims.get(v, 0)) for v in quiver.vertices}
-        if any(d < 0 for d in self.dims.values()):
+        self.dims = dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        if any(d < 0 for d in dims.values()):
             raise RepresentationError("negative dimension")
+        get, empty, zero = mats.get, algebra._empty.get, algebra.zero_matrix
         full: Dict[str, Matrix] = {}
-        for a in quiver.arrows.values():
-            m = mats.get(a.name)
+        for name, x, y in algebra.arrow_ends:
+            rows, cols = dims[y], dims[x]
+            m = get(name)
             if m is None:
-                m = algebra.zero_matrix(self.dims[a.target], self.dims[a.source])
-            if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
+                m = empty((rows, cols)) or zero(rows, cols)
+            elif m.rows != rows or m.cols != cols:
                 raise RepresentationError(
-                    f"arrow {a.name}: matrix is {m.rows}x{m.cols}, expected "
-                    f"{self.dims[a.target]}x{self.dims[a.source]}")
-            full[a.name] = m
+                    f"arrow {name}: matrix is {m.rows}x{m.cols}, expected {rows}x{cols}")
+            full[name] = m
         self.mats = full
         if check:
             bad = self.violated_relations()
@@ -231,15 +236,17 @@ class ModuleMap:
             raise RepresentationError("module map across different presentations")
         self.source = source
         self.target = target
+        algebra, sdims, tdims = source.algebra, source.dims, target.dims
+        get, empty, zero = mats.get, algebra._empty.get, algebra.zero_matrix
         full: Dict[str, Matrix] = {}
-        for v in source.algebra.vertices:
-            m = mats.get(v)
+        for v in algebra.vertices:
+            rows, cols = tdims[v], sdims[v]
+            m = get(v)
             if m is None:
-                m = source.algebra.zero_matrix(target.dims[v], source.dims[v])
-            if (m.rows, m.cols) != (target.dims[v], source.dims[v]):
+                m = empty((rows, cols)) or zero(rows, cols)
+            elif m.rows != rows or m.cols != cols:
                 raise RepresentationError(
-                    f"vertex {v}: map is {m.rows}x{m.cols}, expected "
-                    f"{target.dims[v]}x{source.dims[v]}")
+                    f"vertex {v}: map is {m.rows}x{m.cols}, expected {rows}x{cols}")
             full[v] = m
         self.mats = full
 
@@ -493,9 +500,11 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
 
     Always a valid module by construction, deterministic per seed; the
     cover sum of projectives has total dimension at most ``budget``, so
-    the result does too.  Each relation maps by one ``random_hom_combination``.
+    the result does too.  Each relation maps by one ``random_hom_combination``,
+    and the cokernel is taken of their images side by side at each vertex,
+    with no sum of the relation projectives built.
     """
-    from .homology import cokernel_of, random_hom_combination
+    from .homology import _cokernel, random_hom_combination
 
     rng = random.Random(f"random-module:{seed}:{budget}")
     verts = list(algebra.vertices)
@@ -518,4 +527,5 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
         return target
     maps = [random_hom_combination(rel, target, rng, (-2, -1, -1, 0, 0, 0, 1, 1, 2))
             for rel in rels]
-    return cokernel_of(assemble_sum_map(maps, target))[0]
+    return _cokernel(target, {v: Matrix.hcat(algebra.field, d, [f.mats[v] for f in maps])
+                              for v, d in target.dims.items() if d})[0]

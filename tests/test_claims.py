@@ -98,6 +98,15 @@ def test_inconclusive_claim_status():
     assert any(c.status == "inconclusive" for c in report.checks)
 
 
+def test_syzygy_descent_with_no_level_in_range_is_inconclusive():
+    report = run_claim("syzygy-descent", FamilyConfig(m_max=0))
+    assert report.status == "inconclusive"
+    [check] = report.to_record()["checks"]
+    assert check["status"] == "inconclusive"
+    assert check["evidence"] == {"m_max": 0}
+    assert check["name"] == "no level in 1..m_max: no syzygy sampled"
+
+
 def test_record_carries_evidence_only_for_non_pass_checks():
     from biserial.claims import CheckResult, ClaimReport
     from biserial.homology import record_digest

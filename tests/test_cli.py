@@ -231,6 +231,14 @@ def test_verify_lemma_2_on_zero_modules_only_is_inconclusive(capsys):
                              "no splitting verified")
 
 
+def test_verify_syzygy_descent_with_no_level_in_range_exits_3(capsys):
+    assert main(["verify", "syzygy-descent", "--m-max", "0", "--structured"]) == 3
+    record, last = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["status"] == "inconclusive"
+    assert record["checks"][0]["evidence"] == {"m_max": 0}
+    assert last["summary"]["inconclusive"] == 1
+
+
 @pytest.mark.parametrize("subcommand", ["emit", "projectives", "dot"])
 def test_algebra_without_file_or_family_names_both(subcommand, capsys):
     assert main(["algebra", subcommand]) == 2

@@ -883,3 +883,32 @@ def test_map_from_projectives_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["lambda(1, 2)", "lambda(2, 2)", "lambda1prime(2)"]),
+       st.sampled_from([None, 2, 101]), st.integers(0, 10 ** 6), st.integers(0, 24),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)), max_size=3))
+def test_cokernel_of_images_side_by_side_is_the_cokernel_of_their_sum(
+        name, field, seed, budget, sources):
+    # random_module takes _cokernel of the maps' images side by side, with
+    # no sum of their sources; cokernel_of of the assembled map out of that
+    # sum is the oracle, module and projection alike.  One map is the
+    # single-map case of cokernel_of itself.
+    algebra = _combination_algebra(name, field)
+    target = random_module(algebra, seed=seed, budget=budget)
+    rng = random.Random(seed)
+    maps = [random_hom_combination(
+                algebra.projective(algebra.vertices[pick % len(algebra.vertices)]) if proj
+                else random_module(algebra, seed=pick, budget=12),
+                target, rng, (-2, -1, 0, 1, 2))
+            for proj, pick in sources]
+    side_by_side = {v: Matrix.hcat(algebra.field, d, [f.mats[v] for f in maps])
+                    for v, d in target.dims.items() if d}
+    cases = [(assemble_sum_map(maps, target), side_by_side)]
+    cases += [(f, f.mats) for f in maps[:1]]
+    for f, f_mats in cases:
+        coker, proj = cokernel_of(f)
+        other, other_proj = homology._cokernel(target, f_mats)
+        assert (other.dims, other.mats) == (coker.dims, coker.mats)
+        assert ModuleMap(target, other, other_proj).mats == proj.mats

@@ -455,3 +455,10 @@ def test_rational_answers_match_fraction_elimination_in_normal_form(data):
     # The input is not touched, not even put in normal form.
     assert [list(map(type, row)) for row in a.data] == [list(map(type, row)) for row in before]
     assert a.data == before
+
+
+@pytest.mark.parametrize("rows, cols, data", [
+    (2, 2, [[1, 2], [3]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2], [3, 4]]), (1, 0, [[1]])])
+def test_ragged_data_is_rejected(rows, cols, data):
+    with pytest.raises(ValueError, match=f"ragged data for {rows}x{cols} matrix"):
+        Matrix(QQ, rows, cols, data)

@@ -353,3 +353,91 @@ def test_random_module_bytes_are_pinned(seed, budget):
                                seed=seed, budget=budget)
         text = emit_module_raw("M", module)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _random_module_by_assembled_cokernel(algebra, seed, budget):
+    """The oracle: ``random_module``'s draws, with the module taken as the
+    ``cokernel_of`` the relation maps assembled on the ``direct_sum`` of
+    their projectives."""
+    import random
+
+    from biserial.homology import cokernel_of, random_hom_combination
+
+    rng = random.Random(f"random-module:{seed}:{budget}")
+    verts = list(algebra.vertices)
+    gens, total = [], 0
+    while True:
+        candidates = [v for v in verts
+                      if total + algebra.basis.dim_projective(v) <= budget]
+        if not candidates or (gens and rng.random() < 0.25):
+            break
+        v = rng.choice(candidates)
+        gens.append(algebra.projective(v))
+        total += algebra.basis.dim_projective(v)
+    if not gens:
+        return algebra.zero_module()
+    target = direct_sum(algebra, gens)
+    rels = [algebra.projective(rng.choice(verts))
+            for _ in range(rng.randrange(0, len(gens) + 2))]
+    if not rels:
+        return target
+    maps = [random_hom_combination(rel, target, rng, (-2, -1, -1, 0, 0, 0, 1, 1, 2))
+            for rel in rels]
+    return cokernel_of(assemble_sum_map(maps, target))[0]
+
+
+def _content(module):
+    field = module.algebra.field
+    return [sorted(module.dims.items()),
+            [[name, [[field.format(x) for x in row] for row in m.data]]
+             for name, m in module.mats.items()]]
+
+
+def test_random_module_content_is_pinned_and_matches_the_assembled_cokernel():
+    import hashlib
+    import json
+
+    # Recorded with the oracle's construction, the cokernel of a map out of
+    # the direct sum of the relation projectives.
+    digest = hashlib.sha256()
+    for pres in (build_lambda1prime(2), build_lambda(2, 3)):
+        for field in (QQ, PrimeField(101)):
+            algebra = Algebra(pres, field=field)
+            for seed in range(40):
+                budget = 3 + (7 * seed) % 38
+                module = random_module(algebra, seed, budget)
+                content = _content(module)
+                assert content == _content(
+                    _random_module_by_assembled_cokernel(algebra, seed, budget))
+                digest.update(json.dumps(content).encode())
+    assert digest.hexdigest()[:16] == "c44782ff37156a2b"
+
+
+def test_constructors_check_shapes_and_share_empty_blocks(alg1):
+    u, c1 = alg1.simple("u"), alg1.projective("c1")
+    dims = dict(c1.dims)
+    name = next(a.name for a in alg1.pres.quiver.arrows.values()
+                if c1.dims[a.source] and c1.dims[a.target])
+    arrow = alg1.pres.quiver.arrows[name]
+    rows, cols = c1.dims[arrow.target], c1.dims[arrow.source]
+    with pytest.raises(RepresentationError) as exc:
+        Representation(alg1, dims, {**c1.mats, name: Matrix.zeros(alg1.field, rows + 1, cols)})
+    assert str(exc.value) == (f"arrow {name}: matrix is {rows + 1}x{cols}, "
+                              f"expected {rows}x{cols}")
+    with pytest.raises(RepresentationError) as exc:
+        ModuleMap(u, u, {"u": Matrix.zeros(alg1.field, 2, 1)})
+    assert str(exc.value) == "vertex u: map is 2x1, expected 1x1"
+    # A missing block is a zero block of its shape; an empty one is the
+    # algebra's shared zero_matrix.
+    thin = Representation(alg1, dims, {}, check=False)
+    assert thin.mats[name] == Matrix.zeros(alg1.field, rows, cols)
+    zero = ModuleMap(c1, c1, {})
+    for a in alg1.pres.quiver.arrows.values():
+        r, c = thin.dims[a.target], thin.dims[a.source]
+        if not (r and c):
+            assert thin.mats[a.name] is alg1.zero_matrix(r, c)
+    for v in alg1.vertices:
+        d = c1.dims[v]
+        assert zero.mats[v] == Matrix.zeros(alg1.field, d, d)
+        if not d:
+            assert zero.mats[v] is alg1.zero_matrix(0, 0)
