@@ -71,10 +71,8 @@ class FamilyConfig:
             raise ConfigError("cutoff must be at least 1")
         if self.trials is not None and self.trials < 0:
             raise ConfigError("trials must be nonnegative")
-
-    @property
-    def field(self):
-        return field_from_spec(self.field_spec)
+        # Parsed once: every algebra of this config shares the field.
+        self.field = field_from_spec(field_spec)
 
     def algebra(self, family: str, m: Optional[int] = None) -> Algebra:
         """``lambda(r, m)`` for family ``lambda``, the pruned level-2

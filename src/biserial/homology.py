@@ -36,15 +36,16 @@ basis element: ``decide_iso``'s candidates, ``solve_retraction``, and the
 random maps of ``reps.random_module`` and ``witnesses.random_extension``
 (coefficients drawn from a pool by ``random_hom_combination``).  Only
 this module reads the Hom kernel (``_hom_kernel``): those, ``hom_basis``,
-``hom_dim``, and ``split_pair``, which tries one basis section at a
-time with ``solve_retraction``, the one retraction search.
+``hom_dim``, and ``split_pair``, which solves Hom(M, B) once and tries
+one basis section at a time against it with ``_retraction``, the one
+retraction search, also behind ``solve_retraction``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Matrix
@@ -427,8 +428,15 @@ def solve_retraction(embed: ModuleMap) -> Optional[ModuleMap]:
     """A module map r with r o embed = id on embed's source, if one exists:
     the ``hom_combination`` of a solution c of sum_k c_k (h_k o embed) = id,
     each h_k o embed read off the Hom kernel with no map built for it."""
+    return _retraction(embed, _hom_kernel(embed.target, embed.source))
+
+
+def _retraction(embed: ModuleMap, hom: Tuple[Matrix, Dict[str, int]]
+                ) -> Optional[ModuleMap]:
+    """``solve_retraction`` with the Hom kernel of (embed.target,
+    embed.source) already solved as ``hom``."""
     M, N = embed.target, embed.source
-    kernel, offsets = hom = _hom_kernel(M, N)
+    kernel, offsets = hom
     if not kernel.cols:
         return None if N.total_dim() else ModuleMap.zero(M, N)
     field = M.algebra.field
@@ -516,12 +524,16 @@ def split_pair(brick: Representation, module: Representation
     some s = sum_k a_k s_k has a retraction p, then sum_k a_k lambda_k(p)
     = 1, so some lambda_k(p) is nonzero and s_k has the retraction
     p / lambda_k(p).  Trying the basis sections in kernel-column order,
-    each with ``solve_retraction``, is therefore a complete search.
+    each with ``solve_retraction``'s search, is therefore a complete
+    search.  Hom(M, B) is solved once for all of them.
     """
     kernel, offsets = _hom_kernel(brick, module)
+    if not kernel.cols:
+        return None
+    back = _hom_kernel(module, brick)
     for column in zip(*kernel.data):
         s = _hom_map(brick, module, offsets, column)
-        p = solve_retraction(s)
+        p = _retraction(s, back)
         if p is not None:
             return s, p
     return None
@@ -633,8 +645,24 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
 
 
 def record_digest(record) -> str:
-    """Stable short digest of a JSON-serializable record."""
-    import hashlib  # only ``verify`` digests; keep it off the start-up path
-
+    """Stable short digest of a JSON-serializable record: the first 16 hex
+    digits of the SHA-256 of its compact, key-sorted JSON, hashed by
+    ``_sha256_impl``."""
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _sha256_impl()(blob.encode()).hexdigest()[:16]
+
+
+@cache
+def _sha256_impl() -> Callable:
+    """The interpreter's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256``
+    on 3.10 and 3.11), or hashlib's when neither imports.  Looked up on the
+    first digest, so only commands that digest load it."""
+    # hashlib loads OpenSSL (megabytes of resident pages); try the lean built-in first
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256

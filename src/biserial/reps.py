@@ -508,16 +508,16 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
 
     rng = random.Random(f"random-module:{seed}:{budget}")
     verts = list(algebra.vertices)
+    dim_p = {v: algebra.basis.dim_projective(v) for v in verts}
     gens: List[Representation] = []
     total = 0
     while True:
-        candidates = [v for v in verts
-                      if total + algebra.basis.dim_projective(v) <= budget]
+        candidates = [v for v in verts if total + dim_p[v] <= budget]
         if not candidates or (gens and rng.random() < 0.25):
             break
         v = rng.choice(candidates)
         gens.append(algebra.projective(v))
-        total += algebra.basis.dim_projective(v)
+        total += dim_p[v]
     if not gens:
         return algebra.zero_module()
     target = direct_sum(algebra, gens)

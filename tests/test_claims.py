@@ -157,6 +157,13 @@ def test_config_builds_each_algebra_once():
     assert other.field.p == 3
 
 
+def test_config_algebras_share_one_parsed_field():
+    cfg = FamilyConfig(r=1, field_spec="fp:2147483647")
+    assert cfg.field.p == 2147483647
+    assert cfg.algebra("lambda", 1).field is cfg.field
+    assert cfg.algebra("lambda", 2).field is cfg.algebra("lambda1prime").field
+
+
 def test_config_rejects_bad_flags_by_name():
     from biserial.claims import ConfigError
 

@@ -239,6 +239,17 @@ def test_verify_syzygy_descent_with_no_level_in_range_exits_3(capsys):
     assert last["summary"]["inconclusive"] == 1
 
 
+@pytest.mark.parametrize("claim_flags", [["simples-pd"],
+                                         ["syzygy-descent", "--m-max", "0"]])
+def test_verify_rejects_a_composite_modulus(claim_flags, capsys):
+    # A config parses its field once, after its own checks, so a bad field
+    # is an error even for a claim that would build no algebra.
+    assert main(["verify", *claim_flags, "--field", "fp:4"]) == 2
+    assert capsys.readouterr() == ("", "error: modulus 4 is not prime\n")
+    assert main(["verify", *claim_flags, "--samples", "-1", "--field", "fp:4"]) == 2
+    assert capsys.readouterr().err == "error: samples must be nonnegative\n"
+
+
 @pytest.mark.parametrize("subcommand", ["emit", "projectives", "dot"])
 def test_algebra_without_file_or_family_names_both(subcommand, capsys):
     assert main(["algebra", subcommand]) == 2

@@ -14,7 +14,7 @@ from biserial.homology import (certified_iso, cokernel_of, decide_iso,
                                is_direct_summand_simple, kernel_of,
                                projdim, projective_cover, radical,
                                random_hom_combination, record_digest,
-                               split_pair, syzygy, top_dims)
+                               solve_retraction, split_pair, syzygy, top_dims)
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
 from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationError,
@@ -865,6 +865,45 @@ def test_split_pair_agrees_with_the_composition_pairing(name, field, pick, seed,
     if pair is not None:
         assert [_typed_mats(f) for f in pair] == [_typed_mats(f) for f in expected]
         assert pair[1].compose(pair[0]).mats == ModuleMap.identity(brick).mats
+
+
+def test_split_pair_solves_each_hom_space_once(monkeypatch):
+    # The planted simple's first basis section has no retraction, so the
+    # search tries more than one section against the one Hom(M, B).
+    algebra, bricks = _split_pair_bricks("lambda1prime(1)", None)
+    brick = bricks[4]
+    module = direct_sum(algebra, [random_module(algebra, seed=4, budget=12), brick])
+    sections = hom_basis(brick, module)
+    assert len(sections) == 3 and solve_retraction(sections[0]) is None
+    calls = []
+    real = homology._hom_kernel
+
+    def counting(source, target):
+        calls.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(homology, "_hom_kernel", counting)
+    s, p = split_pair(brick, module)
+    assert calls == [(brick, module), (module, brick)]
+    assert s.mats != sections[0].mats
+    assert p.compose(s).mats == ModuleMap.identity(brick).mats
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_JSON)
+def test_record_digest_is_hashlib_sha256_of_compact_sorted_json(rec):
+    import hashlib
+    import json
+
+    blob = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    assert record_digest(rec) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def test_map_from_projectives_leaves_no_reference_cycle():

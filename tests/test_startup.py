@@ -1,6 +1,7 @@
 """What a command loads: the package resolves its public names lazily,
 and each subcommand imports only the layers it runs."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -92,6 +93,25 @@ def test_verify_loads_no_dataclasses(tmp_path):
     assert proc.returncode == 0 and err == ""
     assert json.loads(proc.stdout.splitlines()[-1])["summary"]["pass"] == 2
     assert loaded == ["biserial.claims", "biserial.decomp"]
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="the interpreter has no built-in SHA-256 module")
+def test_digesting_commands_load_no_hashlib(tmp_path):
+    # hashlib maps OpenSSL; record digests use the built-in SHA-256 module.
+    unwanted = ["hashlib", "_hashlib"]
+    proc, err, loaded = _run(["verify", "simples-pd", "lemma-2", "--m-max", "1",
+                              "--samples", "4", "--structured"], tmp_path, unwanted)
+    assert proc.returncode == 0 and err == ""
+    assert json.loads(proc.stdout.splitlines()[-1])["summary"]["pass"] == 2
+    assert loaded == []
+    (tmp_path / "l.alg").write_text(emit_presentation(biserial.build_lambda1prime(2)))
+    (tmp_path / "s.mod").write_text("module S over lambda1prime_r2\nraw\ndim c2 1\n")
+    proc, err, loaded = _run(["module", "split", "--algebra", "l.alg", "s.mod",
+                              "--structured"], tmp_path, unwanted)
+    assert proc.returncode == 0 and err == ""
+    assert json.loads(proc.stdout)["certificate_checksum"] == "12fe3a7557b4a98d"
+    assert loaded == []
 
 
 def test_lazy_layer_errors_exit_2_in_a_fresh_process(tmp_path):
