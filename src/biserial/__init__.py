@@ -19,8 +19,8 @@ _HOMES = {
             "StringWord direct_sum direct_sum_maps inflate random_module restrict "
             "string_module",
     "homology": "CoverData PdReport certified_iso cokernel_of hom_basis "
-                "is_direct_summand_simple kernel_of projdim projective_cover "
-                "radical radical_filtration syzygy top_dims",
+                "kernel_of projdim projective_cover radical radical_filtration "
+                "split_off syzygy top_dims",
     "decomp": "CertificateFailure IntervalSummand Lemma2Split NotPathQuiver "
               "interval_decompose lemma2_split strip_pc2 xset",
     "witnesses": "build_U build_Z build_Zt build_phi",

@@ -34,8 +34,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .families import build_lambda, build_lambda1prime, lambda_vertices, vname
 from .fields import field_from_spec
-from .homology import (decide_iso, is_direct_summand_simple, kernel_of,
-                       projdim, radical_filtration, record_digest, syzygy)
+from .homology import (decide_iso, kernel_of, projdim, radical_filtration,
+                       record_digest, split_off, syzygy)
 from .decomp import CertificateFailure, lemma2_split, xset
 from .reps import Algebra, random_module
 from .witnesses import (build_U, build_Z, build_Zt, build_phi,
@@ -239,17 +239,13 @@ def claim_lemma_1(config: FamilyConfig) -> ClaimReport:
                       trials=config.trials)
         checks.append(_verdict_check(f"pd of c2-string {idx} infinite", rep, None))
         if idx <= 5:
-            target = syzygy(syzygy(x))
-            found, pair = is_direct_summand_simple("cm1", target)
-            label = f"cm1 splits off second syzygy of string {idx}"
+            vertex, nth, target = "cm1", "second", syzygy(syzygy(x))
         else:
-            target = syzygy(syzygy(syzygy(x)))
-            found, pair = is_direct_summand_simple("v", target)
-            label = f"v splits off third syzygy of string {idx}"
+            vertex, nth, target = "v", "third", syzygy(syzygy(syzygy(x)))
+        found = split_off(alg.simple(vertex), target) is not None
         checks.append(CheckResult(
-            label, PASS if found else FAIL,
-            {"target_dims": list(target.dim_vector()),
-             "split_pair": bool(pair)}))
+            f"{vertex} splits off {nth} syzygy of string {idx}", PASS if found else FAIL,
+            {"target_dims": list(target.dim_vector()), "split_pair": found}))
     return ClaimReport("lemma-1", _aggregate(checks), checks, config)
 
 

@@ -8,8 +8,8 @@ Three layers, each producing a verified certificate:
 * ``interval_decompose`` decomposes a representation of a path-shaped
   quiver (arbitrary arrow orientations) into interval summands.  Interval
   modules are bricks, so a copy splits off iff some Hom(J, V) basis
-  section has a retraction, and the first such pair (``split_pair``)
-  peels one copy off deterministically.  Iterating yields the multiset
+  section has a retraction, and ``homology.split_off`` peels one copy off
+  deterministically, with its complement.  Iterating yields the multiset
   of intervals and an invertible vertexwise basis change.
 * ``lemma2_split`` combines the two: after stripping P(c2) copies, the
   restriction to the six-vertex path subquiver decomposes into intervals;
@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .families import build_subquiver_U
 # hom_basis stays importable as decomp.hom_basis, which bench/test_bench.py traces.
 from .homology import (_sub_representation, hom_basis, kernel_of, map_from_projectives,
-                       record_digest, solve_retraction, split_pair)
+                       record_digest, solve_retraction, split_off)
 from .matrices import Matrix
 from .presentation import Presentation, PresentationError
 from .reps import (Algebra, ModuleMap, Representation, RepresentationError, StringWord,
@@ -111,6 +111,8 @@ def strip_pc2(module: Representation) -> StripResult:
     embedding = ModuleMap(psum, module, embed_mats)
     if not embedding.is_morphism():
         raise CertificateFailure("projective embedding is not a module map")
+    # Not split_off: End(P(c2)^a) is not local once a >= 2, and the
+    # certificate's checksum follows this embedding at the rref pivots.
     retraction = solve_retraction(embedding)
     if retraction is None:
         raise CertificateFailure("no retraction onto the projective part")
@@ -195,10 +197,10 @@ def interval_decompose(module: Representation,
                        order: Optional[List[str]] = None) -> IntervalDecomposition:
     """Decompose a path-quiver representation into interval summands.
 
-    Deterministic split-pair peeling: intervals are scanned longest first;
-    the first ``split_pair`` found, a section with its retraction, splits
-    one copy off exactly.  The certificate is the assembled
-    isomorphism from the direct sum of the found intervals.
+    Deterministic peeling: intervals are scanned longest first, and the
+    first that ``split_off`` splits off gives one copy and, as its
+    complement, the next module to peel.  The certificate is the
+    assembled isomorphism from the direct sum of the found intervals.
 
     ``order`` fixes the path orientation used for interval bookkeeping;
     by default one of the two endpoint orders is chosen.
@@ -224,14 +226,12 @@ def interval_decompose(module: Representation,
             except RepresentationError:
                 # Relations on the path quiver can rule an interval out.
                 continue
-            pair = split_pair(j_rep, current)
-            if pair is None:
+            split = split_off(j_rep, current)
+            if split is None:
                 continue
-            s, p = pair
-            complement, incl = kernel_of(p)
-            pieces.append(((lo, hi), into_original.compose(s)))
-            into_original = into_original.compose(incl)
-            current = complement
+            pieces.append(((lo, hi), into_original.compose(split.section)))
+            into_original = into_original.compose(split.inclusion)
+            current = split.complement
             break
         else:
             raise CertificateFailure(

@@ -36,9 +36,9 @@ basis element: ``decide_iso``'s candidates, ``solve_retraction``, and the
 random maps of ``reps.random_module`` and ``witnesses.random_extension``
 (coefficients drawn from a pool by ``random_hom_combination``).  Only
 this module reads the Hom kernel (``_hom_kernel``): those, ``hom_basis``,
-``hom_dim``, and ``split_pair``, which solves Hom(M, B) once and tries
-one basis section at a time against it with ``_retraction``, the one
-retraction search, also behind ``solve_retraction``.
+``hom_dim``, and ``split_off``, the one summand peel: it solves Hom(M, N)
+once and tries one basis section at a time against it with
+``_retraction``, the one retraction search, also behind ``solve_retraction``.
 """
 
 from __future__ import annotations
@@ -514,37 +514,41 @@ def certified_iso(m: Representation, n: Representation, trials: Optional[int] = 
     return decide_iso(m, n, trials=trials, seed=seed).iso
 
 
-def split_pair(brick: Representation, module: Representation
-               ) -> Optional[Tuple[ModuleMap, ModuleMap]]:
-    """Maps s: B -> M and p: M -> B with p o s = id_B, or None when the
-    brick B is not a direct summand of M.
+class Split(NamedTuple):
+    """``split_off``'s answer: retraction o section = id on the part, and
+    [section, inclusion] is an isomorphism part (+) complement -> module."""
 
-    B must be a brick (End B = k): then every composite p o s_k with a
-    Hom(B, M) basis section s_k is a scalar lambda_k(p) times id_B.  If
-    some s = sum_k a_k s_k has a retraction p, then sum_k a_k lambda_k(p)
-    = 1, so some lambda_k(p) is nonzero and s_k has the retraction
-    p / lambda_k(p).  Trying the basis sections in kernel-column order,
-    each with ``solve_retraction``'s search, is therefore a complete
-    search.  Hom(M, B) is solved once for all of them.
+    section: ModuleMap           # part -> module
+    retraction: ModuleMap        # module -> part
+    complement: Representation   # the kernel of the retraction
+    inclusion: ModuleMap         # complement -> module
+
+
+def split_off(part: Representation, module: Representation) -> Optional[Split]:
+    """Split ``part`` N off ``module`` M, with the complement ker p of the
+    retraction p, or None when N is not a direct summand of M.
+
+    Precondition: End(N) is local with residue field k, as for bricks,
+    simples, the projectives P(v) (End = e_v A e_v) and string modules
+    (Butler-Ringel, Comm. Algebra 15, 1987; Wald-Waschbüsch, J. Algebra
+    95, 1985); without it, None proves nothing.  With it, trying the
+    Hom(N, M) basis sections s_k one at a time is complete: if sum_k a_k
+    s_k has a retraction p, the residue map lambda: End(N) -> k gives
+    sum_k a_k lambda(p o s_k) = 1, so some p o s_k is a unit u, and
+    u^-1 o p retracts s_k.  Each s_k, in kernel-column order, meets
+    ``solve_retraction``'s search against one solved Hom(M, N); only the
+    first that splits gets its complement.
     """
-    kernel, offsets = _hom_kernel(brick, module)
+    kernel, offsets = _hom_kernel(part, module)
     if not kernel.cols:
         return None
-    back = _hom_kernel(module, brick)
+    back = _hom_kernel(module, part)
     for column in zip(*kernel.data):
-        s = _hom_map(brick, module, offsets, column)
-        p = _retraction(s, back)
-        if p is not None:
-            return s, p
+        section = _hom_map(part, module, offsets, column)
+        retraction = _retraction(section, back)
+        if retraction is not None:
+            return Split(section, retraction, *kernel_of(retraction))
     return None
-
-
-def is_direct_summand_simple(vertex: str, module: Representation
-                             ) -> Tuple[bool, Optional[Tuple[ModuleMap, ModuleMap]]]:
-    """Split-pair test for the simple at ``vertex`` inside ``module``; the
-    witness pair composes to the identity of the simple."""
-    pair = split_pair(module.algebra.simple(vertex), module)
-    return pair is not None, pair
 
 
 # -- projective dimension ----------------------------------------------------

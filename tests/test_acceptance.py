@@ -14,9 +14,8 @@ from biserial.decomp import lemma2_split, xset
 from biserial.families import (build_lambda, build_lambda1prime,
                                lambda_vertices)
 from biserial.fields import QQ, PrimeField
-from biserial.homology import (certified_iso, hom_basis,
-                               is_direct_summand_simple, kernel_of, projdim,
-                               projective_cover, syzygy, top_dims)
+from biserial.homology import (certified_iso, hom_basis, kernel_of, projdim,
+                               projective_cover, split_off, syzygy, top_dims)
 from biserial.matrices import Matrix
 from biserial.presentation import (ALPHA, BETA, Arrow, Presentation, Quiver,
                                    Relation, emit_presentation,
@@ -73,13 +72,12 @@ def test_criterion_3_infinite_strings():
         rep = projdim(x, cutoff=12)
         ok &= rep.verdict == "infinite"
         if idx <= 5:
-            found, pair = is_direct_summand_simple("cm1", syzygy(syzygy(x)))
+            split = split_off(alg.simple("cm1"), syzygy(syzygy(x)))
         else:
-            found, pair = is_direct_summand_simple(
-                "v", syzygy(syzygy(syzygy(x))))
-        ok &= found and pair is not None
-        if found:
-            s, p = pair
+            split = split_off(alg.simple("v"), syzygy(syzygy(syzygy(x))))
+        ok &= split is not None
+        if split is not None:
+            s, p = split.section, split.retraction
             probe = "cm1" if idx <= 5 else "v"
             ok &= (p.compose(s)).mats[probe].data[0][0] == alg.field.one
     _report(3, "ten c2-strings: infinite pd and split-pair witnesses", ok)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,17 +11,16 @@ from biserial.decomp import interval_module, u_algebra, xset
 from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
 from biserial.fields import QQ, PrimeField
 from biserial.homology import (certified_iso, cokernel_of, decide_iso,
-                               hom_basis, hom_combination,
-                               is_direct_summand_simple, kernel_of,
+                               hom_basis, hom_combination, kernel_of,
                                projdim, projective_cover, radical,
                                random_hom_combination, record_digest,
-                               solve_retraction, split_pair, syzygy, top_dims)
+                               solve_retraction, split_off, syzygy, top_dims)
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
 from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationError,
                            StringWord, assemble_sum_map, direct_sum, direct_sum_maps,
                            random_module, string_module)
-from biserial.witnesses import build_Z, build_Zt, z_walk
+from biserial.witnesses import build_Z, build_Zt, z_walk, zt_walk
 
 
 def brute_force_intertwiner_count(m, n):
@@ -282,16 +282,15 @@ def test_iso_same_dims_nonisomorphic(alg0):
 
 def test_simple_summand_in_sum(alg1):
     m = direct_sum(alg1, [alg1.simple("u"), alg1.projective("c1")])
-    found, pair = is_direct_summand_simple("u", m)
-    assert found
-    s, p = pair
-    comp = p.compose(s)
+    split = split_off(alg1.simple("u"), m)
+    assert split is not None
+    comp = split.retraction.compose(split.section)
     assert comp.mats["u"].data[0][0] == alg1.field.one
+    assert split.complement.dim_vector() == alg1.projective("c1").dim_vector()
 
 
 def test_simple_top_of_projective_not_split(alg1):
-    found, _ = is_direct_summand_simple("c1", alg1.projective("c1"))
-    assert not found
+    assert split_off(alg1.simple("c1"), alg1.projective("c1")) is None
 
 
 def test_lemma1_summand_example(algp):
@@ -299,8 +298,7 @@ def test_lemma1_summand_example(algp):
 
     first = xset(algp)[0]
     target = syzygy(syzygy(first))
-    found, pair = is_direct_summand_simple("cm1", target)
-    assert found and pair is not None
+    assert split_off(algp.simple("cm1"), target) is not None
 
 
 # -- projective dimension ------------------------------------------------------
@@ -632,13 +630,14 @@ def test_pd_reports_match_pinned(name):
 def test_split_pair_composes_to_identity(alg1):
     simple = alg1.simple("c1")
     module = direct_sum(alg1, [alg1.projective("a1"), simple])
-    s, p = split_pair(simple, module)
-    assert s.is_morphism() and p.is_morphism()
+    s, p, complement, incl = split_off(simple, module)
+    assert s.is_morphism() and p.is_morphism() and incl.is_morphism()
     identity = p.compose(s)
     assert identity.mats["c1"] == ModuleMap.identity(simple).mats["c1"]
+    assert p.compose(incl).is_zero()
+    assert complement.dim_vector() == alg1.projective("a1").dim_vector()
     # The top of an indecomposable projective of length > 1 does not split.
-    assert split_pair(simple, alg1.projective("c1")) is None
-    assert is_direct_summand_simple("c1", alg1.projective("c1")) == (False, None)
+    assert split_off(simple, alg1.projective("c1")) is None
 
 
 def test_decide_iso_tells_a_miss_from_a_proof():
@@ -717,6 +716,7 @@ def _combination_algebra(name, field):
     pres = {"lambda(1, 1)": lambda: build_lambda(1, 1),
             "lambda(1, 2)": lambda: build_lambda(1, 2),
             "lambda(2, 2)": lambda: build_lambda(2, 2),
+            "lambda(2, 3)": lambda: build_lambda(2, 3),
             "lambda1prime(1)": lambda: build_lambda1prime(1),
             "lambda1prime(2)": lambda: build_lambda1prime(2)}[name]()
     return Algebra(pres, field=QQ if field is None else PrimeField(field))
@@ -807,7 +807,7 @@ def test_random_hom_combination_draws_one_coefficient_per_kernel_column(alg1):
 
 
 def _pairing_split_pair(brick, module):
-    """The composition-pairing search ``split_pair`` replaced: the first
+    """The composition-pairing search ``split_off`` replaced: the first
     pair (s, p) of Hom bases, sections outer, with p o s = c id_B for
     some c != 0, which is read at a vertex of B and scaled away."""
     probe = next(v for v, d in brick.dims.items() if d)
@@ -858,13 +858,15 @@ def test_split_pair_agrees_with_the_composition_pairing(name, field, pick, seed,
     module = random_module(algebra, seed=seed, budget=budget)
     if planted:
         module = direct_sum(algebra, [module, brick])
-    pair, expected = split_pair(brick, module), _pairing_split_pair(brick, module)
-    assert (pair is None) == (expected is None)
+    split, expected = split_off(brick, module), _pairing_split_pair(brick, module)
+    assert (split is None) == (expected is None)
     if planted:
-        assert pair is not None
-    if pair is not None:
+        assert split is not None
+    if split is not None:
+        pair = (split.section, split.retraction)
         assert [_typed_mats(f) for f in pair] == [_typed_mats(f) for f in expected]
         assert pair[1].compose(pair[0]).mats == ModuleMap.identity(brick).mats
+        assert assemble_sum_map([split.section, split.inclusion], module).is_iso()
 
 
 def test_split_pair_solves_each_hom_space_once(monkeypatch):
@@ -883,10 +885,60 @@ def test_split_pair_solves_each_hom_space_once(monkeypatch):
         return real(source, target)
 
     monkeypatch.setattr(homology, "_hom_kernel", counting)
-    s, p = split_pair(brick, module)
+    s, p, _, _ = split_off(brick, module)
+    # kernel_of, which builds the complement, solves no Hom system.
     assert calls == [(brick, module), (module, brick)]
     assert s.mats != sections[0].mats
     assert p.compose(s).mats == ModuleMap.identity(brick).mats
+
+
+@functools.lru_cache(maxsize=None)
+def _claim_parts(field):
+    """The indecomposables the claims build their modules from, over
+    ``lambda(2, 3)``: the simples, P(a0), P(b0), P(c0), P(u) and the strings
+    of Z_1..Z_3 and Z_t(1..3, 2); then the ten c2-strings of ``xset`` over
+    ``lambda1prime(2)``."""
+    alg = _combination_algebra("lambda(2, 3)", field)
+    parts = [alg.simple(v) for v in alg.vertices]
+    parts += [alg.projective(v) for v in ("a0", "b0", "c0", "u")]
+    parts += [string_module(alg, z_walk(m)) for m in (1, 2, 3)]
+    parts += [string_module(alg, zt_walk(m, 2)) for m in (1, 2, 3)]
+    return parts + xset(_combination_algebra("lambda1prime(2)", field))
+
+
+def test_claim_parts_have_local_endomorphism_rings():
+    # split_off's precondition, checked by enumerating End(N) over GF(2):
+    # the non-invertible endomorphisms are closed under addition and
+    # number 2^(d-1), so they are a hyperplane, rad End(N), and End(N)/rad
+    # is GF(2).  Some parts are not bricks.
+    end_dims = []
+    for part in _claim_parts(2):
+        hom = homology._hom_kernel(part, part)
+        d = hom[0].cols
+        end_dims.append(d)
+        singular = {coeffs for coeffs in itertools.product((0, 1), repeat=d)
+                    if not hom_combination(part, part, hom, coeffs).is_iso()}
+        assert len(singular) == 2 ** (d - 1)
+        assert all(tuple((x + y) % 2 for x, y in zip(a, b)) in singular
+                   for a in singular for b in singular)
+    assert max(end_dims) == 3 and end_dims.count(2) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([None, 2, 101]), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.sampled_from([0, 8, 16, 24]), st.booleans())
+def test_split_off_finds_a_planted_part_that_is_not_a_brick(field, pick, seed, budget,
+                                                            first):
+    # Completeness beyond bricks: a part with a local End of dimension at
+    # least 2 splits off a sum it was planted in, on either side.
+    parts = [n for n in _claim_parts(field) if homology.hom_dim(n, n) >= 2]
+    part = parts[pick % len(parts)]
+    rest = random_module(part.algebra, seed=seed, budget=budget)
+    module = direct_sum(part.algebra, [part, rest] if first else [rest, part])
+    split = split_off(part, module)
+    assert split is not None
+    assert split.retraction.compose(split.section).mats == ModuleMap.identity(part).mats
+    assert assemble_sum_map([split.section, split.inclusion], module).is_iso()
 
 
 _JSON = st.recursive(

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "Representation", "RepresentationError", "StringWord", "direct_sum",
     "direct_sum_maps", "inflate", "random_module", "restrict", "string_module",
     "CoverData", "PdReport", "certified_iso", "cokernel_of", "hom_basis",
-    "is_direct_summand_simple", "kernel_of", "projdim", "projective_cover",
+    "split_off", "kernel_of", "projdim", "projective_cover",
     "radical", "syzygy", "top_dims", "CertificateFailure", "IntervalSummand",
     "Lemma2Split", "NotPathQuiver", "interval_decompose", "lemma2_split",
     "strip_pc2", "xset", "build_U", "build_Z", "build_Zt", "build_phi",
