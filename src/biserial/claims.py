@@ -467,7 +467,3 @@ def run_claim(claim_id: str, config: FamilyConfig) -> ClaimReport:
     if claim_id not in CLAIMS:
         raise KeyError(f"unknown claim {claim_id!r}; known: {', '.join(CLAIMS)}")
     return CLAIMS[claim_id](config)
-
-
-def run_claims(claim_ids: List[str], config: FamilyConfig) -> List[ClaimReport]:
-    return [run_claim(cid, config) for cid in claim_ids]

@@ -9,9 +9,10 @@ Subcommands::
 Exit codes: 0 success / all claims pass, 1 a claim failed or ``module
 iso`` proved the modules not isomorphic, 2 usage or parse error, 3 an
 inconclusive verdict (with ``--strict`` for ``module pd``; a ``module iso``
-search that missed), 4 an internal error (a bug, reported as
-``internal error: ...``), 141 the reader of stdout went away, as for a
-writer killed by SIGPIPE (``biserial verify all | head -1``).
+search that missed; a ``module split`` certificate that could not be built,
+as for a module outside Lemma 2's scope), 4 an internal error (a bug,
+reported as ``internal error: ...``), 141 the reader of stdout went away,
+as for a writer killed by SIGPIPE (``biserial verify all | head -1``).
 ``--structured`` switches reports to line-delimited JSON records,
 byte-stable for identical flags.
 
@@ -270,7 +271,7 @@ def cmd_module(args) -> int:
             split = lemma2_split(module)
         except CertificateFailure as exc:
             print(f"certificate failure: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+            return EXIT_INCONCLUSIVE
         rec = split.to_record()
         if args.structured:
             rec.update({"module": name, "field": args.field})

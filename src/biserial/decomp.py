@@ -39,8 +39,8 @@ class NotPathQuiver(ValueError):
 
 
 class CertificateFailure(RuntimeError):
-    """A splitting certificate failed verification: an implementation bug,
-    not a mathematical failure."""
+    """A splitting certificate failed verification: an implementation bug
+    or a module outside Lemma 2's scope, not a mathematical failure."""
 
 
 def _load_walks() -> dict:

@@ -65,16 +65,6 @@ class Matrix:
             m.data[i][k] = one
         return m
 
-    @classmethod
-    def from_rows(cls, field, rows: Sequence[Sequence]) -> "Matrix":
-        data = [[field(x) for x in row] for row in rows]
-        ncols = len(data[0]) if data else 0
-        return cls(field, len(data), ncols, data)
-
-    @classmethod
-    def column(cls, field, entries: Sequence) -> "Matrix":
-        return cls(field, len(entries), 1, [[field(x)] for x in entries])
-
     # -- basic algebra -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -92,18 +82,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        return Matrix(self.field, self.rows, self.cols, self.field.reduce(data))
-
     def __neg__(self) -> "Matrix":
-        return self.scale(self.field.neg(self.field.one))
-
-    def scale(self, c) -> "Matrix":
-        c = self.field(c)
-        data = [[c * x for x in row] for row in self.data]
-        return Matrix(self.field, self.rows, self.cols, self.field.reduce(data))
+        neg = self.field.neg
+        return Matrix(self.field, self.rows, self.cols,
+                      [[neg(x) for x in row] for row in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -143,10 +125,6 @@ class Matrix:
     def submatrix_cols(self, cols: Sequence[int]) -> "Matrix":
         return Matrix(self.field, self.rows, len(cols),
                       [[row[j] for j in cols] for row in self.data])
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     # -- elimination -------------------------------------------------------
 
@@ -194,6 +172,8 @@ class Matrix:
             x.data[pj] = red.data[i][self.cols:]
         return x
 
+    # No command calls inverse; it stays for bench/tracer.py, which wraps
+    # it as vars(Matrix)["inverse"].
     def inverse(self) -> Optional["Matrix"]:
         """The inverse, or None for a singular or non-square matrix.  A
         consistent solve of self @ X = I is the inverse: [self | I] has

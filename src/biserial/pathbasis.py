@@ -175,29 +175,3 @@ class PathBasis:
 
     def dim_projective(self, vertex: str) -> int:
         return len(self.classes_from(vertex))
-
-    def spot_check_associativity(self, rng) -> bool:
-        """(b·p)·a == b·(p·a) for random arrows a, b and basis classes p."""
-        quiver = self.pres.quiver
-        arrow_names = list(quiver.arrows)
-        if not arrow_names:
-            return True
-        for _ in range(64):
-            i = rng.randrange(self.dim)
-            src, tgt, rep = self.classes[i]
-            outs = quiver.arrows_from(tgt)
-            if not outs:
-                continue
-            a = outs[rng.randrange(len(outs))]
-            via_a = self.act[(a.name, i)]
-            for b in quiver.arrows_from(a.target):
-                lhs: dict = {}
-                for j, c in via_a.items():
-                    for k, d in self.act[(b.name, j)].items():
-                        lhs[k] = lhs.get(k, QQ.zero) + c * d
-                rhs = self._reduce_path(rep + (a.name, b.name), src)
-                lhs = {k: v for k, v in lhs.items() if v}
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    return False
-        return True

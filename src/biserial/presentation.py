@@ -100,13 +100,6 @@ class Quiver:
                     return False
         return True
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Quiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-        )
-
 
 class Presentation:
     """A quiver together with its relations; defines the quotient algebra."""
@@ -154,13 +147,6 @@ class Presentation:
             prev = a
         first = arrows[path[0]]
         return first.source, arrows[path[-1]].target
-
-    def structurally_equal(self, other: "Presentation") -> bool:
-        return (
-            self.name == other.name
-            and self.quiver == other.quiver
-            and self.relations == other.relations
-        )
 
     def delete_vertices(self, removed: Iterable[str], name: str,
                         meta: Optional[dict] = None) -> "Presentation":

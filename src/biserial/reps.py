@@ -281,15 +281,6 @@ class ModuleMap:
                 and all(self.mats[v].rank() == self.source.dims[v]
                         for v in self._blocks()))
 
-    def inverse(self) -> "ModuleMap":
-        invs = {}
-        for v in self.source.algebra.vertices:
-            inv = self.mats[v].inverse()
-            if inv is None:
-                raise RepresentationError(f"not invertible at vertex {v}")
-            invs[v] = inv
-        return ModuleMap(self.target, self.source, invs)
-
     def compose(self, earlier: "ModuleMap") -> "ModuleMap":
         """self after earlier."""
         if earlier.target is not self.source:
@@ -299,14 +290,6 @@ class ModuleMap:
                 for v in self.source.algebra.vertices
                 if earlier.source.dims[v] and self.target.dims[v]}
         return ModuleMap(earlier.source, self.target, mats)
-
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        mats = {v: self.mats[v] + other.mats[v] for v in self._blocks()}
-        return ModuleMap(self.source, self.target, mats)
-
-    def scale(self, c) -> "ModuleMap":
-        return ModuleMap(self.source, self.target,
-                         {v: self.mats[v].scale(c) for v in self._blocks()})
 
     @classmethod
     def identity(cls, rep: Representation) -> "ModuleMap":
@@ -417,7 +400,7 @@ def string_module(algebra: Algebra, word: StringWord) -> Representation:
 
 def direct_sum(algebra: Algebra, summands: Sequence[Representation]
                ) -> Representation:
-    """Block-diagonal sum; ``direct_sum_maps`` gives its structure maps."""
+    """Block-diagonal sum."""
     for s in summands:
         if s.algebra.pres is not algebra.pres:
             raise RepresentationError("direct sum across different presentations")
@@ -438,33 +421,6 @@ def assemble_sum_map(maps: Sequence[ModuleMap], target: Representation) -> Modul
     return ModuleMap(total, target, {
         v: Matrix.hcat(algebra.field, target.dims[v], [f.mats[v] for f in maps])
         for v in algebra.vertices if total.dims[v] and target.dims[v]})
-
-
-def direct_sum_maps(total: Representation, summands: Sequence[Representation]
-                    ) -> Tuple[List[ModuleMap], List[ModuleMap]]:
-    """Injections into and projections out of ``total``, the
-    ``direct_sum`` of ``summands``, one of each per summand in order."""
-    algebra = total.algebra
-    field = algebra.field
-    injections: List[ModuleMap] = []
-    projections: List[ModuleMap] = []
-    offsets = {v: 0 for v in algebra.vertices}
-    for s in summands:
-        inj = {}
-        proj = {}
-        for v in algebra.vertices:
-            d, off = s.dims[v], offsets[v]
-            im = Matrix.zeros(field, total.dims[v], d)
-            pm = Matrix.zeros(field, d, total.dims[v])
-            for i in range(d):
-                im.data[off + i][i] = field.one
-                pm.data[i][off + i] = field.one
-            inj[v] = im
-            proj[v] = pm
-            offsets[v] = off + d
-        injections.append(ModuleMap(s, total, inj))
-        projections.append(ModuleMap(total, s, proj))
-    return injections, projections
 
 
 def inflate(module: Representation, big: Algebra) -> Representation:

@@ -1,0 +1,147 @@
+"""Reference helpers for the tests: constructions and checks that no
+``biserial`` command runs, written as plain functions over the package's
+public types.
+
+Matrix and module-map arithmetic, direct-sum structure maps, an
+associativity spot check of a path basis, structural equality of
+presentations and a claim batch runner.  Tests build inputs with them and
+check the package's answers against them.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+from biserial.claims import ClaimReport, FamilyConfig, run_claim
+from biserial.fields import QQ
+from biserial.matrices import Matrix
+from biserial.pathbasis import PathBasis
+from biserial.presentation import Presentation
+from biserial.reps import ModuleMap, Representation, RepresentationError
+
+
+# -- matrices ----------------------------------------------------------------
+
+
+def from_rows(field, rows: Sequence[Sequence]) -> Matrix:
+    """The matrix with these rows, each entry converted by ``field``."""
+    data = [[field(x) for x in row] for row in rows]
+    return Matrix(field, len(data), len(data[0]) if data else 0, data)
+
+
+def column(field, entries: Sequence) -> Matrix:
+    """The one-column matrix with these entries."""
+    return Matrix(field, len(entries), 1, [[field(x)] for x in entries])
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    """The entrywise sum, in normal form."""
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ValueError("shape mismatch")
+    data = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.data, b.data)]
+    return Matrix(a.field, a.rows, a.cols, a.field.reduce(data))
+
+
+def scale(m: Matrix, c) -> Matrix:
+    """``c`` times ``m``, ``c`` converted by the field, in normal form."""
+    c = m.field(c)
+    data = [[c * x for x in row] for row in m.data]
+    return Matrix(m.field, m.rows, m.cols, m.field.reduce(data))
+
+
+# -- module maps -------------------------------------------------------------
+
+
+def _blocks(f: ModuleMap) -> List[str]:
+    """Vertices where the map has entries."""
+    return [v for v, m in f.mats.items() if m.rows and m.cols]
+
+
+def map_add(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    return ModuleMap(f.source, f.target, {v: add(f.mats[v], g.mats[v]) for v in _blocks(f)})
+
+
+def map_scale(f: ModuleMap, c) -> ModuleMap:
+    return ModuleMap(f.source, f.target, {v: scale(f.mats[v], c) for v in _blocks(f)})
+
+
+def map_inverse(f: ModuleMap) -> ModuleMap:
+    """The vertexwise inverse of an isomorphism."""
+    invs = {}
+    for v, m in f.mats.items():
+        inv = m.inverse()
+        if inv is None:
+            raise RepresentationError(f"not invertible at vertex {v}")
+        invs[v] = inv
+    return ModuleMap(f.target, f.source, invs)
+
+
+def direct_sum_maps(total: Representation, summands: Sequence[Representation]
+                    ) -> Tuple[List[ModuleMap], List[ModuleMap]]:
+    """Injections into and projections out of ``total``, the
+    ``direct_sum`` of ``summands``, one of each per summand in order."""
+    algebra = total.algebra
+    field = algebra.field
+    injections: List[ModuleMap] = []
+    projections: List[ModuleMap] = []
+    offsets = {v: 0 for v in algebra.vertices}
+    for s in summands:
+        inj = {}
+        proj = {}
+        for v in algebra.vertices:
+            d, off = s.dims[v], offsets[v]
+            im = Matrix.zeros(field, total.dims[v], d)
+            pm = Matrix.zeros(field, d, total.dims[v])
+            for i in range(d):
+                im.data[off + i][i] = field.one
+                pm.data[i][off + i] = field.one
+            inj[v] = im
+            proj[v] = pm
+            offsets[v] = off + d
+        injections.append(ModuleMap(s, total, inj))
+        projections.append(ModuleMap(total, s, proj))
+    return injections, projections
+
+
+# -- presentations and path bases --------------------------------------------
+
+
+def structurally_equal(p: Presentation, q: Presentation) -> bool:
+    """Same name, vertices, arrows and relations."""
+    return (p.name == q.name
+            and p.quiver.vertices == q.quiver.vertices
+            and p.quiver.arrows == q.quiver.arrows
+            and p.relations == q.relations)
+
+
+def spot_check_associativity(basis: PathBasis, rng) -> bool:
+    """(b·p)·a == b·(p·a) for random arrows a, b and basis classes p."""
+    quiver = basis.pres.quiver
+    if not quiver.arrows:
+        return True
+    for _ in range(64):
+        i = rng.randrange(basis.dim)
+        src, tgt, rep = basis.classes[i]
+        outs = quiver.arrows_from(tgt)
+        if not outs:
+            continue
+        a = outs[rng.randrange(len(outs))]
+        via_a = basis.act[(a.name, i)]
+        for b in quiver.arrows_from(a.target):
+            lhs: dict = {}
+            for j, c in via_a.items():
+                for k, d in basis.act[(b.name, j)].items():
+                    lhs[k] = lhs.get(k, QQ.zero) + c * d
+            rhs = basis._reduce_path(rep + (a.name, b.name), src)
+            lhs = {k: v for k, v in lhs.items() if v}
+            rhs = {k: v for k, v in rhs.items() if v}
+            if lhs != rhs:
+                return False
+    return True
+
+
+# -- claims ------------------------------------------------------------------
+
+
+def run_claims(claim_ids: List[str], config: FamilyConfig) -> List[ClaimReport]:
+    return [run_claim(cid, config) for cid in claim_ids]

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from biserial.claims import (CLAIMS, FamilyConfig, expected_projective_layers,
-                             radical_filtration, run_claim, run_claims)
+                             radical_filtration, run_claim)
 from biserial.reps import Algebra
 from biserial.families import build_lambda
+from oracles import run_claims
 
 SMALL = FamilyConfig(r=1, m_max=2, t_max=2, samples=6, seed=13)
 

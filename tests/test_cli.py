@@ -10,9 +10,9 @@ import pytest
 from biserial.cli import main
 from biserial.families import build_lambda1prime
 from biserial.fields import field_from_spec
-from biserial.matrices import Matrix
 from biserial.modfiles import emit_module_raw
 from biserial.reps import Algebra, Representation, random_module
+from oracles import from_rows
 
 
 @pytest.fixture()
@@ -120,6 +120,15 @@ def test_module_split(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["pc2_copies"] == 1
     assert rec["x_multiplicities"] == [0] * 10
+
+
+def test_module_split_outside_lemma_2_is_inconclusive(z3_file, capsys):
+    # Z3 over lambda(1, 3) has support outside lambda1prime's vertices, so
+    # no splitting certificate exists; that is no sound negative.
+    assert main(["module", "split", z3_file, "--algebra", "lambda:r=1,m=3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certificate failure: final splitting certificate failed\n"
 
 
 def test_module_syzygy_writes_raw_file(z3_file, tmp_path, capsys):
@@ -415,8 +424,7 @@ def _scrambled_pair(tmp_path, field_spec):
     the basis changed by the upper unitriangular all-ones matrix."""
     alg = Algebra(build_lambda1prime(1), field=field_from_spec(field_spec))
     module = random_module(alg, seed=5, budget=16)
-    change = {v: Matrix.from_rows(alg.field, [[int(j >= i) for j in range(d)]
-                                              for i in range(d)])
+    change = {v: from_rows(alg.field, [[int(j >= i) for j in range(d)] for i in range(d)])
               for v, d in module.dims.items() if d}
     mats = {a.name: change[a.target] @ module.mats[a.name] @ change[a.source].inverse()
             for a in alg.pres.quiver.arrows.values()

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from biserial.fields import QQ, PrimeField, Rationals
 from biserial.matrices import Matrix, block_diag
+from oracles import add, column, from_rows, scale
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -22,7 +23,7 @@ def qq_matrices(max_dim=5):
             lambda c: st.lists(
                 st.lists(small_fraction, min_size=c, max_size=c),
                 min_size=r, max_size=r,
-            ).map(lambda rows: Matrix.from_rows(QQ, rows) if r else Matrix(QQ, 0, c, []))
+            ).map(lambda rows: from_rows(QQ, rows) if r else Matrix(QQ, 0, c, []))
         )
     )
 
@@ -34,7 +35,7 @@ def fp_matrices(field, max_dim=5):
                 st.lists(st.integers(min_value=0, max_value=field.p - 1),
                          min_size=c, max_size=c),
                 min_size=r, max_size=r,
-            ).map(lambda rows: Matrix.from_rows(field, rows) if r else Matrix(field, 0, c, []))
+            ).map(lambda rows: from_rows(field, rows) if r else Matrix(field, 0, c, []))
         )
     )
 
@@ -56,9 +57,9 @@ def test_rref_zero_matrix():
 
 
 def test_rref_dependent_rows():
-    m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
+    m = from_rows(QQ, [[1, 2], [2, 4]])
     red, pivots, rank = m.rref()
-    assert red == Matrix.from_rows(QQ, [[1, 2], [0, 0]])
+    assert red == from_rows(QQ, [[1, 2], [0, 0]])
     assert pivots == [0]
     assert rank == 1
 
@@ -74,7 +75,7 @@ def test_kernel_of_zero_map():
 
 
 def test_kernel_rank_one():
-    m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
+    m = from_rows(QQ, [[1, 2], [2, 4]])
     k = m.kernel_basis()
     assert k.cols == 1
     # proportional to (-2, 1)
@@ -82,7 +83,7 @@ def test_kernel_rank_one():
 
 
 def test_solve_identity():
-    b = Matrix.from_rows(QQ, [[3], [Fraction(1, 2)]])
+    b = from_rows(QQ, [[3], [Fraction(1, 2)]])
     assert Matrix.identity(QQ, 2).solve(b) == b
 
 
@@ -93,22 +94,22 @@ def test_solve_zero_system():
 
 
 def test_solve_inconsistent():
-    m = Matrix.from_rows(QQ, [[1], [2]])
-    b = Matrix.from_rows(QQ, [[1], [1]])
+    m = from_rows(QQ, [[1], [2]])
+    b = from_rows(QQ, [[1], [1]])
     assert m.solve(b) is None
 
 
 def test_inverse():
-    m = Matrix.from_rows(QQ, [[1, 2], [3, 5]])
+    m = from_rows(QQ, [[1, 2], [3, 5]])
     inv = m.inverse()
     assert inv is not None
     assert m @ inv == Matrix.identity(QQ, 2)
-    assert Matrix.from_rows(QQ, [[1, 2], [2, 4]]).inverse() is None
+    assert from_rows(QQ, [[1, 2], [2, 4]]).inverse() is None
 
 
 def test_block_diag_shapes():
     a = Matrix.identity(QQ, 2)
-    b = Matrix.from_rows(QQ, [[5]])
+    b = from_rows(QQ, [[5]])
     d = block_diag(QQ, [a, b])
     assert (d.rows, d.cols) == (3, 3)
     assert d.data[2][2] == 5 and d.data[0][2] == 0
@@ -140,7 +141,7 @@ class TestEliminationLaws:
         coeffs = data.draw(st.lists(
             st.integers(min_value=-3, max_value=3),
             min_size=m.cols, max_size=m.cols))
-        x = Matrix.column(field, [field(c) for c in coeffs])
+        x = column(field, [field(c) for c in coeffs])
         b = m @ x
         sol = m.solve(b)
         assert sol is not None
@@ -177,7 +178,7 @@ def test_rref_sparse_rows_match_dense_elimination():
     # Elimination touches only the pivot row's nonzero columns; the result
     # must still be the reduced echelon form.
     data = [[0, 2, 0, 0, 4], [1, 0, 0, 3, 0], [1, 2, 0, 3, 4], [0, 0, 5, 0, 0]]
-    red, pivots, rank = Matrix.from_rows(QQ, data).rref()
+    red, pivots, rank = from_rows(QQ, data).rref()
     assert pivots == [0, 1, 2] and rank == 3
     assert red.data == [[1, 0, 0, 3, 0], [0, 1, 0, 0, 2], [0, 0, 1, 0, 0],
                         [0, 0, 0, 0, 0]]
@@ -237,6 +238,22 @@ def test_rref_pivots_complement_the_kernel(strategy, data):
     assert a.rref()[1] == a.kernel_basis().unit_complement()
 
 
+@ALL_FIELDS
+@given(data=st.data())
+def test_negation_is_scaling_by_minus_one(strategy, data):
+    m = data.draw(strategy)
+    before = [row[:] for row in m.data]
+    neg = -m
+    typed = [[(type(x), x) for x in row] for row in neg.data]
+    assert (neg.rows, neg.cols) == (m.rows, m.cols)
+    assert typed == [[(type(x), x) for x in row] for row in scale(m, -1).data]
+    if m.field == QQ:
+        # An integral entry is an int, a non-integral one a Fraction.
+        assert all(t is (int if Fraction(x).denominator == 1 else Fraction)
+                   for row in typed for t, x in row)
+    assert m.data == before
+
+
 @pytest.mark.parametrize("field", [QQ, F2, F101], ids=["qq", "f2", "f101"])
 def test_unit_complement_of_empty_shapes(field):
     assert Matrix(field, 3, 0, [[], [], []]).unit_complement() == [0, 1, 2]
@@ -249,17 +266,17 @@ def test_unit_complement_of_empty_shapes(field):
 
 def test_inverse_of_singular_matrix_over_gf2_is_none():
     # [[1, 1], [1, 1]] and a rank-2 3x3 matrix whose rows sum to zero mod 2.
-    assert Matrix.from_rows(F2, [[1, 1], [1, 1]]).inverse() is None
-    assert Matrix.from_rows(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]).inverse() is None
-    m = Matrix.from_rows(F2, [[1, 1], [0, 1]])
+    assert from_rows(F2, [[1, 1], [1, 1]]).inverse() is None
+    assert from_rows(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]).inverse() is None
+    m = from_rows(F2, [[1, 1], [0, 1]])
     assert m @ m.inverse() == Matrix.identity(F2, 2)
 
 
 def test_hcat_with_empty_blocks():
-    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    a = from_rows(QQ, [[1, 2], [3, 4]])
     empty = Matrix.zeros(QQ, 2, 0)
     assert Matrix.hcat(QQ, 2, [empty, a, empty]) == a
-    assert Matrix.hcat(QQ, 2, [a, Matrix.column(QQ, [5, 6])]).data == [[1, 2, 5], [3, 4, 6]]
+    assert Matrix.hcat(QQ, 2, [a, column(QQ, [5, 6])]).data == [[1, 2, 5], [3, 4, 6]]
     assert Matrix.hcat(QQ, 2, []) == empty
     no_rows = Matrix.hcat(QQ, 0, [Matrix.zeros(QQ, 0, 3), Matrix.zeros(QQ, 0, 2)])
     assert (no_rows.rows, no_rows.cols, no_rows.data) == (0, 5, [])
@@ -295,7 +312,7 @@ def test_elimination_takes_its_pivots_from_the_field():
     # reduced form is the same.
     data = [[3, 1], [1, 1]]
     small, first = RecordingRationals(), FirstNonzeroRationals()
-    assert Matrix.from_rows(first, data).rref() == Matrix.from_rows(small, data).rref()
+    assert from_rows(first, data).rref() == from_rows(small, data).rref()
     assert small.scalings == [Fraction(-1, 2)]
     assert first.scalings == [Fraction(1, 3), Fraction(3, 2)]
 
@@ -442,13 +459,13 @@ def test_rational_answers_match_fraction_elimination_in_normal_form(data):
     assert _all_normal(product)
 
     other = data.draw(mixed_qq_matrices(r, c))
-    total = a + other
+    total = add(a, other)
     assert _values(total) == [[x + y for x, y in zip(p, q)]
                               for p, q in zip(values, _values(other))]
     assert _all_normal(total)
 
     scalar = data.draw(mixed_rational)
-    scaled = a.scale(scalar)
+    scaled = scale(a, scalar)
     assert _values(scaled) == [[Fraction(scalar) * x for x in row] for row in values]
     assert _all_normal(scaled)
 
