@@ -8,15 +8,15 @@ syzygies, which forces the chain to cycle forever.  When neither happens
 within the cutoff the report says so; an inconclusive outcome is never
 silently treated as finite.
 
-The chain walks projective covers: each module's syzygy is the next
-module, and its cover's multiplicities are the top in the module's cheap
-fingerprint (dimension vector and top).  Syzygies are memoized in the
-``Algebra``, keyed by module content (dimension vector and each arrow's
-nonzero entries), and kept as long as the algebra: every chain and every
-``syzygy`` call over one algebra -- in ``verify``, every claim of one run
--- builds each content's cover once.  The dimension of End(M) is solved
-only for syzygies whose fingerprints collide, and the isomorphism search
-runs only when those dimensions agree too.
+The chain is a loop over ``syzygy``: each module's syzygy is the next
+module.  Syzygies are memoized in the ``Algebra``, keyed by module content
+(dimension vector and each arrow's nonzero entries), and kept as long as
+the algebra: every chain and every ``syzygy`` call over one algebra -- in
+``verify``, every claim of one run -- builds each content's cover once.
+The isomorphism search runs only between chain modules whose dimension
+vectors agree.  The two ends of a cycle can differ in content (the band
+modules of a local algebra do), so the search, not content equality,
+certifies it.
 
 A cover is the free module on its generators' vertices, and its basis,
 the (summand, path class) pairs, is ``Algebra.free_basis``: the cover
@@ -187,7 +187,7 @@ class CoverData:
 
     ``cover``, ``cover_map`` and ``inclusion`` are built on first access,
     from the vertex of each generator (``tops``) and the vertexwise
-    matrices: the pd chain reads only ``syzygy`` and ``multiplicities``.
+    matrices: the pd chain reads only ``syzygy``.
     """
 
     def __init__(self, module: Representation, syzygy: Representation, tops: List[str],
@@ -195,7 +195,6 @@ class CoverData:
         self.module = module
         self.syzygy = syzygy
         self.tops = tops
-        self.multiplicities = {v: tops.count(v) for v in tops}
         self.cover_mats = cover_mats
         self.inclusion_mats = inclusion_mats
 
@@ -298,15 +297,8 @@ def _path_image(module: Representation, images: Dict[tuple, list], path: tuple) 
 
 
 def syzygy(module: Representation) -> Representation:
-    """The minimal syzygy of ``module``, computed once per algebra for
-    each module content (see ``_syzygy_step``) and then shared."""
-    return _syzygy_step(module)[0]
-
-
-def _syzygy_step(module: Representation
-                 ) -> Tuple[Representation, Dict[str, int]]:
-    """The syzygy of ``module`` and the multiplicities of its top: all that
-    the pd chain reads of a cover.
+    """The minimal syzygy of ``module``, the syzygy of its
+    ``projective_cover``.
 
     Memoized in the module's ``Algebra``, keyed by the module's content
     (``_content_key``).  The cover is a function of that content alone,
@@ -316,11 +308,10 @@ def _syzygy_step(module: Representation
     """
     memo = module.algebra.memo("syzygies", lambda alg: {})
     key = _content_key(module)
-    step = memo.get(key)
-    if step is None:
-        cover = projective_cover(module)
-        step = memo[key] = (cover.syzygy, cover.multiplicities)
-    return step
+    omega = memo.get(key)
+    if omega is None:
+        omega = memo[key] = projective_cover(module).syzygy
+    return omega
 
 
 def _content_key(module: Representation) -> tuple:
@@ -604,47 +595,29 @@ def projdim(module: Representation, cutoff: int = 32, seed: int = 0,
     invariants); Inconclusive after ``cutoff`` steps.  The zero module
     gets the distinct verdict ``minus_infinity``.
 
-    Each chain module's syzygy and top multiplicities come from
-    ``_syzygy_step``, so a module content met before in any chain over the
-    same algebra costs no cover: its syzygy is the next module and its
-    multiplicities are the top in the module's fingerprint.  Two
-    syzygies are only searched for an isomorphism when their fingerprints
-    and their End dimensions agree; the End dimension of a syzygy is
-    solved the first time its fingerprint collides, then kept.
+    Each chain module comes from ``syzygy``, so a module content met
+    before in any chain over the same algebra costs no cover.  A new
+    syzygy is searched for an isomorphism only with earlier chain modules
+    of the same dimension vector.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    current = module
-    chain = [current.dim_vector()]
-    if current.is_zero():
+    chain = [module.dim_vector()]
+    if module.is_zero():
         return PdReport("minus_infinity", chain, seed=seed)
-    end_dims: Dict[int, int] = {}
-
-    def end_dim(rep: Representation, idx: int) -> int:
-        if idx not in end_dims:
-            end_dims[idx] = hom_dim(rep, rep)
-        return end_dims[idx]
-
-    def fingerprint(rep: Representation, multiplicities: Dict[str, int]) -> tuple:
-        return (rep.dim_vector(), tuple(sorted(multiplicities.items())))
-
-    omega, multiplicities = _syzygy_step(current)
-    seen: List[Tuple[tuple, Representation, int]] = [
-        (fingerprint(current, multiplicities), current, 0)]
+    seen = [module]
     for step in range(1, cutoff + 1):
-        current = omega
+        current = syzygy(seen[-1])
         chain.append(current.dim_vector())
         if current.is_zero():
             return PdReport("finite", chain, value=step - 1, seed=seed)
-        omega, multiplicities = _syzygy_step(current)
-        fp = fingerprint(current, multiplicities)
-        for old_fp, old_rep, old_idx in seen:
-            if old_fp == fp and end_dim(old_rep, old_idx) == end_dim(current, step):
-                iso = certified_iso(old_rep, current, trials=trials, seed=seed)
+        for idx, old in enumerate(seen):
+            if chain[idx] == chain[step]:
+                iso = certified_iso(old, current, trials=trials, seed=seed)
                 if iso is not None:
-                    return PdReport("infinite", chain, cycle=(old_idx, step),
+                    return PdReport("infinite", chain, cycle=(idx, step),
                                     seed=seed, iso=iso)
-        seen.append((fp, current, step))
+        seen.append(current)
     return PdReport("inconclusive", chain, cutoff=cutoff, seed=seed)
 
 

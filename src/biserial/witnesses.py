@@ -11,9 +11,9 @@ refining the witness (``t = 1`` gives the witness itself), and
 themselves are infinite-dimensional and out of scope; only the finite
 members and maps are built.
 
-Walk transcriptions for fixed levels live in ``data/walks.json``; the
-level patterns beyond five are generated and cross-checked against the
-stored ones in the tests.
+The witness is the first member, so both are built from one walk,
+``zt_walk``.  The transcriptions of the witness walks for levels one to
+five in ``data/walks.json`` are the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from .decomp import _WALKS
 from .families import arrow_name, vname
 from .homology import cokernel_of, projective_cover, projdim, random_hom_combination
 from .matrices import Matrix, block_diag
@@ -40,16 +39,6 @@ def _be(src: str, tgt: str) -> str:
     return arrow_name(BETA, src, tgt)
 
 
-def z_walk(m: int) -> StringWord:
-    """The string part of the level-``m`` witness, for m >= 1."""
-    if m < 1:
-        raise ValueError("the level-0 witness is not a string")
-    if str(m) in _WALKS["Z"]:
-        spec = _WALKS["Z"][str(m)]
-        return StringWord(spec["base"], [tuple(x) for x in spec["letters"]])
-    return StringWord(vname("a", m), _z_block(m))
-
-
 def _z_block(m: int) -> List[Letter]:
     """Walk letters of the short witness string at level m >= 3."""
     am, bm = vname("a", m), vname("b", m)
@@ -63,22 +52,14 @@ def _z_block(m: int) -> List[Letter]:
 
 
 def build_Z(algebra: Algebra, m: int) -> Representation:
-    """Level-``m`` witness module; algebra must contain level ``m``."""
-    if m < 0:
-        raise ValueError("level must be nonnegative")
-    if m == 0:
-        parts = [algebra.simple("d0"), algebra.projective("a0"),
-                 algebra.projective("b0"), algebra.projective("c0"),
-                 algebra.simple("d1")]
-        return direct_sum(algebra, parts)
-    if m == 1:
-        s = string_module(algebra, z_walk(1))
-        return direct_sum(algebra, [s, algebra.simple("d0")])
-    return string_module(algebra, z_walk(m))
+    """Level-``m`` witness module, the first member ``build_Zt(algebra,
+    m, 1)``; algebra must contain level ``m``."""
+    return build_Zt(algebra, m, 1)
 
 
 def zt_walk(m: int, t: int) -> StringWord:
-    """The string part of the ``t``-fold member at level m >= 1."""
+    """The string part of the ``t``-fold member at level m >= 1; at
+    ``t = 1``, of the witness."""
     if t < 1:
         raise ValueError("t must be at least 1")
     if m == 1:
@@ -108,6 +89,8 @@ def zt_walk(m: int, t: int) -> StringWord:
             letters.append(junction)
             letters += block
         return StringWord(am, letters)
+    if m < 0:
+        raise ValueError("level must be nonnegative")
     raise ValueError("level-0 members are not strings")
 
 

@@ -217,26 +217,33 @@ def test_verify_all_digest_is_pinned(args, digest, code, capsys):
 def test_corollary_3_covers_only_what_its_sampler_covers(monkeypatch):
     # The claim reads each sample's syzygy off the pd chain the sampler
     # has already walked, so the claim takes exactly the sampler's
-    # syzygy steps.
+    # syzygy steps, all of them answered by the syzygy memo.
     from biserial import homology
     from biserial.claims import claim_corollary_3
     from biserial.witnesses import sample_finite_pd_modules
 
-    covers = []
-    real = homology._syzygy_step
+    steps, covers = [], []
+    real_syzygy, real_cover = homology.syzygy, homology.projective_cover
 
-    def counting(module):
+    def counting_syzygy(module):
+        steps.append(module)
+        return real_syzygy(module)
+
+    def counting_cover(module):
         covers.append(module)
-        return real(module)
+        return real_cover(module)
 
-    monkeypatch.setattr(homology, "_syzygy_step", counting)
+    monkeypatch.setattr(homology, "syzygy", counting_syzygy)
+    monkeypatch.setattr(homology, "projective_cover", counting_cover)
     cfg = FamilyConfig(r=1, samples=5, seed=13)
     sample_finite_pd_modules(cfg.algebra("lambda", 2), cfg.samples, seed=cfg.seed,
                              max_dim=max(cfg.max_dim, 60))
-    sampled = len(covers)
+    sampled = len(steps)
+    steps.clear()
     covers.clear()
     assert claim_corollary_3(cfg).status == "pass"
-    assert sampled > 0 and len(covers) == sampled
+    assert sampled > 0 and len(steps) == sampled
+    assert covers == []
 
 
 def test_section_4_builds_each_connecting_map_once(monkeypatch):

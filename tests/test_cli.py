@@ -10,7 +10,8 @@ import pytest
 from biserial.cli import main
 from biserial.families import build_lambda1prime
 from biserial.fields import field_from_spec
-from biserial.modfiles import emit_module_raw
+from biserial.homology import _content_key
+from biserial.modfiles import emit_module_raw, parse_module_file
 from biserial.reps import Algebra, Representation, random_module
 from oracles import from_rows
 
@@ -419,11 +420,11 @@ def test_verify_pd_chains_use_the_trials_flag(capsys):
     assert finite and all(c["status"] == "pass" for c in finite)
 
 
-def _scrambled_pair(tmp_path, field_spec):
+def _scrambled_pair(tmp_path, field_spec, seed=5, budget=16):
     """Files holding a random lambda1prime(1) module and a copy of it in
     the basis changed by the upper unitriangular all-ones matrix."""
     alg = Algebra(build_lambda1prime(1), field=field_from_spec(field_spec))
-    module = random_module(alg, seed=5, budget=16)
+    module = random_module(alg, seed=seed, budget=budget)
     change = {v: from_rows(alg.field, [[int(j >= i) for j in range(d)] for i in range(d)])
               for v, d in module.dims.items() if d}
     mats = {a.name: change[a.target] @ module.mats[a.name] @ change[a.source].inverse()
@@ -450,3 +451,57 @@ def test_module_iso_certificates_are_pinned(field_spec, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "certificate" in json.loads(out)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_ISO[field_spec]
+
+
+# The change of basis leaves the pair above equal in content over every
+# field.  It moves this 13-dimensional module's arrows, so its two files
+# differ.  Digests recorded before the pd chain dropped its End-dimension
+# gate.
+PINNED_ISO_CHANGED = {"q": "2dad3d499aa698de", "fp:2": "cd8479e4c6428536",
+                      "fp:101": "67e437afa612849f"}
+
+
+@pytest.mark.parametrize("field_spec", list(PINNED_ISO_CHANGED))
+def test_module_iso_certificates_across_a_basis_change_are_pinned(field_spec, tmp_path,
+                                                                  capsys):
+    m_file, n_file = _scrambled_pair(tmp_path, field_spec, seed=4, budget=24)
+    alg = Algebra(build_lambda1prime(1), field=field_from_spec(field_spec))
+    m, n = (parse_module_file(Path(f).read_text(), alg)[name]
+            for f, name in ((m_file, "m"), (n_file, "n")))
+    assert _content_key(m) != _content_key(n)
+    assert main(["module", "iso", m_file, n_file, "--algebra", "lambda1prime:r=1",
+                 "--field", field_spec, "--seed", "2", "--structured"]) == 0
+    out = capsys.readouterr().out
+    assert "certificate" in json.loads(out)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_ISO_CHANGED[field_spec]
+
+
+LOCAL_ALGEBRA = ("algebra local\nvertex o\n"
+                 "arrow x : alpha o -> o\narrow y : beta o -> o\n"
+                 "rel zero x y\nrel zero y x\nrel eq x x = y y\n"
+                 "rel zero x x x\nrel zero y y y\n")
+
+
+@pytest.fixture()
+def band_files(tmp_path):
+    """k<x,y>/(xy, yx, x^2 - y^2, x^3, y^3) and its band module M(2):
+    x = [[0, 0], [1, 0]], y = [[0, 0], [2, 0]]."""
+    alg, mod = tmp_path / "local.alg", tmp_path / "band.mod"
+    alg.write_text(LOCAL_ALGEBRA)
+    mod.write_text("module M over local\nraw\ndim o 2\n"
+                   "mat x 2 2\n0 0\n1 0\nmat y 2 2\n0 0\n2 0\n")
+    return str(alg), str(mod)
+
+
+def test_pd_cycle_between_syzygies_of_different_content(band_files, capsys):
+    # The chain M, Omega M, Omega^2 M keeps dimension vector o:2, and only
+    # the iso search certifies Omega^2 M = M: its matrices are M's
+    # transposed and halved.  A cycle test on content alone would miss
+    # (0, 2) and report (1, 3), or nothing within a short cutoff.
+    alg, mod = band_files
+    assert main(["module", "pd", "--algebra", alg, mod, "--structured"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdict"] == "infinite" and record["cycle"] == [0, 2]
+    assert main(["module", "pd", "--algebra", alg, mod, "--trials", "0",
+                 "--cutoff", "6", "--strict"]) == 3
+    assert "Inconclusive (cutoff 6)" in capsys.readouterr().out

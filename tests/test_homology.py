@@ -20,7 +20,7 @@ from biserial.presentation import parse_presentation
 from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationError,
                            StringWord, assemble_sum_map, direct_sum,
                            random_module, string_module)
-from biserial.witnesses import build_Z, build_Zt, z_walk, zt_walk
+from biserial.witnesses import build_Z, build_Zt, zt_walk
 from oracles import direct_sum_maps, from_rows, map_add, map_inverse, map_scale
 
 
@@ -227,7 +227,7 @@ def test_hom_between_simples(alg1):
 
 
 def test_end_of_z3_is_one_dimensional(alg3):
-    z3 = string_module(alg3, z_walk(3))
+    z3 = string_module(alg3, zt_walk(3, 1))
     assert len(hom_basis(z3, z3)) == 1
     assert brute_force_intertwiner_count(z3, z3) == 1
 
@@ -264,7 +264,7 @@ def test_iso_witness_step(alg2):
 
 def test_iso_certificate_symmetric(alg2):
     m = build_Z(alg2, 2)
-    n = string_module(alg2, z_walk(2))
+    n = string_module(alg2, zt_walk(2, 1))
     iso = certified_iso(m, n, seed=5)
     assert iso is not None
     back = map_inverse(iso)
@@ -431,11 +431,12 @@ def test_finite_chain_with_distinct_dims_solves_no_hom_system(alg3, monkeypatch)
     assert calls == []
 
 
-def test_fingerprint_collision_with_different_end_skips_iso_search(monkeypatch):
+def test_dimension_collision_without_iso_ends_finite(monkeypatch):
     # Two modules with dimension vector a0:2, c0:1, u:1 and top a0:2:
     # c0 <- a0 -> u plus S(a0) has End of dimension 3, while
-    # (a0 -> c0) plus (a0 -> u) has End of dimension 2.  The stubbed
-    # syzygies land in the syzygy memo, so the algebra is this test's own.
+    # (a0 -> c0) plus (a0 -> u) has End of dimension 2, so they are not
+    # isomorphic.  The stubbed syzygies land in the syzygy memo, so the
+    # algebra is this test's own.
     alg0 = Algebra(build_lambda(1, 0))
     to_c0, to_u = alg0.pres.quiver.arrows_from("a0")
 
@@ -448,7 +449,8 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(monkeypatch):
                                      walk("a0", [(to_u.name, 1)])])
     real_cover = homology.projective_cover
     assert first.dims == second.dims
-    assert real_cover(first).multiplicities == real_cover(second).multiplicities
+    assert top_dims(first) == top_dims(second)
+    assert (len(hom_basis(first, first)), len(hom_basis(second, second))) == (3, 2)
     chain = {id(first): second, id(second): alg0.zero_module()}
 
     def stub_cover(module):
@@ -458,21 +460,28 @@ def test_fingerprint_collision_with_different_end_skips_iso_search(monkeypatch):
 
     monkeypatch.setattr(homology, "projective_cover", stub_cover)
     searches = []
-    monkeypatch.setattr(homology, "certified_iso",
-                        lambda *args, **kwargs: searches.append(args))
+    real_iso = homology.certified_iso
+
+    def counting_iso(*args, **kwargs):
+        found = real_iso(*args, **kwargs)
+        searches.append((args, found))
+        return found
+
+    monkeypatch.setattr(homology, "certified_iso", counting_iso)
     calls = _counting(monkeypatch, "_hom_kernel")
     rep = projdim(first)
     assert rep.verdict == "finite" and rep.value == 1
-    assert searches == []
-    # End is solved once for each of the two colliding syzygies.
-    assert [(s is t) for s, t in calls] == [True, True]
-    assert {id(s) for s, _ in calls} == {id(first), id(second)}
+    # The one dimension-vector collision is searched once, and misses.
+    assert [(args[:2], found) for args, found in searches] == [((first, second), None)]
+    # No End system is solved: the only Hom system is the search's.
+    assert calls == [(first, second)]
 
 
 def test_pd_chain_builds_one_cover_per_module(monkeypatch):
     # A fresh algebra, so that every step builds its cover.
     alg3 = Algebra(build_lambda(1, 3))
-    covers = _counting(monkeypatch, "_syzygy_step")
+    steps = _counting(monkeypatch, "syzygy")
+    covers = _counting(monkeypatch, "projective_cover")
     tops = _counting(monkeypatch, "radical") + _counting(monkeypatch, "top_dims")
     sums = _counting(monkeypatch, "direct_sum")
     rep = projdim(build_Z(alg3, 3), cutoff=8)
@@ -480,6 +489,7 @@ def test_pd_chain_builds_one_cover_per_module(monkeypatch):
     # Every nonzero chain module is covered once; the last one is zero.
     assert [m.dim_vector() for (m,) in covers] == rep.chain[:-1]
     assert len({id(m) for (m,) in covers}) == len(covers)
+    assert [m for (m,) in steps] == [m for (m,) in covers]
     assert tops == []
     # The syzygies are read off the path-class basis: no cover is summed.
     assert sums == []
@@ -524,7 +534,7 @@ def test_iso_search_miss_solves_hom_once(alg3, monkeypatch):
 
 def test_cover_of_zero_module_is_zero(alg1):
     cover = projective_cover(alg1.zero_module())
-    assert cover.multiplicities == {}
+    assert cover.tops == []
     assert cover.cover.is_zero() and cover.syzygy.is_zero()
     assert cover.verify()
 
@@ -902,8 +912,7 @@ def _claim_parts(field):
     alg = _combination_algebra("lambda(2, 3)", field)
     parts = [alg.simple(v) for v in alg.vertices]
     parts += [alg.projective(v) for v in ("a0", "b0", "c0", "u")]
-    parts += [string_module(alg, z_walk(m)) for m in (1, 2, 3)]
-    parts += [string_module(alg, zt_walk(m, 2)) for m in (1, 2, 3)]
+    parts += [string_module(alg, zt_walk(m, t)) for t in (1, 2) for m in (1, 2, 3)]
     return parts + xset(_combination_algebra("lambda1prime(2)", field))
 
 

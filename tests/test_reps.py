@@ -8,7 +8,7 @@ from biserial.reps import (Algebra, InvalidString, ModuleMap,
                            Representation, RepresentationError, StringWord,
                            assemble_sum_map, direct_sum, inflate,
                            random_module, restrict, string_module)
-from biserial.witnesses import build_Z, z_walk
+from biserial.witnesses import build_Z, zt_walk
 from oracles import direct_sum_maps, from_rows
 
 
@@ -18,7 +18,7 @@ def test_empty_word_gives_simple(alg1):
 
 
 def test_z3_walk_dimensions(alg3):
-    m = string_module(alg3, z_walk(3))
+    m = string_module(alg3, zt_walk(3, 1))
     assert m.total_dim() == 5
     assert dict(m.dim_vector()) == {"a3": 1, "b2": 1, "b3": 1, "c2": 1, "a2": 1}
 
@@ -50,7 +50,7 @@ def test_amalgam_half_walk_rejected(alg2):
 
 
 def test_string_dimension_is_length_plus_one(alg2):
-    word = z_walk(2)
+    word = zt_walk(2, 1)
     m = string_module(alg2, word)
     assert m.total_dim() == len(word) + 1
 
@@ -119,7 +119,7 @@ def test_direct_sum_empty(alg1):
 def test_direct_sum_with_zero_is_isomorphic(alg1):
     from biserial.homology import certified_iso
 
-    m = string_module(alg1, z_walk(1))
+    m = string_module(alg1, zt_walk(1, 1))
     total = direct_sum(alg1, [m, alg1.zero_module()])
     assert certified_iso(total, m, seed=0) is not None
 
@@ -142,7 +142,7 @@ def test_direct_sum_maps_intertwine(alg1):
 def test_assemble_sum_map_builds_the_direct_sum_of_the_sources(alg1):
     # Assembling the injections of a sum gives back its identity, out of a
     # source that equals the direct sum of the summands arrow for arrow.
-    parts = [alg1.projective("c1"), alg1.simple("u"), string_module(alg1, z_walk(1))]
+    parts = [alg1.projective("c1"), alg1.simple("u"), string_module(alg1, zt_walk(1, 1))]
     target = direct_sum(alg1, parts)
     injections, _ = direct_sum_maps(target, parts)
     f = assemble_sum_map(injections, target)
@@ -267,10 +267,10 @@ def test_z_walk_end_dims():
 def test_string_end_algebra_dimensions(alg3):
     # Walks without repeated vertices are bricks; the level-1 walk passes
     # a0 twice and picks up one nilpotent endomorphism.
-    z3 = string_module(alg3, z_walk(3))
+    z3 = string_module(alg3, zt_walk(3, 1))
     assert len(hom_basis(z3, z3)) == 1
     alg1 = Algebra(build_lambda(1, 1))
-    z1s = string_module(alg1, z_walk(1))
+    z1s = string_module(alg1, zt_walk(1, 1))
     assert len(hom_basis(z1s, z1s)) == 2
 
 

@@ -36,12 +36,20 @@ def test_z2_dimension_guard(alg2):
 def test_generated_walks_match_stored_data():
     with resources.files("biserial.data").joinpath("walks.json").open() as fh:
         stored = json.load(fh)
-    for m in (4, 5):
-        from biserial.witnesses import _z_block
-
+    # The stored witness walks are the reference for the generated ones.
+    assert sorted(stored["Z"], key=int) == ["1", "2", "3", "4", "5"]
+    for m in range(1, 6):
         spec = stored["Z"][str(m)]
-        assert spec["base"] == f"a{m}"
-        assert [tuple(x) for x in spec["letters"]] == _z_block(m)
+        word = zt_walk(m, 1)
+        assert word.base == spec["base"] == f"a{m}"
+        assert word.letters == tuple(tuple(x) for x in spec["letters"])
+
+
+@pytest.mark.parametrize("build", [build_Z, lambda alg, m: build_Zt(alg, m, 1)],
+                         ids=["Z", "Zt"])
+def test_negative_level_is_rejected(alg3, build):
+    with pytest.raises(ValueError, match="^level must be nonnegative$"):
+        build(alg3, -1)
 
 
 def test_walk_pattern_extends_beyond_stored():
