@@ -16,10 +16,10 @@ _HOMES = {
     "pathbasis": "BoundExceeded PathBasis",
     "families": "build_lambda build_lambda1prime build_subquiver_U family_from_spec",
     "reps": "Algebra InvalidString ModuleMap Representation RepresentationError "
-            "StringWord direct_sum inflate random_module restrict string_module",
+            "StringWord direct_sum random_module string_module",
     "homology": "CoverData PdReport certified_iso cokernel_of hom_basis "
                 "kernel_of projdim projective_cover radical radical_filtration "
-                "split_off syzygy top_dims",
+                "split_off syzygy",
     "decomp": "CertificateFailure IntervalSummand Lemma2Split NotPathQuiver "
               "interval_decompose lemma2_split strip_pc2 xset",
     "witnesses": "build_U build_Z build_Zt build_phi",

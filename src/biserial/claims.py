@@ -32,7 +32,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .families import build_lambda, build_lambda1prime, lambda_vertices, vname
+from .families import (build_lambda, build_lambda1prime, certify_tower,
+                       lambda_vertices, vname)
 from .fields import field_from_spec
 from .homology import (decide_iso, kernel_of, projdim, radical_filtration,
                        record_digest, split_off, syzygy)
@@ -80,14 +81,25 @@ class FamilyConfig:
 
         Built on the first request and kept for the life of the config, so
         claims run with one config share algebras, their path bases and
-        their memoized projectives.
+        their memoized projectives and syzygies.  Samplers ask for their
+        own level: their random draws read its vertex list.
         """
         key = (family, m)
         if key not in self._algebras:
             pres = (build_lambda(self.r, m) if family == "lambda"
                     else build_lambda1prime(self.r))
+            if key == ("lambda", self.m_max + 1):
+                certify_tower(self.r, self.m_max, pres)
             self._algebras[key] = Algebra(pres, field=self.field)
         return self._algebras[key]
+
+    def tower(self) -> Algebra:
+        """``lambda(r, m_max + 1)``, on which the witness claims build every
+        level's modules, so one syzygy memo serves all levels.  Its
+        presentation is certified (``certify_tower``) when first built, so
+        a check "over level m" means the same over it as over lambda(r, m).
+        """
+        return self.algebra("lambda", self.m_max + 1)
 
     def chain_cutoff(self, m: int) -> int:
         return self.cutoff if self.cutoff is not None else self.r + m + 4
@@ -188,16 +200,16 @@ def _verdict_check(name: str, report, expected: Optional[int]) -> CheckResult:
 def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
     loops = ["u", "v", "w", "cm1", "bm1"]
+    tower = config.tower()
     for m in range(config.m_max + 1):
-        alg = config.algebra("lambda", m)
         for i in range(config.r + 1):
-            rep = projdim(alg.simple(vname("d", i)),
+            rep = projdim(tower.simple(vname("d", i)),
                           cutoff=config.chain_cutoff(m), seed=config.seed,
                           trials=config.trials)
             checks.append(_verdict_check(
                 f"pd d{i} = {config.r - i} over level {m}", rep, config.r - i))
         for v in loops:
-            rep = projdim(alg.simple(v), cutoff=config.chain_cutoff(m),
+            rep = projdim(tower.simple(v), cutoff=config.chain_cutoff(m),
                           seed=config.seed, trials=config.trials)
             checks.append(_verdict_check(
                 f"pd {v} infinite over level {m}", rep, None))
@@ -206,18 +218,17 @@ def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
 
 def claim_prop_2(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
+    tower = config.tower()
     for m in range(config.m_max + 1):
-        big = config.algebra("lambda", m + 1)
-        z_next = build_Z(big, m + 1)
-        z_here = build_Z(big, m)
+        z_next = build_Z(tower, m + 1)
+        z_here = build_Z(tower, m)
         omega = syzygy(z_next)
         checks.append(_iso_check(
             f"syzygy of witness {m + 1} is witness {m} (certified)",
             omega, z_here, config,
             {"omega_dims": list(omega.dim_vector()),
              "witness_dims": list(z_here.dim_vector())}))
-        z_native = build_Z(config.algebra("lambda", m), m)
-        rep = projdim(z_native, cutoff=config.chain_cutoff(m),
+        rep = projdim(z_here, cutoff=config.chain_cutoff(m),
                       seed=config.seed, trials=config.trials)
         checks.append(_verdict_check(
             f"pd witness {m} = {config.r + m}", rep, config.r + m))
@@ -225,8 +236,8 @@ def claim_prop_2(config: FamilyConfig) -> ClaimReport:
             below = set(lambda_vertices(config.r, m - 1))
             checks.append(CheckResult(
                 f"witness {m} uses level {m} properly",
-                PASS if not z_native.supported_on(below) else FAIL,
-                {"support": z_native.support()}))
+                PASS if not z_here.supported_on(below) else FAIL,
+                {"support": z_here.support()}))
     return ClaimReport("prop-2", _aggregate(checks), checks, config)
 
 
@@ -337,16 +348,16 @@ def claim_syzygy_descent(config: FamilyConfig) -> ClaimReport:
 
 def claim_section_4(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
+    tower = config.tower()
     for m in range(config.m_max + 1):
-        alg = config.algebra("lambda", m + 1)
         phi_next = None
         for t in range(1, config.t_max + 1):
-            zt = build_Zt(alg, m, t)
+            zt = build_Zt(tower, m, t)
             if t == 1:
                 checks.append(_iso_check(
                     f"member (m={m}, t=1) is the witness",
-                    zt, build_Z(alg, m), config, {}))
-            omega = syzygy(build_Zt(alg, m + 1, t))
+                    zt, build_Z(tower, m), config, {}))
+            omega = syzygy(build_Zt(tower, m + 1, t))
             checks.append(_iso_check(
                 f"syzygy of member (m={m + 1}, t={t}) is member (m={m}, t={t})",
                 omega, zt, config, {"dims": list(zt.dim_vector())}))
@@ -356,9 +367,9 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
                 f"pd member (m={m}, t={t}) = {config.r + m}", rep,
                 config.r + m))
             # The previous t built this map for its composite check.
-            phi = phi_next if phi_next is not None else build_phi(alg, m, t)
+            phi = phi_next if phi_next is not None else build_phi(tower, m, t)
             ker, incl = kernel_of(phi)
-            u_expected = build_U(alg, m, t)
+            u_expected = build_U(tower, m, t)
             name = f"kernel of connecting map (m={m}, t={t}) as expected"
             evidence = {"kernel_dims": list(ker.dim_vector()),
                         "expected_dims": list(u_expected.dim_vector())}
@@ -368,7 +379,7 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
             else:
                 checks.append(_iso_check(name, ker, u_expected, config, evidence))
             if t + 1 <= config.t_max:
-                phi_next = build_phi(alg, m, t + 1)
+                phi_next = build_phi(tower, m, t + 1)
                 composite = phi_next.compose(phi)
                 ker2, _ = kernel_of(composite)
                 contained = composite.compose(incl).is_zero()
@@ -430,9 +441,9 @@ def claim_appendix_projectives(config: FamilyConfig) -> ClaimReport:
 
 def claim_findim_witness(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
+    tower = config.tower()
     for m in range(config.m_max + 1):
-        alg = config.algebra("lambda", m)
-        rep = projdim(build_Z(alg, m), cutoff=config.chain_cutoff(m),
+        rep = projdim(build_Z(tower, m), cutoff=config.chain_cutoff(m),
                       seed=config.seed, trials=config.trials)
         checks.append(_verdict_check(
             f"lower bound witness: pd = {config.r + m} at level {m}",

@@ -25,6 +25,7 @@ for a family spec.  A command on files loads none of them.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -494,5 +495,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The process entry point, of ``python -m biserial`` and of the
+    ``biserial`` script: ``main()``, then exit with its code."""
+    code = main()
+    # Interpreter shutdown runs full collections over everything the run and
+    # ``site`` built.  Frozen objects are never scanned: this lowers teardown
+    # from 10-13 ms to 3-4 ms per process, with ru_maxrss unchanged (median of
+    # 15 towers-q and ``module pd`` commands, 2-core VM, Python 3.11).  Not
+    # os._exit: that skips atexit, and it would end a host that runs the
+    # package with runpy.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

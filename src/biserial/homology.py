@@ -9,10 +9,12 @@ within the cutoff the report says so; an inconclusive outcome is never
 silently treated as finite.
 
 The chain is a loop over ``syzygy``: each module's syzygy is the next
-module.  Syzygies are memoized in the ``Algebra``, keyed by module content
+module.  Syzygies are memoized per ``Algebra``, keyed by module content
 (dimension vector and each arrow's nonzero entries), and kept as long as
-the algebra: every chain and every ``syzygy`` call over one algebra -- in
-``verify``, every claim of one run -- builds each content's cover once.
+the algebra: every chain and every ``syzygy`` call over one algebra builds
+each content's cover once.  In ``verify`` the witness claims build every
+level's modules on one tower algebra (``FamilyConfig.tower``), so one run
+covers each of their contents once, whatever its level.
 The isomorphism search runs only between chain modules whose dimension
 vectors agree.  The two ends of a cycle can differ in content (the band
 modules of a local algebra do), so the search, not content equality,
@@ -104,12 +106,6 @@ def radical_filtration(module: Representation) -> List[Dict[str, int]]:
         layers.append({v: d for v, d in layer.items() if d})
         current = sub
     return layers
-
-
-def top_dims(module: Representation) -> Dict[str, int]:
-    """Dimension vector of M / rad M."""
-    return {v: module.dims[v] - _arrow_images(module, v).rank()
-            for v in module.algebra.vertices}
 
 
 def kernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
@@ -211,20 +207,6 @@ class CoverData:
     def inclusion(self) -> ModuleMap:
         return ModuleMap(self.syzygy, self.cover, self.inclusion_mats)
 
-    def verify(self) -> bool:
-        """Surjectivity, exactness of dims, and cover minimality."""
-        m = self.module
-        for v in m.algebra.vertices:
-            if self.cover_map.mats[v].rank() != m.dims[v]:
-                return False
-            if self.cover.dims[v] - self.syzygy.dims[v] != m.dims[v]:
-                return False
-        if not self.cover_map.is_morphism() or not self.inclusion.is_morphism():
-            return False
-        if not self.cover_map.compose(self.inclusion).is_zero():
-            return False
-        return top_dims(self.cover) == top_dims(self.module)
-
 
 def projective_cover(module: Representation) -> CoverData:
     """Minimal cover: one projective summand per top basis vector.
@@ -300,11 +282,12 @@ def syzygy(module: Representation) -> Representation:
     """The minimal syzygy of ``module``, the syzygy of its
     ``projective_cover``.
 
-    Memoized in the module's ``Algebra``, keyed by the module's content
+    Memoized per ``Algebra``, keyed by the module's content
     (``_content_key``).  The cover is a function of that content alone,
     so two content-equal modules share one syzygy object.  The memo lives
     as long as the algebra, like its projectives; in ``verify`` that is
-    one run, across every claim.
+    one run, across every claim, and the witness claims share one tower
+    algebra across all levels.
     """
     memo = module.algebra.memo("syzygies", lambda alg: {})
     key = _content_key(module)

@@ -423,34 +423,6 @@ def assemble_sum_map(maps: Sequence[ModuleMap], target: Representation) -> Modul
         for v in algebra.vertices if total.dims[v] and target.dims[v]})
 
 
-def inflate(module: Representation, big: Algebra) -> Representation:
-    """View a module over a full-subquiver factor as a module over ``big``."""
-    small_pres = module.algebra.pres
-    if not small_pres.is_full_subpresentation_of(big.pres):
-        raise RepresentationError(
-            f"{small_pres.name} is not a declared factor (full subquiver) "
-            f"of {big.pres.name}")
-    if module.algebra.field != big.field:
-        raise RepresentationError("inflation across different fields")
-    dims = {v: module.dims.get(v, 0) for v in big.vertices}
-    return Representation(big, dims, dict(module.mats))
-
-
-def restrict(module: Representation, small: Algebra) -> Representation:
-    """Restrict a module supported on a factor back to the factor."""
-    if not small.pres.is_full_subpresentation_of(module.algebra.pres):
-        raise RepresentationError(
-            f"{small.pres.name} is not a declared factor of "
-            f"{module.algebra.pres.name}")
-    if not module.supported_on(small.pres.quiver.vertices):
-        raise RepresentationError(
-            f"module not supported on {small.pres.name}: support "
-            f"{module.support()}")
-    dims = {v: module.dims[v] for v in small.vertices}
-    mats = {name: module.mats[name] for name in small.pres.quiver.arrows}
-    return Representation(small, dims, mats)
-
-
 def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
     """Cokernel of a seeded random map between sums of projectives.
 

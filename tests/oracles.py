@@ -2,22 +2,24 @@
 ``biserial`` command runs, written as plain functions over the package's
 public types.
 
-Matrix and module-map arithmetic, direct-sum structure maps, an
-associativity spot check of a path basis, structural equality of
+Matrix and module-map arithmetic, direct-sum structure maps, inflation
+and restriction along a full subquiver, top dimensions and a cover check,
+an associativity spot check of a path basis, structural equality of
 presentations and a claim batch runner.  Tests build inputs with them and
 check the package's answers against them.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from biserial.claims import ClaimReport, FamilyConfig, run_claim
 from biserial.fields import QQ
+from biserial.homology import CoverData, radical
 from biserial.matrices import Matrix
 from biserial.pathbasis import PathBasis
 from biserial.presentation import Presentation
-from biserial.reps import ModuleMap, Representation, RepresentationError
+from biserial.reps import Algebra, ModuleMap, Representation, RepresentationError
 
 
 # -- matrices ----------------------------------------------------------------
@@ -101,6 +103,58 @@ def direct_sum_maps(total: Representation, summands: Sequence[Representation]
         injections.append(ModuleMap(s, total, inj))
         projections.append(ModuleMap(total, s, proj))
     return injections, projections
+
+
+def inflate(module: Representation, big: Algebra) -> Representation:
+    """View a module over a full-subquiver factor as a module over ``big``."""
+    small_pres = module.algebra.pres
+    if not small_pres.is_full_subpresentation_of(big.pres):
+        raise RepresentationError(
+            f"{small_pres.name} is not a declared factor (full subquiver) "
+            f"of {big.pres.name}")
+    if module.algebra.field != big.field:
+        raise RepresentationError("inflation across different fields")
+    dims = {v: module.dims.get(v, 0) for v in big.vertices}
+    return Representation(big, dims, dict(module.mats))
+
+
+def restrict(module: Representation, small: Algebra) -> Representation:
+    """Restrict a module supported on a factor back to the factor."""
+    if not small.pres.is_full_subpresentation_of(module.algebra.pres):
+        raise RepresentationError(
+            f"{small.pres.name} is not a declared factor of "
+            f"{module.algebra.pres.name}")
+    if not module.supported_on(small.pres.quiver.vertices):
+        raise RepresentationError(
+            f"module not supported on {small.pres.name}: support "
+            f"{module.support()}")
+    dims = {v: module.dims[v] for v in small.vertices}
+    mats = {name: module.mats[name] for name in small.pres.quiver.arrows}
+    return Representation(small, dims, mats)
+
+
+# -- covers ------------------------------------------------------------------
+
+
+def top_dims(module: Representation) -> Dict[str, int]:
+    """Dimension vector of M / rad M."""
+    rad, _ = radical(module)
+    return {v: module.dims[v] - rad.dims[v] for v in module.algebra.vertices}
+
+
+def verify_cover(cover: CoverData) -> bool:
+    """Surjectivity, exactness of dims, and cover minimality."""
+    m = cover.module
+    for v in m.algebra.vertices:
+        if cover.cover_map.mats[v].rank() != m.dims[v]:
+            return False
+        if cover.cover.dims[v] - cover.syzygy.dims[v] != m.dims[v]:
+            return False
+    if not cover.cover_map.is_morphism() or not cover.inclusion.is_morphism():
+        return False
+    if not cover.cover_map.compose(cover.inclusion).is_zero():
+        return False
+    return top_dims(cover.cover) == top_dims(m)
 
 
 # -- presentations and path bases --------------------------------------------

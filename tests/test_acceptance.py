@@ -15,7 +15,7 @@ from biserial.families import (build_lambda, build_lambda1prime,
                                lambda_vertices)
 from biserial.fields import QQ, PrimeField
 from biserial.homology import (certified_iso, hom_basis, kernel_of, projdim,
-                               projective_cover, split_off, syzygy, top_dims)
+                               projective_cover, split_off, syzygy)
 from biserial.matrices import Matrix
 from biserial.presentation import (ALPHA, BETA, Arrow, Presentation, Quiver,
                                    Relation, emit_presentation,
@@ -23,7 +23,7 @@ from biserial.presentation import (ALPHA, BETA, Arrow, Presentation, Quiver,
 from biserial.reps import Algebra, direct_sum, random_module
 from biserial.witnesses import (build_U, build_Z, build_Zt, build_phi,
                                 sample_finite_pd_modules)
-from oracles import column, map_inverse, structurally_equal
+from oracles import column, map_inverse, structurally_equal, top_dims, verify_cover
 
 F101 = PrimeField(101)
 
@@ -216,7 +216,7 @@ def _cover_case(algebras, seed) -> bool:
     for alg in (alg_q, alg_p):
         module = random_module(alg, seed=seed, budget=16)
         cover = projective_cover(module)
-        ok &= cover.verify()
+        ok &= verify_cover(cover)
         for v in alg.vertices:
             ok &= module.dims[v] == cover.cover.dims[v] - cover.syzygy.dims[v]
         ok &= top_dims(cover.cover) == top_dims(module)

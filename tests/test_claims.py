@@ -246,6 +246,27 @@ def test_corollary_3_covers_only_what_its_sampler_covers(monkeypatch):
     assert covers == []
 
 
+def test_witness_claims_cover_each_content_once(monkeypatch):
+    # The witness claims build every level on one tower algebra, so its
+    # syzygy memo serves all levels: each module content is covered once
+    # in the run (118 covers of 54 contents with an algebra per level).
+    from biserial import homology
+
+    keys = []
+    real = homology.projective_cover
+
+    def counting(module):
+        keys.append((module.algebra.pres.name, homology._content_key(module)))
+        return real(module)
+
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    cfg = FamilyConfig(r=2, m_max=4, t_max=3, seed=3)
+    for claim_id in ("simples-pd", "prop-2", "section-4"):
+        assert run_claim(claim_id, cfg).status == "pass"
+    assert {name for name, _ in keys} == {"lambda_r2_m5"}
+    assert len(keys) == len(set(keys)) == 54
+
+
 def test_section_4_builds_each_connecting_map_once(monkeypatch):
     # The composite check's map for t + 1 is the next t's map.
     from biserial import claims

@@ -12,6 +12,7 @@ from biserial.families import build_lambda1prime
 from biserial.fields import field_from_spec
 from biserial.homology import _content_key
 from biserial.modfiles import emit_module_raw, parse_module_file
+from biserial.presentation import ALPHA, Arrow, Presentation, Quiver
 from biserial.reps import Algebra, Representation, random_module
 from oracles import from_rows
 
@@ -30,6 +31,34 @@ def u_file(tmp_path):
     path = tmp_path / "u.mod"
     path.write_text("module u over lambda_r1_m0\nraw\ndim u 1\n")
     return str(path)
+
+
+def _tampered_tower(monkeypatch, tamper):
+    """Make the tower of ``verify --r 2 --m-max 2``, lambda(2, 3), come out
+    of the generator as ``tamper`` leaves it."""
+    from biserial import claims
+
+    real = claims.build_lambda
+    monkeypatch.setattr(claims, "build_lambda",
+                        lambda r, m: tamper(real(r, m)) if m == 3 else real(r, m))
+
+
+@pytest.mark.parametrize("tamper, level", [
+    # One more arrow, from a vertex of levels 1 and 2 up to level 3.
+    (lambda p: Presentation(p.name, Quiver(p.quiver.vertices, [
+        *p.quiver.arrows.values(), Arrow("x", "a1", "a3", ALPHA)]), p.relations),
+     "level 1 is not lambda_r2_m3 restricted to its vertices: arrows x leave it"),
+    # The loop at u no longer squares to zero.
+    (lambda p: Presentation(p.name, p.quiver, [
+        rel for rel in p.relations if rel.left != ("al_u_u", "al_u_u")]),
+     "level 0 is not lambda_r2_m3 restricted to its vertices"),
+], ids=["extra-arrow", "dropped-relation"])
+def test_verify_on_a_tampered_tower_is_an_internal_error(monkeypatch, capsys, tamper, level):
+    _tampered_tower(monkeypatch, tamper)
+    assert main(["verify", "prop-2", "--r", "2", "--m-max", "2", "--structured"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == f"internal error: RuntimeError: {level}"
 
 
 def test_build_emit_has_ten_vertices(capsys):

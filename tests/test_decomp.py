@@ -7,9 +7,8 @@ from biserial.families import lambda_vertices
 from biserial.homology import hom_basis, kernel_of
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
-from biserial.reps import (Algebra, Representation, direct_sum, inflate,
-                           random_module)
-from oracles import from_rows, map_inverse, map_scale
+from biserial.reps import Algebra, Representation, direct_sum, random_module
+from oracles import from_rows, inflate, map_inverse, map_scale, restrict
 
 
 def peel_count_oracle(algebra, module, brick):
@@ -292,7 +291,6 @@ def test_corollary_syzygies_split_trivially(alg2, algp):
     # Syzygies of finite-pd level-2 modules restrict to the pruned algebra
     # and split with no c2 content at all.
     from biserial.homology import syzygy
-    from biserial.reps import restrict
     from biserial.witnesses import sample_finite_pd_modules
 
     level1 = set(lambda_vertices(1, 1))

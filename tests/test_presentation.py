@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biserial.families import (build_lambda, build_lambda1prime,
-                               build_subquiver_U, family_from_spec,
-                               lambda_vertices)
+                               build_subquiver_U, certify_tower,
+                               family_from_spec, lambda_vertices)
 from biserial.presentation import (ALPHA, Arrow, BETA, ParseError,
                                    Presentation, PresentationError, Quiver,
                                    Relation, emit_presentation,
@@ -162,6 +162,22 @@ def test_full_subquiver_chain():
         small = build_lambda(2, m)
         big = build_lambda(2, m + 1)
         assert small.is_full_subpresentation_of(big)
+
+
+def test_full_subquiver_compares_relations():
+    small, big = build_lambda(2, 1), build_lambda(2, 2)
+    dropped = Presentation(small.name, small.quiver, small.relations[1:])
+    assert not dropped.is_full_subpresentation_of(big)
+    assert not small.is_full_subpresentation_of(Presentation(
+        big.name, big.quiver, [r for r in big.relations if r != small.relations[0]]))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_every_level_is_certified_in_its_tower(r):
+    # Each lambda(r, m) is lambda(r, m_max + 1) restricted to its vertices,
+    # and no arrow of the tower leaves it.
+    for m_max in range(9):
+        certify_tower(r, m_max, build_lambda(r, m_max + 1))
 
 
 def test_special_biserial_all_generated():

@@ -6,10 +6,10 @@ from biserial.homology import hom_basis, projdim
 from biserial.matrices import Matrix
 from biserial.reps import (Algebra, InvalidString, ModuleMap,
                            Representation, RepresentationError, StringWord,
-                           assemble_sum_map, direct_sum, inflate,
-                           random_module, restrict, string_module)
+                           assemble_sum_map, direct_sum,
+                           random_module, string_module)
 from biserial.witnesses import build_Z, zt_walk
-from oracles import direct_sum_maps, from_rows
+from oracles import direct_sum_maps, from_rows, inflate, restrict, top_dims
 
 
 def test_empty_word_gives_simple(alg1):
@@ -251,8 +251,6 @@ def test_random_module_respects_budget_and_relations(algp):
 
 
 def test_projective_has_simple_top(alg2):
-    from biserial.homology import top_dims
-
     for v in ("a1", "c2", "u"):
         tops = top_dims(alg2.projective(v))
         assert tops == {w: (1 if w == v else 0) for w in alg2.vertices}
