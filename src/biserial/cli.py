@@ -250,8 +250,7 @@ def cmd_module(args) -> int:
             return EXIT_FAIL if decision.status == "not_iso" else EXIT_INCONCLUSIVE
         cert = decision.iso
         if args.structured:
-            payload = {v: [[algebra.field.format(x) for x in row]
-                           for row in m.data]
+            payload = {v: [[str(x) for x in row] for row in m.data]
                        for v, m in sorted(cert.mats.items()) if m.rows or m.cols}
             print(json.dumps({"source": name, "target": name_b,
                               "field": args.field, "certificate": payload},
@@ -260,8 +259,7 @@ def cmd_module(args) -> int:
             print(f"{name} ~ {name_b}: certified isomorphism")
             for v, m in sorted(cert.mats.items()):
                 if m.rows and m.cols:
-                    rows = "; ".join(" ".join(algebra.field.format(x) for x in row)
-                                     for row in m.data)
+                    rows = "; ".join(" ".join(map(str, row)) for row in m.data)
                     print(f"  {v}: [{rows}]")
         return EXIT_OK
 

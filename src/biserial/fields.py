@@ -2,14 +2,14 @@
 
 This module is the one place that knows field types.  Elements are plain
 Python values (over Q an ``int`` when integral, else a ``fractions.Fraction``;
-``int`` residues over GF(p)), falsy exactly when zero, and the field object
-is the whole interface the other layers use: ``zero``, ``one``, ``inv``,
-``neg``, construction, ``parse``, ``format`` and ``reduce``, the normal form
-of raw sums and products; for the elimination kernel, the pivot preference
-(``pivot_key`` and ``best_pivot_key``) and one call per row operation
-(``scale_row``, ``sub_row``); for the isomorphism search, its defaults
-(``iso_trials`` and the coefficient ``draw``).  All arithmetic is exact, so
-results are proof-grade: ``a / b * b == a`` whenever ``b != 0``.
+``int`` residues over GF(p)), falsy exactly when zero, and printed by
+``str``.  The field object is the whole interface the other layers use:
+``zero``, ``one``, ``inv``, ``neg``, construction, ``parse`` and ``reduce``,
+the normal form of raw sums and products; for the elimination kernel, the
+pivot preference (``pivot_key`` and ``best_pivot_key``) and one call per
+row operation (``scale_row``, ``sub_row``); for the isomorphism search, its
+defaults (``iso_trials`` and the coefficient ``draw``).  All arithmetic is
+exact, so results are proof-grade: ``a / b * b == a`` whenever ``b != 0``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ def _normal(x):
 class Rationals:
     """Q: an element is an ``int`` when integral, else a ``Fraction``."""
 
-    char = 0
     name = "q"
     zero = 0
     one = 1
@@ -79,9 +78,6 @@ class Rationals:
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {token!r}") from exc
 
-    def format(self, value) -> str:
-        return str(value)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
 
@@ -101,7 +97,6 @@ class PrimeField:
         if p > 2**31:
             raise FieldError(f"modulus {p} exceeds the supported bound 2^31")
         self.p = p
-        self.char = p
         self.name = f"fp:{p}"
 
     def __call__(self, value) -> int:
@@ -154,9 +149,6 @@ class PrimeField:
             return self(Fraction(token))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad residue literal {token!r}") from exc
-
-    def format(self, value: int) -> str:
-        return str(value)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

@@ -76,7 +76,7 @@ class Matrix:
         )
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(self.field.format(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(map(str, row)) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:

@@ -175,7 +175,6 @@ def _parse_raw(lines: List[str], i: int, algebra: Algebra
 
 def emit_module_raw(name: str, rep: Representation) -> str:
     """Serialize a representation in the raw format (deterministic)."""
-    field = rep.algebra.field
     lines = [f"module {name} over {rep.algebra.pres.name}", "raw"]
     for v in rep.algebra.vertices:
         if rep.dims[v]:
@@ -185,7 +184,7 @@ def emit_module_raw(name: str, rep: Representation) -> str:
         if m.rows and m.cols and not m.is_zero():
             lines.append(f"mat {aname} {m.rows} {m.cols}")
             for row in m.data:
-                lines.append(" ".join(field.format(x) for x in row))
+                lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -211,7 +210,7 @@ def dot_representation(name: str, rep: Representation) -> str:
                     src = node_ids[(a.source, j)]
                     tgt = node_ids[(a.target, i)]
                     extra = "" if c == algebra.field.one else \
-                        f', label="{algebra.field.format(c)}"'
+                        f', label="{c}"'
                     lines.append(f"  {src} -> {tgt} [style={style}{extra}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

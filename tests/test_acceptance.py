@@ -150,7 +150,7 @@ def test_criterion_7_projective_tables():
 def _random_matrix(field, rng, max_dim=5):
     rows = rng.randint(0, max_dim)
     cols = rng.randint(0, max_dim)
-    if field.char == 0:
+    if field is QQ:
         entries = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                     for _ in range(cols)] for _ in range(rows)]
     else:

@@ -12,7 +12,7 @@ from biserial.families import build_lambda1prime
 from biserial.fields import field_from_spec
 from biserial.homology import _content_key
 from biserial.modfiles import emit_module_raw, parse_module_file
-from biserial.presentation import ALPHA, Arrow, Presentation, Quiver
+from biserial.presentation import ALPHA, Arrow, Presentation, Quiver, emit_presentation
 from biserial.reps import Algebra, Representation, random_module
 from oracles import from_rows
 
@@ -150,6 +150,23 @@ def test_module_split(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["pc2_copies"] == 1
     assert rec["x_multiplicities"] == [0] * 10
+
+
+@pytest.mark.parametrize("cut", [["u"], ["d1", "d2"], ["b0", "bm1", "v"]])
+def test_module_split_over_a_cut_algebra(cut, tmp_path, capsys):
+    # Lemma 2's split needs only c2's strings and its amalgam relation: with
+    # vertices away from them deleted, S(c2) still splits, certified.
+    base = build_lambda1prime(2)
+    pres = base.delete_vertices(cut, base.name)
+    alg = tmp_path / "cut.alg"
+    alg.write_text(emit_presentation(pres))
+    mod = tmp_path / "s.mod"
+    mod.write_text(f"module S over {pres.name}\nraw\ndim c2 1\n")
+    assert main(["module", "split", "--algebra", str(alg), str(mod),
+                 "--structured"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["certificate_checksum"]
 
 
 def test_module_split_outside_lemma_2_is_inconclusive(z3_file, capsys):

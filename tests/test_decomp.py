@@ -1,6 +1,6 @@
 import pytest
 
-from biserial.decomp import (NotPathQuiver,
+from biserial.decomp import (CertificateFailure, NotPathQuiver,
                              interval_decompose, lemma2_split, path_order,
                              strip_pc2, u_algebra, restrict_to_vertices, xset)
 from biserial.families import lambda_vertices
@@ -259,12 +259,29 @@ def test_split_random_sweep(algp):
         assert split.certificate.is_iso()
 
 
-def test_split_proof_obligations_reported(algp):
+def test_c2_strings_map_onto_the_targets_of_their_inner_arrows(algp):
+    # These arrows act surjectively on each c2-string; rank adds over block
+    # sums, so they do on every X that lemma2_split assembles, and the split
+    # needs no per-arrow check beyond its final certificate.
+    targets = {"al_c2_c1": "c1", "al_c1_a0": "a0", "al_a1_d0": "d0", "be_c2_b1": "b1"}
+    for member in xset(algp):
+        for arrow, vertex in targets.items():
+            assert member.mats[arrow].rank() == member.dims[vertex], arrow
+
+
+def test_split_catches_a_c2_string_that_is_not_a_submodule(algp, monkeypatch):
+    # S(c1) (+) S(c2) has string 9's dimension vector but a zero al_c2_c1,
+    # so embedding it by string 9's interval embedding breaks a square.
+    from biserial import decomp
+
     members = xset(algp)
-    m = direct_sum(algp, [members[0], algp.projective("a0")])
-    split = lemma2_split(m)
-    assert all(split.proof_checks.values())
-    assert len(split.proof_checks) == 10
+    module = direct_sum(algp, [members[8], algp.projective("a0")])
+    fake = list(members)
+    fake[8] = direct_sum(algp, [algp.simple("c1"), algp.simple("c2")])
+    assert fake[8].dims == members[8].dims and fake[8].mats["al_c2_c1"].is_zero()
+    monkeypatch.setattr(decomp, "xset", lambda algebra: list(fake))
+    with pytest.raises(CertificateFailure, match="^c2-interval part is not a submodule$"):
+        lemma2_split(module)
 
 
 def test_split_record_is_stable(algp):

@@ -386,9 +386,8 @@ def _random_module_by_assembled_cokernel(algebra, seed, budget):
 
 
 def _content(module):
-    field = module.algebra.field
     return [sorted(module.dims.items()),
-            [[name, [[field.format(x) for x in row] for row in m.data]]
+            [[name, [[str(x) for x in row] for row in m.data]]
              for name, m in module.mats.items()]]
 
 
