@@ -5,8 +5,9 @@ Three layers, each producing a verified certificate:
 * ``strip_pc2`` splits off every direct summand isomorphic to the
   projective-injective P(c2); the count is the rank of the long alpha
   path out of c2, and the split is certified by an explicit isomorphism.
-* ``interval_decompose`` decomposes a representation of a path-shaped
-  quiver (arbitrary arrow orientations) into interval summands.  Interval
+* ``interval_decompose`` decomposes a representation of a path quiver
+  (arbitrary arrow orientations) into interval summands, read along the
+  path order it is given, which is checked against the quiver.  Interval
   modules are bricks, so a copy splits off iff some Hom(J, V) basis
   section has a retraction, and ``homology.split_off`` peels one copy off
   deterministically, with its complement.  Iterating yields the multiset
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .families import build_subquiver_U
 # hom_basis stays importable as decomp.hom_basis, which bench/test_bench.py traces.
@@ -38,7 +39,7 @@ from .reps import (Algebra, ModuleMap, Representation, RepresentationError, Stri
 
 
 class NotPathQuiver(ValueError):
-    """interval_decompose input whose underlying graph is not a path."""
+    """interval_decompose input whose quiver is not the path it was given."""
 
 
 class CertificateFailure(RuntimeError):
@@ -119,50 +120,33 @@ def strip_pc2(module: Representation) -> StripResult:
     if retraction is None:
         raise CertificateFailure("no retraction onto the projective part")
     complement, incl = kernel_of(retraction)
+    # The alpha path's rank adds over this certified sum and is a on
+    # P(c2)^a, so it is zero on the complement: no P(c2) copy is left.
     cert = assemble_sum_map([embedding, incl], module)
     if not cert.is_iso():
         raise CertificateFailure("strip certificate is not an isomorphism")
-    # The complement carries no surviving long alpha path out of c2.
-    if not complement.path_matrix(alpha_path).is_zero():
-        raise CertificateFailure("complement still has a projective c2 summand")
     return StripResult(a, complement, incl, embedding, cert)
 
 
 # -- interval decomposition over path quivers --------------------------------
 
 
-def path_order(pres: Presentation) -> List[str]:
-    """Vertices of a path-shaped quiver in path order; rejects others."""
-    quiver = pres.quiver
-    verts = list(quiver.vertices)
-    if not verts:
-        raise NotPathQuiver("empty quiver")
-    neighbors: Dict[str, List[str]] = {v: [] for v in verts}
-    edge_count = 0
-    for a in quiver.arrows.values():
-        if a.source == a.target:
-            raise NotPathQuiver(f"loop at {a.source}")
-        neighbors[a.source].append(a.target)
-        neighbors[a.target].append(a.source)
-        edge_count += 1
-    if edge_count != len(verts) - 1:
-        raise NotPathQuiver("edge count does not match a path")
-    if any(len(ns) > 2 for ns in neighbors.values()):
-        raise NotPathQuiver("vertex of degree greater than two")
-    ends = sorted(v for v, ns in neighbors.items() if len(ns) <= 1)
-    if len(verts) == 1:
-        return verts
-    if len(ends) != 2:
-        raise NotPathQuiver("not exactly two endpoints")
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(verts):
-        nxt = [u for u in neighbors[order[-1]] if u != prev]
-        if not nxt:
-            raise NotPathQuiver("disconnected quiver")
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+def _check_path(pres: Presentation, order: List[str]) -> None:
+    """Raise NotPathQuiver unless the quiver is the path through ``order``:
+    its vertices are exactly ``order``, and its arrows join exactly the
+    consecutive pairs, in either orientation."""
+    where = f"{pres.name} is not the path {' - '.join(order)}"
+    vertices = pres.quiver.vertices  # sorted
+    for v in order:
+        if v not in vertices:
+            raise NotPathQuiver(f"{where}: no vertex {v}")
+    if list(vertices) != sorted(order):
+        raise NotPathQuiver(f"{where}: its vertices are {', '.join(vertices)}")
+    pos = {v: i for i, v in enumerate(order)}
+    joins = sorted(tuple(sorted((pos[a.source], pos[a.target])))
+                   for a in pres.quiver.arrows.values())
+    if joins != [(i, i + 1) for i in range(len(order) - 1)]:
+        raise NotPathQuiver(f"{where}: its arrows do not join consecutive vertices")
 
 
 def interval_module(algebra: Algebra, order: List[str], lo: int, hi: int
@@ -193,24 +177,19 @@ class IntervalDecomposition(NamedTuple):
         return sum(s.multiplicity * len(s.interval) for s in self.summands)
 
 
-def interval_decompose(module: Representation,
-                       order: Optional[List[str]] = None) -> IntervalDecomposition:
-    """Decompose a path-quiver representation into interval summands.
+def interval_decompose(module: Representation, order: List[str]
+                       ) -> IntervalDecomposition:
+    """Decompose a representation of the path ``order`` into interval summands.
 
-    Deterministic peeling: intervals are scanned longest first, and the
-    first that ``split_off`` splits off gives one copy and, as its
-    complement, the next module to peel.  The certificate is the
-    assembled isomorphism from the direct sum of the found intervals.
-
-    ``order`` fixes the path orientation used for interval bookkeeping;
-    by default one of the two endpoint orders is chosen.
+    The module's quiver must be that path, with arrows in either
+    orientation; ``_check_path`` rejects any other.  Deterministic
+    peeling: intervals are scanned longest first, and the first that
+    ``split_off`` splits off gives one copy and, as its complement, the
+    next module to peel.  The certificate is the assembled isomorphism
+    from the direct sum of the found intervals.
     """
     algebra = module.algebra
-    computed = path_order(algebra.pres)
-    if order is None:
-        order = computed
-    elif list(order) not in (computed, computed[::-1]):
-        raise NotPathQuiver(f"given order {order} does not match the quiver path")
+    _check_path(algebra.pres, order)
     n = len(order)
     candidates = sorted(((lo, hi) for lo in range(n) for hi in range(lo, n)),
                         key=lambda t: (-(t[1] - t[0]), t[0]))

@@ -90,8 +90,8 @@ def _lambda_arrows(r: int, m: int) -> List[Arrow]:
     return arrows
 
 
-def _letter_chain(quiver: Quiver, start: str, letter: str) -> List[str]:
-    """Vertices reached by following the unique letter-class arrow chain."""
+def _letter_chain(quiver: Quiver, start: str, letter: str) -> List[Arrow]:
+    """Arrows of the unique letter-class arrow chain out of ``start``."""
     chain = []
     seen = {start}
     v = start
@@ -99,21 +99,11 @@ def _letter_chain(quiver: Quiver, start: str, letter: str) -> List[str]:
         nexts = [a for a in quiver.arrows_from(v) if a.letter == letter]
         if not nexts:
             return chain
+        chain.append(nexts[0])
         v = nexts[0].target
-        chain.append(v)
         if v in seen:  # a loop; stop after recording one step
             return chain
         seen.add(v)
-
-
-def _letter_path(quiver: Quiver, start: str, letter: str, length: int) -> Tuple[str, ...]:
-    path = []
-    v = start
-    for _ in range(length):
-        a = next(a for a in quiver.arrows_from(v) if a.letter == letter)
-        path.append(a.name)
-        v = a.target
-    return tuple(path)
 
 
 def _relations(quiver: Quiver) -> List:
@@ -136,14 +126,14 @@ def _relations(quiver: Quiver) -> List:
         best: Optional[Tuple[int, int]] = None
         for i, x in enumerate(alphas, start=1):
             for j, y in enumerate(betas, start=1):
-                if x == y and x != v:
+                if x.target == y.target and x.target != v:
                     if best is None or (i, j) < best:
                         best = (i, j)
         if best is not None:
             n, k = best
             rels.append(Relation("eq",
-                                 _letter_path(quiver, v, ALPHA, n),
-                                 _letter_path(quiver, v, BETA, k)))
+                                 tuple(a.name for a in alphas[:n]),
+                                 tuple(a.name for a in betas[:k])))
     return rels
 
 
@@ -154,8 +144,7 @@ def build_lambda(r: int, m: int) -> Presentation:
     if m < 0:
         raise PresentationError(f"level m must be nonnegative, got {m}")
     quiver = Quiver(lambda_vertices(r, m), _lambda_arrows(r, m))
-    pres = Presentation(f"lambda_r{r}_m{m}", quiver, _relations(quiver),
-                        meta={"family": "lambda", "r": r, "m": m})
+    pres = Presentation(f"lambda_r{r}_m{m}", quiver, _relations(quiver))
     assert quiver.is_special_biserial()
     return pres
 
@@ -181,9 +170,7 @@ def certify_tower(r: int, m_max: int, tower: Presentation) -> None:
 def build_lambda1prime(r: int) -> Presentation:
     """The level-2 algebra with the vertices ``a2`` and ``b2`` deleted."""
     base = build_lambda(r, 2)
-    return base.delete_vertices(
-        ["a2", "b2"], f"lambda1prime_r{r}",
-        meta={"family": "lambda1prime", "r": r})
+    return base.delete_vertices(["a2", "b2"], f"lambda1prime_r{r}")
 
 
 def build_subquiver_U() -> List[str]:

@@ -104,8 +104,7 @@ class Quiver:
 class Presentation:
     """A quiver together with its relations; defines the quotient algebra."""
 
-    def __init__(self, name: str, quiver: Quiver, relations: Iterable[Relation],
-                 meta: Optional[dict] = None):
+    def __init__(self, name: str, quiver: Quiver, relations: Iterable[Relation]):
         self.name = name
         self.quiver = quiver
         rels = []
@@ -113,8 +112,6 @@ class Presentation:
             self._validate_relation(rel)
             rels.append(rel)
         self.relations: Tuple[Relation, ...] = tuple(sorted(rels))
-        # Family bookkeeping (generator parameters); not part of the file format.
-        self.meta = dict(meta or {})
 
     def _validate_relation(self, rel: Relation) -> None:
         if rel.kind not in ("zero", "eq"):
@@ -148,8 +145,7 @@ class Presentation:
         first = arrows[path[0]]
         return first.source, arrows[path[-1]].target
 
-    def delete_vertices(self, removed: Iterable[str], name: str,
-                        meta: Optional[dict] = None) -> "Presentation":
+    def delete_vertices(self, removed: Iterable[str], name: str) -> "Presentation":
         """Full-subquiver presentation on the complement of ``removed``.
 
         Relations whose paths use a deleted arrow are dropped.
@@ -163,7 +159,7 @@ class Presentation:
                   if a.source not in gone and a.target not in gone]
         kept_names = {a.name for a in arrows}
         relations = [r for r in self.relations if all(n in kept_names for n in r.arrows())]
-        return Presentation(name, Quiver(vertices, arrows), relations, meta=meta)
+        return Presentation(name, Quiver(vertices, arrows), relations)
 
     def is_full_subpresentation_of(self, big: "Presentation") -> bool:
         """True when self is big restricted to self's vertices: the same

@@ -181,12 +181,19 @@ def build_U(algebra: Algebra, m: int, t: int) -> Representation:
 # -- finite-projective-dimension samples --------------------------------------
 
 
+def _chain_length(algebra: Algebra) -> int:
+    """r of a family algebra, whose chain vertices are d0, d1, ..., dr."""
+    r = 0
+    while vname("d", r + 1) in algebra.vertices:
+        r += 1
+    return r
+
+
 def finite_pd_pool(algebra: Algebra) -> List[Representation]:
     """Seed modules of certified finite projective dimension over a level-2
     algebra: projectives, chain simples, and the low-level witnesses."""
-    r = algebra.pres.meta.get("r", 1)
     pool: List[Representation] = [algebra.projective(v) for v in algebra.vertices]
-    pool += [algebra.simple(vname("d", i)) for i in range(r + 1)]
+    pool += [algebra.simple(vname("d", i)) for i in range(_chain_length(algebra) + 1)]
     pool.append(build_Z(algebra, 0))
     pool.append(build_Z(algebra, 1))
     pool.append(build_Z(algebra, 2))
@@ -201,7 +208,7 @@ def random_extension(algebra: Algebra, base: Representation,
     cover = projective_cover(top)
     g = random_hom_combination(cover.syzygy, base, rng, (-1, 0, 0, 1))
     # Pushout: (cover (+) base) / graph of (inclusion, -g).
-    total = direct_sum(algebra, [algebra.projective(v) for v in cover.tops] + [base])
+    total = direct_sum(algebra, [cover.cover, base])
     mats = {v: cover.inclusion_mats[v].vstack(-g.mats[v])
             for v, d in cover.syzygy.dims.items() if d}
     graph = ModuleMap(cover.syzygy, total, mats)
@@ -218,7 +225,7 @@ def sample_finite_pd_modules(algebra: Algebra, count: int, seed: int,
     preserve finite projective dimension); every sample's verdict is
     certified by the syzygy chain, cut off at r + 6, before it is returned.
     """
-    cutoff = algebra.pres.meta.get("r", 1) + 6
+    cutoff = _chain_length(algebra) + 6
     rng = random.Random(f"finite-pd-samples:{seed}")
     pool = finite_pd_pool(algebra)
     out = []

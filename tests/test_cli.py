@@ -169,6 +169,23 @@ def test_module_split_over_a_cut_algebra(cut, tmp_path, capsys):
     assert json.loads(captured.out)["certificate_checksum"]
 
 
+@pytest.mark.parametrize("cut", ["a1", "d0"])
+def test_module_split_over_a_broken_path_names_the_missing_vertex(cut, tmp_path, capsys):
+    # Without a vertex of the path U = d0 - a1 - a0 - c1 - c2 - b1 the
+    # split's interval layer has no path to read: an input error.
+    base = build_lambda1prime(2)
+    pres = base.delete_vertices([cut], base.name)
+    alg = tmp_path / "cut.alg"
+    alg.write_text(emit_presentation(pres))
+    mod = tmp_path / "s.mod"
+    mod.write_text(f"module S over {pres.name}\nraw\ndim c2 1\n")
+    assert main(["module", "split", "--algebra", str(alg), str(mod)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: lambda1prime_r2|U is not the path"
+                            f" d0 - a1 - a0 - c1 - c2 - b1: no vertex {cut}\n")
+
+
 def test_module_split_outside_lemma_2_is_inconclusive(z3_file, capsys):
     # Z3 over lambda(1, 3) has support outside lambda1prime's vertices, so
     # no splitting certificate exists; that is no sound negative.

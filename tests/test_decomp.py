@@ -1,9 +1,9 @@
 import pytest
 
-from biserial.decomp import (CertificateFailure, NotPathQuiver,
-                             interval_decompose, lemma2_split, path_order,
-                             strip_pc2, u_algebra, restrict_to_vertices, xset)
-from biserial.families import lambda_vertices
+from biserial.decomp import (CertificateFailure, NotPathQuiver, _c2_alpha_path,
+                             interval_decompose, lemma2_split, strip_pc2,
+                             u_algebra, restrict_to_vertices, xset)
+from biserial.families import build_lambda1prime, lambda_vertices
 from biserial.homology import hom_basis, kernel_of
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
@@ -36,12 +36,10 @@ def peel_count_oracle(algebra, module, brick):
         current, _ = kernel_of(pair[1])
 
 
-def hom_count_multiplicity_oracle(module, order=None):
+def hom_count_multiplicity_oracle(module, order):
     """Second oracle for interval multiplicities: solve the triangular
     system  hom(I, V) = sum_J m_J hom(I, J)  over all intervals."""
     algebra = module.algebra
-    if order is None:
-        order = path_order(algebra.pres)
     from biserial.decomp import interval_module
 
     n = len(order)
@@ -142,6 +140,22 @@ def test_strip_works_over_level_two(alg2):
     assert res.complement.dims["c2"] == 1
 
 
+def test_strip_leaves_no_long_alpha_path_on_the_complement():
+    # strip_pc2 does not check this itself: its certified isomorphism
+    # P(c2)^a (+) complement -> M implies it, since the path's rank adds
+    # over the sum and is a on P(c2)^a.
+    alg = Algebra(build_lambda1prime(2))
+    alpha_path = _c2_alpha_path(alg.pres)
+    counts = []
+    for seed in range(30):
+        module = random_module(alg, seed=seed, budget=20)
+        res = strip_pc2(module)
+        assert res.complement.path_matrix(alpha_path).is_zero()
+        assert res.multiplicity == module.path_matrix(alpha_path).rank()
+        counts.append(res.multiplicity)
+    assert max(counts) >= 2
+
+
 # -- interval decomposition -----------------------------------------------------
 
 
@@ -163,7 +177,7 @@ def _line_algebra(arrows_spec):
 
 def test_interval_zero_representation():
     alg = _line_algebra(["x1->x2", "x2->x3"])
-    dec = interval_decompose(alg.zero_module())
+    dec = interval_decompose(alg.zero_module(), ["x1", "x2", "x3"])
     assert dec.summands == []
     assert dec.certificate.source.is_zero()
 
@@ -180,8 +194,10 @@ def test_interval_identity_on_a2():
 
 def test_interval_rejects_non_path():
     alg = _line_algebra(["x1->x2", "x1->x3", "x1->x4"])
-    with pytest.raises(NotPathQuiver):
-        interval_decompose(alg.zero_module())
+    with pytest.raises(NotPathQuiver, match="not the path x1 - x2 - x3 - x4: its arrows"):
+        interval_decompose(alg.zero_module(), ["x1", "x2", "x3", "x4"])
+    with pytest.raises(NotPathQuiver, match="its vertices are x1, x2, x3, x4$"):
+        interval_decompose(alg.zero_module(), ["x1", "x2", "x3"])
 
 
 def test_interval_restriction_of_projective_c2(algp):

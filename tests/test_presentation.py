@@ -220,7 +220,6 @@ def test_lambda1prime_keeps_full_chain():
 def test_family_from_spec():
     pres = family_from_spec("lambda:r=1,m=3")
     assert pres.name == "lambda_r1_m3"
-    assert pres.meta == {"family": "lambda", "r": 1, "m": 3}
     with pytest.raises(PresentationError):
         family_from_spec("lambda:r=1")
     with pytest.raises(PresentationError):

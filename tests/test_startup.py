@@ -137,7 +137,8 @@ def test_lazy_layer_errors_exit_2_in_a_fresh_process(tmp_path):
     (tmp_path / "s.mod").write_text("module s over lambda1prime_r1\nraw\ndim c2 1\n")
     proc, err, _ = _run(["module", "split", "--algebra", "npq.alg", "s.mod"], tmp_path)
     assert proc.returncode == 2
-    assert err == "error: edge count does not match a path"
+    assert err == ("error: lambda1prime_r1|U is not the path d0 - a1 - a0 - c1 - c2 - b1:"
+                   " its arrows do not join consecutive vertices")
 
 
 def test_cli_still_exposes_its_lazily_imported_names():
