@@ -370,14 +370,11 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
             phi = phi_next if phi_next is not None else build_phi(tower, m, t)
             ker, incl = kernel_of(phi)
             u_expected = build_U(tower, m, t)
-            name = f"kernel of connecting map (m={m}, t={t}) as expected"
-            evidence = {"kernel_dims": list(ker.dim_vector()),
-                        "expected_dims": list(u_expected.dim_vector())}
-            if u_expected.is_zero():
-                checks.append(CheckResult(
-                    name, PASS if ker.is_zero() else FAIL, evidence))
-            else:
-                checks.append(_iso_check(name, ker, u_expected, config, evidence))
+            checks.append(_iso_check(
+                f"kernel of connecting map (m={m}, t={t}) as expected",
+                ker, u_expected, config,
+                {"kernel_dims": list(ker.dim_vector()),
+                 "expected_dims": list(u_expected.dim_vector())}))
             if t + 1 <= config.t_max:
                 phi_next = build_phi(tower, m, t + 1)
                 composite = phi_next.compose(phi)

@@ -251,12 +251,6 @@ def restrict_to_vertices(module: Representation, sub: Algebra) -> Representation
     return Representation(sub, dims, mats, check=False)
 
 
-_X_POSITIONS = {  # (lo, hi) in U path order -> 1-based index in the figure
-    (0, 5): 1, (1, 5): 2, (2, 5): 3, (3, 5): 4, (4, 5): 5,
-    (0, 4): 6, (1, 4): 7, (2, 4): 8, (3, 4): 9, (4, 4): 10,
-}
-
-
 class Lemma2Split(NamedTuple):
     """Certified decomposition M = X (+) P(c2)^a (+) M'."""
 
@@ -299,14 +293,17 @@ def lemma2_split(module: Representation) -> Lemma2Split:
     c2_pos = u_verts.index("c2")
 
     x_walks = xset(algebra)
-    x_mult = [0] * 10
+    # Each canonical string is the c2-interval its support spans on U.
+    spans = [[k for k, v in enumerate(u_verts) if x.dims[v]] for x in x_walks]
+    x_index = {(span[0], span[-1]): idx for idx, span in enumerate(spans)}
+    x_mult = [0] * len(x_walks)
     x_embeddings: List[ModuleMap] = []
     y_pieces: List[ModuleMap] = []
     for (lo, hi), emb in decomposition.pieces:
         if lo <= c2_pos <= hi:
-            idx = _X_POSITIONS[(lo, hi)]
-            x_mult[idx - 1] += 1
-            x_embeddings.append(ModuleMap(x_walks[idx - 1], core, emb.mats))
+            idx = x_index[(lo, hi)]
+            x_mult[idx] += 1
+            x_embeddings.append(ModuleMap(x_walks[idx], core, emb.mats))
         else:
             y_pieces.append(emb)
 

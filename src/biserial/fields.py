@@ -6,8 +6,8 @@ Python values (over Q an ``int`` when integral, else a ``fractions.Fraction``;
 ``str``.  The field object is the whole interface the other layers use:
 ``zero``, ``one``, ``inv``, ``neg``, construction, ``parse`` and ``reduce``,
 the normal form of raw sums and products; for the elimination kernel, the
-pivot preference (``pivot_key`` and ``best_pivot_key``) and one call per
-row operation (``scale_row``, ``sub_row``); for the isomorphism search, its
+pivot preference (``pivot_key``, least first) and one call per row
+operation (``scale_row``, ``sub_row``); for the isomorphism search, its
 defaults (``iso_trials`` and the coefficient ``draw``).  All arithmetic is
 exact, so results are proof-grade: ``a / b * b == a`` whenever ``b != 0``.
 """
@@ -31,9 +31,6 @@ class Rationals:
     name = "q"
     zero = 0
     one = 1
-    # Pivot on integral entries of small height, which keeps intermediate
-    # fractions from growing; a unit cannot be beaten.
-    best_pivot_key = (False, 2)
     iso_trials = 20
 
     def __call__(self, value):
@@ -41,6 +38,8 @@ class Rationals:
 
     @staticmethod
     def pivot_key(x) -> tuple:
+        """Integral entries of small height first, which keeps intermediate
+        fractions from growing."""
         return (x.denominator != 1, abs(x.numerator) + abs(x.denominator))
 
     def scale_row(self, row: list, support: list, c) -> None:
@@ -109,12 +108,11 @@ class PrimeField:
 
     zero = 0
     one = 1
-    # Every nonzero residue is as good a pivot as any: the first one wins.
-    best_pivot_key = 0
     iso_trials = 40
 
     @staticmethod
     def pivot_key(x: int) -> int:
+        """Every nonzero residue is as good a pivot as any: the first wins."""
         return 0
 
     def scale_row(self, row: list, support: list, c: int) -> None:

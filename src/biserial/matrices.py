@@ -225,7 +225,7 @@ class Matrix:
 def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
     """Gauss-Jordan elimination on a copy of ``data`` in normal form;
     returns the reduced rows and the pivot column list.  The field picks
-    each pivot (least ``pivot_key``, the scan stopping at ``best_pivot_key``)
+    each pivot (least ``pivot_key``, the scan stopping at a unit's key)
     and does each row operation at the pivot row's nonzero columns, all
     right of the pivot: left of it every row from the pivot row down is
     already zero."""
@@ -233,7 +233,8 @@ def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
     if work is data:  # already in normal form: copy before eliminating
         work = [row[:] for row in data]
     zero, one = field.zero, field.one
-    key, stop = field.pivot_key, field.best_pivot_key
+    key = field.pivot_key
+    stop = key(one)  # a unit pivot cannot be beaten
     scale_row, sub_row = field.scale_row, field.sub_row
     nrows = len(work)
     ncols = len(work[0]) if work else 0

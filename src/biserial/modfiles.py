@@ -12,9 +12,11 @@ A module file defines one or more named modules over a named algebra::
     <row of entries, exact rationals like 3/2, or residues over a prime field>
 
 ``sum`` refers to earlier modules in the same file; a ``raw`` body has at
-most one ``dim`` per vertex and one ``mat`` per arrow.  The file's result
-is its last module.  DOT export draws one node per basis vector labeled by
-its vertex, solid edges for alpha arrows and dashed for beta.
+most one ``dim`` per vertex and one ``mat`` per arrow, and each ``dim`` is
+at most 1000, so that a square arrow matrix of that size (a million
+entries, a few MB) can be allocated.  The file's result is its last
+module.  DOT export draws one node per basis vector labeled by its vertex,
+solid edges for alpha arrows and dashed for beta.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .matrices import Matrix
 from .presentation import ALPHA
 from .reps import (Algebra, InvalidString, Representation, StringWord,
                    direct_sum, string_module)
+
+_MAX_DIM = 1000  # the bound on a raw dim that the module docstring states
 
 
 class ModuleFileError(ValueError):
@@ -143,6 +147,9 @@ def _parse_raw(lines: List[str], i: int, algebra: Algebra
             if tokens[1] in dims:
                 raise ModuleFileError(lineno, f"repeated dim for vertex {tokens[1]!r}")
             dims[tokens[1]] = _count(tokens[2], lineno, "dimension")
+            if dims[tokens[1]] > _MAX_DIM:
+                raise ModuleFileError(lineno, f"dimension {tokens[2]} exceeds the "
+                                              f"supported bound {_MAX_DIM}")
         elif tokens[0] == "mat":
             if len(tokens) != 4:
                 raise ModuleFileError(lineno, "expected: mat <arrow> <rows> <cols>")

@@ -13,7 +13,9 @@ members and maps are built.
 
 The witness is the first member, so both are built from one walk,
 ``zt_walk``.  The transcriptions of the witness walks for levels one to
-five in ``data/walks.json`` are the tests' reference for it.
+five in ``data/walks.json`` are the tests' reference for it.  From level
+one up, a connecting map is read off the two members' walks: it keeps the
+prefix they share, position by position, and sends the rest to zero.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import List, Tuple
 
 from .families import arrow_name, vname
 from .homology import cokernel_of, projective_cover, projdim, random_hom_combination
-from .matrices import Matrix, block_diag
+from .matrices import Matrix
 from .presentation import ALPHA, BETA
 from .reps import (Algebra, ModuleMap, Representation, StringWord,
                    direct_sum, string_module)
@@ -110,56 +112,30 @@ def build_Zt(algebra: Algebra, m: int, t: int) -> Representation:
     return string_module(algebra, zt_walk(m, t))
 
 
-def _string_prefix_map(algebra: Algebra, src_word: StringWord,
-                       tgt_word: StringWord, keep: int
-                       ) -> Tuple[Representation, Representation, ModuleMap]:
-    """Map between two string modules sending walk position i to position i
-    for i < keep and the rest to zero; the walks must agree up to keep."""
-    src_verts, src_local = src_word.positions(algebra.pres)
-    tgt_verts, tgt_local = tgt_word.positions(algebra.pres)
-    if src_verts[:keep] != tgt_verts[:keep]:
-        raise ValueError("walk prefixes disagree")
-    src = string_module(algebra, src_word)
-    tgt = string_module(algebra, tgt_word)
-    field = algebra.field
-    mats = {v: Matrix.zeros(field, tgt.dims[v], src.dims[v])
-            for v in algebra.vertices}
-    for i in range(keep):
-        v = src_verts[i]
-        mats[v].data[tgt_local[i]][src_local[i]] = field.one
-    return src, tgt, ModuleMap(src, tgt, mats)
-
-
 def build_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
     """Connecting map from the ``t``-th to the ``(t+1)``-st member."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    src = build_Zt(algebra, m, t)
+    tgt = build_Zt(algebra, m, t + 1)
     field = algebra.field
     if m == 0:
-        src = build_Zt(algebra, 0, t)
-        tgt = build_Zt(algebra, 0, t + 1)
-        # Component layout: d0, P(a0), t blocks of (P(b0), P(c0)), d1.
-        # All components except the final d1 summand map identically; the
-        # target's extra block and its own d1 receive nothing.  Only the d1
-        # summand itself contributes a d1 coordinate, so d1 maps to zero.
+        # Summands d0, P(a0), t blocks (P(b0), P(c0)), d1: all but the last
+        # map identically onto the target's first ones, and S(d1), the only
+        # d1 coordinate, maps to zero.
         mats = {v: Matrix.units(field, tgt.dims[v], range(src.dims[v]))
                 for v in algebra.vertices if v != "d1"}
-        phi = ModuleMap(src, tgt, mats)
-    elif m == 1:
-        s_src, s_tgt, smap = _string_prefix_map(
-            algebra, zt_walk(1, t), zt_walk(1, t + 1), keep=5 * t + 2)
-        d0 = algebra.simple("d0")
-        src = direct_sum(algebra, [s_src, d0])
-        tgt = direct_sum(algebra, [s_tgt, d0])
-        # The string map, and zero on the d0 summand.
-        mats = {v: block_diag(field, [smap.mats[v],
-                                      Matrix.zeros(field, d0.dims[v], d0.dims[v])])
-                for v in algebra.vertices}
-        phi = ModuleMap(src, tgt, mats)
     else:
-        keep = 4 * t + 3 if m == 2 else len(zt_walk(m, t)) + 1
-        _, _, phi = _string_prefix_map(algebra, zt_walk(m, t),
-                                       zt_walk(m, t + 1), keep=keep)
+        # Walk position k goes to position k while the two walks agree, where
+        # both draw the same basis vector, and the rest to zero.  Level one's
+        # S(d0) summand comes after the string at d0, so it maps to zero too.
+        verts, local = zt_walk(m, t).positions(algebra.pres)
+        next_verts = zt_walk(m, t + 1).walk_vertices(algebra.pres)
+        mats = {v: Matrix.zeros(field, tgt.dims[v], src.dims[v])
+                for v in algebra.vertices}
+        for v, w, i in zip(verts, next_verts, local):
+            if v != w:
+                break
+            mats[v].data[i][i] = field.one
+    phi = ModuleMap(src, tgt, mats)
     if not phi.is_morphism():
         raise AssertionError(f"connecting map failed at level {m}")
     return phi

@@ -5,8 +5,9 @@ public types.
 Matrix and module-map arithmetic, direct-sum structure maps, inflation
 and restriction along a full subquiver, top dimensions and a cover check,
 an associativity spot check of a path basis, structural equality of
-presentations and a claim batch runner.  Tests build inputs with them and
-check the package's answers against them.
+presentations, the direct system's connecting maps with their kept walk
+prefixes written out, and a claim batch runner.  Tests build inputs with
+them and check the package's answers against them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from typing import Dict, List, Sequence, Tuple
 from biserial.claims import ClaimReport, FamilyConfig, run_claim
 from biserial.fields import QQ
 from biserial.homology import CoverData, radical
-from biserial.matrices import Matrix
+from biserial.matrices import Matrix, block_diag
 from biserial.pathbasis import PathBasis
 from biserial.presentation import Presentation
-from biserial.reps import Algebra, ModuleMap, Representation, RepresentationError
+from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationError,
+                           direct_sum, string_module)
+from biserial.witnesses import build_Zt, zt_walk
 
 
 # -- matrices ----------------------------------------------------------------
@@ -192,6 +195,43 @@ def spot_check_associativity(basis: PathBasis, rng) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+# -- the direct system's connecting maps --------------------------------------
+
+
+def prefix_phi(algebra: Algebra, m: int, t: int) -> ModuleMap:
+    """The connecting map Z_m[t] -> Z_m[t+1], written out per level.
+
+    Level zero maps every summand but the final S(d1) identically.  From
+    level one up, walk position k goes to position k for k < keep and the
+    rest to zero, with keep = 5t + 2 at level one, 4t + 3 at level two and
+    the whole source walk, len + 1 positions, above; level one's S(d0)
+    summand maps to zero by a block of its own.
+    """
+    field = algebra.field
+    if m == 0:
+        src, tgt = build_Zt(algebra, 0, t), build_Zt(algebra, 0, t + 1)
+        return ModuleMap(src, tgt, {
+            v: Matrix.units(field, tgt.dims[v], range(src.dims[v]))
+            for v in algebra.vertices if v != "d1"})
+    src_word, tgt_word = zt_walk(m, t), zt_walk(m, t + 1)
+    keep = {1: 5 * t + 2, 2: 4 * t + 3}.get(m, len(src_word) + 1)
+    src_verts, src_local = src_word.positions(algebra.pres)
+    tgt_verts, tgt_local = tgt_word.positions(algebra.pres)
+    if src_verts[:keep] != tgt_verts[:keep]:
+        raise ValueError("walk prefixes disagree")
+    src = string_module(algebra, src_word)
+    tgt = string_module(algebra, tgt_word)
+    mats = {v: Matrix.zeros(field, tgt.dims[v], src.dims[v]) for v in algebra.vertices}
+    for i in range(keep):
+        mats[src_verts[i]].data[tgt_local[i]][src_local[i]] = field.one
+    if m != 1:
+        return ModuleMap(src, tgt, mats)
+    d0 = algebra.simple("d0")
+    return ModuleMap(direct_sum(algebra, [src, d0]), direct_sum(algebra, [tgt, d0]), {
+        v: block_diag(field, [mats[v], Matrix.zeros(field, d0.dims[v], d0.dims[v])])
+        for v in algebra.vertices})
 
 
 # -- claims ------------------------------------------------------------------

@@ -568,3 +568,15 @@ def test_pd_cycle_between_syzygies_of_different_content(band_files, capsys):
     assert main(["module", "pd", "--algebra", alg, mod, "--trials", "0",
                  "--cutoff", "6", "--strict"]) == 3
     assert "Inconclusive (cutoff 6)" in capsys.readouterr().out
+
+
+def test_oversized_raw_dim_exits_2_at_its_line(tmp_path, capsys):
+    # A loop at a vertex of that dimension is a square zero matrix beyond
+    # any memory: the parser must refuse the dim line before allocating.
+    alg, mod = tmp_path / "loop.alg", tmp_path / "big.mod"
+    alg.write_text("algebra loop\nvertex a\narrow f : alpha a -> a\nrel zero f f\n")
+    mod.write_text("module M over loop\nraw\ndim a 99999999999\n")
+    assert main(["module", "pd", "--algebra", str(alg), str(mod)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and "99999999999" in err
+    assert len(err.splitlines()) == 1

@@ -299,8 +299,6 @@ class FirstNonzeroRationals(RecordingRationals):
     """Q with the GF(p) pivot policy: the first nonzero entry of a column
     wins, whatever its height."""
 
-    best_pivot_key = 0
-
     @staticmethod
     def pivot_key(x):
         return 0

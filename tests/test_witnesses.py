@@ -4,12 +4,14 @@ from importlib import resources
 import pytest
 
 from biserial.families import build_lambda, lambda_vertices
+from biserial.fields import field_from_spec
 from biserial.homology import (certified_iso, kernel_of, projdim, syzygy,
                                _sub_representation)
 from biserial.matrices import Matrix
 from biserial.reps import Algebra
 from biserial.witnesses import (build_U, build_Z, build_Zt, build_phi,
                                 sample_finite_pd_modules, zt_walk)
+from oracles import prefix_phi
 
 
 def test_z3_dimension_vector(alg3):
@@ -112,6 +114,19 @@ def test_phi_kernels_match_expected(alg5):
                 assert ker.is_zero(), (m, t)
             else:
                 assert certified_iso(ker, expected, seed=0) is not None, (m, t)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:101"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_phi_matches_prefix_oracle(r, spec):
+    # The kept prefix is read off the two walks; the oracle writes it out.
+    alg = Algebra(build_lambda(r, 10), field=field_from_spec(spec))
+    for m in range(11):
+        for t in range(1, 7):
+            phi, ref = build_phi(alg, m, t), prefix_phi(alg, m, t)
+            assert phi.source.dims == ref.source.dims, (m, t)
+            assert phi.target.dims == ref.target.dims, (m, t)
+            assert phi.mats == ref.mats, (m, t)
 
 
 def test_u_shapes(alg3):
