@@ -6,7 +6,8 @@ Claim catalog (ids are the CLI surface):
 * ``simples-pd``       chain simples have pd r-i; the five loop simples
                        have certified infinite pd, over every level in range.
 * ``prop-2``           the witness tower: the syzygy of each witness is the
-                       previous one (certified), and pd Z_m = r+m exactly.
+                       previous one (certified), and pd Z_m = r+m exactly,
+                       proved by induction along the tower (below).
 * ``lemma-1``          the ten c2-strings have infinite pd; the loop simples
                        named by the splitting argument appear as summands of
                        the second or third syzygy, with split-pair witnesses.
@@ -25,21 +26,37 @@ Claim catalog (ids are the CLI surface):
 
 A Pass requires every sub-check to carry a verified certificate; failures
 are reported, never thrown.
+
+prop-2, section-4 and findim-witness read the tower members Z_m[t] (the
+witness Z_m is Z_m[1]) from one ``_TowerLedger`` per config.  It holds, by
+(m, t), the iso decision of Omega(Z_{m+1}[t]) against Z_m[t], one
+``decide_iso`` call that every claim reading it shares (the call is
+deterministic in the two contents, the seed and the trials), and the pd
+report of Z_m[t].  Level 0 walks the syzygy chain.  Level m >= 1 is proved
+by induction when the level m-1 decision is ``iso``, its report is
+Finite(v) and v + 2 is within the level's chain cutoff: Omega(Z_m[t]) is
+then nonzero and certified isomorphic to Z_{m-1}[t], minimal syzygies are
+isomorphism invariants and pd M = pd Omega(M) + 1 for M not projective, so
+the walk would print exactly the chain [dim Z_m[t]] + the previous chain,
+and Finite(v + 1) (it cannot certify a cycle in a chain that reaches
+zero).  Any other case walks the full chain, so no check passes without a
+certified chain.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .families import (build_lambda, build_lambda1prime, certify_tower,
                        lambda_vertices, vname)
 from .fields import field_from_spec
-from .homology import (decide_iso, kernel_of, projdim, radical_filtration,
-                       record_digest, split_off, syzygy)
+from .homology import (IsoDecision, PdReport, decide_iso, kernel_of, projdim,
+                       radical_filtration, record_digest, split_off, syzygy)
 from .decomp import CertificateFailure, lemma2_split, xset
-from .reps import Algebra, random_module
-from .witnesses import (build_U, build_Z, build_Zt, build_phi,
+from .reps import Algebra, Representation, random_module
+from .witnesses import (build_U, build_Zt, build_phi,
                         sample_finite_pd_modules)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -100,6 +117,12 @@ class FamilyConfig:
         a check "over level m" means the same over it as over lambda(r, m).
         """
         return self.algebra("lambda", self.m_max + 1)
+
+    @cached_property
+    def _ledger(self) -> "_TowerLedger":
+        """The tower's iso decisions and pd reports, shared by every claim
+        run with this config."""
+        return _TowerLedger(self)
 
     def chain_cutoff(self, m: int) -> int:
         return self.cutoff if self.cutoff is not None else self.r + m + 4
@@ -168,10 +191,15 @@ def _sampled_status(samples: int, failures: int) -> str:
 
 def _iso_check(name: str, m, n, config: FamilyConfig, evidence: dict
                ) -> CheckResult:
+    """The ``_iso_result`` of ``decide_iso(M, N)``."""
+    return _iso_result(name, decide_iso(m, n, trials=config.trials, seed=config.seed),
+                       evidence)
+
+
+def _iso_result(name: str, decision: IsoDecision, evidence: dict) -> CheckResult:
     """PASS with a certified isomorphism M -> N, FAIL on a sound negative,
     and INCONCLUSIVE, with the trials spent, when the random search missed,
     which proves nothing."""
-    decision = decide_iso(m, n, trials=config.trials, seed=config.seed)
     if decision.status == "iso":
         return CheckResult(name, PASS, evidence)
     if decision.status == "not_iso":
@@ -192,6 +220,51 @@ def _verdict_check(name: str, report, expected: Optional[int]) -> CheckResult:
     if report.verdict == "inconclusive":
         return CheckResult(name, INCONCLUSIVE, ev)
     return CheckResult(name, FAIL, ev)
+
+
+class _TowerLedger:
+    """The members Z_m[t] of a config's tower, the iso decision of
+    Omega(Z_{m+1}[t]) against Z_m[t] and the pd report of Z_m[t], each
+    computed once; see the module docstring for the induction."""
+
+    def __init__(self, config: FamilyConfig):
+        self.config = config
+        self.tower = config.tower()
+        self._members: Dict[Tuple[int, int], Representation] = {}
+        self._isos: Dict[Tuple[int, int], IsoDecision] = {}
+        self._reports: Dict[Tuple[int, int], PdReport] = {}
+
+    def member(self, m: int, t: int) -> Representation:
+        if (m, t) not in self._members:
+            self._members[m, t] = build_Zt(self.tower, m, t)
+        return self._members[m, t]
+
+    def iso(self, m: int, t: int) -> IsoDecision:
+        """``decide_iso(Omega(Z_{m+1}[t]), Z_m[t])``."""
+        if (m, t) not in self._isos:
+            self._isos[m, t] = decide_iso(
+                syzygy(self.member(m + 1, t)), self.member(m, t),
+                trials=self.config.trials, seed=self.config.seed)
+        return self._isos[m, t]
+
+    def pd(self, m: int, t: int) -> PdReport:
+        """The report ``projdim`` gives Z_m[t] at the level's cutoff:
+        induced from level m-1 when its report is finite and short enough
+        and Omega(Z_m[t]) is certified isomorphic to Z_{m-1}[t], walked
+        otherwise."""
+        if (m, t) not in self._reports:
+            config, module = self.config, self.member(m, t)
+            prev = self.pd(m - 1, t) if m else None
+            if (prev is not None and prev.verdict == "finite"
+                    and prev.value + 2 <= config.chain_cutoff(m)
+                    and self.iso(m - 1, t).status == "iso"):
+                report = PdReport("finite", [module.dim_vector()] + prev.chain,
+                                  value=prev.value + 1, seed=config.seed)
+            else:
+                report = projdim(module, cutoff=config.chain_cutoff(m),
+                                 seed=config.seed, trials=config.trials)
+            self._reports[m, t] = report
+        return self._reports[m, t]
 
 
 # -- individual claims -------------------------------------------------------
@@ -218,20 +291,17 @@ def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
 
 def claim_prop_2(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
-    tower = config.tower()
+    ledger = config._ledger
     for m in range(config.m_max + 1):
-        z_next = build_Z(tower, m + 1)
-        z_here = build_Z(tower, m)
-        omega = syzygy(z_next)
-        checks.append(_iso_check(
+        z_here = ledger.member(m, 1)
+        omega = syzygy(ledger.member(m + 1, 1))
+        checks.append(_iso_result(
             f"syzygy of witness {m + 1} is witness {m} (certified)",
-            omega, z_here, config,
+            ledger.iso(m, 1),
             {"omega_dims": list(omega.dim_vector()),
              "witness_dims": list(z_here.dim_vector())}))
-        rep = projdim(z_here, cutoff=config.chain_cutoff(m),
-                      seed=config.seed, trials=config.trials)
         checks.append(_verdict_check(
-            f"pd witness {m} = {config.r + m}", rep, config.r + m))
+            f"pd witness {m} = {config.r + m}", ledger.pd(m, 1), config.r + m))
         if m >= 1:
             below = set(lambda_vertices(config.r, m - 1))
             checks.append(CheckResult(
@@ -348,23 +418,21 @@ def claim_syzygy_descent(config: FamilyConfig) -> ClaimReport:
 
 def claim_section_4(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
+    ledger = config._ledger
     tower = config.tower()
     for m in range(config.m_max + 1):
         phi_next = None
         for t in range(1, config.t_max + 1):
-            zt = build_Zt(tower, m, t)
+            zt = ledger.member(m, t)
             if t == 1:
                 checks.append(_iso_check(
                     f"member (m={m}, t=1) is the witness",
-                    zt, build_Z(tower, m), config, {}))
-            omega = syzygy(build_Zt(tower, m + 1, t))
-            checks.append(_iso_check(
+                    zt, ledger.member(m, 1), config, {}))
+            checks.append(_iso_result(
                 f"syzygy of member (m={m + 1}, t={t}) is member (m={m}, t={t})",
-                omega, zt, config, {"dims": list(zt.dim_vector())}))
-            rep = projdim(zt, cutoff=config.chain_cutoff(m), seed=config.seed,
-                          trials=config.trials)
+                ledger.iso(m, t), {"dims": list(zt.dim_vector())}))
             checks.append(_verdict_check(
-                f"pd member (m={m}, t={t}) = {config.r + m}", rep,
+                f"pd member (m={m}, t={t}) = {config.r + m}", ledger.pd(m, t),
                 config.r + m))
             # The previous t built this map for its composite check.
             phi = phi_next if phi_next is not None else build_phi(tower, m, t)
@@ -438,13 +506,10 @@ def claim_appendix_projectives(config: FamilyConfig) -> ClaimReport:
 
 def claim_findim_witness(config: FamilyConfig) -> ClaimReport:
     checks: List[CheckResult] = []
-    tower = config.tower()
     for m in range(config.m_max + 1):
-        rep = projdim(build_Z(tower, m), cutoff=config.chain_cutoff(m),
-                      seed=config.seed, trials=config.trials)
         checks.append(_verdict_check(
             f"lower bound witness: pd = {config.r + m} at level {m}",
-            rep, config.r + m))
+            config._ledger.pd(m, 1), config.r + m))
     # Sampled upper-bound evidence at level 2: finite pd never exceeds r+2.
     alg2 = config.algebra("lambda", 2)
     count = max(10, config.samples // 5)

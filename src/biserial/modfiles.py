@@ -12,11 +12,12 @@ A module file defines one or more named modules over a named algebra::
     <row of entries, exact rationals like 3/2, or residues over a prime field>
 
 ``sum`` refers to earlier modules in the same file; a ``raw`` body has at
-most one ``dim`` per vertex and one ``mat`` per arrow, and each ``dim`` is
-at most 1000, so that a square arrow matrix of that size (a million
-entries, a few MB) can be allocated.  The file's result is its last
-module.  DOT export draws one node per basis vector labeled by its vertex,
-solid edges for alpha arrows and dashed for beta.
+most one ``dim`` per vertex and one ``mat`` per arrow, and each ``dim``,
+and each ``mat``'s row and column count, is at most 1000, so that a square
+arrow matrix of that size (a million entries, a few MB) can be allocated.
+The file's result is its last module.  DOT export draws one node per
+basis vector labeled by its vertex, solid edges for alpha arrows and
+dashed for beta.
 """
 
 from __future__ import annotations
@@ -117,11 +118,20 @@ def _parse_string(tokens: List[str], lineno: int, algebra: Algebra) -> Represent
 
 
 def _count(token: str, lineno: int, what: str) -> int:
-    """A nonnegative integer token, or an error naming the line."""
+    """A nonnegative integer token of at most ``_MAX_DIM``, or an error
+    naming the line.  A token too long for ``int`` (Python refuses more
+    than 4,300 digits) exceeds the bound too."""
     if not token.isdecimal():
         raise ModuleFileError(lineno, f"{what} must be a nonnegative integer, "
                                       f"got {token!r}")
-    return int(token)
+    try:
+        value = int(token)
+    except ValueError:
+        value = None
+    if value is None or value > _MAX_DIM:
+        raise ModuleFileError(lineno, f"{what} {token} exceeds the supported "
+                                      f"bound {_MAX_DIM}")
+    return value
 
 
 def _parse_raw(lines: List[str], i: int, algebra: Algebra
@@ -147,9 +157,6 @@ def _parse_raw(lines: List[str], i: int, algebra: Algebra
             if tokens[1] in dims:
                 raise ModuleFileError(lineno, f"repeated dim for vertex {tokens[1]!r}")
             dims[tokens[1]] = _count(tokens[2], lineno, "dimension")
-            if dims[tokens[1]] > _MAX_DIM:
-                raise ModuleFileError(lineno, f"dimension {tokens[2]} exceeds the "
-                                              f"supported bound {_MAX_DIM}")
         elif tokens[0] == "mat":
             if len(tokens) != 4:
                 raise ModuleFileError(lineno, "expected: mat <arrow> <rows> <cols>")

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 from .fields import QQ
 from .matrices import Matrix, block_diag
 from .pathbasis import PathBasis
-from .presentation import Arrow, Presentation
+from .presentation import Arrow, Presentation, Relation
 
 
 # The basis of a free module at each vertex: pair (summand g, path class p)
@@ -74,6 +74,13 @@ class Algebra:
         return [(a.name, a.source, a.target) for a in self.pres.quiver.arrows.values()]
 
     @cached_property
+    def _relation_ends(self) -> List[Tuple[Relation, str, str]]:
+        """(relation, source, target) of each relation, in presentation
+        order; the presentation validated every path when it was built."""
+        ends = self.pres.path_endpoints
+        return [(rel, *ends(rel.left)) for rel in self.pres.relations]
+
+    @cached_property
     def action(self) -> Dict[Tuple[str, int], List[Tuple[int, object]]]:
         """(arrow, class p) -> the terms (q, c) of arrow·p, c nonzero in the field."""
         return {key: [(q, x) for q, c in vec.items() if (x := self.field(c))]
@@ -118,10 +125,12 @@ class Algebra:
         return Representation(self, {v: 0 for v in self.vertices}, {})
 
     def simple(self, vertex: str) -> "Representation":
+        """The simple at ``vertex``, built and relation-checked on the first
+        call and then kept in ``memo``, like ``projective``."""
         if vertex not in self.pres.quiver.vertices:
             raise RepresentationError(f"unknown vertex {vertex!r}")
-        dims = {v: (1 if v == vertex else 0) for v in self.vertices}
-        return Representation(self, dims, {})
+        return self.memo("simple " + vertex, lambda alg: Representation(
+            alg, {v: int(v == vertex) for v in alg.vertices}, {}))
 
     def projective(self, vertex: str) -> "Representation":
         """Indecomposable projective with top at ``vertex``: the free module
@@ -190,6 +199,10 @@ class Representation:
         A one-arrow path returns the arrow's own matrix, shared.
         """
         self.algebra.pres.path_endpoints(path)
+        return self._path_product(path)
+
+    def _path_product(self, path: Sequence[str]) -> Matrix:
+        """``path_matrix`` of a path known to be composable."""
         m = self.mats[path[0]]
         for name in path[1:]:
             m = self.mats[name] @ m
@@ -201,16 +214,15 @@ class Representation:
         and is skipped."""
         out = []
         dims = self.dims
-        for rel in self.algebra.pres.relations:
-            src, tgt = self.algebra.pres.path_endpoints(rel.left)
+        for rel, src, tgt in self.algebra._relation_ends:
             if not (dims[src] and dims[tgt]):
                 continue
-            left = self.path_matrix(rel.left)
+            left = self._path_product(rel.left)
             if rel.kind == "zero":
                 if not left.is_zero():
                     out.append("zero " + "*".join(reversed(rel.left)))
             else:
-                if left != self.path_matrix(rel.right):
+                if left != self._path_product(rel.right):
                     out.append("eq " + "*".join(reversed(rel.left))
                                + " = " + "*".join(reversed(rel.right)))
         return out

@@ -250,6 +250,9 @@ def test_witness_claims_cover_each_content_once(monkeypatch):
     # The witness claims build every level on one tower algebra, so its
     # syzygy memo serves all levels: each module content is covered once
     # in the run (118 covers of 54 contents with an algebra per level).
+    # Above level 0 the pd reports are proved by induction along the
+    # tower, so only the level-0 chains and the syzygies the iso checks
+    # read are covered (54 contents when every level walked its chain).
     from biserial import homology
 
     keys = []
@@ -264,7 +267,7 @@ def test_witness_claims_cover_each_content_once(monkeypatch):
     for claim_id in ("simples-pd", "prop-2", "section-4"):
         assert run_claim(claim_id, cfg).status == "pass"
     assert {name for name, _ in keys} == {"lambda_r2_m5"}
-    assert len(keys) == len(set(keys)) == 54
+    assert len(keys) == len(set(keys)) == 27
 
 
 def test_section_4_builds_each_connecting_map_once(monkeypatch):
@@ -282,3 +285,76 @@ def test_section_4_builds_each_connecting_map_once(monkeypatch):
     cfg = FamilyConfig(r=2, m_max=4, t_max=3, seed=3)
     assert claims.claim_section_4(cfg).status == "pass"
     assert sorted(calls) == [(m, t) for m in range(5) for t in range(1, 4)]
+
+
+def _ledger_reports(monkeypatch, cfg):
+    """Every (m, t) of the config's ledger: its report, the report a walk
+    of the syzygy chain gives, and whether the ledger walked."""
+    from biserial import claims
+    from biserial.homology import projdim
+
+    walked = []
+
+    def counting(module, **kwargs):
+        walked.append(module)
+        return projdim(module, **kwargs)
+
+    monkeypatch.setattr(claims, "projdim", counting)
+    ledger = cfg._ledger
+    out = {}
+    for m in range(cfg.m_max + 1):
+        for t in range(1, cfg.t_max + 1):
+            before = len(walked)
+            report = ledger.pd(m, t)
+            walk = projdim(ledger.member(m, t), cutoff=cfg.chain_cutoff(m),
+                           seed=cfg.seed, trials=cfg.trials)
+            out[m, t] = report, walk, len(walked) > before
+    return out
+
+
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_ledger_induced_pd_equals_walked_chain(monkeypatch, r, field):
+    # Above level 0 every report is induced from the level below and the
+    # certified Omega(Z_m[t]) = Z_{m-1}[t]; it must be the walk's report,
+    # field by field, chain included.
+    cfg = FamilyConfig(r=r, m_max=6, t_max=3, field_spec=field, seed=5)
+    for (m, t), (report, walk, was_walked) in _ledger_reports(monkeypatch, cfg).items():
+        assert report == walk and report.verdict == "finite", (m, t)
+        assert report.value == r + m and report.iso is None
+        assert was_walked == (m == 0), (m, t)
+
+
+def test_ledger_walks_every_level_with_no_iso_trials(monkeypatch):
+    # trials 0 certifies no iso between nonzero modules: no induction.
+    cfg = FamilyConfig(r=2, m_max=4, t_max=3, seed=3, trials=0)
+    reports = _ledger_reports(monkeypatch, cfg)
+    assert all(cfg._ledger.iso(m, t).status == "not_found"
+               for m in range(cfg.m_max) for t in range(1, cfg.t_max + 1))
+    for key, (report, walk, was_walked) in reports.items():
+        assert was_walked and report == walk, key
+
+
+def test_ledger_walks_where_the_cutoff_is_too_short(monkeypatch):
+    # With cutoff r + 3 the chain of Z_m reaches zero at step r + m + 1,
+    # so levels 0..2 are finite and level 3 up is inconclusive.  Level 2
+    # is induced (its walk needs r + 3 steps); level 3 must walk, and so
+    # must level 4, whose previous report is not finite.
+    cfg = FamilyConfig(r=2, m_max=4, t_max=2, seed=3, cutoff=5)
+    for (m, t), (report, walk, was_walked) in _ledger_reports(monkeypatch, cfg).items():
+        assert report == walk, (m, t)
+        assert was_walked == (m in (0, 3, 4)), (m, t)
+        assert report.verdict == ("finite" if m <= 2 else "inconclusive")
+
+
+def test_ledger_walks_after_an_inconclusive_iso(monkeypatch):
+    # One trial over GF(2) misses some isomorphisms; a level above a miss
+    # walks its chain, and the others are still induced.
+    cfg = FamilyConfig(r=1, m_max=3, t_max=2, field_spec="fp:2", seed=3, trials=1)
+    reports = _ledger_reports(monkeypatch, cfg)
+    missed = {(m + 1, t) for m in range(cfg.m_max) for t in (1, 2)
+              if cfg._ledger.iso(m, t).status != "iso"}
+    assert {key for key in missed if key[0] > 1}  # a miss above level 0
+    for (m, t), (report, walk, was_walked) in reports.items():
+        assert report == walk and report.verdict == "finite", (m, t)
+        assert was_walked == (m == 0 or (m, t) in missed), (m, t)

@@ -580,3 +580,21 @@ def test_oversized_raw_dim_exits_2_at_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ") and "99999999999" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("body, line", [
+    ("dim a " + "9" * 5000 + "\n", 3),
+    ("dim a 1\nmat f " + "9" * 5000 + " 1\n0\n", 4),
+    ("dim a 1\nmat f 1 " + "9" * 5000 + "\n0\n", 4),
+])
+def test_raw_count_too_long_for_int_exits_2_at_its_line(tmp_path, capsys, body, line):
+    # int() refuses a token of more than 4,300 digits with a ValueError;
+    # the parser must report the bound at the token's line instead.
+    alg, mod = tmp_path / "loop.alg", tmp_path / "long.mod"
+    alg.write_text("algebra loop\nvertex a\narrow f : alpha a -> a\nrel zero f f\n")
+    mod.write_text("module M over loop\nraw\n" + body)
+    assert main(["module", "pd", "--algebra", str(alg), str(mod)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert "exceeds the supported bound 1000" in err
+    assert len(err.splitlines()) == 1
