@@ -8,6 +8,19 @@ pays only for the layers it runs.
 
 __version__ = "0.1.0"
 
+
+class InputError(ValueError):
+    """An error in what the user gave: a flag value, a file or its contents.
+    The command line exits 2 with its message; any other exception is a bug.
+    A located error reads ``line N[, column C]: <message>``."""
+
+    def __init__(self, message: str, line: "int | None" = None,
+                 column: "int | None" = None):
+        self.line, self.column = line, column
+        where = f"line {line}" if column is None else f"line {line}, column {column}"
+        super().__init__(message if line is None else f"{where}: {message}")
+
+
 _HOMES = {
     "fields": "QQ FieldError PrimeField field_from_spec",
     "matrices": "Matrix",
@@ -26,7 +39,7 @@ _HOMES = {
     "claims": "CLAIMS ClaimReport ConfigError FamilyConfig run_claim",
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
-__all__ = list(_HOME_OF)
+__all__ = ["InputError", *_HOME_OF]
 
 
 def _lazy_getattr(module_name: str):

@@ -49,6 +49,7 @@ import random
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
+from . import InputError
 from .families import (build_lambda, build_lambda1prime, certify_tower,
                        lambda_vertices, vname)
 from .fields import field_from_spec
@@ -62,7 +63,7 @@ from .witnesses import (build_U, build_Zt, build_phi,
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """A verify parameter outside its allowed range."""
 
 

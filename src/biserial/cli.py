@@ -7,12 +7,14 @@ Subcommands::
     verify  <claim ...>|all                    the claim catalog
 
 Exit codes: 0 success / all claims pass, 1 a claim failed or ``module
-iso`` proved the modules not isomorphic, 2 usage or parse error, 3 an
-inconclusive verdict (with ``--strict`` for ``module pd``; a ``module iso``
-search that missed; a ``module split`` certificate that could not be built,
-as for a module outside Lemma 2's scope), 4 an internal error (a bug,
-reported as ``internal error: ...``), 141 the reader of stdout went away,
-as for a writer killed by SIGPIPE (``biserial verify all | head -1``).
+iso`` proved the modules not isomorphic, 2 an input error (a
+``biserial.InputError``, or a file that cannot be opened or read as
+UTF-8), 3 an inconclusive verdict (with ``--strict`` for ``module pd``; a
+``module iso`` search that missed; a ``module split`` certificate that
+could not be built, as for a module outside Lemma 2's scope), 4 an
+internal error (a bug, reported as ``internal error: ...``), 141 the
+reader of stdout went away, as for a writer killed by SIGPIPE
+(``biserial verify all | head -1``).
 ``--structured`` switches reports to line-delimited JSON records,
 byte-stable for identical flags.
 
@@ -31,15 +33,13 @@ import os
 import sys
 from typing import List, Optional
 
-from . import _HOME_OF, _lazy_getattr
-from .fields import FieldError, field_from_spec
+from . import InputError, _lazy_getattr
+from .fields import field_from_spec
 from .homology import (decide_iso, hom_dim, projdim, radical_filtration,
                        record_digest, syzygy)
-from .modfiles import (ModuleFileError, dot_quiver, dot_representation,
-                       emit_module_raw, parse_module_file)
-from .pathbasis import BoundExceeded
-from .presentation import PresentationError, emit_presentation, parse_presentation
-from .reps import Algebra, InvalidString, RepresentationError
+from .modfiles import dot_quiver, dot_representation, emit_module_raw, parse_module_file
+from .presentation import emit_presentation, parse_presentation
+from .reps import Algebra
 
 # The layers only some subcommands run are imported by those commands;
 # their names still resolve as attributes of this module (PEP 562).
@@ -49,7 +49,7 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 EXIT_BROKEN_PIPE = 141
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     """A flag value the command cannot run with."""
 
 
@@ -58,20 +58,6 @@ class _ClaimIdsHelp(str):
 
     def __mod__(self, params) -> str:
         return f"{self}; known: {', '.join(__getattr__('CLAIMS'))}"
-
-
-# Errors in what the user gave: flags, files and their contents.  They exit
-# EXIT_USAGE with their message; any other exception is a bug.
-INPUT_ERRORS = (UsageError, PresentationError, ModuleFileError, FieldError,
-                BoundExceeded, RepresentationError, InvalidString, OSError,
-                UnicodeDecodeError)
-
-
-def _input_errors() -> tuple:
-    """INPUT_ERRORS and those of the loaded lazy layers (an unloaded one raised none)."""
-    return INPUT_ERRORS + tuple(
-        __getattr__(name) for name in ("ConfigError", "NotPathQuiver")
-        if f"{__package__}.{_HOME_OF[name]}" in sys.modules)
 
 
 def _load_presentation(spec: str):
@@ -85,26 +71,30 @@ def _load_presentation(spec: str):
 
 
 def _check_flags(args) -> None:
-    """Reject flag values no computation can run with (``verify`` flags
-    are checked by ``FamilyConfig``)."""
+    """Reject flag values no computation can run with, before any file is
+    read, and parse ``--field`` into ``args.coefficients`` (``verify``
+    flags are checked by ``FamilyConfig``)."""
     if getattr(args, "length_bound", 1) < 1:
         raise UsageError("--length-bound must be at least 1")
     if args.command == "module" and getattr(args, "cutoff", 1) < 1:
         raise UsageError("--cutoff must be at least 1")
     if args.command == "module" and (getattr(args, "trials", None) or 0) < 0:
         raise UsageError("--trials must be nonnegative")
+    if args.command != "verify":  # parsed also where no algebra is built
+        args.coefficients = field_from_spec(args.field)
 
 
 def _algebra(pres, args) -> Algebra:
-    return Algebra(pres, field=field_from_spec(args.field),
-                   length_bound=args.length_bound)
+    return Algebra(pres, field=args.coefficients, length_bound=args.length_bound)
 
 
 def _family_presentation(args):
     if args.family is None:  # argparse has checked any given family name
         raise UsageError(f"algebra {args.algebra_cmd} needs a presentation FILE or --family")
     if args.family == "lambda" and args.m is None:
-        raise PresentationError("family 'lambda' needs --m")
+        raise UsageError("family 'lambda' needs --m")
+    if args.family == "lambda1prime" and args.m is not None:
+        raise UsageError("family 'lambda1prime' takes no --m")
     m = f",m={args.m}" if args.family == "lambda" else ""
     return _load_presentation(f"{args.family}:r={args.r}{m}")
 
@@ -482,7 +472,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Send what is still buffered nowhere, so the final flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except _input_errors() as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # What the user gave (flags, files and their contents) is at fault.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -28,6 +28,7 @@ import json
 from importlib import resources
 from typing import Dict, List, NamedTuple, Tuple
 
+from . import InputError
 from .families import build_subquiver_U
 # hom_basis stays importable as decomp.hom_basis, which bench/test_bench.py traces.
 from .homology import (_sub_representation, hom_basis, kernel_of, map_from_projectives,
@@ -38,7 +39,7 @@ from .reps import (Algebra, ModuleMap, Representation, RepresentationError, Stri
                    assemble_sum_map, direct_sum, string_module)
 
 
-class NotPathQuiver(ValueError):
+class NotPathQuiver(InputError):
     """interval_decompose input whose quiver is not the path it was given."""
 
 

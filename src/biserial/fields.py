@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import InputError
 
-class FieldError(ValueError):
+
+class FieldError(InputError):
     """Raised for invalid field specifications or elements."""
 
 

@@ -462,7 +462,9 @@ def decide_iso(m: Representation, n: Representation, trials: Optional[int] = Non
     ``trials`` random combinations of a Hom basis all failed.  The field
     sets the search policy: ``trials`` defaults to its ``iso_trials`` and
     each coefficient is its ``draw``.  A candidate is the
-    ``hom_combination`` of the drawn coefficients.
+    ``hom_combination`` of the drawn coefficients.  The first candidate of
+    full rank at every vertex has its squares re-checked: one that fails
+    them is a bug, an ``AssertionError``.
     """
     if m.dims != n.dims:
         return IsoDecision("not_iso", reason="dimension vectors differ")
@@ -478,6 +480,9 @@ def decide_iso(m: Representation, n: Representation, trials: Optional[int] = Non
     for _ in range(trials):
         cand = hom_combination(m, n, hom, [field.draw(rng) for _ in range(hom[0].cols)])
         if all(cand.mats[v].rank() == d for v, d in m.dims.items() if d):
+            if failed := cand.violations():
+                raise AssertionError(f"an isomorphism candidate fails the squares "
+                                     f"of arrows {', '.join(failed)}")
             return IsoDecision("iso", cand)
     return IsoDecision("not_found", reason="no isomorphism found", trials=trials)
 

@@ -11,6 +11,9 @@ A module file defines one or more named modules over a named algebra::
     mat <arrow> <rows> <cols>
     <row of entries, exact rationals like 3/2, or residues over a prime field>
 
+A ``#`` starts a comment that runs to the end of its line, and comment
+and blank lines may stand anywhere, between a matrix's rows too: each row
+is the next line with tokens (a matrix with no columns takes none).
 ``sum`` refers to earlier modules in the same file; a ``raw`` body has at
 most one ``dim`` per vertex and one ``mat`` per arrow, and each ``dim``,
 and each ``mat``'s row and column count, is at most 1000, so that a square
@@ -22,57 +25,44 @@ dashed for beta.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from . import InputError
 from .fields import FieldError
 from .matrices import Matrix
-from .presentation import ALPHA
+from .presentation import ALPHA, logical_lines
 from .reps import (Algebra, InvalidString, Representation, StringWord,
                    direct_sum, string_module)
 
 _MAX_DIM = 1000  # the bound on a raw dim that the module docstring states
 
 
-class ModuleFileError(ValueError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class ModuleFileError(InputError):
+    """Syntax or reference error in a module file, with its line."""
 
 
 def parse_module_file(text: str, algebra: Algebra) -> Dict[str, Representation]:
     """Parse all modules in a file; returns them in definition order."""
     modules: Dict[str, Representation] = {}
-    lines = text.splitlines()
+    lines = list(logical_lines(text))
     i = 0
-    current_name: Optional[str] = None
-
-    def err(lineno: int, msg: str):
-        raise ModuleFileError(lineno, msg)
-
     while i < len(lines):
-        lineno = i + 1
-        line = lines[i].split("#", 1)[0].strip()
+        lineno, _, tokens = lines[i]
         i += 1
-        if not line:
-            continue
-        tokens = line.split()
         if tokens[0] != "module":
-            err(lineno, f"expected 'module', got {tokens[0]!r}")
+            raise ModuleFileError(f"expected 'module', got {tokens[0]!r}", lineno)
         if len(tokens) != 4 or tokens[2] != "over":
-            err(lineno, "expected: module <name> over <algebra-name>")
+            raise ModuleFileError("expected: module <name> over <algebra-name>", lineno)
         current_name = tokens[1]
         if tokens[3] != algebra.pres.name:
-            err(lineno, f"module is over {tokens[3]!r} but the context algebra "
-                        f"is {algebra.pres.name!r}")
+            raise ModuleFileError(f"module is over {tokens[3]!r} but the context "
+                                  f"algebra is {algebra.pres.name!r}", lineno)
         if current_name in modules:
-            err(lineno, f"duplicate module name {current_name!r}")
+            raise ModuleFileError(f"duplicate module name {current_name!r}", lineno)
         # Body: exactly one construction directive (raw spans several lines).
-        while i < len(lines) and not lines[i].split("#", 1)[0].strip():
-            i += 1
         if i >= len(lines):
-            err(lineno, f"module {current_name!r} has no body")
-        body_lineno = i + 1
-        body = lines[i].split("#", 1)[0].strip().split()
+            raise ModuleFileError(f"module {current_name!r} has no body", lineno)
+        body_lineno, _, body = lines[i]
         i += 1
         head = body[0]
         if head == "string":
@@ -81,40 +71,40 @@ def parse_module_file(text: str, algebra: Algebra) -> Dict[str, Representation]:
             parts = []
             for name in body[1:]:
                 if name not in modules:
-                    err(body_lineno, f"sum refers to unknown module {name!r}")
+                    raise ModuleFileError(f"sum refers to unknown module {name!r}", body_lineno)
                 parts.append(modules[name])
             rep = direct_sum(algebra, parts)
         elif head == "proj":
             if len(body) != 2:
-                err(body_lineno, "expected: proj <vertex>")
+                raise ModuleFileError("expected: proj <vertex>", body_lineno)
             if body[1] not in algebra.pres.quiver.vertices:
-                err(body_lineno, f"unknown vertex {body[1]!r}")
+                raise ModuleFileError(f"unknown vertex {body[1]!r}", body_lineno)
             rep = algebra.projective(body[1])
         elif head == "raw":
             rep, i = _parse_raw(lines, i, algebra)
         else:
-            err(body_lineno, f"unknown module body directive {head!r}")
+            raise ModuleFileError(f"unknown module body directive {head!r}", body_lineno)
         modules[current_name] = rep
     if not modules:
-        raise ModuleFileError(1, "no modules defined")
+        raise ModuleFileError("no modules defined", 1)
     return modules
 
 
 def _parse_string(tokens: List[str], lineno: int, algebra: Algebra) -> Representation:
     # string <base> [ letters ]
     if len(tokens) < 4 or tokens[2] != "[" or tokens[-1] != "]":
-        raise ModuleFileError(lineno, "expected: string <base> [ <arrow>^{+1|-1} ... ]")
+        raise ModuleFileError("expected: string <base> [ <arrow>^{+1|-1} ... ]", lineno)
     base = tokens[1]
     letters: List[Tuple[str, int]] = []
     for tok in tokens[3:-1]:
         name, sep, power = tok.partition("^")
         if sep != "^" or power not in ("+1", "-1"):
-            raise ModuleFileError(lineno, f"bad string letter {tok!r}")
+            raise ModuleFileError(f"bad string letter {tok!r}", lineno)
         letters.append((name, 1 if power == "+1" else -1))
     try:
         return string_module(algebra, StringWord(base, letters))
     except InvalidString as exc:
-        raise ModuleFileError(lineno, str(exc)) from exc
+        raise ModuleFileError(str(exc), lineno) from exc
 
 
 def _count(token: str, lineno: int, what: str) -> int:
@@ -122,68 +112,60 @@ def _count(token: str, lineno: int, what: str) -> int:
     naming the line.  A token too long for ``int`` (Python refuses more
     than 4,300 digits) exceeds the bound too."""
     if not token.isdecimal():
-        raise ModuleFileError(lineno, f"{what} must be a nonnegative integer, "
-                                      f"got {token!r}")
+        raise ModuleFileError(f"{what} must be a nonnegative integer, got {token!r}", lineno)
     try:
         value = int(token)
     except ValueError:
         value = None
     if value is None or value > _MAX_DIM:
-        raise ModuleFileError(lineno, f"{what} {token} exceeds the supported "
-                                      f"bound {_MAX_DIM}")
+        raise ModuleFileError(f"{what} {token} exceeds the supported bound {_MAX_DIM}", lineno)
     return value
 
 
-def _parse_raw(lines: List[str], i: int, algebra: Algebra
+def _parse_raw(lines: List[Tuple[int, str, List[str]]], i: int, algebra: Algebra
                ) -> Tuple[Representation, int]:
+    """The raw body from ``lines[i]`` to the next ``module`` line, and its index."""
     dims: Dict[str, int] = {}
     mats: Dict[str, Matrix] = {}
     field = algebra.field
-    while i < len(lines):
-        lineno = i + 1
-        stripped = lines[i].split("#", 1)[0].strip()
-        if not stripped:
-            i += 1
-            continue
-        tokens = stripped.split()
-        if tokens[0] == "module":
-            break
+    while i < len(lines) and lines[i][2][0] != "module":
+        lineno, _, tokens = lines[i]
         i += 1
         if tokens[0] == "dim":
             if len(tokens) != 3:
-                raise ModuleFileError(lineno, "expected: dim <vertex> <n>")
+                raise ModuleFileError("expected: dim <vertex> <n>", lineno)
             if tokens[1] not in algebra.pres.quiver.vertices:
-                raise ModuleFileError(lineno, f"unknown vertex {tokens[1]!r}")
+                raise ModuleFileError(f"unknown vertex {tokens[1]!r}", lineno)
             if tokens[1] in dims:
-                raise ModuleFileError(lineno, f"repeated dim for vertex {tokens[1]!r}")
+                raise ModuleFileError(f"repeated dim for vertex {tokens[1]!r}", lineno)
             dims[tokens[1]] = _count(tokens[2], lineno, "dimension")
         elif tokens[0] == "mat":
             if len(tokens) != 4:
-                raise ModuleFileError(lineno, "expected: mat <arrow> <rows> <cols>")
+                raise ModuleFileError("expected: mat <arrow> <rows> <cols>", lineno)
             name = tokens[1]
             rows = _count(tokens[2], lineno, "row count")
             cols = _count(tokens[3], lineno, "column count")
             if name not in algebra.pres.quiver.arrows:
-                raise ModuleFileError(lineno, f"unknown arrow {name!r}")
+                raise ModuleFileError(f"unknown arrow {name!r}", lineno)
             if name in mats:
-                raise ModuleFileError(lineno, f"repeated mat for arrow {name!r}")
-            data = []
-            for _ in range(rows):
+                raise ModuleFileError(f"repeated mat for arrow {name!r}", lineno)
+            # Each row is the next logical line; an empty row takes none.
+            data: List[list] = [[] for _ in range(rows)]
+            for r in range(rows if cols else 0):
                 if i >= len(lines):
-                    raise ModuleFileError(lineno, f"matrix {name} is truncated")
-                row_line = lines[i].split("#", 1)[0].strip()
+                    raise ModuleFileError(f"matrix {name} is truncated", lineno)
+                row_lineno, _, entries = lines[i]
                 i += 1
-                entries = row_line.split()
                 if len(entries) != cols:
-                    raise ModuleFileError(
-                        i, f"matrix {name}: expected {cols} entries, got {len(entries)}")
+                    raise ModuleFileError(f"matrix {name}: expected {cols} entries, "
+                                          f"got {len(entries)}", row_lineno)
                 try:
-                    data.append([field.parse(tok) for tok in entries])
+                    data[r] = [field.parse(tok) for tok in entries]
                 except FieldError as exc:
-                    raise ModuleFileError(i, str(exc)) from exc
+                    raise ModuleFileError(str(exc), row_lineno) from exc
             mats[name] = Matrix(field, rows, cols, data)
         else:
-            raise ModuleFileError(lineno, f"unknown raw directive {tokens[0]!r}")
+            raise ModuleFileError(f"unknown raw directive {tokens[0]!r}", lineno)
     return Representation(algebra, dims, mats), i
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from . import InputError
 from .fields import QQ
 from .matrices import Matrix
 from .presentation import Presentation
@@ -25,7 +26,7 @@ from .presentation import Presentation
 Path = Tuple[str, ...]  # arrow names, first applied first; () is an idempotent
 
 
-class BoundExceeded(RuntimeError):
+class BoundExceeded(InputError):
     """A path of maximal length survived: the bound is too small, or the
     algebra is not finite-dimensional."""
 

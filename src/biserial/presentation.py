@@ -7,7 +7,8 @@ Paths are stored first-applied-first: the tuple ``(f, g)`` is the
 composite "f then g".  The text format lists relation paths with the
 leftmost arrow applied last, matching the usual composition order.
 
-File format (UTF-8, ``#`` comments)::
+File format (UTF-8; a ``#`` starts a comment that runs to the end of its
+line, and comment and blank lines may stand anywhere)::
 
     algebra <name>
     vertex <v>
@@ -21,24 +22,20 @@ sorted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from . import InputError
 
 ALPHA = "alpha"
 BETA = "beta"
 
 
-class PresentationError(ValueError):
+class PresentationError(InputError):
     """Structural problem in a quiver presentation."""
 
 
 class ParseError(PresentationError):
     """Syntax or reference error in presentation text, with location."""
-
-    def __init__(self, line: int, message: str, column: Optional[int] = None):
-        self.line = line
-        self.column = column
-        where = f"line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(f"{where}: {message}")
 
 
 class Arrow(NamedTuple):
@@ -181,6 +178,15 @@ class Presentation:
 # -- text format -----------------------------------------------------------
 
 
+def logical_lines(text: str) -> Iterator[Tuple[int, str, List[str]]]:
+    """Each line of a ``.alg`` or ``.mod`` text that still has tokens once its
+    ``#`` comment is cut, as (line number from 1, the line as written, tokens)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format; raises ParseError with location."""
     name: Optional[str] = None
@@ -188,57 +194,53 @@ def parse_presentation(text: str) -> Presentation:
     arrows: List[Arrow] = []
     pending_rels: List[Tuple[int, str, Tuple[str, ...], Tuple[str, ...]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, raw, tokens in logical_lines(text):
         head = tokens[0]
         if head == "algebra":
             if len(tokens) != 2:
-                raise ParseError(lineno, "expected: algebra <name>")
+                raise ParseError("expected: algebra <name>", lineno)
             if name is not None:
-                raise ParseError(lineno, "duplicate algebra line")
+                raise ParseError("duplicate algebra line", lineno)
             name = tokens[1]
         elif head == "vertex":
             if len(tokens) != 2:
-                raise ParseError(lineno, "expected: vertex <name>")
+                raise ParseError("expected: vertex <name>", lineno)
             vertices.append(tokens[1])
         elif head == "arrow":
             # arrow <name> : <alpha|beta> <src> -> <tgt>
             if (len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->"
                     or tokens[3] not in (ALPHA, BETA)):
-                raise ParseError(lineno, "expected: arrow <name> : <alpha|beta> <src> -> <tgt>")
+                raise ParseError("expected: arrow <name> : <alpha|beta> <src> -> <tgt>", lineno)
             arrows.append(Arrow(tokens[1], tokens[4], tokens[6], tokens[3]))
         elif head == "rel":
             if len(tokens) < 3:
-                raise ParseError(lineno, "expected: rel zero <path> | rel eq <path> = <path>")
+                raise ParseError("expected: rel zero <path> | rel eq <path> = <path>", lineno)
             kind = tokens[1]
             if kind == "zero":
                 # Leftmost arrow applied last: storage order is reversed.
                 pending_rels.append((lineno, "zero", tuple(reversed(tokens[2:])), ()))
             elif kind == "eq":
                 if "=" not in tokens[2:]:
-                    raise ParseError(lineno, "equality relation needs '=' between paths")
+                    raise ParseError("equality relation needs '=' between paths", lineno)
                 eq_at = tokens.index("=", 2)
                 left = tokens[2:eq_at]
                 right = tokens[eq_at + 1:]
                 if not left or not right:
-                    raise ParseError(lineno, "equality relation with an empty side")
+                    raise ParseError("equality relation with an empty side", lineno)
                 pending_rels.append((lineno, "eq",
                                      tuple(reversed(left)), tuple(reversed(right))))
             else:
-                raise ParseError(lineno, f"unknown relation kind {kind!r}")
+                raise ParseError(f"unknown relation kind {kind!r}", lineno)
         else:
-            raise ParseError(lineno, f"unknown directive {head!r}",
+            raise ParseError(f"unknown directive {head!r}", lineno,
                              column=raw.index(head) + 1)
 
     if name is None:
-        raise ParseError(1, "missing 'algebra <name>' line")
+        raise ParseError("missing 'algebra <name>' line", 1)
     try:
         quiver = Quiver(vertices, arrows)
     except PresentationError as exc:
-        raise ParseError(1, str(exc)) from exc
+        raise ParseError(str(exc), 1) from exc
     relations = []
     for lineno, kind, left, right in pending_rels:
         try:
@@ -246,7 +248,7 @@ def parse_presentation(text: str) -> Presentation:
             # Endpoint/composability validation needs the quiver.
             Presentation(name, quiver, [rel])
         except PresentationError as exc:
-            raise ParseError(lineno, str(exc)) from exc
+            raise ParseError(str(exc), lineno) from exc
         relations.append(rel)
     return Presentation(name, quiver, relations)
 

@@ -21,6 +21,7 @@ import random
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
+from . import InputError
 from .fields import QQ
 from .matrices import Matrix, block_diag
 from .pathbasis import PathBasis
@@ -32,11 +33,11 @@ from .presentation import Arrow, Presentation, Relation
 FreeBasis = Dict[str, Dict[Tuple[int, int], int]]
 
 
-class RepresentationError(ValueError):
+class RepresentationError(InputError):
     """Malformed representation: bad shapes or violated relations."""
 
 
-class InvalidString(ValueError):
+class InvalidString(InputError):
     """A walk that does not define a module, with the reason named."""
 
 

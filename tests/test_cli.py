@@ -90,6 +90,25 @@ def test_round_trip_through_files(tmp_path, capsys):
     assert "14 vertices" in capsys.readouterr().out
 
 
+def test_projectives_structured(capsys):
+    assert main(["algebra", "projectives", "--family", "lambda", "--r", "1", "--m", "5",
+                 "--structured"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 22 and {r["field"] for r in records} == {"q"}
+    c2 = next(r for r in records if r["vertex"] == "c2")
+    assert c2["radical_layers"] == [{"c2": 1}, {"b1": 1, "c1": 1}, {"a0": 1}, {"c0": 1}]
+    assert c2["dim"] == sum(c2["dims"].values()) == 5
+
+
+def test_algebra_dot_of_a_family(capsys):
+    assert main(["algebra", "dot", "--family", "lambda1prime", "--r", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == 'digraph "lambda1prime_r1" {' and lines[-1] == "}"
+    edges = [line for line in lines if "->" in line]
+    assert len(edges) == len(build_lambda1prime(1).quiver.arrows)
+    assert '  "c2" -> "c1" [style=solid, label="al_c2_c1"];' in edges
+
+
 def test_projectives_table(capsys):
     assert main(["algebra", "projectives", "--family", "lambda",
                  "--r", "1", "--m", "5"]) == 0
@@ -152,6 +171,21 @@ def test_module_split(tmp_path, capsys):
     assert rec["x_multiplicities"] == [0] * 10
 
 
+def test_module_split_plain_text_carries_the_record(tmp_path, capsys):
+    path = tmp_path / "pc2.mod"
+    path.write_text("module pc2 over lambda1prime_r1\nproj c2\n")
+    argv = ["module", "split", str(path), "--algebra", "lambda1prime:r=1"]
+    assert main([*argv, "--structured"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "splitting of pc2 (field q):",
+        f"  c2-string multiplicities: {rec['x_multiplicities']}",
+        "  projective c2 copies:     1",
+        "  complement dims:          {}",
+        f"  certificate checksum:     {rec['certificate_checksum']}"]
+
+
 @pytest.mark.parametrize("cut", [["u"], ["d1", "d2"], ["b0", "bm1", "v"]])
 def test_module_split_over_a_cut_algebra(cut, tmp_path, capsys):
     # Lemma 2's split needs only c2's strings and its amalgam relation: with
@@ -212,6 +246,22 @@ def test_module_hom(z3_file, capsys):
     assert "= 1" in capsys.readouterr().out
 
 
+def test_module_hom_structured(z3_file, capsys):
+    assert main(["module", "hom", z3_file, z3_file, "--algebra", "lambda:r=1,m=3",
+                 "--structured"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "source": "Z3", "target": "Z3", "field": "q", "hom_dim": 1}
+
+
+def test_module_syzygy_structured(z3_file, capsys):
+    # Omega(Z_3) has the dimension vector of Z_2 (t = 2).
+    assert main(["module", "syzygy", z3_file, "--algebra", "lambda:r=1,m=3",
+                 "--structured"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "module": "Z3", "field": "q", "total": 9, "syzygy_dims": {
+            "a0": 1, "a1": 1, "a2": 1, "b1": 1, "b2": 1, "c1": 2, "c2": 2}}
+
+
 def test_module_dot(z3_file, capsys):
     assert main(["module", "dot", z3_file,
                  "--algebra", "lambda:r=1,m=3"]) == 0
@@ -236,6 +286,25 @@ def test_verify_structured_deterministic(capsys):
     records = [json.loads(line) for line in first.splitlines()]
     assert records[0]["claim"] == "simples-pd"
     assert records[-1]["summary"]["pass"] == 2
+
+
+def test_verify_exits_1_when_a_claim_fails(monkeypatch, capsys):
+    from biserial import claims
+
+    real = claims.CLAIMS["appendix-projectives"]
+
+    def failing(config):
+        report = real(config)
+        report.status = report.checks[0].status = claims.FAIL
+        return report
+
+    monkeypatch.setitem(claims.CLAIMS, "appendix-projectives", failing)
+    # A FAIL outranks an INCONCLUSIVE (prop-2 cannot finish in one step).
+    assert main(["verify", "prop-2", "appendix-projectives", "--m-max", "0",
+                 "--cutoff", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "claim appendix-projectives: FAIL" in out
+    assert out.splitlines()[-1] == "summary: 0 pass, 1 fail, 1 inconclusive"
 
 
 def test_verify_unknown_claim_exits_2(capsys):
@@ -389,15 +458,82 @@ def test_internal_error_is_not_a_usage_error(z3_file, monkeypatch, capsys):
     assert err.startswith("internal error: ValueError: span not stable")
 
 
+def test_an_iso_candidate_failing_its_squares_is_an_internal_error(z3_file, monkeypatch,
+                                                                   capsys):
+    from biserial import homology
+    from biserial.reps import ModuleMap
+    from oracles import scale
+
+    real = homology.hom_combination
+
+    def doubled_at_a3(source, target, hom, coeffs):
+        f = real(source, target, hom, coeffs)
+        return ModuleMap(source, target, {**f.mats, "a3": scale(f.mats["a3"], 2)})
+
+    monkeypatch.setattr(homology, "hom_combination", doubled_at_a3)
+    assert main(["module", "iso", z3_file, z3_file, "--algebra", "lambda:r=1,m=3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: AssertionError: an isomorphism candidate "
+                          "fails the squares of arrows be_a3_b2\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "lemma-2", "--max-dim", "-1"], "max_dim must be nonnegative"),
     (["verify", "prop-2", "--cutoff", "0"], "cutoff must be at least 1"),
     (["algebra", "build", "--family", "lambda", "--r", "1", "--m", "1",
       "--length-bound", "0"], "--length-bound must be at least 1"),
+    (["algebra", "build", "--family", "lambda", "--r", "1"], "family 'lambda' needs --m"),
 ])
 def test_bad_flag_values_exit_2(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "parse", "{alg}"],
+    ["algebra", "emit", "{alg}"],
+    ["algebra", "emit", "--family", "lambda", "--r", "1", "--m", "0"],
+    ["algebra", "dot", "--family", "lambda", "--r", "1", "--m", "0"],
+    ["algebra", "build", "--family", "lambda", "--r", "1", "--m", "0", "--emit"],
+], ids=["parse", "emit-file", "emit-family", "dot", "build-emit"])
+@pytest.mark.parametrize("field, message", [
+    ("nonsense", "bad field spec 'nonsense' (expected 'q' or 'fp:<p>')"),
+    ("fp:4", "modulus 4 is not prime"),
+], ids=["nonsense", "composite"])
+def test_a_bad_field_exits_2_where_no_algebra_is_built(argv, field, message, tmp_path,
+                                                       capsys):
+    alg = tmp_path / "a.alg"
+    alg.write_text("algebra A\nvertex x\n")
+    argv = [a.replace("{alg}", str(alg)) for a in argv]
+    assert main([*argv, "--field", field]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main([*argv, "--field", "fp:101"]) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["build", "emit", "projectives", "dot"])
+def test_lambda1prime_rejects_an_m(subcommand, capsys):
+    argv = ["algebra", subcommand, "--family", "lambda1prime", "--r", "1"]
+    assert main([*argv, "--m", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: family 'lambda1prime' takes no --m\n")
+    assert main(argv) == 0
+
+
+def test_every_input_error_derives_from_input_error():
+    import biserial
+    from biserial import InputError
+    from biserial.cli import UsageError
+    from biserial.modfiles import ModuleFileError
+
+    names = ["FieldError", "PresentationError", "ParseError", "BoundExceeded",
+             "RepresentationError", "InvalidString", "ConfigError", "NotPathQuiver"]
+    for cls in [UsageError, ModuleFileError, *(getattr(biserial, n) for n in names)]:
+        assert issubclass(cls, InputError), cls
+    assert not issubclass(biserial.CertificateFailure, InputError)
+    assert str(InputError("bad")) == "bad"
+    assert str(ModuleFileError("bad", 3)) == "line 3: bad"
+    located = biserial.ParseError("bad", 3, column=5)
+    assert (str(located), located.line, located.column) == ("line 3, column 5: bad", 3, 5)
 
 
 def test_bad_module_cutoff_exits_2(z3_file, capsys):

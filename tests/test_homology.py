@@ -22,7 +22,7 @@ from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationErr
                            random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, zt_walk
 from oracles import (direct_sum_maps, from_rows, map_add, map_inverse, map_scale,
-                     top_dims, verify_cover)
+                     scale, top_dims, verify_cover)
 
 
 def brute_force_intertwiner_count(m, n):
@@ -672,6 +672,22 @@ def test_decide_iso_tells_a_miss_from_a_proof():
     miss = decide_iso(omega, build_Zt(gf2, 0, 2))
     assert (miss.status, miss.reason, miss.trials) == (
         "not_found", "no isomorphism found", 40)
+
+
+def test_decide_iso_rechecks_the_squares_of_a_full_rank_candidate(monkeypatch):
+    alg = Algebra(parse_presentation(
+        "algebra K\nvertex x\nvertex y\narrow a : alpha x -> y\n"))
+    along_a = string_module(alg, StringWord("x", [("a", 1)]))
+    real = homology.hom_combination
+
+    def doubled_at_y(source, target, hom, coeffs):
+        # Still invertible at x and y, but the square of arrow a fails.
+        f = real(source, target, hom, coeffs)
+        return ModuleMap(source, target, {**f.mats, "y": scale(f.mats["y"], 2)})
+
+    monkeypatch.setattr(homology, "hom_combination", doubled_at_y)
+    with pytest.raises(AssertionError, match="fails the squares of arrows a"):
+        decide_iso(along_a, along_a)
 
 
 @settings(max_examples=40, deadline=None)

@@ -108,6 +108,35 @@ def test_raw_repeated_mat_rejected_at_its_line(alg1):
     assert "repeated mat" in str(exc.value) and "'al_u_u'" in str(exc.value)
 
 
+def test_comment_and_blank_lines_may_stand_between_matrix_rows(alg1):
+    z1 = build_Z(alg1, 1)  # its mat al_c1_a0 has two rows
+    relaxed = "".join(
+        line if line.split()[0] in ("module", "raw", "dim", "mat")
+        else "# the next row\n\n  \t\n" + line
+        for line in emit_module_raw("Z1", z1).splitlines(keepends=True))
+    back = parse_module_file(relaxed, alg1)["Z1"]
+    assert back.dims == z1.dims and back.mats == z1.mats
+
+
+def test_a_bad_row_after_a_comment_is_named_at_its_own_line(alg1):
+    text = ("module m over lambda_r1_m1\nraw\ndim u 1\nmat al_u_u 1 1\n"
+            "# the row\n\n0 0\n")
+    with pytest.raises(ModuleFileError) as exc:
+        parse_module_file(text, alg1)
+    assert str(exc.value) == "line 7: matrix al_u_u: expected 1 entries, got 2"
+    assert exc.value.line == 7
+
+
+@pytest.mark.parametrize("between", ["", "\n", "# its empty row\n"])
+def test_a_matrix_with_no_columns_takes_no_row_lines(alg1, between):
+    # be_a0_u maps a0 (dimension 0 here) to u: its one row is empty.
+    text = ("module m over lambda_r1_m1\nraw\ndim u 1\nmat be_a0_u 1 0\n"
+            + between + "dim d0 1\n")
+    module = parse_module_file(text, alg1)["m"]
+    assert dict(module.dim_vector()) == {"d0": 1, "u": 1}
+    assert (module.mats["be_a0_u"].rows, module.mats["be_a0_u"].cols) == (1, 0)
+
+
 def test_dot_representation(alg3):
     z3 = build_Z(alg3, 3)
     dot = dot_representation("Z3", z3)

@@ -6,7 +6,7 @@ from biserial.families import (build_lambda, build_lambda1prime,
                                family_from_spec, lambda_vertices)
 from biserial.presentation import (ALPHA, Arrow, BETA, ParseError,
                                    Presentation, PresentationError, Quiver,
-                                   Relation, emit_presentation,
+                                   Relation, emit_presentation, logical_lines,
                                    parse_presentation)
 from oracles import structurally_equal
 
@@ -58,6 +58,20 @@ def test_syntax_error_reports_line():
     with pytest.raises(ParseError) as exc:
         parse_presentation("algebra A\nvertexx y\n")
     assert "line 2" in str(exc.value)
+
+
+def test_unknown_directive_names_its_line_and_column_past_comment_lines():
+    text = "# header\n\nalgebra A\n   vertexx y  # typo\n"
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == "line 4, column 4: unknown directive 'vertexx'"
+    assert (exc.value.line, exc.value.column) == (4, 4)
+
+
+def test_logical_lines_cut_comments_and_skip_lines_left_empty():
+    text = "# only a comment\n\n a b # c\n\t\nd#e\n#\n"
+    assert list(logical_lines(text)) == [(3, " a b # c", ["a", "b"]),
+                                         (5, "d#e", ["d"])]
 
 
 def test_arrow_with_unknown_vertex():

@@ -17,7 +17,8 @@ from biserial.presentation import emit_presentation
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Every name ``biserial`` exported when its __init__ imported all layers,
-# less the helpers that moved to the tests' oracles.
+# less the helpers that moved to the tests' oracles, and InputError, the
+# base of every input error, which the __init__ defines itself.
 PUBLIC_NAMES = [
     "QQ", "FieldError", "PrimeField", "field_from_spec", "Matrix",
     "ParseError", "Presentation", "PresentationError", "Quiver", "Relation",
@@ -31,7 +32,7 @@ PUBLIC_NAMES = [
     "radical", "syzygy", "CertificateFailure", "IntervalSummand",
     "Lemma2Split", "NotPathQuiver", "interval_decompose", "lemma2_split",
     "strip_pc2", "xset", "build_U", "build_Z", "build_Zt", "build_phi",
-    "CLAIMS", "ClaimReport", "FamilyConfig", "run_claim",
+    "CLAIMS", "ClaimReport", "FamilyConfig", "run_claim", "InputError",
 ]
 
 
