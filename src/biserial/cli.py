@@ -61,8 +61,9 @@ class _ClaimIdsHelp(str):
 
 
 def _load_presentation(spec: str):
-    """A family spec like ``lambda:r=1,m=3`` or a presentation file path."""
-    if ":" in spec or spec in ("lambda", "lambda1prime"):
+    """A presentation file path, or, when no file has that name, a family
+    spec like ``lambda:r=1,m=3``."""
+    if not os.path.isfile(spec) and (":" in spec or spec in ("lambda", "lambda1prime")):
         from .families import family_from_spec
 
         return family_from_spec(spec)
@@ -96,7 +97,9 @@ def _family_presentation(args):
     if args.family == "lambda1prime" and args.m is not None:
         raise UsageError("family 'lambda1prime' takes no --m")
     m = f",m={args.m}" if args.family == "lambda" else ""
-    return _load_presentation(f"{args.family}:r={args.r}{m}")
+    from .families import family_from_spec
+
+    return family_from_spec(f"{args.family}:r={args.r}{m}")
 
 
 def _write(text: str, out: Optional[str]) -> None:

@@ -24,9 +24,10 @@ A cover is the free module on its generators' vertices, and its basis,
 the (summand, path class) pairs, is ``Algebra.free_basis``: the cover
 map and the syzygy both read that one layout (see ``projective_cover``),
 and the cover's own matrices are built only when asked for.  The one
-cokernel, ``_cokernel``, reads only the target and the vertexwise maps:
-``cokernel_of`` adds the projection map, and ``reps.random_module`` puts
-its relations' images side by side with no sum of their sources built.
+cokernel, ``_cokernel``, reads the maps and the target's arrows on the
+chosen columns, so no end need exist as a module: ``cokernel_of`` adds
+the projection map, and the random samples act on free columns by
+``Algebra.free_action``.
 
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
@@ -35,9 +36,10 @@ vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
 tells the two apart.  The Hom system of an iso question is solved once.
 A combination of a Hom basis is one ``hom_combination``, with no map per
 basis element: ``decide_iso``'s candidates, ``solve_retraction``, and the
-random maps of ``reps.random_module`` and ``witnesses.random_extension``
-(coefficients drawn from a pool by ``random_hom_combination``).  Only
-this module reads the Hom kernel (``_hom_kernel``): those, ``hom_basis``,
+random maps of ``witnesses.random_extension`` (coefficients drawn from a
+pool by ``random_hom_combination``).  Only this module reads the Hom
+kernel (``_hom_kernel``, or by Yoneda ``_projective_hom_kernel`` out of a
+projective, for ``reps.random_module``): those, ``hom_basis``,
 ``hom_dim``, and ``split_off``, the one summand peel: it solves Hom(M, N)
 once and tries one basis section at a time against it with
 ``_retraction``, the one retraction search, also behind ``solve_retraction``.
@@ -149,30 +151,33 @@ def _kernel(algebra, dims: Dict[str, int], f_mats: Dict[str, Matrix],
 
 def cokernel_of(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
     """Vertexwise cokernel with induced action and the projection map: the
-    ``_cokernel`` of f's matrices, the one cokernel (``random_module`` too)."""
-    coker, proj_mats = _cokernel(f.target, f.mats)
-    return coker, ModuleMap(f.target, coker, proj_mats)
+    ``_cokernel`` of f's matrices, the one cokernel."""
+    target = f.target
+    coker, proj_mats = _cokernel(target.algebra, target.dims, f.mats,
+                                 lambda a, cols: target.mats[a.name].submatrix_cols(cols))
+    return coker, ModuleMap(target, coker, proj_mats)
 
 
-def _cokernel(target: Representation, f_mats: Dict[str, Matrix]
+def _cokernel(algebra, dims: Dict[str, int], f_mats: Dict[str, Matrix],
+              arrow_columns: Callable[[Arrow, List[int]], Matrix]
               ) -> Tuple[Representation, Dict[str, Matrix]]:
-    """The cokernel of the vertexwise maps ``f_mats`` into ``target`` and
-    its projection Q_v at each vertex; only the vertices where ``target``
-    is nonzero are read, so the source need not exist as a module.
+    """The cokernel of the vertexwise maps ``f_mats`` into a module of
+    dimensions ``dims``, read where ``dims`` is nonzero, and its
+    projection Q_v at each vertex.
 
     At each vertex the unit vectors e_i that extend the image of f span a
     complement of it, and Q, the quotient coordinates in that basis, is
     the projection (see ``Matrix.quotient_coordinates``).  An arrow a:
-    x -> y acts on the cokernel as Q_y applied to M_a's columns at the
-    chosen i of x.
+    x -> y acts on the cokernel as Q_y applied to ``arrow_columns(a,
+    chosen)``, the target's a applied to the chosen e_i of x.
     """
-    quotients = {v: f_mats[v].quotient_coordinates()
-                 for v, d in target.dims.items() if d}
+    quotients = {v: f_mats[v].quotient_coordinates() for v, d in dims.items() if d}
     proj_mats = {v: q for v, (_, q) in quotients.items()}
-    dims = {v: q.rows for v, q in proj_mats.items()}
-    mats = {name: proj_mats[y] @ target.mats[name].submatrix_cols(quotients[x][0])
-            for name, x, y in target.algebra.arrow_ends if dims.get(x) and dims.get(y)}
-    return Representation(target.algebra, dims, mats, check=False), proj_mats
+    sub_dims = {v: q.rows for v, q in proj_mats.items()}
+    mats = {a.name: proj_mats[a.target] @ arrow_columns(a, quotients[a.source][0])
+            for a in algebra.pres.quiver.arrows.values()
+            if sub_dims.get(a.source) and sub_dims.get(a.target)}
+    return Representation(algebra, sub_dims, mats, check=False), proj_mats
 
 
 # -- covers and syzygies -----------------------------------------------------
@@ -276,6 +281,38 @@ def _path_image(module: Representation, images: Dict[tuple, list], path: tuple) 
             vec.append(acc)
         vec = images[path] = field.reduce([vec])[0]
     return vec
+
+
+def _projective_hom_kernel(algebra, vertex: str, free: FreeBasis
+                           ) -> Tuple[Matrix, Dict[str, int]]:
+    """``_hom_kernel(algebra.projective(vertex), F)`` for the free module F
+    on ``free``, with no equation built.
+
+    A map out of P(u) is fixed by where it sends e_u (Yoneda): the phi_i
+    sending e_u to e_i, so p to p·e_i, over the basis e_i of F at u, are a
+    basis of Hom(P(u), F).  Each column of ``_hom_kernel`` has a 1 at its
+    own free unknown, a 0 at every other, and its last nonzero entry there:
+    with the unknowns reversed, the columns are the reduced echelon basis
+    of the Hom space, which is unique (as in ``Matrix.unit_complement``).
+    So one rref of the phi_i, laid out as ``_hom_kernel``'s unknowns and
+    reversed, gives the columns in reverse order.
+    """
+    field, basis, n = algebra.field, algebra.basis, len(free[vertex])
+    images = {(): Matrix.identity(field, n)}  # each path's action on F at u
+    phis: List[list] = []  # unknown by unknown, the values of the phi_i
+    offsets: Dict[str, int] = {}
+    for w in algebra.vertices:
+        offsets[w] = len(phis)
+        cols, classes = [], basis.by_pair.get((vertex, w), ()) if free[w] else ()
+        for path in map(basis.class_path, classes):
+            for k in range(1, len(path) + 1):
+                if path[:k] not in images:
+                    images[path[:k]] = algebra.free_action(
+                        free, algebra.pres.quiver.arrows[path[k - 1]], images[path[:k - 1]])
+            cols.append(images[path].data)
+        phis += [col[r] for r in range(len(free[w])) for col in cols]
+    work = Matrix(field, len(phis), n, phis)._flipped_transpose().rref()[0]
+    return Matrix(field, len(phis), n, work._flipped_transpose().data[::-1]), offsets
 
 
 def syzygy(module: Representation) -> Representation:

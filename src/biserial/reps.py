@@ -143,15 +143,16 @@ class Algebra:
         """
         if vertex not in self.pres.quiver.vertices:
             raise RepresentationError(f"unknown vertex {vertex!r}")
+        return self.memo("projective " + vertex, lambda alg: alg._free_module([vertex], True))
 
-        def build(alg: Algebra) -> Representation:
-            free = alg.free_basis([vertex])
-            dims = {v: len(rows) for v, rows in free.items()}
-            return Representation(alg, dims, {
-                a.name: alg.free_action(free, a, Matrix.identity(alg.field, dims[a.source]))
-                for a in alg.pres.quiver.arrows.values() if dims[a.source] and dims[a.target]})
-
-        return self.memo("projective " + vertex, build)
+    def _free_module(self, tops: Sequence[str], check: bool = False) -> "Representation":
+        """The free module on ``tops``, its arrows acting on the identity."""
+        free = self.free_basis(tops)
+        dims = {v: len(rows) for v, rows in free.items()}
+        return Representation(self, dims, {
+            a.name: self.free_action(free, a, Matrix.identity(self.field, dims[a.source]))
+            for a in self.pres.quiver.arrows.values() if dims[a.source] and dims[a.target]},
+            check)
 
     def __repr__(self) -> str:
         return f"Algebra({self.pres.name}, {self.field!r})"
@@ -437,36 +438,47 @@ def assemble_sum_map(maps: Sequence[ModuleMap], target: Representation) -> Modul
 
 
 def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
-    """Cokernel of a seeded random map between sums of projectives.
+    """Cokernel of a seeded random map into the free module F on drawn tops.
 
-    Always a valid module by construction, deterministic per seed; the
-    cover sum of projectives has total dimension at most ``budget``, so
-    the result does too.  Each relation maps by one ``random_hom_combination``,
-    and the cokernel is taken of their images side by side at each vertex,
-    with no sum of the relation projectives built.
+    Always a valid module, deterministic per seed, of total dimension at
+    most ``budget``, as F is.  Each relation P(u) -> F draws one
+    coefficient per column of its Hom kernel, read off by Yoneda
+    (``homology._projective_hom_kernel``); the cokernel of their blocks
+    side by side is taken with F's arrows acting by ``free_action``.
     """
-    from .homology import _cokernel, random_hom_combination
+    from .homology import _cokernel, _projective_hom_kernel
 
     rng = random.Random(f"random-module:{seed}:{budget}")
     verts = list(algebra.vertices)
     dim_p = {v: algebra.basis.dim_projective(v) for v in verts}
-    gens: List[Representation] = []
+    tops: List[str] = []
     total = 0
     while True:
         candidates = [v for v in verts if total + dim_p[v] <= budget]
-        if not candidates or (gens and rng.random() < 0.25):
+        if not candidates or (tops and rng.random() < 0.25):
             break
-        v = rng.choice(candidates)
-        gens.append(algebra.projective(v))
-        total += dim_p[v]
-    if not gens:
-        return algebra.zero_module()
-    target = direct_sum(algebra, gens)
-    rels = [algebra.projective(rng.choice(verts))
-            for _ in range(rng.randrange(0, len(gens) + 2))]
+        tops.append(rng.choice(candidates))
+        total += dim_p[tops[-1]]
+    free = algebra.free_basis(tops)
+    rels = [rng.choice(verts) for _ in range(rng.randrange(0, len(tops) + 2))]
+    rels = [u for u in rels if free[u]]  # any P(u) -> F is 0 when F at u is
     if not rels:
-        return target
-    maps = [random_hom_combination(rel, target, rng, (-2, -1, -1, 0, 0, 0, 1, 1, 2))
-            for rel in rels]
-    return _cokernel(target, {v: Matrix.hcat(algebra.field, d, [f.mats[v] for f in maps])
-                              for v, d in target.dims.items() if d})[0]
+        return algebra._free_module(tops)
+    field, by_pair = algebra.field, algebra.basis.by_pair
+    dims = {v: len(rows) for v, rows in free.items()}
+    f_rows = {v: [[] for _ in range(d)] for v, d in dims.items() if d}
+    for u in rels:
+        kernel, offsets = _projective_hom_kernel(algebra, u, free)
+        column = [field.zero] * kernel.rows
+        for basis_map in zip(*kernel.data):  # one coefficient each, in order
+            c = rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
+            column = [y + c * x for y, x in zip(column, basis_map)] if c else column
+        column = field.reduce([column])[0]
+        for v, out in f_rows.items():
+            width, base = len(by_pair.get((u, v), ())), offsets[v]
+            for i, row in enumerate(out):
+                row += column[base + i * width:base + (i + 1) * width]
+    return _cokernel(algebra, dims, {v: Matrix(field, len(out), len(out[0]), out)
+                                     for v, out in f_rows.items()},
+                     lambda a, cols: algebra.free_action(
+                         free, a, Matrix.units(field, dims[a.source], cols)))[0]

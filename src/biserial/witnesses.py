@@ -21,11 +21,12 @@ prefix they share, position by position, and sends the rest to zero.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .families import arrow_name, vname
-from .homology import cokernel_of, projective_cover, projdim, random_hom_combination
-from .matrices import Matrix
+from .homology import (CoverData, _cokernel, projective_cover, projdim,
+                       random_hom_combination)
+from .matrices import Matrix, block_diag
 from .presentation import ALPHA, BETA
 from .reps import (Algebra, ModuleMap, Representation, StringWord,
                    direct_sum, string_module)
@@ -177,19 +178,27 @@ def finite_pd_pool(algebra: Algebra) -> List[Representation]:
 
 
 def random_extension(algebra: Algebra, base: Representation,
-                     top: Representation, rng: random.Random) -> Representation:
-    """A random extension of ``top`` by ``base``, the pushout along a
-    ``random_hom_combination`` Omega(top) -> base; its projective dimension is
-    bounded by the larger of the two."""
-    cover = projective_cover(top)
+                     cover: CoverData, rng: random.Random) -> Representation:
+    """A random extension of the covered module by ``base``, the pushout of
+    its cover P along a ``random_hom_combination`` g: Omega -> base; its
+    projective dimension is bounded by the larger of the two.  It is the
+    cokernel of (inclusion, -g) into P (+) base, with no sum built: the
+    arrows act block by block, on P by ``free_action``."""
+    field = algebra.field
     g = random_hom_combination(cover.syzygy, base, rng, (-1, 0, 0, 1))
-    # Pushout: (cover (+) base) / graph of (inclusion, -g).
-    total = direct_sum(algebra, [cover.cover, base])
-    mats = {v: cover.inclusion_mats[v].vstack(-g.mats[v])
-            for v, d in cover.syzygy.dims.items() if d}
-    graph = ModuleMap(cover.syzygy, total, mats)
-    ext, _ = cokernel_of(graph)
-    return ext
+    free = algebra.free_basis(cover.tops)
+    p_dims = {v: len(rows) for v, rows in free.items()}
+    dims = {v: p_dims[v] + d for v, d in base.dims.items()}
+    graph = {v: cover.inclusion_mats[v].vstack(-g.mats[v]) for v, d in dims.items() if d}
+
+    def arrow_columns(a, cols):  # cols increase, so P's come first
+        p = p_dims[a.source]
+        own = [j for j in cols if j < p]
+        rest = [j - p for j in cols[len(own):]]
+        return block_diag(field, [algebra.free_action(free, a, Matrix.units(field, p, own)),
+                                  base.mats[a.name].submatrix_cols(rest)])
+
+    return _cokernel(algebra, dims, graph, arrow_columns)[0]
 
 
 def sample_finite_pd_modules(algebra: Algebra, count: int, seed: int,
@@ -200,10 +209,12 @@ def sample_finite_pd_modules(algebra: Algebra, count: int, seed: int,
     Built from the seed pool by direct sums and random extensions (both
     preserve finite projective dimension); every sample's verdict is
     certified by the syzygy chain, cut off at r + 6, before it is returned.
+    A pool module is covered on its first draw as a top, for this call.
     """
     cutoff = _chain_length(algebra) + 6
     rng = random.Random(f"finite-pd-samples:{seed}")
     pool = finite_pd_pool(algebra)
+    covers: Dict[Representation, CoverData] = {}
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 20:
@@ -215,7 +226,8 @@ def sample_finite_pd_modules(algebra: Algebra, count: int, seed: int,
         else:
             top = rng.choice(pool)
             base = rng.choice(pool)
-            m = random_extension(algebra, base, top, rng)
+            covers[top] = covers.get(top) or projective_cover(top)
+            m = random_extension(algebra, base, covers[top], rng)
         if not 0 < m.total_dim() <= max_dim:
             continue
         report = projdim(m, cutoff=cutoff, seed=seed)

@@ -4,6 +4,7 @@ public types.
 
 Matrix and module-map arithmetic, direct-sum structure maps, inflation
 and restriction along a full subquiver, top dimensions and a cover check,
+a random extension taken as the cokernel of a map into an assembled sum,
 an associativity spot check of a path basis, structural equality of
 presentations, the direct system's connecting maps with their kept walk
 prefixes written out, and a claim batch runner.  Tests build inputs with
@@ -12,11 +13,13 @@ them and check the package's answers against them.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Sequence, Tuple
 
 from biserial.claims import ClaimReport, FamilyConfig, run_claim
 from biserial.fields import QQ
-from biserial.homology import CoverData, radical
+from biserial.homology import (CoverData, cokernel_of, projective_cover, radical,
+                               random_hom_combination)
 from biserial.matrices import Matrix, block_diag
 from biserial.pathbasis import PathBasis
 from biserial.presentation import Presentation
@@ -158,6 +161,19 @@ def verify_cover(cover: CoverData) -> bool:
     if not cover.cover_map.compose(cover.inclusion).is_zero():
         return False
     return top_dims(cover.cover) == top_dims(m)
+
+
+def random_extension(algebra: Algebra, base: Representation,
+                     top: Representation, rng: random.Random) -> Representation:
+    """``witnesses.random_extension`` with its draws, built in full: the
+    ``cokernel_of`` the graph of (inclusion, -g) into the ``direct_sum``
+    of the cover's projectives and ``base``."""
+    cover = projective_cover(top)
+    g = random_hom_combination(cover.syzygy, base, rng, (-1, 0, 0, 1))
+    total = direct_sum(algebra, [cover.cover, base])
+    mats = {v: cover.inclusion_mats[v].vstack(-g.mats[v])
+            for v, d in cover.syzygy.dims.items() if d}
+    return cokernel_of(ModuleMap(cover.syzygy, total, mats))[0]
 
 
 # -- presentations and path bases --------------------------------------------

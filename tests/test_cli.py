@@ -90,6 +90,26 @@ def test_round_trip_through_files(tmp_path, capsys):
     assert "14 vertices" in capsys.readouterr().out
 
 
+def test_a_presentation_file_whose_path_has_a_colon_is_read_as_a_file(
+        tmp_path, capsys, monkeypatch):
+    # A spec that names an existing file is that file, colon or not; any
+    # other spec with a colon is a family spec, with the family's errors.
+    folder = tmp_path / "colon:dir"
+    folder.mkdir()
+    assert main(["algebra", "emit", "--family", "lambda", "--r", "2", "--m", "2",
+                 "-o", str(folder / "l22.alg")]) == 0
+    (tmp_path / "s.mod").write_text("module S over lambda_r2_m2\nraw\ndim c2 1\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["module", "pd", "--algebra", "colon:dir/l22.alg", "s.mod",
+                 "--structured"]) == 0
+    by_file = capsys.readouterr().out
+    assert main(["module", "pd", "--algebra", "lambda:r=2,m=2", "s.mod",
+                 "--structured"]) == 0
+    assert capsys.readouterr().out == by_file
+    assert main(["module", "pd", "--algebra", "colon:dir/none.alg", "s.mod"]) == 2
+    assert capsys.readouterr().err == "error: bad family parameter 'dir/none.alg'\n"
+
+
 def test_projectives_structured(capsys):
     assert main(["algebra", "projectives", "--family", "lambda", "--r", "1", "--m", "5",
                  "--structured"]) == 0

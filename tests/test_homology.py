@@ -1009,10 +1009,11 @@ def test_map_from_projectives_leaves_no_reference_cycle():
        st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)), max_size=3))
 def test_cokernel_of_images_side_by_side_is_the_cokernel_of_their_sum(
         name, field, seed, budget, sources):
-    # random_module takes _cokernel of the maps' images side by side, with
-    # no sum of their sources; cokernel_of of the assembled map out of that
-    # sum is the oracle, module and projection alike.  One map is the
-    # single-map case of cokernel_of itself.
+    # _cokernel takes the maps' images side by side, with no sum of their
+    # sources and the target's arrows applied to the chosen columns by a
+    # callback; cokernel_of of the assembled map out of that sum is the
+    # oracle, module and projection alike.  One map is the single-map case
+    # of cokernel_of itself.
     algebra = _combination_algebra(name, field)
     target = random_module(algebra, seed=seed, budget=budget)
     rng = random.Random(seed)
@@ -1027,6 +1028,26 @@ def test_cokernel_of_images_side_by_side_is_the_cokernel_of_their_sum(
     cases += [(f, f.mats) for f in maps[:1]]
     for f, f_mats in cases:
         coker, proj = cokernel_of(f)
-        other, other_proj = homology._cokernel(target, f_mats)
+        other, other_proj = homology._cokernel(
+            algebra, target.dims, f_mats,
+            lambda a, cols: target.mats[a.name].submatrix_cols(cols))
         assert (other.dims, other.mats) == (coker.dims, coker.mats)
         assert ModuleMap(target, other, other_proj).mats == proj.mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["lambda(1, 2)", "lambda(2, 2)", "lambda1prime(2)"]),
+       st.sampled_from([None, 2, 101]),
+       st.lists(st.integers(0, 10 ** 6), max_size=4))
+def test_projective_hom_kernel_is_the_hom_kernel_read_off_by_yoneda(name, field, picks):
+    # Hom(P(u), F) for a free module F, read off the images of e_u, is
+    # the kernel the intertwining equations give: same basis, in the same
+    # column order, and the same unknown layout.
+    algebra = _combination_algebra(name, field)
+    tops = [algebra.vertices[pick % len(algebra.vertices)] for pick in picks]
+    free_module = direct_sum(algebra, [algebra.projective(v) for v in tops])
+    free = algebra.free_basis(tops)
+    for u in algebra.vertices:
+        kernel, offsets = homology._projective_hom_kernel(algebra, u, free)
+        assert (kernel, offsets) == homology._hom_kernel(algebra.projective(u), free_module)
+        assert kernel.cols == len(free[u])

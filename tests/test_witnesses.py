@@ -4,14 +4,15 @@ from importlib import resources
 import pytest
 
 from biserial.families import build_lambda, lambda_vertices
-from biserial.fields import field_from_spec
+from biserial.fields import QQ, PrimeField, field_from_spec
 from biserial.homology import (certified_iso, kernel_of, projdim, syzygy,
                                _sub_representation)
 from biserial.matrices import Matrix
 from biserial.reps import Algebra
+from biserial import witnesses
 from biserial.witnesses import (build_U, build_Z, build_Zt, build_phi,
                                 sample_finite_pd_modules, zt_walk)
-from oracles import prefix_phi
+from oracles import prefix_phi, random_extension
 
 
 def test_z3_dimension_vector(alg3):
@@ -207,3 +208,31 @@ def test_finite_pd_samples_are_pinned(field):
     samples = sample_finite_pd_modules(alg, 8, seed=4)
     assert [dict(m.dim_vector()) for m, _ in samples] == PINNED_SAMPLE_DIMS
     assert [report.value for _, report in samples] == [1, 0, 2, 0, 0, 0, 0, 0]
+
+
+def _sample_content(samples):
+    return [(m.dims, {name: x.data for name, x in m.mats.items()}, report.chain)
+            for m, report in samples]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)],
+                         ids=["qq", "f2", "f101"])
+def test_finite_pd_samples_match_the_assembled_extensions(r, field, monkeypatch):
+    # The sampler covers each pool module once and takes each extension as
+    # a cokernel into P (+) base with no sum built; the oracle covers the
+    # top on every draw and takes cokernel_of the graph into the assembled
+    # sum.
+    covered, drawn = [], []
+    cover = witnesses.projective_cover
+    monkeypatch.setattr(witnesses, "projective_cover",
+                        lambda top: covered.append(top) or cover(top))
+    samples = sample_finite_pd_modules(Algebra(build_lambda(r, 2), field=field), 12, seed=r)
+    covers = len(covered)
+    assert len(set(map(id, covered))) == covers
+    monkeypatch.setattr(witnesses, "random_extension",
+                        lambda alg, base, cover, rng: drawn.append(cover.module)
+                        or random_extension(alg, base, cover.module, rng))
+    expected = sample_finite_pd_modules(Algebra(build_lambda(r, 2), field=field), 12, seed=r)
+    assert _sample_content(samples) == _sample_content(expected)
+    assert covers == len(set(map(id, drawn))) < len(drawn)
