@@ -20,8 +20,9 @@ byte-stable for identical flags.
 
 Each subcommand imports the layers it runs: the claim catalog (and with
 it the witnesses and the splitting layer) only for ``verify``, the
-splitting layer only for ``module split``, and the family builders only
-for a family spec.  A command on files loads none of them.
+splitting layer only for ``module split``, the module-file layer only
+for ``module`` and ``algebra dot``, and the family builders only for a
+family spec.  A command on files loads none of the others.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from . import InputError, _lazy_getattr
 from .fields import field_from_spec
 from .homology import (decide_iso, hom_dim, projdim, radical_filtration,
                        record_digest, syzygy)
-from .modfiles import dot_quiver, dot_representation, emit_module_raw, parse_module_file
 from .presentation import emit_presentation, parse_presentation
 from .reps import Algebra
 
@@ -111,6 +111,8 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _resolve_module(path: str, algebra: Algebra):
+    from .modfiles import parse_module_file
+
     with open(path, encoding="utf-8") as fh:
         modules = parse_module_file(fh.read(), algebra)
     name = next(reversed(modules))
@@ -168,6 +170,8 @@ def cmd_algebra(args) -> int:
         return EXIT_OK
 
     if args.algebra_cmd == "dot":
+        from .modfiles import dot_quiver
+
         _write(dot_quiver(pres), args.output)
         return EXIT_OK
 
@@ -178,6 +182,8 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_module(args) -> int:
+    from .modfiles import dot_representation, emit_module_raw
+
     algebra = _algebra(_load_presentation(args.algebra), args)
     name, module = _resolve_module(args.file, algebra)
 

@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Matrix
 from .presentation import Arrow
-from .reps import FreeBasis, ModuleMap, Representation, direct_sum
+from .reps import FreeBasis, ModuleMap, Representation
 
 
 # -- subspace plumbing -------------------------------------------------------
@@ -201,8 +201,7 @@ class CoverData:
 
     @cached_property
     def cover(self) -> Representation:
-        algebra = self.module.algebra
-        return direct_sum(algebra, [algebra.projective(v) for v in self.tops])
+        return self.module.algebra._free_module(self.tops)
 
     @cached_property
     def cover_map(self) -> ModuleMap:

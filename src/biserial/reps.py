@@ -146,7 +146,8 @@ class Algebra:
         return self.memo("projective " + vertex, lambda alg: alg._free_module([vertex], True))
 
     def _free_module(self, tops: Sequence[str], check: bool = False) -> "Representation":
-        """The free module on ``tops``, its arrows acting on the identity."""
+        """Every free module is built here, on ``free_basis``: the direct sum
+        of the P(v), v in ``tops``, its arrows acting on the identity."""
         free = self.free_basis(tops)
         dims = {v: len(rows) for v, rows in free.items()}
         return Representation(self, dims, {

@@ -249,6 +249,60 @@ def test_module_split_outside_lemma_2_is_inconclusive(z3_file, capsys):
     assert captured.err == "certificate failure: final splitting certificate failed\n"
 
 
+ALL_PARTS_MOD = """\
+module X over lambda1prime_r2
+string a0 [ al_c1_a0^-1 al_c2_c1^-1 be_c2_b1^+1 ]
+module P over lambda1prime_r2
+proj c2
+module Y over lambda1prime_r2
+string a1 [ al_a1_d0^+1 ]
+module U over lambda1prime_r2
+raw
+dim u 1
+module M over lambda1prime_r2
+sum X P Y U X
+"""
+
+
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+def test_module_split_with_every_part_is_pinned(field, tmp_path, capsys):
+    # X twice, one P(c2), and an M' with intervals on U and a vertex off it.
+    path = tmp_path / "all_parts.mod"
+    path.write_text(ALL_PARTS_MOD)
+    assert main(["module", "split", str(path), "--algebra", "lambda1prime:r=2",
+                 "--field", field, "--structured"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["certificate_checksum"] == "8a3673555f861679"
+    assert rec["pc2_copies"] == 1
+    assert rec["x_multiplicities"] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert rec["m_prime_dims"] == [["a1", 1], ["d0", 1], ["u", 1]]
+
+
+def test_module_split_with_a_corrupt_interval_piece_is_inconclusive(
+        tmp_path, monkeypatch, capsys):
+    # The interval layer certifies nothing itself: embed the second X copy
+    # as the first, and the final certificate catches it.
+    from biserial import decomp
+
+    real = decomp.interval_decompose
+
+    def corrupt(module, order):
+        dec = real(module, order)
+        c2 = order.index("c2")
+        first, second = [k for k, ((lo, hi), _) in enumerate(dec.pieces) if lo <= c2 <= hi]
+        pieces = list(dec.pieces)
+        pieces[second] = (pieces[second][0], pieces[first][1])
+        return dec._replace(pieces=pieces)
+
+    monkeypatch.setattr(decomp, "interval_decompose", corrupt)
+    path = tmp_path / "all_parts.mod"
+    path.write_text(ALL_PARTS_MOD)
+    assert main(["module", "split", str(path), "--algebra", "lambda1prime:r=2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certificate failure: final splitting certificate failed\n"
+
+
 def test_module_syzygy_writes_raw_file(z3_file, tmp_path, capsys):
     out = tmp_path / "omega.mod"
     assert main(["module", "syzygy", z3_file, "--algebra", "lambda:r=1,m=3",

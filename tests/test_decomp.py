@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from biserial.decomp import (CertificateFailure, NotPathQuiver, _c2_alpha_path,
@@ -7,7 +9,8 @@ from biserial.families import build_lambda1prime, lambda_vertices
 from biserial.homology import hom_basis, kernel_of
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
-from biserial.reps import Algebra, Representation, direct_sum, random_module
+from biserial.reps import (Algebra, Representation, StringWord, assemble_sum_map, direct_sum,
+                           random_module, string_module)
 from oracles import from_rows, inflate, map_inverse, map_scale, restrict
 
 
@@ -34,6 +37,21 @@ def peel_count_oracle(algebra, module, brick):
             return count
         count += 1
         current, _ = kernel_of(pair[1])
+
+
+def change_basis(module, rng):
+    """An isomorphic copy of ``module``, each vertex space in a random basis."""
+    field = module.algebra.field
+    change = {}
+    for v, d in module.dims.items():
+        while d and v not in change:
+            p = from_rows(field, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+            if (inv := p.inverse()) is not None:
+                change[v] = p, inv
+    mats = {a.name: change[a.target][0] @ module.mats[a.name] @ change[a.source][1]
+            for a in module.algebra.pres.quiver.arrows.values()
+            if module.dims[a.source] and module.dims[a.target]}
+    return Representation(module.algebra, module.dims, mats)
 
 
 def hom_count_multiplicity_oracle(module, order):
@@ -87,10 +105,12 @@ def test_xset_not_level_one(algp):
 
 
 def test_strip_projective_itself(algp):
-    res = strip_pc2(algp.projective("c2"))
+    p_c2 = algp.projective("c2")
+    res = strip_pc2(p_c2)
     assert res.multiplicity == 1
     assert res.complement.is_zero()
-    assert res.certificate.is_iso()
+    assert assemble_sum_map([res.projective_embedding, res.complement_inclusion],
+                            p_c2).is_iso()
 
 
 def test_strip_simple_c2(algp):
@@ -100,20 +120,19 @@ def test_strip_simple_c2(algp):
 
 
 def test_strip_without_pc2_certifies_by_the_identity(algp, monkeypatch):
-    # With no P(c2) summand the split is M itself: the certificate is its
-    # identity, and no direct sum is built for it.
-    from biserial import decomp, reps
+    # With no P(c2) summand the split is M itself: the complement is the
+    # module, and no identity map, zero module or zero embedding is built.
+    from biserial import reps
 
-    sums = []
-    for module in (decomp, reps):
-        monkeypatch.setattr(module, "direct_sum", lambda *args: sums.append(args))
+    built = []
+    monkeypatch.setattr(reps, "direct_sum", lambda *args: built.append(args))
+    monkeypatch.setattr(reps.ModuleMap, "identity", classmethod(lambda cls, m: built.append(m)))
+    monkeypatch.setattr(reps.ModuleMap, "zero", classmethod(lambda cls, *args: built.append(args)))
+    monkeypatch.setattr(reps.Algebra, "zero_module", lambda self: built.append(self))
     s_c2 = algp.simple("c2")
     res = strip_pc2(s_c2)
-    assert sums == []
-    assert res.certificate.is_iso()
-    assert res.certificate.source is s_c2 and res.certificate.target is s_c2
-    assert res.complement_inclusion.is_iso()
-    assert res.projective_embedding.source.is_zero()
+    assert built == []
+    assert res == (0, s_c2, None, None)
 
 
 def test_strip_multiplicity_matches_peel_oracle(algp):
@@ -129,7 +148,8 @@ def test_strip_planted_copies(algp):
                xset(algp)[2], algp.projective("a1")])
     res = strip_pc2(planted)
     assert res.multiplicity == 2
-    assert res.certificate.is_iso()
+    assert assemble_sum_map([res.projective_embedding, res.complement_inclusion],
+                            planted).is_iso()
 
 
 def test_strip_works_over_level_two(alg2):
@@ -141,9 +161,9 @@ def test_strip_works_over_level_two(alg2):
 
 
 def test_strip_leaves_no_long_alpha_path_on_the_complement():
-    # strip_pc2 does not check this itself: its certified isomorphism
-    # P(c2)^a (+) complement -> M implies it, since the path's rank adds
-    # over the sum and is a on P(c2)^a.
+    # strip_pc2 does not check this itself: lemma2_split's certified
+    # isomorphism X (+) P(c2)^a (+) M' -> M implies it, since the path's
+    # rank adds over the sum and is a on P(c2)^a.
     alg = Algebra(build_lambda1prime(2))
     alpha_path = _c2_alpha_path(alg.pres)
     counts = []
@@ -177,9 +197,10 @@ def _line_algebra(arrows_spec):
 
 def test_interval_zero_representation():
     alg = _line_algebra(["x1->x2", "x2->x3"])
-    dec = interval_decompose(alg.zero_module(), ["x1", "x2", "x3"])
-    assert dec.summands == []
-    assert dec.certificate.source.is_zero()
+    zero = alg.zero_module()
+    dec = interval_decompose(zero, ["x1", "x2", "x3"])
+    assert dec.summands == [] and dec.pieces == []
+    assert assemble_sum_map([], zero).is_iso()
 
 
 def test_interval_identity_on_a2():
@@ -224,7 +245,7 @@ def test_interval_certificate_blocks(algp):
     sub, u_verts = u_algebra(algp)
     module = restrict_to_vertices(random_module(algp, seed=23, budget=28), sub)
     dec = interval_decompose(module, order=u_verts)
-    cert = dec.certificate
+    cert = assemble_sum_map([f for _, f in dec.pieces], module)
     assert cert.is_iso()
     assert dec.total_dim() == module.total_dim()
     # Conjugating every arrow by the certificate block-diagonalizes it.
@@ -263,6 +284,29 @@ def test_split_mixed(algp):
     assert split.x_multiplicities == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
     assert split.m_prime.total_dim() == \
         algp.projective("b1").total_dim() + 1
+
+
+@pytest.mark.parametrize("alg_name", ["algp", "algp_f101"])
+def test_split_recovers_every_planted_part(alg_name, request):
+    # The random sweep seldom meets X or P(c2): plant X (+) P(c2)^a (+) M'
+    # for each c2-string, a = 0..2 and a level-1 M' on U, off U or both,
+    # in a random basis, and read each part back off the one certificate.
+    alg = request.getfixturevalue(alg_name)
+    rng = random.Random(f"planted-split:{alg_name}")
+    on_u = string_module(alg, StringWord("a1", [("al_a1_d0", 1)]))
+    level1_parts = [[on_u], [alg.simple("u")], [alg.simple("u"), on_u, alg.projective("w")]]
+    for idx, x in enumerate(xset(alg)):
+        copies = 1 + idx % 2
+        for a in range(3):
+            for parts in level1_parts:
+                planted = direct_sum(alg, [x, *parts, *[alg.projective("c2")] * a,
+                                           *[x] * (copies - 1)])
+                split = lemma2_split(change_basis(planted, rng))
+                assert split.x_multiplicities == [copies * (k == idx) for k in range(10)]
+                assert split.a == a
+                assert split.m_prime.dims == direct_sum(alg, parts).dims
+                assert split.certificate.is_iso()
+                assert split.certificate.target.dims == planted.dims
 
 
 def test_split_random_sweep(algp):

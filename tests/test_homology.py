@@ -484,7 +484,8 @@ def test_pd_chain_builds_one_cover_per_module(monkeypatch):
     steps = _counting(monkeypatch, "syzygy")
     covers = _counting(monkeypatch, "projective_cover")
     tops = _counting(monkeypatch, "radical")
-    sums = _counting(monkeypatch, "direct_sum")
+    free = []
+    monkeypatch.setattr(Algebra, "_free_module", lambda self, *args: free.append(args))
     rep = projdim(build_Z(alg3, 3), cutoff=8)
     assert rep.verdict == "finite" and rep.value == 4
     # Every nonzero chain module is covered once; the last one is zero.
@@ -492,8 +493,8 @@ def test_pd_chain_builds_one_cover_per_module(monkeypatch):
     assert len({id(m) for (m,) in covers}) == len(covers)
     assert [m for (m,) in steps] == [m for (m,) in covers]
     assert tops == []
-    # The syzygies are read off the path-class basis: no cover is summed.
-    assert sums == []
+    # The syzygies are read off the path-class basis: no cover is built.
+    assert free == []
 
 
 def test_content_equal_modules_share_one_syzygy(monkeypatch):

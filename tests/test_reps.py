@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
 from biserial.fields import QQ, PrimeField
@@ -108,6 +109,32 @@ def test_projective_is_the_free_module_on_its_vertex(pres, field):
         for name, m in p.mats.items():
             assert [[(type(x), x) for x in row] for row in m.data] == \
                 [[(type(x), x) for x in row] for row in oracle.mats[name].data]
+
+
+_FREE_ALGEBRAS = {}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)],
+                         ids=["q", "fp:2", "fp:101"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_free_module_is_the_direct_sum_of_its_projectives(field, data):
+    # One constructor builds every free module; it equals the block sum of
+    # the P(v), entry for entry and with the same entry types, because
+    # free_basis is laid out in direct_sum block order.
+    spec = data.draw(st.sampled_from(["lambda(2, 3)", "lambda1prime(2)"]))
+    if (spec, field) not in _FREE_ALGEBRAS:
+        pres = build_lambda(2, 3) if spec == "lambda(2, 3)" else build_lambda1prime(2)
+        _FREE_ALGEBRAS[spec, field] = Algebra(pres, field=field)
+    algebra = _FREE_ALGEBRAS[spec, field]
+    tops = data.draw(st.lists(st.sampled_from(algebra.vertices), max_size=4))
+    free = algebra._free_module(tops)
+    total = direct_sum(algebra, [algebra.projective(v) for v in tops])
+    assert free.dims == total.dims
+    assert {name: [[(type(x), x) for x in row] for row in m.data]
+            for name, m in free.mats.items()} == \
+        {name: [[(type(x), x) for x in row] for row in m.data]
+         for name, m in total.mats.items()}
 
 
 def test_direct_sum_empty(alg1):

@@ -97,9 +97,11 @@ def test_module_pd_on_files_loads_only_its_layers(tmp_path):
 def test_verify_loads_no_dataclasses(tmp_path):
     # dataclasses pulls in inspect, ast, dis and tokenize at start-up; the
     # claim catalog and the splitting layer use plain classes and NamedTuples.
+    # No verify path reads or writes a module file.
     proc, err, loaded = _run(["verify", "lemma-2", "syzygy-descent", "--m-max", "1",
                               "--samples", "4", "--structured"], tmp_path,
-                             ["biserial.claims", "biserial.decomp", "dataclasses", "inspect"])
+                             ["biserial.claims", "biserial.decomp", "biserial.modfiles",
+                              "dataclasses", "inspect"])
     assert proc.returncode == 0 and err == ""
     assert json.loads(proc.stdout.splitlines()[-1])["summary"]["pass"] == 2
     assert loaded == ["biserial.claims", "biserial.decomp"]
