@@ -12,7 +12,8 @@ Claim catalog (ids are the CLI surface):
                        named by the splitting argument appear as summands of
                        the second or third syzygy, with split-pair witnesses.
 * ``lemma-2``          randomized sweep of certified splittings
-                       M = X (+) P(c2)^a (+) M' with M' at level one.
+                       M = X (+) P(c2)^a (+) M' with M' at level one; a
+                       c2-free M is its own M', certified by the identity.
 * ``corollary-3``      sampled certified-finite-pd level-2 modules have
                        syzygies supported at level one.
 * ``syzygy-descent``   syzygies drop one level (level 2 drops to the pruned

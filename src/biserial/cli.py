@@ -307,12 +307,13 @@ def cmd_verify(args) -> int:
                           field_spec=args.field, seed=args.seed,
                           cutoff=args.cutoff, samples=args.samples,
                           max_dim=args.max_dim, trials=args.trials)
-    reports = []
+    reports, records = [], []
     for cid in claim_ids:
         report = run_claim(cid, config)
         reports.append(report)
         if args.structured:
-            print(json.dumps(report.to_record(), sort_keys=True))
+            records.append(report.to_record())
+            print(json.dumps(records[-1], sort_keys=True))
         else:
             print(report.describe())
     statuses = {r.status for r in reports}
@@ -322,8 +323,7 @@ def cmd_verify(args) -> int:
                "inconclusive": sum(r.status == "inconclusive" for r in reports)}
     if args.structured:
         print(json.dumps({"summary": summary,
-                          "digest": record_digest(
-                              [r.to_record() for r in reports])},
+                          "digest": record_digest(records)},
                          sort_keys=True))
     else:
         print(f"summary: {summary['pass']} pass, {summary['fail']} fail, "

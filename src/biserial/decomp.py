@@ -21,6 +21,8 @@ Three layers; only the last builds an isomorphism and verifies it:
   which re-checks every block of the strip and the interval peels, with
   no per-arrow obligations: the ten strings' inner arrows map onto
   their targets, and rank adds over block sums, so any X has them too.
+  A module with zero c2 component is its own M', certified by the
+  identity; neither the strip nor the interval layer runs on it.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def interval_decompose(module: Representation, order: List[str]
                         key=lambda t: (-(t[1] - t[0]), t[0]))
     pieces: List[Tuple[Tuple[int, int], ModuleMap]] = []
     current = module
-    into_original = ModuleMap.identity(module)
+    into_original: Optional[ModuleMap] = None   # current -> module; the first peel lands in module
     while current.total_dim():
         for lo, hi in candidates:
             if any(current.dims[order[k]] == 0 for k in range(lo, hi + 1)):
@@ -203,9 +205,9 @@ def interval_decompose(module: Representation, order: List[str]
             split = split_off(j_rep, current)
             if split is None:
                 continue
-            pieces.append(((lo, hi), into_original.compose(split.section)))
-            into_original = into_original.compose(split.inclusion)
-            current = split.complement
+            lift = into_original.compose if pieces else (lambda f: f)
+            pieces.append(((lo, hi), lift(split.section)))
+            into_original, current = lift(split.inclusion), split.complement
             break
         else:
             # Unreachable: split_off is complete for bricks such as intervals.
@@ -272,14 +274,29 @@ def lemma2_split(module: Representation) -> Lemma2Split:
     X collects the interval summands of the restriction to the path
     subquiver whose support contains c2, realized as canonical strings;
     M' agrees with the module away from the subquiver and with the
-    complementary intervals on it, and has zero c2 component.  The final
-    isomorphism is verified; failure raises CertificateFailure.
+    complementary intervals on it, and has zero c2 component.  Every vertex
+    but c2 is at level one, so a c2-free module is its own M', certified by
+    the identity, once the algebra has the path U and an amalgam relation
+    at c2.  The final isomorphism is verified; failure raises CertificateFailure.
     """
+    _c2_alpha_path(module.algebra.pres)
+    sub, u_verts = u_algebra(module.algebra)
+    _check_path(sub.pres, u_verts)
+    if module.dims["c2"]:
+        split = _split_at_c2(module, sub, u_verts)
+    else:
+        split = Lemma2Split([0] * len(_WALKS["X"]), 0, module, ModuleMap.identity(module))
+    if not split.certificate.is_iso():
+        raise CertificateFailure("final splitting certificate failed")
+    return split
+
+
+def _split_at_c2(module: Representation, sub: Algebra, u_verts: List[str]) -> Lemma2Split:
+    """lemma2_split of a module with nonzero c2 component, unverified."""
     algebra = module.algebra
     stripped = strip_pc2(module)
     core = stripped.complement
 
-    sub, u_verts = u_algebra(algebra)
     core_u = restrict_to_vertices(core, sub)
     decomposition = interval_decompose(core_u, order=u_verts)
     c2_pos = u_verts.index("c2")
@@ -320,8 +337,5 @@ def lemma2_split(module: Representation) -> Lemma2Split:
     if stripped.multiplicity:
         parts = [stripped.complement_inclusion.compose(f) for f in parts]
         parts.insert(1, stripped.projective_embedding)
-    cert = assemble_sum_map(parts, module)
-    if not cert.is_iso():
-        raise CertificateFailure("final splitting certificate failed")
-
-    return Lemma2Split(x_mult, stripped.multiplicity, m_prime, cert)
+    return Lemma2Split(x_mult, stripped.multiplicity, m_prime,
+                       assemble_sum_map(parts, module))

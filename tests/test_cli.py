@@ -240,6 +240,44 @@ def test_module_split_over_a_broken_path_names_the_missing_vertex(cut, tmp_path,
                             f" d0 - a1 - a0 - c1 - c2 - b1: no vertex {cut}\n")
 
 
+@pytest.mark.parametrize("broken", ["no vertex a1", "no amalgam relation at c2"])
+def test_module_split_of_a_c2_free_module_still_checks_the_algebra(broken, tmp_path, capsys):
+    # A c2-free module is its own M', but only over an algebra that Lemma 2's
+    # split can read: with the path U cut or c2's amalgam relation gone,
+    # it is an input error as for any module.
+    base = build_lambda1prime(2)
+    if broken == "no vertex a1":
+        pres = base.delete_vertices(["a1"], base.name)
+    else:
+        pres = Presentation(base.name, base.quiver,
+                            [r for r in base.relations if r.kind != "eq"
+                             or base.path_endpoints(r.left)[0] != "c2"])
+    alg = tmp_path / "broken.alg"
+    alg.write_text(emit_presentation(pres))
+    mod = tmp_path / "s.mod"
+    mod.write_text(f"module S over {pres.name}\nraw\ndim c1 1\n")
+    assert main(["module", "split", "--algebra", str(alg), str(mod)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"{broken}\n")
+
+
+@pytest.mark.parametrize("text, checksum", [
+    ("dim u 1\n", "e5b4d1ada041c96c"),
+    ("dim a1 2\ndim d0 2\nmat al_a1_d0 2 2\n1 1\n0 1\n", "5a2337689e62d530")],
+    ids=["off U", "on U"])
+def test_module_split_of_a_c2_free_module_is_certified_by_the_identity(
+        text, checksum, tmp_path, capsys):
+    # Off U and, in a basis the interval peel would re-base, on U.
+    path = tmp_path / "c2_free.mod"
+    path.write_text(f"module S over lambda1prime_r2\nraw\n{text}")
+    assert main(["module", "split", str(path), "--algebra", "lambda1prime:r=2",
+                 "--structured"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["certificate_checksum"] == checksum
+    assert rec["pc2_copies"] == 0 and rec["x_multiplicities"] == [0] * 10
+
+
 def test_module_split_outside_lemma_2_is_inconclusive(z3_file, capsys):
     # Z3 over lambda(1, 3) has support outside lambda1prime's vertices, so
     # no splitting certificate exists; that is no sound negative.
@@ -360,6 +398,27 @@ def test_verify_structured_deterministic(capsys):
     records = [json.loads(line) for line in first.splitlines()]
     assert records[0]["claim"] == "simples-pd"
     assert records[-1]["summary"]["pass"] == 2
+
+
+def test_verify_structured_digests_each_check_once(monkeypatch, capsys):
+    # Each claim's record is built once: one digest per check, and the
+    # final digest is of the records as printed.
+    from biserial import claims, cli
+    from biserial.homology import record_digest
+
+    calls = []
+
+    def counting(record):
+        calls.append(record)
+        return record_digest(record)
+
+    monkeypatch.setattr(claims, "record_digest", counting)
+    monkeypatch.setattr(cli, "record_digest", counting)
+    assert main(["verify", "simples-pd", "appendix-projectives", "--r", "1",
+                 "--m-max", "1", "--structured"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(calls) == sum(len(rec["checks"]) for rec in records[:-1]) + 1
+    assert records[-1]["digest"] == record_digest(records[:-1])
 
 
 def test_verify_exits_1_when_a_claim_fails(monkeypatch, capsys):

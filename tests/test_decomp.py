@@ -1,11 +1,14 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biserial.decomp import (CertificateFailure, NotPathQuiver, _c2_alpha_path,
                              interval_decompose, lemma2_split, strip_pc2,
                              u_algebra, restrict_to_vertices, xset)
 from biserial.families import build_lambda1prime, lambda_vertices
+from biserial.fields import field_from_spec
 from biserial.homology import hom_basis, kernel_of
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
@@ -256,6 +259,22 @@ def test_interval_certificate_blocks(algp):
         assert lhs == total.mats[a.name]
 
 
+def test_interval_peels_build_no_identity_map(algp, monkeypatch):
+    # The first peel's section and inclusion already land in the input.
+    from biserial import reps
+
+    def refuse(cls, module):
+        raise AssertionError("identity map built")
+
+    sub, u_verts = u_algebra(algp)
+    planted = direct_sum(algp, [xset(algp)[2], algp.projective("a1"), xset(algp)[2]])
+    module = restrict_to_vertices(change_basis(planted, random.Random(5)), sub)
+    monkeypatch.setattr(reps.ModuleMap, "identity", classmethod(refuse))
+    dec = interval_decompose(module, order=u_verts)
+    assert len(dec.pieces) >= 3
+    assert assemble_sum_map([f for _, f in dec.pieces], module).is_iso()
+
+
 # -- the splitting ---------------------------------------------------------------
 
 
@@ -411,3 +430,40 @@ def test_split_with_pc2_summands_is_pinned(algp, algp_f101):
                                   random_module(alg, seed=9, budget=28),
                                   alg.projective("c2"), xset(alg)[3]])
         assert lemma2_split(module).to_record() == pinned
+
+
+@cache
+def _c2_free_algebras(r, field_spec):
+    """lambda1prime(r) over the field, and its factor with c2 deleted."""
+    big = Algebra(build_lambda1prime(r), field=field_from_spec(field_spec))
+    return big, Algebra(big.pres.delete_vertices(["c2"], "no_c2"), field=big.field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_spec=st.sampled_from(["q", "fp:2", "fp:101"]), r=st.integers(1, 3),
+       seed=st.integers(0, 10**6), budget=st.integers(0, 24),
+       on_u=st.booleans(), off_u=st.booleans())
+def test_split_of_a_c2_free_module_is_the_module_itself(field_spec, r, seed, budget,
+                                                        on_u, off_u):
+    # Every vertex but c2 is at level one, so a module with zero c2
+    # component is its own M', certified by the identity: neither the
+    # strip nor the interval layer runs.
+    from biserial import decomp
+
+    big, no_c2 = _c2_free_algebras(r, field_spec)
+    parts = [inflate(random_module(no_c2, seed=seed, budget=budget), big)]
+    if on_u:
+        parts.append(string_module(big, StringWord("a1", [("al_a1_d0", 1)])))
+    if off_u:
+        parts.append(big.simple("u"))
+    module = change_basis(direct_sum(big, parts), random.Random(seed))
+    assert module.dims["c2"] == 0
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("strip_pc2", "interval_decompose"):
+            mp.setattr(decomp, name, lambda *args, **kwargs: pytest.fail("layer ran"))
+        split = lemma2_split(module)
+    assert split.x_multiplicities == [0] * 10
+    assert split.a == 0
+    assert split.m_prime is module
+    assert split.certificate.source is module and split.certificate.target is module
+    assert split.certificate.is_iso()
