@@ -72,11 +72,10 @@ def _load_presentation(spec: str):
 
 
 def _check_flags(args) -> None:
-    """Reject flag values no computation can run with, before any file is
-    read, and parse ``--field`` into ``args.coefficients`` (``verify``
-    flags are checked by ``FamilyConfig``)."""
-    if getattr(args, "length_bound", 1) < 1:
-        raise UsageError("--length-bound must be at least 1")
+    """Reject ``module``'s ``--cutoff`` and ``--trials`` values no
+    computation can run with, before any file is read, and parse
+    ``--field`` into ``args.coefficients`` (``verify`` flags are checked by
+    ``FamilyConfig``)."""
     if args.command == "module" and getattr(args, "cutoff", 1) < 1:
         raise UsageError("--cutoff must be at least 1")
     if args.command == "module" and (getattr(args, "trials", None) or 0) < 0:
@@ -86,7 +85,7 @@ def _check_flags(args) -> None:
 
 
 def _algebra(pres, args) -> Algebra:
-    return Algebra(pres, field=args.coefficients, length_bound=args.length_bound)
+    return Algebra(pres, field=args.coefficients)
 
 
 def _family_presentation(args):
@@ -338,12 +337,9 @@ def cmd_verify(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_common(parser, field=True, seed=False, cutoff=False, trials=False):
-    if field:
-        parser.add_argument("--field", default="q",
-                            help="coefficient field: q or fp:<p> (default q)")
-    parser.add_argument("--length-bound", type=int, default=64,
-                        help="path length bound for the algebra basis")
+def _add_common(parser, seed=False, cutoff=False, trials=False):
+    parser.add_argument("--field", default="q",
+                        help="coefficient field: q or fp:<p> (default q)")
     if seed:
         parser.add_argument("--seed", type=int, default=0)
     if cutoff:

@@ -186,9 +186,9 @@ def _cokernel(algebra, dims: Dict[str, int], f_mats: Dict[str, Matrix],
 class CoverData:
     """Minimal projective cover of a module with its syzygy.
 
-    ``cover``, ``cover_map`` and ``inclusion`` are built on first access,
-    from the vertex of each generator (``tops``) and the vertexwise
-    matrices: the pd chain reads only ``syzygy``.
+    ``cover`` and ``inclusion`` are built on first access, from the vertex
+    of each generator (``tops``) and the vertexwise matrices: the pd chain
+    reads only ``syzygy``.
     """
 
     def __init__(self, module: Representation, syzygy: Representation, tops: List[str],
@@ -202,10 +202,6 @@ class CoverData:
     @cached_property
     def cover(self) -> Representation:
         return self.module.algebra._free_module(self.tops)
-
-    @cached_property
-    def cover_map(self) -> ModuleMap:
-        return ModuleMap(self.cover, self.module, self.cover_mats)
 
     @cached_property
     def inclusion(self) -> ModuleMap:

@@ -1,14 +1,18 @@
 """Linear basis of the quotient algebra of a presentation.
 
-Paths are enumerated breadth-first up to a length bound, each extending a
-zero-free path by one arrow.  Such an extension can hold a zero relation
-only as a suffix ending in the new arrow, so only the zero relations ending
-in that arrow are compared, and only as suffixes.  Equality relations are
-then imposed by linear quotienting: every two-sided multiple ``u (p - q) v``
-of an equality ``p = q`` spans the cut-out subspace, and the surviving path
-classes form the basis.  This direct approach is exact and covers the
-algebras in scope, where equalities identify two parallel socle paths; no
-rewriting machinery is attempted.
+Paths are enumerated breadth-first, each extending a zero-free path by one
+arrow, so only the zero relations ending in that arrow are compared, and
+only as suffixes.  The enumeration decides by itself whether it ends
+(Ufnarovskii's criterion for monomial algebras): once a zero-free path's
+last w arrows, w one less than the longest zero relation (at least 1),
+occur earlier in it, the stretch after that occurrence can be appended
+forever without closing a zero relation.  Equality relations are then
+imposed by linear quotienting: each occurrence of a side x of an equality
+x = y in a zero-free path q gives the row q - q', q' being q with that x
+replaced by y.  These rows span the two-sided multiples of the equalities,
+and the surviving path classes form the basis.  This direct approach is
+exact and covers the algebras in scope, where equalities identify two
+parallel socle paths; no rewriting machinery is attempted.
 
 The basis carries multiplication tables for single arrows acting on basis
 classes, which is all the representation layer needs.
@@ -27,25 +31,30 @@ Path = Tuple[str, ...]  # arrow names, first applied first; () is an idempotent
 
 
 class BoundExceeded(InputError):
-    """A path of maximal length survived: the bound is too small, or the
-    algebra is not finite-dimensional."""
+    """The zero relations leave infinitely many paths: ``path`` holds none
+    of them and ends by repeating arrows it already passed, so it can be
+    extended by its final ``stretch``, repeated without end."""
 
-    def __init__(self, pres_name: str, path: Path, bound: int):
+    def __init__(self, pres_name: str, path: Path, stretch: Path):
         self.path = path
+        self.stretch = stretch
         super().__init__(
-            f"algebra {pres_name!r}: path {'*'.join(path)} of length {bound} "
-            f"survives the zero relations; raise the length bound or check "
-            f"finite-dimensionality")
+            f"algebra {pres_name!r}: the zero relations leave infinitely many "
+            f"paths: {'*'.join(path)} holds none of them, nor does any path "
+            f"extending it by repeats of its final stretch {'*'.join(stretch)}")
 
 
 class PathBasis:
     """Basis path classes of the algebra, grouped by (source, target)."""
 
-    def __init__(self, pres: Presentation, length_bound: int = 64):
-        if length_bound < 1:
-            raise ValueError("length_bound must be at least 1")
+    def __init__(self, pres: Presentation):
         self.pres = pres
-        self.length_bound = length_bound
+        # Each side x of an equality x = y, with y, by x's first arrow.
+        self._sides: Dict[str, List[Tuple[Path, Path]]] = {}
+        for rel in pres.relations:
+            if rel.kind == "eq":
+                self._sides.setdefault(rel.left[0], []).append((rel.left, rel.right))
+                self._sides.setdefault(rel.right[0], []).append((rel.right, rel.left))
         self._build()
 
     # Class data: self.classes[i] is the representative path of class i.
@@ -59,48 +68,48 @@ class PathBasis:
         for rel in self.pres.relations:
             if rel.kind == "zero":
                 zero_by_last.setdefault(rel.left[-1], []).append(rel.left)
+        w = max([1] + [len(z) - 1 for zs in zero_by_last.values() for z in zs])
         endpoints: Dict[Path, Tuple[str, str]] = {}
         frontier: List[Tuple[Path, str, str]] = [((), v, v) for v in quiver.vertices]
         while frontier:
             current, frontier = frontier, []
             for p, src, tgt in current:
-                if len(p) >= self.length_bound:
-                    raise BoundExceeded(self.pres.name, p, self.length_bound)
                 for a in quiver.arrows_from(tgt):
                     q = p + (a.name,)
-                    if not any(q[-len(z):] == z for z in zero_by_last.get(a.name, ())):
-                        endpoints[q] = (src, a.target)
-                        frontier.append((q, src, a.target))
+                    if any(q[-len(z):] == z for z in zero_by_last.get(a.name, ())):
+                        continue
+                    # q's prefixes end in no repeat, so only its own end can,
+                    # and only if its last arrow occurs earlier.
+                    if q.index(a.name) < len(q) - 1:
+                        for i in range(len(q) - w):
+                            if q[i:i + w] == q[-w:]:
+                                raise BoundExceeded(self.pres.name, q, q[i + w:])
+                    endpoints[q] = (src, a.target)
+                    frontier.append((q, src, a.target))
         return endpoints
 
+    def _equality_rows(self, index: Dict[Path, int]) -> List[list]:
+        """Rows spanning the equalities' multiples among the zero-free paths
+        of one endpoint pair, each at its ``index`` column."""
+        rows: List[list] = []
+        for q, k in index.items():
+            for i, a in enumerate(q):
+                for x, y in self._sides.get(a, ()):
+                    if q[i:i + len(x)] == x:
+                        row = [QQ.zero] * len(index)
+                        row[k] = QQ.one
+                        # A path holding a zero relation is not enumerated: 0.
+                        swapped = q[:i] + y + q[i + len(x):]
+                        if swapped in index:
+                            row[index[swapped]] -= 1
+                        rows.append(row)
+        return rows
+
     def _build(self) -> None:
-        pres = self.pres
-        quiver = pres.quiver
-        eq_rels = [(rel.left, rel.right) for rel in pres.relations if rel.kind == "eq"]
-        endpoints = self._zero_free_paths()
-
-        # Group the paths by endpoint pair, to quotient each block by the
-        # equality consequences, and pool them as prefixes and suffixes.
+        quiver = self.pres.quiver
         by_pair: Dict[Tuple[str, str], List[Path]] = {}
-        starting_at: Dict[str, List[Path]] = {v: [()] for v in quiver.vertices}
-        ending_at: Dict[str, List[Path]] = {v: [()] for v in quiver.vertices}
-        for p, (src, tgt) in endpoints.items():
-            by_pair.setdefault((src, tgt), []).append(p)
-            starting_at[src].append(p)
-            ending_at[tgt].append(p)
-
-        # Every two-sided multiple v (lhs - rhs) u of an equality, by the
-        # endpoint pair of its paths.
-        multiples: Dict[Tuple[str, str], List[Tuple[Path, Path]]] = {}
-        for lhs, rhs in eq_rels:
-            rel_src, rel_tgt = pres.path_endpoints(lhs)
-            for v_pre in ending_at[rel_src]:
-                src = endpoints[v_pre][0] if v_pre else rel_src
-                for u_post in starting_at[rel_tgt]:
-                    tgt = endpoints[u_post][1] if u_post else rel_tgt
-                    multiples.setdefault((src, tgt), []).append(
-                        (v_pre + lhs + u_post, v_pre + rhs + u_post))
-
+        for p, pair in self._zero_free_paths().items():
+            by_pair.setdefault(pair, []).append(p)
         # (source, target, representative); the idempotents come first.
         classes: List[Tuple[str, str, Path]] = [(v, v, ()) for v in quiver.vertices]
         self.idempotents = {v: i for i, v in enumerate(quiver.vertices)}
@@ -110,16 +119,7 @@ class PathBasis:
             # Longer paths first so elimination expresses them via shorter ones.
             block_sorted = sorted(block, key=lambda p: (-len(p), p))
             index = {p: i for i, p in enumerate(block_sorted)}
-            vectors: List[list] = []
-            for left, right in multiples.get((src, tgt), ()):
-                # A side holding a zero relation is not enumerated: it is 0.
-                vec = [QQ.zero] * len(block_sorted)
-                if left in index:
-                    vec[index[left]] += 1
-                if right in index:
-                    vec[index[right]] -= 1
-                if any(vec):
-                    vectors.append(vec)
+            vectors = self._equality_rows(index)
             # The cut-out subspace in reduced row echelon form: its pivot paths
             # are eliminated, each row expressing one through the basis paths.
             reduced, pivots, _ = Matrix(QQ, len(vectors), len(block_sorted),

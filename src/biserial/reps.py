@@ -44,10 +44,10 @@ class InvalidString(InputError):
 class Algebra:
     """Presentation + path basis + field: the computation context."""
 
-    def __init__(self, pres: Presentation, field=QQ, length_bound: int = 64):
+    def __init__(self, pres: Presentation, field=QQ):
         self.pres = pres
         self.field = field
-        self.basis = PathBasis(pres, length_bound)
+        self.basis = PathBasis(pres)
         self._memo: Dict[str, object] = {}
         self._empty: Dict[Tuple[int, int], Matrix] = {}
 

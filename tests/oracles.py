@@ -148,17 +148,23 @@ def top_dims(module: Representation) -> Dict[str, int]:
     return {v: module.dims[v] - rad.dims[v] for v in module.algebra.vertices}
 
 
+def cover_map(cover: CoverData) -> ModuleMap:
+    """The map from the cover, built in full, onto its module."""
+    return ModuleMap(cover.cover, cover.module, cover.cover_mats)
+
+
 def verify_cover(cover: CoverData) -> bool:
     """Surjectivity, exactness of dims, and cover minimality."""
     m = cover.module
+    onto = cover_map(cover)
     for v in m.algebra.vertices:
-        if cover.cover_map.mats[v].rank() != m.dims[v]:
+        if onto.mats[v].rank() != m.dims[v]:
             return False
         if cover.cover.dims[v] - cover.syzygy.dims[v] != m.dims[v]:
             return False
-    if not cover.cover_map.is_morphism() or not cover.inclusion.is_morphism():
+    if not onto.is_morphism() or not cover.inclusion.is_morphism():
         return False
-    if not cover.cover_map.compose(cover.inclusion).is_zero():
+    if not onto.compose(cover.inclusion).is_zero():
         return False
     return top_dims(cover.cover) == top_dims(m)
 

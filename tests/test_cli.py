@@ -614,8 +614,7 @@ def test_an_iso_candidate_failing_its_squares_is_an_internal_error(z3_file, monk
 @pytest.mark.parametrize("argv, message", [
     (["verify", "lemma-2", "--max-dim", "-1"], "max_dim must be nonnegative"),
     (["verify", "prop-2", "--cutoff", "0"], "cutoff must be at least 1"),
-    (["algebra", "build", "--family", "lambda", "--r", "1", "--m", "1",
-      "--length-bound", "0"], "--length-bound must be at least 1"),
+    (["verify", "prop-2", "--t-max", "0"], "t_max must be at least 1"),
     (["algebra", "build", "--family", "lambda", "--r", "1"], "family 'lambda' needs --m"),
 ])
 def test_bad_flag_values_exit_2(argv, message, capsys):
@@ -673,6 +672,18 @@ def test_bad_module_cutoff_exits_2(z3_file, capsys):
     assert main(["module", "pd", z3_file, "--algebra", "lambda:r=1,m=3",
                  "--cutoff", "0"]) == 2
     assert "--cutoff must be at least 1" in capsys.readouterr().err
+
+
+def test_an_algebra_with_infinitely_many_paths_exits_2_naming_one(tmp_path, capsys):
+    alg = tmp_path / "loop.alg"
+    alg.write_text("algebra loop\nvertex x\narrow l : alpha x -> x\n")
+    mod = tmp_path / "s.mod"
+    mod.write_text("module S over loop\nraw\ndim x 1\n")
+    assert main(["module", "pd", str(mod), "--algebra", str(alg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: algebra 'loop': ") and " l*l " in err
+    assert err.count("\n") == 1
 
 
 def test_unreadable_presentation_exits_2(tmp_path, capsys):

@@ -246,17 +246,19 @@ def test_interval_multiplicities_match_hom_oracle(algp):
 
 def test_interval_certificate_blocks(algp):
     sub, u_verts = u_algebra(algp)
-    module = restrict_to_vertices(random_module(algp, seed=23, budget=28), sub)
-    dec = interval_decompose(module, order=u_verts)
-    cert = assemble_sum_map([f for _, f in dec.pieces], module)
-    assert cert.is_iso()
-    assert dec.total_dim() == module.total_dim()
-    # Conjugating every arrow by the certificate block-diagonalizes it.
-    inv = map_inverse(cert)
-    total = cert.source
-    for a in sub.pres.quiver.arrows.values():
-        lhs = inv.mats[a.target] @ module.mats[a.name] @ cert.mats[a.source]
-        assert lhs == total.mats[a.name]
+    for seed in (13, 14, 15):  # U dimensions 4, 7 and 1
+        module = restrict_to_vertices(random_module(algp, seed=seed, budget=30), sub)
+        dec = interval_decompose(module, order=u_verts)
+        assert dec.pieces
+        cert = assemble_sum_map([f for _, f in dec.pieces], module)
+        assert cert.is_iso()
+        assert dec.total_dim() == module.total_dim()
+        # Conjugating every arrow by the certificate block-diagonalizes it.
+        inv = map_inverse(cert)
+        total = cert.source
+        for a in sub.pres.quiver.arrows.values():
+            lhs = inv.mats[a.target] @ module.mats[a.name] @ cert.mats[a.source]
+            assert lhs == total.mats[a.name]
 
 
 def test_interval_peels_build_no_identity_map(algp, monkeypatch):
@@ -328,10 +330,22 @@ def test_split_recovers_every_planted_part(alg_name, request):
                 assert split.certificate.target.dims == planted.dims
 
 
+def _with_c2(alg, module, k, rng):
+    """``module`` plus P(c2) (k = 10) or the c2-string ``xset(alg)[k]``, in
+    a random basis: a random module seldom carries c2, and one that does
+    not takes the identity split, past the strip and interval layers."""
+    planted = alg.projective("c2") if k == 10 else xset(alg)[k]
+    with_c2 = change_basis(direct_sum(alg, [module, planted]), rng)
+    assert with_c2.dims["c2"] > 0
+    return with_c2
+
+
 def test_split_random_sweep(algp):
     level1 = set(lambda_vertices(1, 1))
+    rng = random.Random("split-sweep")
     for seed in range(25):
-        module = random_module(algp, seed=seed * 3 + 1, budget=30)
+        module = _with_c2(algp, random_module(algp, seed=seed * 3 + 1, budget=30),
+                          seed % 11, rng)
         split = lemma2_split(module)
         assert split.m_prime.supported_on(level1)
         assert split.m_prime.dims["c2"] == 0
@@ -364,7 +378,8 @@ def test_split_catches_a_c2_string_that_is_not_a_submodule(algp, monkeypatch):
 
 
 def test_split_record_is_stable(algp):
-    module = random_module(algp, seed=77, budget=25)
+    module = _with_c2(algp, random_module(algp, seed=77, budget=25), 10,
+                      random.Random(77))
     a = lemma2_split(module).to_record()
     b = lemma2_split(module).to_record()
     assert a == b
@@ -376,8 +391,11 @@ def test_split_field_independent(algp, algp_f101):
     from biserial.reps import random_module as rm
 
     for seed in (5, 6):
-        split_q = lemma2_split(rm(algp, seed=seed, budget=24))
-        split_p = lemma2_split(rm(algp_f101, seed=seed, budget=24))
+        # The same planted part in the same random basis over both fields.
+        split_q = lemma2_split(_with_c2(algp, rm(algp, seed=seed, budget=24), seed,
+                                        random.Random(seed)))
+        split_p = lemma2_split(_with_c2(algp_f101, rm(algp_f101, seed=seed, budget=24),
+                                        seed, random.Random(seed)))
         assert split_q.x_multiplicities == split_p.x_multiplicities
         assert split_q.a == split_p.a
         assert split_q.m_prime.dims == split_p.m_prime.dims

@@ -21,8 +21,8 @@ from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationErr
                            StringWord, assemble_sum_map, direct_sum,
                            random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, zt_walk
-from oracles import (direct_sum_maps, from_rows, map_add, map_inverse, map_scale,
-                     scale, top_dims, verify_cover)
+from oracles import (cover_map, direct_sum_maps, from_rows, map_add, map_inverse,
+                     map_scale, scale, top_dims, verify_cover)
 
 
 def brute_force_intertwiner_count(m, n):
@@ -702,7 +702,7 @@ def test_syzygy_on_the_path_class_basis_is_the_kernel_of_the_cover_map(
     # the cover built on demand passes its own checks.
     module = random_module(_cover_algebra(family, field), seed=seed, budget=budget)
     cover = projective_cover(module)
-    kernel, inclusion = kernel_of(cover.cover_map)
+    kernel, inclusion = kernel_of(cover_map(cover))
     assert kernel.dims == cover.syzygy.dims
     assert kernel.mats == cover.syzygy.mats
     assert inclusion.mats == cover.inclusion.mats

@@ -27,8 +27,15 @@ def test_single_loop_square_zero():
 def test_unbounded_loop_raises():
     text = "algebra L\nvertex x\narrow l : alpha x -> x\n"
     with pytest.raises(BoundExceeded) as exc:
-        PathBasis(parse_presentation(text), length_bound=8)
-    assert exc.value.path == ("l",) * 8  # the surviving path is reported
+        PathBasis(parse_presentation(text))
+    assert exc.value.path == ("l", "l")  # the first path to repeat an arrow
+    assert exc.value.stretch == ("l",)
+    assert " l*l holds none of them" in str(exc.value)
+
+
+def test_tower_longer_than_64_arrows():
+    # lambda(1, 61) keeps an alpha path of 64 arrows; the basis is finite.
+    assert PathBasis(build_lambda(1, 61)).dim == 526
 
 
 def test_projective_c1_dimension_six():
@@ -126,13 +133,14 @@ def test_path_basis_is_pinned(family, r, m, digest):
 
 
 class _AllOffsetBasis(PathBasis):
-    """The reference: every path is tested against every zero relation at
-    every offset, and so is every path the action expands."""
+    """The reference: every path up to ``bound`` arrows is tested against
+    every zero relation at every offset, and so is every path the action
+    expands; a path of ``bound`` arrows that survives fails the test.  The
+    equalities are imposed by all their two-sided multiples v (x - y) u."""
 
-    def _holds_zero(self, path):
-        zeros = [rel.left for rel in self.pres.relations if rel.kind == "zero"]
-        return any(path[i:i + len(z)] == z
-                   for z in zeros for i in range(len(path) - len(z) + 1))
+    def __init__(self, pres, bound):
+        self.bound = bound
+        super().__init__(pres)
 
     def _zero_free_paths(self):
         arrows = self.pres.quiver.arrows
@@ -140,30 +148,67 @@ class _AllOffsetBasis(PathBasis):
         frontier = [(b.name,) for v in self.pres.quiver.vertices
                     for b in self.pres.quiver.arrows_from(v)]
         while frontier:
-            survivors = [p for p in frontier if not self._holds_zero(p)]
+            survivors = [p for p in frontier if not _holds_zero(self.pres, p)]
             for p in survivors:
-                if len(p) >= self.length_bound:
-                    raise BoundExceeded(self.pres.name, p, self.length_bound)
+                assert len(p) < self.bound, f"{p} survives"
                 endpoints[p] = (arrows[p[0]].source, arrows[p[-1]].target)
             frontier = [p + (b.name,) for p in survivors
                         for b in self.pres.quiver.arrows_from(arrows[p[-1]].target)]
+        self._endpoints = endpoints
         return endpoints
 
+    def _equality_rows(self, index):
+        rows = []
+        for rel in self.pres.relations:
+            if rel.kind != "eq":
+                continue
+            src, tgt = self.pres.path_endpoints(rel.left)
+            pre = [()] + [v for v, ends in self._endpoints.items() if ends[1] == src]
+            post = [()] + [u for u, ends in self._endpoints.items() if ends[0] == tgt]
+            for v in pre:
+                for u in post:
+                    row = [0] * len(index)
+                    if v + rel.left + u in index:
+                        row[index[v + rel.left + u]] += 1
+                    if v + rel.right + u in index:
+                        row[index[v + rel.right + u]] -= 1
+                    if any(row):
+                        rows.append(row)
+        return rows
+
     def _reduce_path(self, path, source):
-        if self._holds_zero(path):
+        if _holds_zero(self.pres, path):
             return {}
         return super()._reduce_path(path, source)
 
 
-def _assert_same_basis(pres, length_bound=64):
+def _holds_zero(pres, path):
+    zeros = [rel.left for rel in pres.relations if rel.kind == "zero"]
+    return any(path[i:i + len(z)] == z
+               for z in zeros for i in range(len(path) - len(z) + 1))
+
+
+def _assert_same_basis(pres):
+    """A finite basis equals the reference's run one arrow past its longest
+    zero-free path; a path reported as repeating stays a zero-free path
+    with one to four more copies of its repeated stretch."""
     try:
-        basis = PathBasis(pres, length_bound)
+        basis = PathBasis(pres)
     except BoundExceeded as exc:
-        with pytest.raises(BoundExceeded) as ref_exc:
-            _AllOffsetBasis(pres, length_bound)
-        assert ref_exc.value.path == exc.path
+        path, arrows = exc.path, pres.quiver.arrows
+        w = max([1] + [len(r.left) - 1 for r in pres.relations if r.kind == "zero"])
+        earlier = [i for i in range(len(path) - w) if path[i:i + w] == path[-w:]]
+        assert earlier, f"{path} does not repeat its last {w} arrows"
+        stretch = exc.stretch
+        assert stretch in [path[i + w:] for i in earlier]
+        for copies in range(5):
+            longer = path + stretch * copies
+            assert all(arrows[a].target == arrows[b].source
+                       for a, b in zip(longer, longer[1:]))
+            assert not _holds_zero(pres, longer), (path, copies)
         return
-    reference = _AllOffsetBasis(pres, length_bound)
+    longest = max(map(len, basis.reduce), default=0)
+    reference = _AllOffsetBasis(pres, longest + 1)
     assert basis.classes == reference.classes
     assert basis.reduce == reference.reduce
     assert basis.act == reference.act
@@ -179,15 +224,16 @@ def test_suffix_zero_check_matches_all_offset_reference(r):
 @st.composite
 def _alg_texts(draw):
     """Small presentation files: random arrows, zero relations along
-    composable paths of length 1 to 3, and sometimes an equality.  Arrows
-    never lead to a lower vertex, so only loops can make the algebra
-    infinite-dimensional."""
+    composable paths of length 1 to 3, and sometimes an equality of two
+    parallel paths of length 1 or 2.  Arrows
+    lead to any vertex, so the quiver may hold cycles through several
+    vertices as well as loops."""
     n = draw(st.integers(min_value=1, max_value=4))
     lines = ["algebra H"] + [f"vertex v{i}" for i in range(n)]
     arrows = []
     for k in range(draw(st.integers(min_value=0, max_value=6))):
         src = draw(st.integers(0, n - 1))
-        tgt = draw(st.integers(src, n - 1))
+        tgt = draw(st.integers(0, n - 1))
         arrows.append((f"f{k}", src, tgt))
         letter = draw(st.sampled_from(["alpha", "beta"]))
         lines.append(f"arrow f{k} : {letter} v{src} -> v{tgt}")
@@ -201,14 +247,17 @@ def _alg_texts(draw):
                 path.append(draw(st.sampled_from(nexts)))
             # The file lists a path with its last-applied arrow first.
             lines.append("rel zero " + " ".join(a[0] for a in reversed(path)))
-        parallel = [(a, b) for a in arrows for b in arrows
-                    if a < b and a[1:] == b[1:]]
+        paths = [(a,) for a in arrows] + [(a, b) for a in arrows for b in arrows
+                                          if a[2] == b[1]]
+        parallel = [(p, q) for p in paths for q in paths
+                    if p < q and (p[0][1], p[-1][2]) == (q[0][1], q[-1][2])]
         if parallel and draw(st.booleans()):
-            a, b = draw(st.sampled_from(parallel))
-            lines.append(f"rel eq {a[0]} = {b[0]}")
+            p, q = draw(st.sampled_from(parallel))
+            lines.append("rel eq " + " ".join(a[0] for a in reversed(p)) + " = "
+                         + " ".join(a[0] for a in reversed(q)))
     return "\n".join(lines) + "\n"
 
 
 @given(_alg_texts())
 def test_suffix_zero_check_matches_reference_on_random_files(text):
-    _assert_same_basis(parse_presentation(text), length_bound=6)
+    _assert_same_basis(parse_presentation(text))
