@@ -27,14 +27,13 @@ _HOMES = {
     "presentation": "ParseError Presentation PresentationError Quiver Relation "
                     "emit_presentation parse_presentation",
     "pathbasis": "BoundExceeded PathBasis",
-    "families": "build_lambda build_lambda1prime build_subquiver_U family_from_spec",
+    "families": "build_lambda build_lambda1prime family_from_spec",
     "reps": "Algebra InvalidString ModuleMap Representation RepresentationError "
             "StringWord direct_sum random_module string_module",
     "homology": "CoverData PdReport certified_iso cokernel_of hom_basis "
                 "kernel_of projdim projective_cover radical radical_filtration "
                 "split_off syzygy",
-    "decomp": "CertificateFailure IntervalSummand Lemma2Split NotPathQuiver "
-              "interval_decompose lemma2_split strip_pc2 xset",
+    "decomp": "CertificateFailure Lemma2Split lemma2_split xset",
     "witnesses": "build_U build_Z build_Zt build_phi",
     "claims": "CLAIMS ClaimReport ConfigError FamilyConfig run_claim",
 }

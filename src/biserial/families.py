@@ -33,7 +33,7 @@ Vertex names are ASCII: ``a0``, ``bm1`` for the index -1, ``d3``, ``u``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .presentation import ALPHA, BETA, Arrow, Presentation, PresentationError, Quiver
 
@@ -119,16 +119,17 @@ def _relations(quiver: Quiver) -> List:
     for a in quiver.arrows.values():
         if a.source == a.target:
             rels.append(Relation("zero", (a.name, a.name)))
-    # Shortest parallel pair of letter powers at each vertex.
+    # Shortest parallel pair of letter powers at each vertex: the least
+    # (i, j) is the first alpha step that some beta step meets, with the
+    # first beta step to meet it.
     for v in quiver.vertices:
         alphas = _letter_chain(quiver, v, ALPHA)
         betas = _letter_chain(quiver, v, BETA)
-        best: Optional[Tuple[int, int]] = None
-        for i, x in enumerate(alphas, start=1):
-            for j, y in enumerate(betas, start=1):
-                if x.target == y.target and x.target != v:
-                    if best is None or (i, j) < best:
-                        best = (i, j)
+        first_beta: Dict[str, int] = {}
+        for j, y in enumerate(betas, start=1):
+            first_beta.setdefault(y.target, j)
+        best = next(((i, first_beta[x.target]) for i, x in enumerate(alphas, start=1)
+                     if x.target != v and x.target in first_beta), None)
         if best is not None:
             n, k = best
             rels.append(Relation("eq",
@@ -171,12 +172,6 @@ def build_lambda1prime(r: int) -> Presentation:
     """The level-2 algebra with the vertices ``a2`` and ``b2`` deleted."""
     base = build_lambda(r, 2)
     return base.delete_vertices(["a2", "b2"], f"lambda1prime_r{r}")
-
-
-def build_subquiver_U() -> List[str]:
-    """Vertices of the type-A path subquiver used by the splitting lemma,
-    listed in path order."""
-    return ["d0", "a1", "a0", "c1", "c2", "b1"]
 
 
 def family_from_spec(spec: str) -> Presentation:

@@ -35,14 +35,14 @@ search are only "no isomorphism found" -- except when the dimension
 vectors differ or Hom(M, N) is zero, which are sound; ``decide_iso``
 tells the two apart.  The Hom system of an iso question is solved once.
 A combination of a Hom basis is one ``hom_combination``, with no map per
-basis element: ``decide_iso``'s candidates, ``solve_retraction``, and the
-random maps of ``witnesses.random_extension`` (coefficients drawn from a
-pool by ``random_hom_combination``).  Only this module reads the Hom
-kernel (``_hom_kernel``, or by Yoneda ``_projective_hom_kernel`` out of a
-projective, for ``reps.random_module``): those, ``hom_basis``,
+basis element: ``decide_iso``'s candidates, ``_retraction``'s solution,
+and the random maps of ``witnesses.random_extension`` (coefficients drawn
+from a pool by ``random_hom_combination``).  Only this module reads the
+Hom kernel (``_hom_kernel``, or by Yoneda ``_projective_hom_kernel`` out
+of a projective, for ``reps.random_module``): those, ``hom_basis``,
 ``hom_dim``, and ``split_off``, the one summand peel: it solves Hom(M, N)
 once and tries one basis section at a time against it with
-``_retraction``, the one retraction search, also behind ``solve_retraction``.
+``_retraction``, the one retraction search.
 """
 
 from __future__ import annotations
@@ -430,17 +430,12 @@ def random_hom_combination(source: Representation, target: Representation,
     return hom_combination(source, target, hom, [rng.choice(pool) for _ in range(hom[0].cols)])
 
 
-def solve_retraction(embed: ModuleMap) -> Optional[ModuleMap]:
-    """A module map r with r o embed = id on embed's source, if one exists:
-    the ``hom_combination`` of a solution c of sum_k c_k (h_k o embed) = id,
-    each h_k o embed read off the Hom kernel with no map built for it."""
-    return _retraction(embed, _hom_kernel(embed.target, embed.source))
-
-
 def _retraction(embed: ModuleMap, hom: Tuple[Matrix, Dict[str, int]]
                 ) -> Optional[ModuleMap]:
-    """``solve_retraction`` with the Hom kernel of (embed.target,
-    embed.source) already solved as ``hom``."""
+    """A module map r with r o embed = id on embed's source, if one exists,
+    given ``hom``, the solved Hom kernel of (embed.target, embed.source):
+    the ``hom_combination`` of a solution c of sum_k c_k (h_k o embed) = id,
+    each h_k o embed read off the kernel with no map built for it."""
     M, N = embed.target, embed.source
     kernel, offsets = hom
     if not kernel.cols:
@@ -547,7 +542,7 @@ def split_off(part: Representation, module: Representation) -> Optional[Split]:
     s_k has a retraction p, the residue map lambda: End(N) -> k gives
     sum_k a_k lambda(p o s_k) = 1, so some p o s_k is a unit u, and
     u^-1 o p retracts s_k.  Each s_k, in kernel-column order, meets
-    ``solve_retraction``'s search against one solved Hom(M, N); only the
+    ``_retraction``'s search against one solved Hom(M, N); only the
     first that splits gets its complement.
     """
     kernel, offsets = _hom_kernel(part, module)

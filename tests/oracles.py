@@ -3,11 +3,12 @@
 public types.
 
 Matrix and module-map arithmetic, direct-sum structure maps, inflation
-and restriction along a full subquiver, top dimensions and a cover check,
-a random extension taken as the cokernel of a map into an assembled sum,
-an associativity spot check of a path basis, structural equality of
-presentations, the direct system's connecting maps with their kept walk
-prefixes written out, and a claim batch runner.  Tests build inputs with
+and restriction along a full subquiver, the interval modules of a path
+quiver, top dimensions and a cover check, a random extension taken as
+the cokernel of a map into an assembled sum, an associativity spot check
+of a path basis, structural equality of presentations, the direct
+system's connecting maps with their kept walk prefixes written out, and
+a claim batch runner.  Tests build inputs with
 them and check the package's answers against them.
 """
 
@@ -137,6 +138,18 @@ def restrict(module: Representation, small: Algebra) -> Representation:
     dims = {v: module.dims[v] for v in small.vertices}
     mats = {name: module.mats[name] for name in small.pres.quiver.arrows}
     return Representation(small, dims, mats)
+
+
+def interval_module(algebra: Algebra, order: List[str], lo: int, hi: int
+                    ) -> Representation:
+    """The thin module of a path quiver through ``order``, supported on
+    order[lo..hi] with identity maps; RepresentationError if the
+    algebra's relations rule it out."""
+    dims = {v: int(lo <= order.index(v) <= hi) for v in order}
+    mats = {a.name: Matrix.identity(algebra.field, 1)
+            for a in algebra.pres.quiver.arrows.values()
+            if dims[a.source] and dims[a.target]}
+    return Representation(algebra, dims, mats)
 
 
 # -- covers ------------------------------------------------------------------

@@ -223,10 +223,12 @@ def test_module_split_over_a_cut_algebra(cut, tmp_path, capsys):
     assert json.loads(captured.out)["certificate_checksum"]
 
 
-@pytest.mark.parametrize("cut", ["a1", "d0"])
-def test_module_split_over_a_broken_path_names_the_missing_vertex(cut, tmp_path, capsys):
-    # Without a vertex of the path U = d0 - a1 - a0 - c1 - c2 - b1 the
-    # split's interval layer has no path to read: an input error.
+@pytest.mark.parametrize("cut, missing", [("a1", "unknown arrow 'al_a1_d0'"),
+                                          ("d0", "unknown base vertex 'd0'")], ids=["a1", "d0"])
+def test_module_split_over_a_cut_algebra_names_the_broken_c2_string(cut, missing,
+                                                                   tmp_path, capsys):
+    # Without a1 or d0 the first c2-string is no module, and Lemma 2's
+    # split has no part to peel for it: an input error.
     base = build_lambda1prime(2)
     pres = base.delete_vertices([cut], base.name)
     alg = tmp_path / "cut.alg"
@@ -236,14 +238,15 @@ def test_module_split_over_a_broken_path_names_the_missing_vertex(cut, tmp_path,
     assert main(["module", "split", "--algebra", str(alg), str(mod)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: lambda1prime_r2|U is not the path"
-                            f" d0 - a1 - a0 - c1 - c2 - b1: no vertex {cut}\n")
+    assert captured.err == (
+        "error: lambda1prime_r2: c2-string 1, StringWord(d0 [ al_a1_d0^-1 be_a1_a0^+1"
+        f" al_c1_a0^-1 al_c2_c1^-1 be_c2_b1^+1 ]), is not a module: {missing}\n")
 
 
 @pytest.mark.parametrize("broken", ["no vertex a1", "no amalgam relation at c2"])
 def test_module_split_of_a_c2_free_module_still_checks_the_algebra(broken, tmp_path, capsys):
     # A c2-free module is its own M', but only over an algebra that Lemma 2's
-    # split can read: with the path U cut or c2's amalgam relation gone,
+    # split can read: with a c2-string cut or c2's amalgam relation gone,
     # it is an input error as for any module.
     base = build_lambda1prime(2)
     if broken == "no vertex a1":
@@ -259,7 +262,9 @@ def test_module_split_of_a_c2_free_module_still_checks_the_algebra(broken, tmp_p
     assert main(["module", "split", "--algebra", str(alg), str(mod)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(f"{broken}\n")
+    message = {"no vertex a1": "is not a module: unknown arrow 'al_a1_d0'"}.get(broken, broken)
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, checksum", [
@@ -268,7 +273,8 @@ def test_module_split_of_a_c2_free_module_still_checks_the_algebra(broken, tmp_p
     ids=["off U", "on U"])
 def test_module_split_of_a_c2_free_module_is_certified_by_the_identity(
         text, checksum, tmp_path, capsys):
-    # Off U and, in a basis the interval peel would re-base, on U.
+    # Off the path U = d0 - a1 - a0 - c1 - c2 - b1 and, in a basis that is
+    # not the identity's, on it.
     path = tmp_path / "c2_free.mod"
     path.write_text(f"module S over lambda1prime_r2\nraw\n{text}")
     assert main(["module", "split", str(path), "--algebra", "lambda1prime:r=2",
@@ -284,7 +290,8 @@ def test_module_split_outside_lemma_2_is_inconclusive(z3_file, capsys):
     assert main(["module", "split", z3_file, "--algebra", "lambda:r=1,m=3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "certificate failure: final splitting certificate failed\n"
+    assert captured.err == ("certificate failure: a c2 component of dimension 1 is left"
+                            " after peeling P(c2) and the ten c2-strings\n")
 
 
 ALL_PARTS_MOD = """\
@@ -304,7 +311,7 @@ sum X P Y U X
 
 @pytest.mark.parametrize("field", ["q", "fp:101"])
 def test_module_split_with_every_part_is_pinned(field, tmp_path, capsys):
-    # X twice, one P(c2), and an M' with intervals on U and a vertex off it.
+    # X twice, one P(c2), and an M' with a string on U and a vertex off it.
     path = tmp_path / "all_parts.mod"
     path.write_text(ALL_PARTS_MOD)
     assert main(["module", "split", str(path), "--algebra", "lambda1prime:r=2",
@@ -316,23 +323,20 @@ def test_module_split_with_every_part_is_pinned(field, tmp_path, capsys):
     assert rec["m_prime_dims"] == [["a1", 1], ["d0", 1], ["u", 1]]
 
 
-def test_module_split_with_a_corrupt_interval_piece_is_inconclusive(
+def test_module_split_with_a_corrupt_peeled_section_is_inconclusive(
         tmp_path, monkeypatch, capsys):
-    # The interval layer certifies nothing itself: embed the second X copy
-    # as the first, and the final certificate catches it.
+    # The peels certify nothing themselves: embed the second X copy as the
+    # first, and the final certificate catches it.
     from biserial import decomp
 
-    real = decomp.interval_decompose
+    real = decomp.assemble_sum_map
 
-    def corrupt(module, order):
-        dec = real(module, order)
-        c2 = order.index("c2")
-        first, second = [k for k, ((lo, hi), _) in enumerate(dec.pieces) if lo <= c2 <= hi]
-        pieces = list(dec.pieces)
-        pieces[second] = (pieces[second][0], pieces[first][1])
-        return dec._replace(pieces=pieces)
+    def corrupt(maps, target):
+        first, second, *rest = maps
+        assert first.source.dims == second.source.dims and first is not second
+        return real([first, first, *rest], target)
 
-    monkeypatch.setattr(decomp, "interval_decompose", corrupt)
+    monkeypatch.setattr(decomp, "assemble_sum_map", corrupt)
     path = tmp_path / "all_parts.mod"
     path.write_text(ALL_PARTS_MOD)
     assert main(["module", "split", str(path), "--algebra", "lambda1prime:r=2"]) == 3
@@ -658,7 +662,7 @@ def test_every_input_error_derives_from_input_error():
     from biserial.modfiles import ModuleFileError
 
     names = ["FieldError", "PresentationError", "ParseError", "BoundExceeded",
-             "RepresentationError", "InvalidString", "ConfigError", "NotPathQuiver"]
+             "RepresentationError", "InvalidString", "ConfigError"]
     for cls in [UsageError, ModuleFileError, *(getattr(biserial, n) for n in names)]:
         assert issubclass(cls, InputError), cls
     assert not issubclass(biserial.CertificateFailure, InputError)

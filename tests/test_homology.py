@@ -7,22 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biserial import homology
-from biserial.decomp import interval_module, u_algebra, xset
+from biserial.decomp import xset
 from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
 from biserial.fields import QQ, PrimeField
 from biserial.homology import (certified_iso, cokernel_of, decide_iso,
                                hom_basis, hom_combination, kernel_of,
                                projdim, projective_cover, radical,
                                random_hom_combination, record_digest,
-                               solve_retraction, split_off, syzygy)
+                               split_off, syzygy)
 from biserial.matrices import Matrix
 from biserial.presentation import parse_presentation
 from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationError,
                            StringWord, assemble_sum_map, direct_sum,
                            random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, zt_walk
-from oracles import (cover_map, direct_sum_maps, from_rows, map_add, map_inverse,
-                     map_scale, scale, top_dims, verify_cover)
+from oracles import (cover_map, direct_sum_maps, from_rows, interval_module, map_add,
+                     map_inverse, map_scale, scale, top_dims, verify_cover)
 
 
 def brute_force_intertwiner_count(m, n):
@@ -857,11 +857,15 @@ def _typed_mats(f):
 @functools.lru_cache(maxsize=None)
 def _split_pair_bricks(name, field):
     """The bricks of one algebra: its simples, or for "U" every interval
-    module of ``u_algebra(lambda1prime(1))`` that its relations allow."""
+    module that its relations allow over lambda1prime(1) restricted to the
+    path U = d0 - a1 - a0 - c1 - c2 - b1."""
     if name != "U":
         algebra = _combination_algebra(name, field)
         return algebra, [algebra.simple(v) for v in algebra.vertices]
-    algebra, order = u_algebra(_combination_algebra("lambda1prime(1)", field))
+    order = ["d0", "a1", "a0", "c1", "c2", "b1"]
+    pres = build_lambda1prime(1)
+    algebra = Algebra(pres.delete_vertices(set(pres.quiver.vertices) - set(order), "U"),
+                      field=QQ if field is None else PrimeField(field))
     bricks = []
     for lo in range(len(order)):
         for hi in range(lo, len(order)):
@@ -905,7 +909,8 @@ def test_split_pair_solves_each_hom_space_once(monkeypatch):
     brick = bricks[4]
     module = direct_sum(algebra, [random_module(algebra, seed=4, budget=12), brick])
     sections = hom_basis(brick, module)
-    assert len(sections) == 3 and solve_retraction(sections[0]) is None
+    assert len(sections) == 3
+    assert homology._retraction(sections[0], homology._hom_kernel(module, brick)) is None
     calls = []
     real = homology._hom_kernel
 
@@ -925,13 +930,14 @@ def test_split_pair_solves_each_hom_space_once(monkeypatch):
 def _claim_parts(field):
     """The indecomposables the claims build their modules from, over
     ``lambda(2, 3)``: the simples, P(a0), P(b0), P(c0), P(u) and the strings
-    of Z_1..Z_3 and Z_t(1..3, 2); then the ten c2-strings of ``xset`` over
-    ``lambda1prime(2)``."""
+    of Z_1..Z_3 and Z_t(1..3, 2); then P(c2) and the ten c2-strings of
+    ``xset`` over ``lambda1prime(2)``, the parts of Lemma 2's peel."""
     alg = _combination_algebra("lambda(2, 3)", field)
     parts = [alg.simple(v) for v in alg.vertices]
     parts += [alg.projective(v) for v in ("a0", "b0", "c0", "u")]
     parts += [string_module(alg, zt_walk(m, t)) for t in (1, 2) for m in (1, 2, 3)]
-    return parts + xset(_combination_algebra("lambda1prime(2)", field))
+    alg_p = _combination_algebra("lambda1prime(2)", field)
+    return parts + [alg_p.projective("c2"), *xset(alg_p)]
 
 
 def test_claim_parts_have_local_endomorphism_rings():

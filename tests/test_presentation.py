@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from biserial.families import (build_lambda, build_lambda1prime,
-                               build_subquiver_U, certify_tower,
-                               family_from_spec, lambda_vertices)
+from biserial.families import (_letter_chain, build_lambda, build_lambda1prime,
+                               certify_tower, family_from_spec, lambda_vertices)
 from biserial.presentation import (ALPHA, Arrow, BETA, ParseError,
                                    Presentation, PresentationError, Quiver,
                                    Relation, emit_presentation, logical_lines,
@@ -209,9 +208,8 @@ def test_at_most_one_alpha_leaves_each_vertex():
 
 
 def test_subquiver_U():
-    u = build_subquiver_U()
-    assert len(u) == 6
-    assert set(u) == {"d0", "a1", "a0", "c1", "c2", "b1"}
+    # The ten c2-strings of Lemma 2 live on the path U.
+    u = ["d0", "a1", "a0", "c1", "c2", "b1"]
     lp = build_lambda1prime(1)
     assert set(u) <= set(lp.quiver.vertices)
     # The full subquiver on U is a path: every vertex has degree <= 2 and
@@ -224,6 +222,26 @@ def test_subquiver_U():
         degree[a.source] += 1
         degree[a.target] += 1
     assert sorted(degree.values()) == [1, 1, 2, 2, 2, 2]
+
+
+def test_amalgam_relations_pair_the_shortest_letter_powers():
+    # Against a search over every pair (i, j) of alpha and beta chain steps
+    # at each vertex for the least one that meets away from the vertex.
+    for r in (1, 2, 3):
+        for m in range(25):
+            pres = build_lambda(r, m)
+            expected = []
+            for v in pres.quiver.vertices:
+                alphas = _letter_chain(pres.quiver, v, ALPHA)
+                betas = _letter_chain(pres.quiver, v, BETA)
+                pairs = [(i, j) for i in range(1, len(alphas) + 1)
+                         for j in range(1, len(betas) + 1)
+                         if alphas[i - 1].target == betas[j - 1].target != v]
+                if pairs:
+                    i, j = min(pairs)
+                    expected.append(Relation("eq", tuple(a.name for a in alphas[:i]),
+                                             tuple(b.name for b in betas[:j])))
+            assert [rel for rel in pres.relations if rel.kind == "eq"] == sorted(expected)
 
 
 def test_lambda1prime_keeps_full_chain():

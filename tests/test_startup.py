@@ -23,15 +23,13 @@ PUBLIC_NAMES = [
     "QQ", "FieldError", "PrimeField", "field_from_spec", "Matrix",
     "ParseError", "Presentation", "PresentationError", "Quiver", "Relation",
     "emit_presentation", "parse_presentation", "BoundExceeded", "PathBasis",
-    "build_lambda", "build_lambda1prime", "build_subquiver_U",
-    "family_from_spec", "Algebra", "InvalidString", "ModuleMap",
-    "Representation", "RepresentationError", "StringWord", "direct_sum",
-    "random_module", "string_module",
+    "build_lambda", "build_lambda1prime", "family_from_spec", "Algebra",
+    "InvalidString", "ModuleMap", "Representation", "RepresentationError",
+    "StringWord", "direct_sum", "random_module", "string_module",
     "CoverData", "PdReport", "certified_iso", "cokernel_of", "hom_basis",
     "split_off", "kernel_of", "projdim", "projective_cover",
-    "radical", "syzygy", "CertificateFailure", "IntervalSummand",
-    "Lemma2Split", "NotPathQuiver", "interval_decompose", "lemma2_split",
-    "strip_pc2", "xset", "build_U", "build_Z", "build_Zt", "build_phi",
+    "radical", "syzygy", "CertificateFailure", "Lemma2Split", "lemma2_split",
+    "xset", "build_U", "build_Z", "build_Zt", "build_phi",
     "CLAIMS", "ClaimReport", "FamilyConfig", "run_claim", "InputError",
 ]
 
@@ -127,21 +125,21 @@ def test_digesting_commands_load_no_hashlib(tmp_path):
 
 
 def test_lazy_layer_errors_exit_2_in_a_fresh_process(tmp_path):
-    # ConfigError comes from the claim catalog, NotPathQuiver from the
-    # splitting layer; neither is loaded before the command runs.
+    # ConfigError comes from the claim catalog, the broken c2-string from
+    # the splitting layer; neither is loaded before the command runs.
     proc, err, _ = _run(["verify", "lemma-2", "--samples", "-1"], tmp_path)
     assert proc.returncode == 2
     assert err == "error: samples must be nonnegative"
-    # lambda1prime(1) with one more arrow between two vertices of the
-    # splitting's path subquiver, which is then no longer a path.
-    text = emit_presentation(biserial.build_lambda1prime(1)).replace(
-        "arrow al_b0_bm1", "arrow x : alpha d0 -> b1\narrow al_b0_bm1")
-    (tmp_path / "npq.alg").write_text(text)
+    # lambda1prime(1) without the arrow a1 -> d0, the first c2-string's
+    # first letter.
+    text = "".join(line for line in emit_presentation(biserial.build_lambda1prime(1))
+                   .splitlines(keepends=True) if "al_a1_d0" not in line)
+    (tmp_path / "cut.alg").write_text(text)
     (tmp_path / "s.mod").write_text("module s over lambda1prime_r1\nraw\ndim c2 1\n")
-    proc, err, _ = _run(["module", "split", "--algebra", "npq.alg", "s.mod"], tmp_path)
+    proc, err, _ = _run(["module", "split", "--algebra", "cut.alg", "s.mod"], tmp_path)
     assert proc.returncode == 2
-    assert err == ("error: lambda1prime_r1|U is not the path d0 - a1 - a0 - c1 - c2 - b1:"
-                   " its arrows do not join consecutive vertices")
+    assert err.startswith("error: lambda1prime_r1: c2-string 1, StringWord(d0 [ ")
+    assert err.endswith("]), is not a module: unknown arrow 'al_a1_d0'")
 
 
 def test_cli_still_exposes_its_lazily_imported_names():
@@ -150,6 +148,6 @@ def test_cli_still_exposes_its_lazily_imported_names():
     import biserial.decomp
 
     assert cli.run_claim is biserial.claims.run_claim
-    assert cli.NotPathQuiver is biserial.decomp.NotPathQuiver
+    assert cli.CertificateFailure is biserial.decomp.CertificateFailure
     with pytest.raises(AttributeError):
         cli.no_such_name
