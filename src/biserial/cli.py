@@ -61,8 +61,9 @@ class _ClaimIdsHelp(str):
 
 
 def _load_presentation(spec: str):
-    """A presentation file path, or, when no file has that name, a family
-    spec like ``lambda:r=1,m=3``."""
+    """ALGEBRA, as ``module --algebra`` and every ``algebra`` subcommand
+    read it: a presentation file path, or, when no file has that name, a
+    family spec like ``lambda:r=1,m=3``."""
     if not os.path.isfile(spec) and (":" in spec or spec in ("lambda", "lambda1prime")):
         from .families import family_from_spec
 
@@ -88,19 +89,6 @@ def _algebra(pres, args) -> Algebra:
     return Algebra(pres, field=args.coefficients)
 
 
-def _family_presentation(args):
-    if args.family is None:  # argparse has checked any given family name
-        raise UsageError(f"algebra {args.algebra_cmd} needs a presentation FILE or --family")
-    if args.family == "lambda" and args.m is None:
-        raise UsageError("family 'lambda' needs --m")
-    if args.family == "lambda1prime" and args.m is not None:
-        raise UsageError("family 'lambda1prime' takes no --m")
-    m = f",m={args.m}" if args.family == "lambda" else ""
-    from .families import family_from_spec
-
-    return family_from_spec(f"{args.family}:r={args.r}{m}")
-
-
 def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -122,18 +110,14 @@ def _resolve_module(path: str, algebra: Algebra):
 
 
 def cmd_algebra(args) -> int:
-    if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as fh:
-            pres = parse_presentation(fh.read())
-    else:
-        pres = _family_presentation(args)
+    pres = _load_presentation(args.algebra)
 
     if args.algebra_cmd == "parse":
         print(f"ok: {pres.name}: {len(pres.quiver.vertices)} vertices, "
               f"{len(pres.quiver.arrows)} arrows, {len(pres.relations)} relations")
         return EXIT_OK
 
-    if args.algebra_cmd == "emit" or getattr(args, "emit", False):
+    if args.algebra_cmd == "emit":
         _write(emit_presentation(pres), args.output)
         return EXIT_OK
 
@@ -337,6 +321,9 @@ def cmd_verify(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+ALGEBRA_HELP = "family spec like lambda:r=1,m=3 or a file path"
+
+
 def _add_common(parser, seed=False, cutoff=False, trials=False):
     parser.add_argument("--field", default="q",
                         help="coefficient field: q or fp:<p> (default q)")
@@ -360,42 +347,28 @@ def build_parser() -> argparse.ArgumentParser:
     alg = sub.add_parser("algebra", help="presentations and projectives")
     alg_sub = alg.add_subparsers(dest="algebra_cmd", required=True)
 
-    p = alg_sub.add_parser("build", help="generate a family presentation")
-    p.add_argument("--family", required=True, choices=["lambda", "lambda1prime"])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--emit", action="store_true",
-                   help="print the presentation file instead of a summary")
-    p.add_argument("-o", "--output", default=None)
+    p = alg_sub.add_parser("build", help="build an algebra and print its dimension")
+    p.add_argument("algebra", help=ALGEBRA_HELP)
     _add_common(p)
 
-    p = alg_sub.add_parser("parse", help="validate a presentation file")
-    p.add_argument("file")
-    # Presentations are field-independent; the flag is accepted for
-    # uniformity across subcommands.
+    # Presentations are field-independent; parse, emit and dot accept the
+    # flag for uniformity across subcommands.
+    p = alg_sub.add_parser("parse", help="validate a presentation")
+    p.add_argument("algebra", help=ALGEBRA_HELP)
     p.add_argument("--field", default="q", help=argparse.SUPPRESS)
 
     p = alg_sub.add_parser("emit", help="canonical presentation text")
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--family", choices=["lambda", "lambda1prime"])
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("algebra", help=ALGEBRA_HELP)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--field", default="q", help=argparse.SUPPRESS)
 
     p = alg_sub.add_parser("projectives", help="projective shapes table")
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--family", choices=["lambda", "lambda1prime"])
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("algebra", help=ALGEBRA_HELP)
     p.add_argument("--structured", action="store_true")
     _add_common(p)
 
     p = alg_sub.add_parser("dot", help="quiver drawing in DOT")
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--family", choices=["lambda", "lambda1prime"])
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("algebra", help=ALGEBRA_HELP)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--field", default="q", help=argparse.SUPPRESS)
 
@@ -404,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = mod_sub.add_parser("pd", help="projective dimension report")
     p.add_argument("file")
-    p.add_argument("--algebra", required=True,
-                   help="family spec like lambda:r=1,m=3 or a file path")
+    p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
     p.add_argument("--strict", action="store_true",
                    help="exit 3 on an inconclusive verdict")
     p.add_argument("--structured", action="store_true")

@@ -175,22 +175,30 @@ def build_lambda1prime(r: int) -> Presentation:
 
 
 def family_from_spec(spec: str) -> Presentation:
-    """Build a family member from a compact spec like ``lambda:r=1,m=3``."""
+    """Build a family member from a compact spec like ``lambda:r=1,m=3``:
+    ``lambda`` takes r and m, ``lambda1prime`` takes r, each exactly once."""
     name, _, args = spec.partition(":")
     params: Dict[str, int] = {}
     if args:
         for piece in args.split(","):
             key, _, val = piece.partition("=")
+            key = key.strip()
             try:
-                params[key.strip()] = int(val)
+                value = int(val)
             except ValueError as exc:
                 raise PresentationError(f"bad family parameter {piece!r}") from exc
-    if name == "lambda":
-        if set(params) != {"r", "m"}:
-            raise PresentationError("family 'lambda' needs parameters r and m")
-        return build_lambda(params["r"], params["m"])
-    if name == "lambda1prime":
-        if set(params) != {"r"}:
-            raise PresentationError("family 'lambda1prime' needs parameter r")
-        return build_lambda1prime(params["r"])
-    raise PresentationError(f"unknown family {name!r}")
+            if key in params:
+                raise PresentationError(f"family parameter {key!r} given twice")
+            params[key] = value
+    families = {"lambda": (build_lambda, ("r", "m")),
+                "lambda1prime": (build_lambda1prime, ("r",))}
+    if name not in families:
+        raise PresentationError(f"unknown family {name!r}")
+    build, wanted = families[name]
+    extra = [repr(k) for k in params if k not in wanted]
+    missing = [repr(k) for k in wanted if k not in params]
+    problems = [f"{verb} parameter{'s' * (len(keys) > 1)} {', '.join(keys)}"
+                for verb, keys in (("takes no", extra), ("needs", missing)) if keys]
+    if problems:
+        raise PresentationError(f"family {name!r} {' and '.join(problems)}")
+    return build(*(params[k] for k in wanted))

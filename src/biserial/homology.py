@@ -23,7 +23,7 @@ certifies it.
 A cover is the free module on its generators' vertices, and its basis,
 the (summand, path class) pairs, is ``Algebra.free_basis``: the cover
 map and the syzygy both read that one layout (see ``projective_cover``),
-and the cover's own matrices are built only when asked for.  The one
+and the cover's own matrices are never built.  The one
 cokernel, ``_cokernel``, reads the maps and the target's arrows on the
 chosen columns, so no end need exist as a module: ``cokernel_of`` adds
 the projection map, and the random samples act on free columns by
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 import random
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Matrix
@@ -183,29 +183,17 @@ def _cokernel(algebra, dims: Dict[str, int], f_mats: Dict[str, Matrix],
 # -- covers and syzygies -----------------------------------------------------
 
 
-class CoverData:
-    """Minimal projective cover of a module with its syzygy.
+class CoverData(NamedTuple):
+    """Minimal projective cover of a module, as ``projective_cover`` finds
+    it: the syzygy, the vertex of each generator (``tops``), and the
+    vertexwise matrices of the cover map and of the syzygy's inclusion,
+    both on the columns of ``Algebra.free_basis(tops)``.  The cover itself
+    is never built: the pd chain reads only ``syzygy``."""
 
-    ``cover`` and ``inclusion`` are built on first access, from the vertex
-    of each generator (``tops``) and the vertexwise matrices: the pd chain
-    reads only ``syzygy``.
-    """
-
-    def __init__(self, module: Representation, syzygy: Representation, tops: List[str],
-                 cover_mats: Dict[str, Matrix], inclusion_mats: Dict[str, Matrix]):
-        self.module = module
-        self.syzygy = syzygy
-        self.tops = tops
-        self.cover_mats = cover_mats
-        self.inclusion_mats = inclusion_mats
-
-    @cached_property
-    def cover(self) -> Representation:
-        return self.module.algebra._free_module(self.tops)
-
-    @cached_property
-    def inclusion(self) -> ModuleMap:
-        return ModuleMap(self.syzygy, self.cover, self.inclusion_mats)
+    syzygy: Representation
+    tops: List[str]
+    cover_mats: Dict[str, Matrix]
+    inclusion_mats: Dict[str, Matrix]
 
 
 def projective_cover(module: Representation) -> CoverData:
@@ -231,7 +219,7 @@ def projective_cover(module: Representation) -> CoverData:
     syzygy_rep, inclusion_mats = _kernel(
         algebra, {v: len(rows) for v, rows in free.items()}, cover_mats,
         lambda a, kernel: algebra.free_action(free, a, kernel))
-    return CoverData(module, syzygy_rep, tops, cover_mats, inclusion_mats)
+    return CoverData(syzygy_rep, tops, cover_mats, inclusion_mats)
 
 
 def map_from_projectives(module: Representation, generators: List[Tuple[str, int]],

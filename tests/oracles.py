@@ -161,25 +161,27 @@ def top_dims(module: Representation) -> Dict[str, int]:
     return {v: module.dims[v] - rad.dims[v] for v in module.algebra.vertices}
 
 
-def cover_map(cover: CoverData) -> ModuleMap:
-    """The map from the cover, built in full, onto its module."""
-    return ModuleMap(cover.cover, cover.module, cover.cover_mats)
+def cover_maps(module: Representation, cover: CoverData) -> Tuple[ModuleMap, ModuleMap]:
+    """The map from the cover P onto ``module`` and the syzygy's inclusion
+    into P, with P, the free module on ``cover.tops``, built in full."""
+    free = module.algebra._free_module(cover.tops)
+    return (ModuleMap(free, module, cover.cover_mats),
+            ModuleMap(cover.syzygy, free, cover.inclusion_mats))
 
 
-def verify_cover(cover: CoverData) -> bool:
+def verify_cover(module: Representation, cover: CoverData) -> bool:
     """Surjectivity, exactness of dims, and cover minimality."""
-    m = cover.module
-    onto = cover_map(cover)
-    for v in m.algebra.vertices:
-        if onto.mats[v].rank() != m.dims[v]:
+    onto, inclusion = cover_maps(module, cover)
+    for v in module.algebra.vertices:
+        if onto.mats[v].rank() != module.dims[v]:
             return False
-        if cover.cover.dims[v] - cover.syzygy.dims[v] != m.dims[v]:
+        if onto.source.dims[v] - cover.syzygy.dims[v] != module.dims[v]:
             return False
-    if not onto.is_morphism() or not cover.inclusion.is_morphism():
+    if not onto.is_morphism() or not inclusion.is_morphism():
         return False
-    if not onto.compose(cover.inclusion).is_zero():
+    if not onto.compose(inclusion).is_zero():
         return False
-    return top_dims(cover.cover) == top_dims(m)
+    return top_dims(onto.source) == top_dims(module)
 
 
 def random_extension(algebra: Algebra, base: Representation,
@@ -189,7 +191,7 @@ def random_extension(algebra: Algebra, base: Representation,
     of the cover's projectives and ``base``."""
     cover = projective_cover(top)
     g = random_hom_combination(cover.syzygy, base, rng, (-1, 0, 0, 1))
-    total = direct_sum(algebra, [cover.cover, base])
+    total = direct_sum(algebra, [cover_maps(top, cover)[0].source, base])
     mats = {v: cover.inclusion_mats[v].vstack(-g.mats[v])
             for v, d in cover.syzygy.dims.items() if d}
     return cokernel_of(ModuleMap(cover.syzygy, total, mats))[0]

@@ -23,7 +23,8 @@ from biserial.presentation import (ALPHA, BETA, Arrow, Presentation, Quiver,
 from biserial.reps import Algebra, direct_sum, random_module
 from biserial.witnesses import (build_U, build_Z, build_Zt, build_phi,
                                 sample_finite_pd_modules)
-from oracles import column, map_inverse, structurally_equal, top_dims, verify_cover
+from oracles import (column, cover_maps, map_inverse, structurally_equal, top_dims,
+                     verify_cover)
 
 F101 = PrimeField(101)
 
@@ -216,12 +217,12 @@ def _cover_case(algebras, seed) -> bool:
     for alg in (alg_q, alg_p):
         module = random_module(alg, seed=seed, budget=16)
         cover = projective_cover(module)
-        ok &= verify_cover(cover)
+        free = cover_maps(module, cover)[0].source
+        ok &= verify_cover(module, cover)
         for v in alg.vertices:
-            ok &= module.dims[v] == cover.cover.dims[v] - cover.syzygy.dims[v]
-        ok &= top_dims(cover.cover) == top_dims(module)
-        dims[alg.field.name] = (module.dims, cover.cover.dims,
-                                cover.syzygy.dims)
+            ok &= module.dims[v] == free.dims[v] - cover.syzygy.dims[v]
+        ok &= top_dims(free) == top_dims(module)
+        dims[alg.field.name] = (module.dims, free.dims, cover.syzygy.dims)
     # Field independence: identical seeds produce identical shapes.
     ok &= dims["q"] == dims["fp:101"]
     return ok

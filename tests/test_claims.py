@@ -205,6 +205,23 @@ def _pinned(args, digest, code, name):
     _pinned(["lemma-2", "corollary-3", "syzygy-descent", "--r", "2", "--m-max", "5",
              "--samples", "100", "--max-dim", "60", "--field", "fp:101", "--seed", "3"],
             "cb1cb6dd6f155166", 0, "sampling-fp101"),
+    # The sampling claims over GF(2) and Q at other sizes.
+    _pinned(["lemma-2", "corollary-3", "syzygy-descent", "--samples", "30", "--field", "fp:2",
+             "--r", "3", "--m-max", "4", "--seed", "2"], "62f4599a790d45d1", 0, "sampling-fp2"),
+    _pinned(["lemma-2", "corollary-3", "syzygy-descent", "--samples", "30", "--field", "q",
+             "--r", "1", "--m-max", "5", "--seed", "1"], "36c26c7116cf3e71", 0, "sampling-q"),
+    # The witness claims at m-max 10 on one tower.
+    _pinned(["prop-2", "section-4", "lemma-1", "--r", "2", "--m-max", "10", "--t-max", "10",
+             "--seed", "3"], "75c0a323364282f7", 0, "scale-10"),
+    # lambda(1, 61) keeps an alpha path of 64 arrows.
+    _pinned(["prop-2", "--r", "1", "--m-max", "60", "--t-max", "1"], "1af189017fad3c31", 0,
+            "tower-60"),
+    # No iso trials: no isomorphism is certified, so every level walks its
+    # full pd chain and the witness claims are inconclusive.
+    _pinned(["prop-2", "section-4", "findim-witness", "--r", "2", "--m-max", "4", "--t-max", "3",
+             "--seed", "3", "--trials", "0"], "bc0e656bf4c5088e", 3, "trials-0"),
+    # The split-pair search over GF(2).
+    _pinned(["lemma-1", "--r", "2", "--field", "fp:2"], "6dfa131e6a1f0316", 0, "lemma-1-fp:2"),
 ])
 def test_verify_all_digest_is_pinned(args, digest, code, capsys):
     from biserial.cli import main

@@ -62,16 +62,14 @@ def test_verify_on_a_tampered_tower_is_an_internal_error(monkeypatch, capsys, ta
 
 
 def test_build_emit_has_ten_vertices(capsys):
-    assert main(["algebra", "build", "--family", "lambda",
-                 "--r", "1", "--m", "0", "--emit"]) == 0
+    assert main(["algebra", "emit", "lambda:r=1,m=0"]) == 0
     out = capsys.readouterr().out
     assert out.count("vertex ") == 10
     assert out.splitlines()[0] == "algebra lambda_r1_m0"
 
 
 def test_build_summary(capsys):
-    assert main(["algebra", "build", "--family", "lambda",
-                 "--r", "1", "--m", "5"]) == 0
+    assert main(["algebra", "build", "lambda:r=1,m=5"]) == 0
     assert "dimension 78" in capsys.readouterr().out
 
 
@@ -84,8 +82,7 @@ def test_parse_bad_file_exits_2(tmp_path, capsys):
 
 def test_round_trip_through_files(tmp_path, capsys):
     out = tmp_path / "alg.alg"
-    assert main(["algebra", "emit", "--family", "lambda1prime",
-                 "--r", "1", "-o", str(out)]) == 0
+    assert main(["algebra", "emit", "lambda1prime:r=1", "-o", str(out)]) == 0
     assert main(["algebra", "parse", str(out)]) == 0
     assert "14 vertices" in capsys.readouterr().out
 
@@ -96,8 +93,7 @@ def test_a_presentation_file_whose_path_has_a_colon_is_read_as_a_file(
     # other spec with a colon is a family spec, with the family's errors.
     folder = tmp_path / "colon:dir"
     folder.mkdir()
-    assert main(["algebra", "emit", "--family", "lambda", "--r", "2", "--m", "2",
-                 "-o", str(folder / "l22.alg")]) == 0
+    assert main(["algebra", "emit", "lambda:r=2,m=2", "-o", str(folder / "l22.alg")]) == 0
     (tmp_path / "s.mod").write_text("module S over lambda_r2_m2\nraw\ndim c2 1\n")
     monkeypatch.chdir(tmp_path)
     assert main(["module", "pd", "--algebra", "colon:dir/l22.alg", "s.mod",
@@ -111,8 +107,7 @@ def test_a_presentation_file_whose_path_has_a_colon_is_read_as_a_file(
 
 
 def test_projectives_structured(capsys):
-    assert main(["algebra", "projectives", "--family", "lambda", "--r", "1", "--m", "5",
-                 "--structured"]) == 0
+    assert main(["algebra", "projectives", "lambda:r=1,m=5", "--structured"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(records) == 22 and {r["field"] for r in records} == {"q"}
     c2 = next(r for r in records if r["vertex"] == "c2")
@@ -121,7 +116,7 @@ def test_projectives_structured(capsys):
 
 
 def test_algebra_dot_of_a_family(capsys):
-    assert main(["algebra", "dot", "--family", "lambda1prime", "--r", "1"]) == 0
+    assert main(["algebra", "dot", "lambda1prime:r=1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == 'digraph "lambda1prime_r1" {' and lines[-1] == "}"
     edges = [line for line in lines if "->" in line]
@@ -130,8 +125,7 @@ def test_algebra_dot_of_a_family(capsys):
 
 
 def test_projectives_table(capsys):
-    assert main(["algebra", "projectives", "--family", "lambda",
-                 "--r", "1", "--m", "5"]) == 0
+    assert main(["algebra", "projectives", "lambda:r=1,m=5"]) == 0
     out = capsys.readouterr().out
     assert "P(a1): dim  4" in out
     assert "P(c1): dim  6" in out
@@ -309,7 +303,7 @@ sum X P Y U X
 """
 
 
-@pytest.mark.parametrize("field", ["q", "fp:101"])
+@pytest.mark.parametrize("field", ["q", "fp:101", "fp:2"])
 def test_module_split_with_every_part_is_pinned(field, tmp_path, capsys):
     # X twice, one P(c2), and an M' with a string on U and a vertex off it.
     path = tmp_path / "all_parts.mod"
@@ -321,6 +315,36 @@ def test_module_split_with_every_part_is_pinned(field, tmp_path, capsys):
     assert rec["pc2_copies"] == 1
     assert rec["x_multiplicities"] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
     assert rec["m_prime_dims"] == [["a1", 1], ["d0", 1], ["u", 1]]
+
+
+def test_module_split_peels_a_projective_summand_is_pinned(tmp_path, capsys):
+    # P(c2) (+) the string c1 [ al_c2_c1^-1 ]: P(c2) is peeled off before
+    # any c2-string.
+    path = tmp_path / "pc2.mod"
+    path.write_text("module P over lambda1prime_r2\nproj c2\n"
+                    "module S over lambda1prime_r2\nstring c1 [ al_c2_c1^-1 ]\n"
+                    "module M over lambda1prime_r2\nsum P S\n")
+    assert main(["module", "split", str(path), "--algebra", "lambda1prime:r=2",
+                 "--structured"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["certificate_checksum"] == "a7d3ba0da4090567"
+    assert rec["pc2_copies"] == 1
+
+
+def test_module_split_without_vertex_u_is_pinned(tmp_path, capsys):
+    # lambda1prime(2) less the lines that name u: its vertex, its loop and
+    # the arrow into it, with their relations.
+    assert main(["algebra", "emit", "lambda1prime:r=2"]) == 0
+    text = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
+                   if line != "vertex u\n" and "al_u_u" not in line and "be_a0_u" not in line)
+    alg = tmp_path / "cut_u.alg"
+    alg.write_text(text)
+    assert main(["algebra", "parse", str(alg)]) == 0
+    assert capsys.readouterr().out == "ok: lambda1prime_r2: 14 vertices, 19 arrows, 18 relations\n"
+    mod = tmp_path / "s_c2.mod"
+    mod.write_text("module S over lambda1prime_r2\nraw\ndim c2 1\n")
+    assert main(["module", "split", "--algebra", str(alg), str(mod), "--structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate_checksum"] == "583af82b0ddaa418"
 
 
 def test_module_split_with_a_corrupt_peeled_section_is_inconclusive(
@@ -529,11 +553,15 @@ def test_verify_rejects_a_composite_modulus(claim_flags, capsys):
     assert capsys.readouterr().err == "error: samples must be nonnegative\n"
 
 
-@pytest.mark.parametrize("subcommand", ["emit", "projectives", "dot"])
+@pytest.mark.parametrize("subcommand", ["build", "parse", "emit", "projectives", "dot"])
 def test_algebra_without_file_or_family_names_both(subcommand, capsys):
-    assert main(["algebra", subcommand]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: algebra {subcommand} needs a presentation FILE or --family\n"
+    # ALGEBRA, a file or a family spec, is argparse's to require: it exits 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", subcommand])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: the following arguments are required: algebra\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
@@ -619,7 +647,10 @@ def test_an_iso_candidate_failing_its_squares_is_an_internal_error(z3_file, monk
     (["verify", "lemma-2", "--max-dim", "-1"], "max_dim must be nonnegative"),
     (["verify", "prop-2", "--cutoff", "0"], "cutoff must be at least 1"),
     (["verify", "prop-2", "--t-max", "0"], "t_max must be at least 1"),
-    (["algebra", "build", "--family", "lambda", "--r", "1"], "family 'lambda' needs --m"),
+    (["algebra", "build", "lambda:r=1"], "family 'lambda' needs parameter 'm'"),
+    (["algebra", "parse", "lambda:r=1,r=2,m=3"], "family parameter 'r' given twice"),
+    (["module", "pd", "Z3.mod", "--algebra", "lambda:r=2,m=3,q=4"],
+     "family 'lambda' takes no parameter 'q'"),
 ])
 def test_bad_flag_values_exit_2(argv, message, capsys):
     assert main(argv) == 2
@@ -629,10 +660,9 @@ def test_bad_flag_values_exit_2(argv, message, capsys):
 @pytest.mark.parametrize("argv", [
     ["algebra", "parse", "{alg}"],
     ["algebra", "emit", "{alg}"],
-    ["algebra", "emit", "--family", "lambda", "--r", "1", "--m", "0"],
-    ["algebra", "dot", "--family", "lambda", "--r", "1", "--m", "0"],
-    ["algebra", "build", "--family", "lambda", "--r", "1", "--m", "0", "--emit"],
-], ids=["parse", "emit-file", "emit-family", "dot", "build-emit"])
+    ["algebra", "emit", "lambda:r=1,m=0"],
+    ["algebra", "dot", "lambda:r=1,m=0"],
+], ids=["parse", "emit-file", "emit-family", "dot"])
 @pytest.mark.parametrize("field, message", [
     ("nonsense", "bad field spec 'nonsense' (expected 'q' or 'fp:<p>')"),
     ("fp:4", "modulus 4 is not prime"),
@@ -649,10 +679,41 @@ def test_a_bad_field_exits_2_where_no_algebra_is_built(argv, field, message, tmp
 
 @pytest.mark.parametrize("subcommand", ["build", "emit", "projectives", "dot"])
 def test_lambda1prime_rejects_an_m(subcommand, capsys):
-    argv = ["algebra", subcommand, "--family", "lambda1prime", "--r", "1"]
-    assert main([*argv, "--m", "3"]) == 2
-    assert capsys.readouterr() == ("", "error: family 'lambda1prime' takes no --m\n")
-    assert main(argv) == 0
+    assert main(["algebra", subcommand, "lambda1prime:r=1,m=3"]) == 2
+    assert capsys.readouterr() == ("", "error: family 'lambda1prime' takes no parameter 'm'\n")
+    assert main(["algebra", subcommand, "lambda1prime:r=1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "emit", "{alg}", "--family", "lambda1prime", "--r", "3"],
+    ["algebra", "projectives", "{alg}", "--family", "lambda", "--r", "2", "--m", "5"],
+    ["algebra", "dot", "{alg}", "--m", "7"],
+    ["algebra", "build", "--family", "lambda", "--r", "1", "--m", "0", "-o", "{out}"],
+    ["algebra", "build", "lambda:r=1,m=0", "-o", "{out}"],
+    ["algebra", "build", "lambda:r=1,m=0", "--emit"],
+], ids=["emit-family", "projectives-family", "dot-m", "build-output", "build-spec-output",
+        "build-emit"])
+def test_algebra_rejects_the_family_flags(argv, tmp_path, capsys):
+    # One way to name an algebra: a flag beside ALGEBRA is argparse's
+    # unrecognized argument, never a part of the request left unread.
+    alg, out = tmp_path / "a.alg", tmp_path / "out.alg"
+    alg.write_text("algebra A\nvertex x\n")
+    argv = [a.replace("{alg}", str(alg)).replace("{out}", str(out)) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_every_algebra_subcommand_reads_a_file_and_a_spec_alike(tmp_path, capsys):
+    path = tmp_path / "l12.alg"
+    assert main(["algebra", "emit", "lambda:r=1,m=2", "-o", str(path)]) == 0
+    for sub in ["build", "parse", "emit", "projectives", "dot"]:
+        assert main(["algebra", sub, "lambda:r=1,m=2"]) == 0
+        by_spec = capsys.readouterr()
+        assert main(["algebra", sub, str(path)]) == 0
+        assert capsys.readouterr() == by_spec
 
 
 def test_every_input_error_derives_from_input_error():

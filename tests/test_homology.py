@@ -21,7 +21,7 @@ from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationErr
                            StringWord, assemble_sum_map, direct_sum,
                            random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, zt_walk
-from oracles import (cover_map, direct_sum_maps, from_rows, interval_module, map_add,
+from oracles import (cover_maps, direct_sum_maps, from_rows, interval_module, map_add,
                      map_inverse, map_scale, scale, top_dims, verify_cover)
 
 
@@ -100,10 +100,11 @@ def test_radical_additive_over_sums(algp):
 
 
 def test_cover_of_projective_is_itself(alg1):
-    cov = projective_cover(alg1.projective("c1"))
+    proj = alg1.projective("c1")
+    cov = projective_cover(proj)
     assert cov.syzygy.is_zero()
-    assert cov.cover.dims == alg1.projective("c1").dims
-    assert verify_cover(cov)
+    assert cover_maps(proj, cov)[0].source.dims == proj.dims
+    assert verify_cover(proj, cov)
 
 
 def test_chain_end_simple_is_projective():
@@ -142,10 +143,11 @@ def test_cover_exactness_and_minimality(algp):
     for seed in range(5):
         m = random_module(algp, seed=seed + 50, budget=20)
         cov = projective_cover(m)
-        assert verify_cover(cov)
+        assert verify_cover(m, cov)
+        free = cover_maps(m, cov)[0].source
         for v in algp.vertices:
-            assert m.dims[v] == cov.cover.dims[v] - cov.syzygy.dims[v]
-        assert top_dims(cov.cover) == top_dims(m)
+            assert m.dims[v] == free.dims[v] - cov.syzygy.dims[v]
+        assert top_dims(free) == top_dims(m)
 
 
 # -- kernels and cokernels -----------------------------------------------------
@@ -392,11 +394,12 @@ def test_derived_representations_satisfy_relations(algp):
     for seed in (101, 102):
         m = random_module(algp, seed=seed, budget=16)
         cover = projective_cover(m)
-        assert not cover.cover.violated_relations()
+        onto, inclusion = cover_maps(m, cover)
+        assert not onto.source.violated_relations()
         assert not cover.syzygy.violated_relations()
         sub, _ = radical(m)
         assert not sub.violated_relations()
-        cok, _ = cokernel_of(cover.inclusion)
+        cok, _ = cokernel_of(inclusion)
         assert not cok.violated_relations()
 
 
@@ -455,9 +458,7 @@ def test_dimension_collision_without_iso_ends_finite(monkeypatch):
     chain = {id(first): second, id(second): alg0.zero_module()}
 
     def stub_cover(module):
-        real = real_cover(module)
-        return homology.CoverData(module, chain[id(module)], real.tops,
-                                  real.cover_mats, real.inclusion_mats)
+        return real_cover(module)._replace(syzygy=chain[id(module)])
 
     monkeypatch.setattr(homology, "projective_cover", stub_cover)
     searches = []
@@ -535,10 +536,11 @@ def test_iso_search_miss_solves_hom_once(alg3, monkeypatch):
 
 
 def test_cover_of_zero_module_is_zero(alg1):
-    cover = projective_cover(alg1.zero_module())
+    zero = alg1.zero_module()
+    cover = projective_cover(zero)
     assert cover.tops == []
-    assert cover.cover.is_zero() and cover.syzygy.is_zero()
-    assert verify_cover(cover)
+    assert cover_maps(zero, cover)[0].source.is_zero() and cover.syzygy.is_zero()
+    assert verify_cover(zero, cover)
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,7 +565,7 @@ def test_cover_generators_extend_the_arrow_images(family, field, seed, budget):
         assert homology._arrow_images(module, v).unit_complement() == chosen
         basis = Matrix.hcat(rad.field, rad.rows, [rad, Matrix.units(rad.field, rad.rows, chosen)])
         assert q.data == basis.inverse().data[rad.cols:]
-    assert verify_cover(projective_cover(module))
+    assert verify_cover(module, projective_cover(module))
 
 
 def test_projective_built_and_checked_once(monkeypatch):
@@ -699,16 +701,17 @@ def test_syzygy_on_the_path_class_basis_is_the_kernel_of_the_cover_map(
     # The syzygy read off the cover's path-class basis equals the kernel
     # of the cover map computed on the block-diagonal cover, matrix for
     # matrix, and the induced action solved arrow by arrow on that cover;
-    # the cover built on demand passes its own checks.
+    # the cover, built in full, passes its own checks.
     module = random_module(_cover_algebra(family, field), seed=seed, budget=budget)
     cover = projective_cover(module)
-    kernel, inclusion = kernel_of(cover_map(cover))
+    onto, _ = cover_maps(module, cover)
+    kernel, inclusion = kernel_of(onto)
     assert kernel.dims == cover.syzygy.dims
     assert kernel.mats == cover.syzygy.mats
-    assert inclusion.mats == cover.inclusion.mats
-    solved, _ = homology._sub_representation(cover.cover, inclusion.mats)
+    assert inclusion.mats == cover.inclusion_mats
+    solved, _ = homology._sub_representation(onto.source, inclusion.mats)
     assert solved.mats == cover.syzygy.mats
-    assert verify_cover(cover)
+    assert verify_cover(module, cover)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,7 @@ from biserial.reps import Algebra, random_module
 def _emitted_algebra() -> str:
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(["algebra", "emit", "--family", "lambda1prime", "--r", "1"]) == 0
+        assert main(["algebra", "emit", "lambda1prime:r=1"]) == 0
     return out.getvalue()
 
 

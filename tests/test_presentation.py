@@ -252,10 +252,20 @@ def test_lambda1prime_keeps_full_chain():
 def test_family_from_spec():
     pres = family_from_spec("lambda:r=1,m=3")
     assert pres.name == "lambda_r1_m3"
-    with pytest.raises(PresentationError):
-        family_from_spec("lambda:r=1")
-    with pytest.raises(PresentationError):
-        family_from_spec("nosuch:r=1")
+    assert family_from_spec("lambda1prime:r=2").name == "lambda1prime_r2"
+    for spec, message in [
+            ("lambda:r=1", "family 'lambda' needs parameter 'm'"),
+            ("lambda", "family 'lambda' needs parameters 'r', 'm'"),
+            ("nosuch:r=1", "unknown family 'nosuch'"),
+            ("lambda:r=1,r=2,m=3", "family parameter 'r' given twice"),
+            ("lambda1prime:r=1,m=3", "family 'lambda1prime' takes no parameter 'm'"),
+            ("lambda:r=2,m=3,q=4", "family 'lambda' takes no parameter 'q'"),
+            ("lambda:r=1,q=2,x=3",
+             "family 'lambda' takes no parameters 'q', 'x' and needs parameter 'm'"),
+            ("lambda:r=one,m=3", "bad family parameter 'r=one'")]:
+        with pytest.raises(PresentationError) as exc:
+            family_from_spec(spec)
+        assert str(exc.value) == message
 
 
 def test_lambda_vertices_helper_matches_generator():

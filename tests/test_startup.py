@@ -92,6 +92,20 @@ def test_module_pd_on_files_loads_only_its_layers(tmp_path):
     assert loaded == []
 
 
+@pytest.mark.parametrize("subcommand", ["build", "parse", "emit", "projectives", "dot"])
+def test_algebra_on_a_file_loads_no_family_builders(subcommand, tmp_path):
+    # ALGEBRA is read as a family spec only when no file has that name.
+    (tmp_path / "l.alg").write_text(emit_presentation(build_lambda(1, 0)))
+    unwanted = ["biserial.families", "biserial.claims", "biserial.decomp"]
+    proc, err, loaded = _run(["algebra", subcommand, "l.alg"], tmp_path, unwanted)
+    assert proc.returncode == 0 and err == ""
+    assert proc.stdout
+    assert loaded == []
+    proc, err, loaded = _run(["algebra", subcommand, "lambda:r=1,m=0"], tmp_path, unwanted)
+    assert proc.returncode == 0 and err == ""
+    assert loaded == ["biserial.families"]
+
+
 def test_verify_loads_no_dataclasses(tmp_path):
     # dataclasses pulls in inspect, ast, dis and tokenize at start-up; the
     # claim catalog and the splitting layer use plain classes and NamedTuples.

@@ -223,16 +223,22 @@ def test_finite_pd_samples_match_the_assembled_extensions(r, field, monkeypatch)
     # a cokernel into P (+) base with no sum built; the oracle covers the
     # top on every draw and takes cokernel_of the graph into the assembled
     # sum.
-    covered, drawn = [], []
-    cover = witnesses.projective_cover
-    monkeypatch.setattr(witnesses, "projective_cover",
-                        lambda top: covered.append(top) or cover(top))
+    covered, drawn, top_of = [], [], {}
+    real_cover = witnesses.projective_cover
+
+    def recording_cover(top):
+        covered.append(top)
+        cover = real_cover(top)
+        top_of[id(cover)] = top
+        return cover
+
+    monkeypatch.setattr(witnesses, "projective_cover", recording_cover)
     samples = sample_finite_pd_modules(Algebra(build_lambda(r, 2), field=field), 12, seed=r)
     covers = len(covered)
     assert len(set(map(id, covered))) == covers
     monkeypatch.setattr(witnesses, "random_extension",
-                        lambda alg, base, cover, rng: drawn.append(cover.module)
-                        or random_extension(alg, base, cover.module, rng))
+                        lambda alg, base, cover, rng: drawn.append(top_of[id(cover)])
+                        or random_extension(alg, base, top_of[id(cover)], rng))
     expected = sample_finite_pd_modules(Algebra(build_lambda(r, 2), field=field), 12, seed=r)
     assert _sample_content(samples) == _sample_content(expected)
     assert covers == len(set(map(id, drawn))) < len(drawn)
