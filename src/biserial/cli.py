@@ -9,12 +9,12 @@ Subcommands::
 Exit codes: 0 success / all claims pass, 1 a claim failed or ``module
 iso`` proved the modules not isomorphic, 2 an input error (a
 ``biserial.InputError``, or a file that cannot be opened or read as
-UTF-8), 3 an inconclusive verdict (with ``--strict`` for ``module pd``; a
-``module iso`` search that missed; a ``module split`` certificate that
-could not be built, as for a module outside Lemma 2's scope), 4 an
-internal error (a bug, reported as ``internal error: ...``), 141 the
-reader of stdout went away, as for a writer killed by SIGPIPE
-(``biserial verify all | head -1``).
+UTF-8), 3 an inconclusive verdict (a ``module pd`` chain cut off before
+it ended or cycled; a ``module iso`` search that missed; a ``module
+split`` certificate that could not be built, as for a module outside
+Lemma 2's scope), 4 an internal error (a bug, reported as ``internal
+error: ...``), 141 the reader of stdout went away, as for a writer
+killed by SIGPIPE (``biserial verify all | head -1``).
 ``--structured`` switches reports to line-delimited JSON records,
 byte-stable for identical flags.
 
@@ -75,18 +75,17 @@ def _load_presentation(spec: str):
 def _check_flags(args) -> None:
     """Reject ``module``'s ``--cutoff`` and ``--trials`` values no
     computation can run with, before any file is read, and parse
-    ``--field`` into ``args.coefficients`` (``verify`` flags are checked by
-    ``FamilyConfig``)."""
-    if args.command == "module" and getattr(args, "cutoff", 1) < 1:
+    ``--field``, where a subcommand takes it, into ``args.coefficients``
+    (``verify`` flags are checked by ``FamilyConfig``)."""
+    if args.command == "verify":
+        return
+    cutoff, trials = getattr(args, "cutoff", None), getattr(args, "trials", None)
+    if cutoff is not None and cutoff < 1:
         raise UsageError("--cutoff must be at least 1")
-    if args.command == "module" and (getattr(args, "trials", None) or 0) < 0:
+    if trials is not None and trials < 0:
         raise UsageError("--trials must be nonnegative")
-    if args.command != "verify":  # parsed also where no algebra is built
+    if "field" in args:
         args.coefficients = field_from_spec(args.field)
-
-
-def _algebra(pres, args) -> Algebra:
-    return Algebra(pres, field=args.coefficients)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -122,7 +121,7 @@ def cmd_algebra(args) -> int:
         return EXIT_OK
 
     if args.algebra_cmd == "build":
-        algebra = _algebra(pres, args)
+        algebra = Algebra(pres, field=args.coefficients)
         print(f"{pres.name}: {len(pres.quiver.vertices)} vertices, "
               f"{len(pres.quiver.arrows)} arrows, "
               f"{len(pres.relations)} relations, "
@@ -130,7 +129,7 @@ def cmd_algebra(args) -> int:
         return EXIT_OK
 
     if args.algebra_cmd == "projectives":
-        algebra = _algebra(pres, args)
+        algebra = Algebra(pres, field=args.coefficients)
         records = []
         for v in algebra.vertices:
             proj = algebra.projective(v)
@@ -167,12 +166,12 @@ def cmd_algebra(args) -> int:
 def cmd_module(args) -> int:
     from .modfiles import dot_representation, emit_module_raw
 
-    algebra = _algebra(_load_presentation(args.algebra), args)
+    algebra = Algebra(_load_presentation(args.algebra), field=args.coefficients)
     name, module = _resolve_module(args.file, algebra)
 
     if args.module_cmd == "pd":
-        report = projdim(module, cutoff=args.cutoff, seed=args.seed,
-                         trials=args.trials)
+        cutoff = 32 if args.cutoff is None else args.cutoff
+        report = projdim(module, cutoff=cutoff, seed=args.seed, trials=args.trials)
         if args.structured:
             rec = report.to_record()
             rec.update({"module": name, "field": args.field})
@@ -183,9 +182,7 @@ def cmd_module(args) -> int:
             print("chain: " + " -> ".join(
                 "0" if not dims else ",".join(f"{v}:{d}" for v, d in dims)
                 for dims in report.chain))
-        if report.verdict == "inconclusive" and args.strict:
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
+        return EXIT_INCONCLUSIVE if report.verdict == "inconclusive" else EXIT_OK
 
     if args.module_cmd == "syzygy":
         om = syzygy(module)
@@ -324,112 +321,68 @@ def cmd_verify(args) -> int:
 ALGEBRA_HELP = "family spec like lambda:r=1,m=3 or a file path"
 
 
-def _add_common(parser, seed=False, cutoff=False, trials=False):
-    parser.add_argument("--field", default="q",
-                        help="coefficient field: q or fp:<p> (default q)")
-    if seed:
-        parser.add_argument("--seed", type=int, default=0)
-    if cutoff:
-        parser.add_argument("--cutoff", type=int, default=32,
-                            help="syzygy chain cutoff")
-    if trials:
-        parser.add_argument("--trials", type=int, default=None,
-                            help="random trials in isomorphism search")
+def _flag(*names, **keywords) -> argparse.ArgumentParser:
+    """A parent parser of one argument, defined here once for every
+    subcommand that takes it as ``parents=``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*names, **keywords)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    file = _flag("file")
+    algebra = _flag("--algebra", required=True, help=ALGEBRA_HELP)
+    other = _flag("other", help="the second module file")
+    field = _flag("--field", default="q",
+                  help="coefficient field: q or fp:<p> (default q)")
+    structured = _flag("--structured", action="store_true",
+                       help="line-delimited JSON records")
+    output = _flag("-o", "--output", default=None,
+                   help="write the presentation, drawing or syzygy module to this file")
+    seed = _flag("--seed", type=int, default=0, help="random seed (default 0)")
+    trials = _flag("--trials", type=int, default=None,
+                   help="random trials in isomorphism search")
+    cutoff = _flag("--cutoff", type=int, default=None,
+                   help="syzygy chain cutoff (default 32; verify: r + m + 4 at level m)")
+
     parser = argparse.ArgumentParser(
         prog="biserial",
         description="Special biserial algebra presentations, syzygies, and "
                     "projective-dimension verification by exact linear algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    alg = sub.add_parser("algebra", help="presentations and projectives")
-    alg_sub = alg.add_subparsers(dest="algebra_cmd", required=True)
+    alg_sub = sub.add_parser("algebra", help="presentations and projectives"
+                             ).add_subparsers(dest="algebra_cmd", required=True)
+    for name, summary, parents in [
+            ("build", "build an algebra and print its dimension", [field]),
+            ("parse", "validate a presentation", []),
+            ("emit", "canonical presentation text", [output]),
+            ("projectives", "projective shapes table", [field, structured]),
+            ("dot", "quiver drawing in DOT", [output])]:
+        alg_sub.add_parser(name, help=summary, parents=parents
+                           ).add_argument("algebra", help=ALGEBRA_HELP)
 
-    p = alg_sub.add_parser("build", help="build an algebra and print its dimension")
-    p.add_argument("algebra", help=ALGEBRA_HELP)
-    _add_common(p)
+    mod_sub = sub.add_parser("module", help="homological computations on modules"
+                             ).add_subparsers(dest="module_cmd", required=True)
+    for name, summary, parents in [
+            ("pd", "projective dimension report", [cutoff, seed, trials, structured]),
+            ("syzygy", "first syzygy", [output, structured]),
+            ("hom", "Hom-space dimension", [other, structured]),
+            ("iso", "search for a certified isomorphism",
+             [other, seed, trials, structured]),
+            ("split", "certified c2-splitting", [structured]),
+            ("dot", "coefficient quiver in DOT", [output])]:
+        mod_sub.add_parser(name, help=summary, parents=[file, algebra, field, *parents])
 
-    # Presentations are field-independent; parse, emit and dot accept the
-    # flag for uniformity across subcommands.
-    p = alg_sub.add_parser("parse", help="validate a presentation")
-    p.add_argument("algebra", help=ALGEBRA_HELP)
-    p.add_argument("--field", default="q", help=argparse.SUPPRESS)
-
-    p = alg_sub.add_parser("emit", help="canonical presentation text")
-    p.add_argument("algebra", help=ALGEBRA_HELP)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--field", default="q", help=argparse.SUPPRESS)
-
-    p = alg_sub.add_parser("projectives", help="projective shapes table")
-    p.add_argument("algebra", help=ALGEBRA_HELP)
-    p.add_argument("--structured", action="store_true")
-    _add_common(p)
-
-    p = alg_sub.add_parser("dot", help="quiver drawing in DOT")
-    p.add_argument("algebra", help=ALGEBRA_HELP)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--field", default="q", help=argparse.SUPPRESS)
-
-    mod = sub.add_parser("module", help="homological computations on modules")
-    mod_sub = mod.add_subparsers(dest="module_cmd", required=True)
-
-    p = mod_sub.add_parser("pd", help="projective dimension report")
-    p.add_argument("file")
-    p.add_argument("--algebra", required=True, help=ALGEBRA_HELP)
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 on an inconclusive verdict")
-    p.add_argument("--structured", action="store_true")
-    _add_common(p, seed=True, cutoff=True, trials=True)
-
-    p = mod_sub.add_parser("syzygy", help="first syzygy")
-    p.add_argument("file")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("-o", "--output", default=None,
-                   help="write the syzygy in raw module format")
-    p.add_argument("--structured", action="store_true")
-    _add_common(p)
-
-    p = mod_sub.add_parser("hom", help="Hom-space dimension")
-    p.add_argument("file")
-    p.add_argument("other")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--structured", action="store_true")
-    _add_common(p)
-
-    p = mod_sub.add_parser("iso", help="search for a certified isomorphism")
-    p.add_argument("file")
-    p.add_argument("other")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--structured", action="store_true")
-    _add_common(p, seed=True, trials=True)
-
-    p = mod_sub.add_parser("split", help="certified c2-splitting")
-    p.add_argument("file")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--structured", action="store_true")
-    _add_common(p)
-
-    p = mod_sub.add_parser("dot", help="coefficient quiver in DOT")
-    p.add_argument("file")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("-o", "--output", default=None)
-    _add_common(p)
-
-    ver = sub.add_parser("verify", help="run verification claims")
+    ver = sub.add_parser("verify", help="run verification claims",
+                         parents=[field, cutoff, seed, trials, structured])
     ver.add_argument("claims", nargs="+",
                      help=_ClaimIdsHelp("claim ids or 'all'"))
     ver.add_argument("--r", type=int, default=1)
     ver.add_argument("--m-max", type=int, default=3)
     ver.add_argument("--t-max", type=int, default=3)
-    ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=100)
     ver.add_argument("--max-dim", type=int, default=40)
-    ver.add_argument("--cutoff", type=int, default=None)
-    ver.add_argument("--trials", type=int, default=None)
-    ver.add_argument("--field", default="q")
-    ver.add_argument("--structured", action="store_true")
 
     return parser
 

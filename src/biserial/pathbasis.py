@@ -150,16 +150,11 @@ class PathBasis:
 
         # Arrow action tables: arrow a acting on class i gives a sparse vector.
         self.act: Dict[Tuple[str, int], dict] = {}
-        for i, (src, tgt, rep) in enumerate(classes):
+        for i, (_, tgt, rep) in enumerate(classes):
             for a in quiver.arrows_from(tgt):
-                self.act[(a.name, i)] = self._reduce_path(rep + (a.name,), src)
-
-    def _reduce_path(self, path: Path, source: str) -> dict:
-        """Expand a raw path (possibly not a representative) in the basis."""
-        if not path:
-            return {self.idempotents[source]: QQ.one}
-        # Every enumerated path is reduced; any other holds a zero relation.
-        return dict(self.reduce.get(path, {}))
+                # Every enumerated path is reduced; any other holds a zero
+                # relation.
+                self.act[(a.name, i)] = dict(self.reduce.get(rep + (a.name,), {}))
 
     # -- queries -----------------------------------------------------------
 

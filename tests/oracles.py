@@ -226,7 +226,7 @@ def spot_check_associativity(basis: PathBasis, rng) -> bool:
             for j, c in via_a.items():
                 for k, d in basis.act[(b.name, j)].items():
                     lhs[k] = lhs.get(k, QQ.zero) + c * d
-            rhs = basis._reduce_path(rep + (a.name, b.name), src)
+            rhs = basis.reduce.get(rep + (a.name, b.name), {})
             lhs = {k: v for k, v in lhs.items() if v}
             rhs = {k: v for k, v in rhs.items() if v}
             if lhs != rhs:

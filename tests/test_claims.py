@@ -128,21 +128,21 @@ def test_record_carries_evidence_only_for_non_pass_checks():
 
 
 def test_iso_check_is_three_valued():
-    from biserial.claims import _iso_check
+    from biserial.claims import _iso_result
+    from biserial.homology import decide_iso
 
-    cfg = FamilyConfig(r=1, trials=0)
-    alg = cfg.algebra("lambda", 1)
+    alg = FamilyConfig(r=1).algebra("lambda", 1)
     p = alg.projective("c1")
     # No trials: the search cannot find the isomorphism, which proves nothing.
-    miss = _iso_check("x", p, p, cfg, {"k": 1})
+    miss = _iso_result("x", decide_iso(p, p, trials=0), {"k": 1})
     assert miss.status == "inconclusive"
     assert miss.evidence == {"k": 1, "reason": "no isomorphism found",
                              "iso_trials": 0}
     # Different dimension vectors are a sound negative.
-    other = _iso_check("x", p, alg.simple("c1"), cfg, {})
+    other = _iso_result("x", decide_iso(p, alg.simple("c1"), trials=0), {})
     assert other.status == "fail"
     assert other.evidence["reason"] == "dimension vectors differ"
-    found = _iso_check("x", p, p, FamilyConfig(r=1), {"k": 1})
+    found = _iso_result("x", decide_iso(p, p), {"k": 1})
     assert found.status == "pass" and found.evidence == {"k": 1}
 
 

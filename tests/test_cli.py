@@ -153,11 +153,22 @@ def test_module_pd_structured(z3_file, capsys):
 
 
 def test_module_pd_strict_inconclusive(tmp_path, capsys):
+    # An inconclusive chain exits 3 with no flag, as on every command, and
+    # the --strict that once asked for it is an unrecognized argument.
     path = tmp_path / "d0.mod"
     path.write_text("module d0 over lambda_r2_m0\nraw\ndim d0 1\n")
+    argv = ["module", "pd", str(path), "--algebra", "lambda:r=2,m=0", "--cutoff", "1"]
     # Chain d0 -> d1 -> d2 -> 0 cannot finish within one step.
-    assert main(["module", "pd", str(path), "--algebra", "lambda:r=2,m=0",
-                 "--cutoff", "1", "--strict"]) == 3
+    assert main(argv) == 3
+    assert "Inconclusive (cutoff 1)" in capsys.readouterr().out
+    assert main([*argv, "--structured"]) == 3
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["verdict"] == "inconclusive" and rec["cutoff"] == 1
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--strict"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --strict" in err
 
 
 def test_module_iso_identical_files(z3_file, capsys):
@@ -669,12 +680,54 @@ def test_bad_flag_values_exit_2(argv, message, capsys):
 ], ids=["nonsense", "composite"])
 def test_a_bad_field_exits_2_where_no_algebra_is_built(argv, field, message, tmp_path,
                                                        capsys):
-    alg = tmp_path / "a.alg"
+    # A presentation is field-independent: parse, emit and dot take no
+    # --field, so any value, good or bad, is an unrecognized argument, and
+    # emit -o writes nothing.
+    alg, out = tmp_path / "a.alg", tmp_path / "out.txt"
     alg.write_text("algebra A\nvertex x\n")
     argv = [a.replace("{alg}", str(alg)) for a in argv]
+    for value in (field, "fp:101"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--field", value])
+        assert exc.value.code == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and "unrecognized arguments: --field" in err
+        assert message not in err
+    if argv[1] == "emit":
+        with pytest.raises(SystemExit):
+            main([*argv, "-o", str(out), "--field", "fp:101"])
+        assert not out.exists()
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "build", "lambda:r=1,m=0"],
+    ["algebra", "projectives", "lambda:r=1,m=0"],
+    ["module", "pd", "{mod}", "--algebra", "lambda:r=1,m=0"],
+    ["module", "syzygy", "{mod}", "--algebra", "lambda:r=1,m=0"],
+    ["module", "hom", "{mod}", "{mod}", "--algebra", "lambda:r=1,m=0"],
+    ["module", "iso", "{mod}", "{mod}", "--algebra", "lambda:r=1,m=0"],
+    ["module", "split", "{mod}", "--algebra", "lambda:r=1,m=0"],
+    ["module", "dot", "{mod}", "--algebra", "lambda:r=1,m=0"],
+], ids=lambda argv: "-".join(argv[:2]))
+@pytest.mark.parametrize("field, message", [
+    ("nonsense", "bad field spec 'nonsense' (expected 'q' or 'fp:<p>')"),
+    ("fp:4", "modulus 4 is not prime"),
+], ids=["nonsense", "composite"])
+def test_a_bad_field_exits_2_where_an_algebra_is_built(argv, field, message, u_file,
+                                                      capsys):
+    argv = [u_file if a == "{mod}" else a for a in argv]
     assert main([*argv, "--field", field]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert main([*argv, "--field", "fp:101"]) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["pd", "syzygy", "hom", "iso", "split", "dot"])
+def test_module_help_names_the_algebra_argument(subcommand, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["module", subcommand, "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--algebra ALGEBRA family spec like lambda:r=1,m=3 or a file path" in help_text
 
 
 @pytest.mark.parametrize("subcommand", ["build", "emit", "projectives", "dot"])
@@ -911,7 +964,7 @@ def test_pd_cycle_between_syzygies_of_different_content(band_files, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["verdict"] == "infinite" and record["cycle"] == [0, 2]
     assert main(["module", "pd", "--algebra", alg, mod, "--trials", "0",
-                 "--cutoff", "6", "--strict"]) == 3
+                 "--cutoff", "6"]) == 3
     assert "Inconclusive (cutoff 6)" in capsys.readouterr().out
 
 

@@ -94,7 +94,7 @@ def test_amalgam_identification():
     eq = [r for r in pres.relations
           if r.kind == "eq" and pres.path_endpoints(r.left)[0] == "c2"]
     assert len(eq) == 1
-    reduction = basis._reduce_path(eq[0].left, "c2")
+    reduction = basis.reduce[eq[0].left]
     assert list(reduction.items()) == [(socle[0], 1)]
 
 
@@ -134,9 +134,10 @@ def test_path_basis_is_pinned(family, r, m, digest):
 
 class _AllOffsetBasis(PathBasis):
     """The reference: every path up to ``bound`` arrows is tested against
-    every zero relation at every offset, and so is every path the action
-    expands; a path of ``bound`` arrows that survives fails the test.  The
-    equalities are imposed by all their two-sided multiples v (x - y) u."""
+    every zero relation at every offset, so its reduce map, and with it the
+    action, holds no path with a zero relation in it; a path of ``bound``
+    arrows that survives fails the test.  The equalities are imposed by all
+    their two-sided multiples v (x - y) u."""
 
     def __init__(self, pres, bound):
         self.bound = bound
@@ -175,11 +176,6 @@ class _AllOffsetBasis(PathBasis):
                     if any(row):
                         rows.append(row)
         return rows
-
-    def _reduce_path(self, path, source):
-        if _holds_zero(self.pres, path):
-            return {}
-        return super()._reduce_path(path, source)
 
 
 def _holds_zero(pres, path):
