@@ -31,7 +31,7 @@ _HOMES = {
     "reps": "Algebra InvalidString ModuleMap Representation RepresentationError "
             "StringWord direct_sum random_module string_module",
     "homology": "CoverData PdReport certified_iso cokernel_of hom_basis "
-                "kernel_of projdim projective_cover radical radical_filtration "
+                "kernel_of projdim projective_cover radical_filtration "
                 "split_off syzygy",
     "decomp": "CertificateFailure Lemma2Split lemma2_split xset",
     "witnesses": "build_U build_Z build_Zt build_phi",

@@ -13,7 +13,7 @@ own M', certified by the identity.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from itertools import chain
 from typing import List, NamedTuple, Tuple
 
@@ -31,7 +31,8 @@ class CertificateFailure(RuntimeError):
 
 
 def _load_walks() -> dict:
-    with resources.files("biserial.data").joinpath("walks.json").open() as fh:
+    path = os.path.join(os.path.dirname(__file__), "data", "walks.json")
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -62,13 +63,12 @@ def _build_xset(algebra: Algebra) -> Tuple[Representation, ...]:
     return tuple(strings)
 
 
-def _c2_alpha_path(pres: Presentation) -> Tuple[str, ...]:
-    """The alpha-power side of the amalgam relation out of c2.  Every module
-    satisfies the relation, so its beta-power side acts the same way."""
-    for rel in pres.relations:
-        if rel.kind == "eq" and pres.path_endpoints(rel.left)[0] == "c2":
-            return rel.left
-    raise PresentationError(f"{pres.name} has no amalgam relation at c2")
+def _check_c2_amalgam(pres: Presentation) -> None:
+    """Raise PresentationError unless ``pres`` has an amalgam relation (an
+    equality of two paths) out of c2, as Lemma 2's algebra does."""
+    if not any(rel.kind == "eq" and pres.path_endpoints(rel.left)[0] == "c2"
+               for rel in pres.relations):
+        raise PresentationError(f"{pres.name} has no amalgam relation at c2")
 
 
 class Lemma2Split(NamedTuple):
@@ -117,7 +117,7 @@ def lemma2_split(module: Representation) -> Lemma2Split:
     modules, or an input error is raised, for c2-free modules too.  The
     final isomorphism is verified; failure raises CertificateFailure.
     """
-    _c2_alpha_path(module.algebra.pres)
+    _check_c2_amalgam(module.algebra.pres)
     strings = xset(module.algebra)
     if module.dims["c2"]:
         split = _peel(module, strings)

@@ -152,18 +152,21 @@ def build_lambda(r: int, m: int) -> Presentation:
 
 def certify_tower(r: int, m_max: int, tower: Presentation) -> None:
     """Raise RuntimeError, naming the level, unless each ``lambda(r, m)``,
-    m = 0..m_max, is ``tower`` restricted to its vertices, relations
-    included, and no arrow of ``tower`` leaves it.  Paths from the level
-    then stay in it, so its modules have the same covers, syzygies and Hom
-    spaces over ``tower``.  The family is generated here: a failure is a
-    bug, not an input error."""
+    m = 0..m_max, is ``tower`` restricted to its vertices (the
+    ``delete_vertices`` of the rest), relations included, and no arrow of
+    ``tower`` leaves it.  Paths from the level then stay in it, so its
+    modules have the same covers, syzygies and Hom spaces over ``tower``.
+    The family is generated here: a failure is a bug, not an input error."""
+    vertices = set(tower.quiver.vertices)
     arrows = tower.quiver.arrows.values()
     for m in range(m_max + 1):
         level = build_lambda(r, m)
         inside = set(level.quiver.vertices)
         leaving = sorted(a.name for a in arrows
                          if a.source in inside and a.target not in inside)
-        if leaving or not level.is_full_subpresentation_of(tower):
+        kept = tower.delete_vertices(vertices - inside, level.name)
+        if (leaving or not inside <= vertices or (kept.quiver.arrows, kept.relations)
+                != (level.quiver.arrows, level.relations)):
             raise RuntimeError(f"level {m} is not {tower.name} restricted to its vertices"
                                + (f": arrows {', '.join(leaving)} leave it" if leaving else ""))
 

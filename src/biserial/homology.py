@@ -1,4 +1,4 @@
-"""The homological engine: radicals, covers, syzygies, Hom spaces,
+"""The homological engine: radical layers, covers, syzygies, Hom spaces,
 certified isomorphism, summand tests, and projective dimension.
 
 Projective dimension is decided by iterating minimal syzygies.  A finite
@@ -19,6 +19,13 @@ The isomorphism search runs only between chain modules whose dimension
 vectors agree.  The two ends of a cycle can differ in content (the band
 modules of a local algebra do), so the search, not content equality,
 certifies it.
+
+The radical layers are column counts: rad^k M is J^k M for the arrow
+ideal J, and J(J^k M) = J^{k+1} M, so each power's basis is read off the
+previous one's (``radical_filtration``).  J is nilpotent, as ``PathBasis``
+rejects an algebra with infinitely many paths, so the powers reach zero.
+Every submodule built here is a ``_kernel``, whose induced action is read
+off free rows; none is solved for.
 
 A cover is the free module on its generators' vertices, and its basis,
 the (summand, path class) pairs, is ``Algebra.free_basis``: the cover
@@ -68,45 +75,31 @@ def _arrow_images(module: Representation, vertex: str) -> Matrix:
                         for a in module.algebra.pres.quiver.arrows_into(vertex)])
 
 
-def radical(module: Representation) -> Tuple[Representation, ModuleMap]:
-    """rad M = sum of all arrow images, with its inclusion into M."""
-    incl_mats = {v: _arrow_images(module, v).image_basis()
-                 for v in module.algebra.vertices}
-    return _sub_representation(module, incl_mats)
+def radical_filtration(module: Representation) -> List[Dict[str, int]]:
+    """Dimension vectors of the radical layers rad^k M / rad^{k+1} M, each
+    in vertex order with its zero entries dropped.
 
-
-def _sub_representation(module: Representation, incl_mats: Dict[str, Matrix]
-                        ) -> Tuple[Representation, ModuleMap]:
-    """Subrepresentation spanned by given independent columns per vertex.
-
-    The spans must be arrow-stable; the induced action is solved exactly.
-    Arrows with a zero-dimensional end act by the empty matrix, which the
-    constructor fills in.
+    rad^k M is J^k M, with J the arrow ideal, read as a column space at
+    each vertex: J^0 M is M, and since J(J^k M) = J^{k+1} M, the basis of
+    J^{k+1} M at v is an ``image_basis`` of the arrows into v applied to
+    J^k M at their sources.  No submodule is built.  A layer is the drop
+    in dimension at each vertex.  J is nilpotent, since ``PathBasis``
+    rejects an algebra with infinitely many paths, so the bases reach
+    zero and the loop ends.
     """
     algebra = module.algebra
-    dims = {v: incl_mats[v].cols for v in algebra.vertices}
-    mats: Dict[str, Matrix] = {}
-    for a in algebra.pres.quiver.arrows.values():
-        if not (dims[a.source] and dims[a.target]):
-            continue
-        image = module.mats[a.name] @ incl_mats[a.source]
-        induced = incl_mats[a.target].solve(image)
-        if induced is None:
-            raise ValueError(f"span not stable under arrow {a.name}")
-        mats[a.name] = induced
-    sub = Representation(algebra, dims, mats, check=False)
-    return sub, ModuleMap(sub, module, incl_mats)
-
-
-def radical_filtration(module: Representation) -> List[Dict[str, int]]:
-    """Dimension vectors of the radical layers rad^k M / rad^{k+1} M."""
+    field = algebra.field
+    quiver = algebra.pres.quiver
+    basis = {v: Matrix.identity(field, module.dims[v]) for v in algebra.vertices}
     layers = []
-    current = module
-    while current.total_dim():
-        sub, _ = radical(current)
-        layer = {v: current.dims[v] - sub.dims[v] for v in current.algebra.vertices}
-        layers.append({v: d for v, d in layer.items() if d})
-        current = sub
+    while any(b.cols for b in basis.values()):
+        deeper = {v: Matrix.hcat(field, module.dims[v],
+                                 [module.mats[a.name] @ basis[a.source]
+                                  for a in quiver.arrows_into(v)]).image_basis()
+                  for v in algebra.vertices}
+        layers.append({v: basis[v].cols - deeper[v].cols for v in algebra.vertices
+                       if basis[v].cols > deeper[v].cols})
+        basis = deeper
     return layers
 
 

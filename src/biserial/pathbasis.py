@@ -112,7 +112,6 @@ class PathBasis:
             by_pair.setdefault(pair, []).append(p)
         # (source, target, representative); the idempotents come first.
         classes: List[Tuple[str, str, Path]] = [(v, v, ()) for v in quiver.vertices]
-        self.idempotents = {v: i for i, v in enumerate(quiver.vertices)}
         reduce_map: Dict[Path, dict] = {}
 
         for (src, tgt), block in sorted(by_pair.items()):

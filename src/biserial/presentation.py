@@ -158,18 +158,6 @@ class Presentation:
         relations = [r for r in self.relations if all(n in kept_names for n in r.arrows())]
         return Presentation(name, Quiver(vertices, arrows), relations)
 
-    def is_full_subpresentation_of(self, big: "Presentation") -> bool:
-        """True when self is big restricted to self's vertices: the same
-        arrows between them, and the same relations among those arrows."""
-        small_vs = set(self.quiver.vertices)
-        if not small_vs <= set(big.quiver.vertices):
-            return False
-        induced = {a.name: a for a in big.quiver.arrows.values()
-                   if a.source in small_vs and a.target in small_vs}
-        relations = tuple(r for r in big.relations
-                          if all(n in induced for n in r.arrows()))
-        return induced == self.quiver.arrows and relations == self.relations
-
     def __repr__(self) -> str:
         return (f"Presentation({self.name!r}, {len(self.quiver.vertices)} vertices, "
                 f"{len(self.quiver.arrows)} arrows, {len(self.relations)} relations)")

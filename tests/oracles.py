@@ -4,7 +4,8 @@ public types.
 
 Matrix and module-map arithmetic, direct-sum structure maps, inflation
 and restriction along a full subquiver, the interval modules of a path
-quiver, top dimensions and a cover check, a random extension taken as
+quiver, submodules with a solved induced action, the radical, top
+dimensions and a cover check, a random extension taken as
 the cokernel of a map into an assembled sum, an associativity spot check
 of a path basis, structural equality of presentations, the direct
 system's connecting maps with their kept walk prefixes written out, and
@@ -19,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from biserial.claims import ClaimReport, FamilyConfig, run_claim
 from biserial.fields import QQ
-from biserial.homology import (CoverData, cokernel_of, projective_cover, radical,
+from biserial.homology import (CoverData, cokernel_of, projective_cover,
                                random_hom_combination)
 from biserial.matrices import Matrix, block_diag
 from biserial.pathbasis import PathBasis
@@ -112,10 +113,20 @@ def direct_sum_maps(total: Representation, summands: Sequence[Representation]
     return injections, projections
 
 
+def _is_restriction(small: Presentation, big: Presentation) -> bool:
+    """True when ``small`` is ``big`` restricted to small's vertices: the
+    same arrows between them and the same relations among those arrows as
+    ``big.delete_vertices`` of the rest."""
+    inside, vertices = set(small.quiver.vertices), set(big.quiver.vertices)
+    kept = big.delete_vertices(vertices - inside, small.name)
+    return inside <= vertices and ((kept.quiver.arrows, kept.relations)
+                                   == (small.quiver.arrows, small.relations))
+
+
 def inflate(module: Representation, big: Algebra) -> Representation:
     """View a module over a full-subquiver factor as a module over ``big``."""
     small_pres = module.algebra.pres
-    if not small_pres.is_full_subpresentation_of(big.pres):
+    if not _is_restriction(small_pres, big.pres):
         raise RepresentationError(
             f"{small_pres.name} is not a declared factor (full subquiver) "
             f"of {big.pres.name}")
@@ -127,7 +138,7 @@ def inflate(module: Representation, big: Algebra) -> Representation:
 
 def restrict(module: Representation, small: Algebra) -> Representation:
     """Restrict a module supported on a factor back to the factor."""
-    if not small.pres.is_full_subpresentation_of(module.algebra.pres):
+    if not _is_restriction(small.pres, module.algebra.pres):
         raise RepresentationError(
             f"{small.pres.name} is not a declared factor of "
             f"{module.algebra.pres.name}")
@@ -152,7 +163,38 @@ def interval_module(algebra: Algebra, order: List[str], lo: int, hi: int
     return Representation(algebra, dims, mats)
 
 
-# -- covers ------------------------------------------------------------------
+# -- radicals and covers -----------------------------------------------------
+
+
+def sub_representation(module: Representation, incl_mats: Dict[str, Matrix]
+                       ) -> Tuple[Representation, ModuleMap]:
+    """The subrepresentation spanned by the independent columns
+    ``incl_mats`` at each vertex, with its inclusion; each arrow's induced
+    action is solved exactly, and a span that is not arrow-stable raises
+    ValueError."""
+    algebra = module.algebra
+    dims = {v: incl_mats[v].cols for v in algebra.vertices}
+    mats: Dict[str, Matrix] = {}
+    for a in algebra.pres.quiver.arrows.values():
+        if not (dims[a.source] and dims[a.target]):
+            continue
+        induced = incl_mats[a.target].solve(module.mats[a.name] @ incl_mats[a.source])
+        if induced is None:
+            raise ValueError(f"span not stable under arrow {a.name}")
+        mats[a.name] = induced
+    sub = Representation(algebra, dims, mats, check=False)
+    return sub, ModuleMap(sub, module, incl_mats)
+
+
+def radical(module: Representation) -> Tuple[Representation, ModuleMap]:
+    """rad M, the sum of all arrow images, as a submodule with its
+    inclusion into M: the reference for ``homology.radical_filtration``."""
+    field = module.algebra.field
+    quiver = module.algebra.pres.quiver
+    return sub_representation(module, {
+        v: Matrix.hcat(field, d, [module.mats[a.name] for a in quiver.arrows_into(v)]
+                       ).image_basis()
+        for v, d in module.dims.items()})
 
 
 def top_dims(module: Representation) -> Dict[str, int]:

@@ -12,7 +12,7 @@ from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
 from biserial.fields import QQ, PrimeField
 from biserial.homology import (certified_iso, cokernel_of, decide_iso,
                                hom_basis, hom_combination, kernel_of,
-                               projdim, projective_cover, radical,
+                               projdim, projective_cover, radical_filtration,
                                random_hom_combination, record_digest,
                                split_off, syzygy)
 from biserial.matrices import Matrix
@@ -22,7 +22,8 @@ from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationErr
                            random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, zt_walk
 from oracles import (cover_maps, direct_sum_maps, from_rows, interval_module, map_add,
-                     map_inverse, map_scale, scale, top_dims, verify_cover)
+                     map_inverse, map_scale, radical, scale, sub_representation,
+                     top_dims, verify_cover)
 
 
 def brute_force_intertwiner_count(m, n):
@@ -94,6 +95,61 @@ def test_radical_additive_over_sums(algp):
     rt, _ = radical(total)
     for v in algp.vertices:
         assert rt.dims[v] == ra.dims[v] + rb.dims[v]
+
+
+@functools.lru_cache(maxsize=None)
+def _layer_algebra(name, field):
+    pres = {"lambda(2, 5)": lambda: build_lambda(2, 5),
+            "lambda(1, 3)": lambda: build_lambda(1, 3),
+            "lambda(3, 2)": lambda: build_lambda(3, 2),
+            "lambda1prime(2)": lambda: build_lambda1prime(2)}[name]()
+    return Algebra(pres, field=QQ if field is None else PrimeField(field))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["lambda(2, 5)", "lambda(1, 3)", "lambda(3, 2)", "lambda1prime(2)"]),
+       st.sampled_from([None, 2, 101]), st.booleans(), st.integers(0, 10 ** 6),
+       st.integers(1, 20))
+def test_radical_filtration_iterates_the_radical(name, field, projective, seed, budget):
+    # rad^(k+1) M = rad(rad^k M): the layers read off column spaces are the
+    # drops along the chain of radicals, each built as a submodule with a
+    # solved action, entry order included.
+    algebra = _layer_algebra(name, field)
+    vertices = algebra.vertices
+    module = (algebra.projective(vertices[seed % len(vertices)]) if projective
+              else random_module(algebra, seed=seed, budget=budget))
+    expected = []
+    current = module
+    while current.total_dim():
+        rad, _ = radical(current)
+        expected.append([(v, d - rad.dims[v]) for v, d in current.dims.items()
+                         if d > rad.dims[v]])
+        current = rad
+    assert [list(layer.items()) for layer in radical_filtration(module)] == expected
+
+
+def test_radical_filtration_builds_no_submodule(alg5, monkeypatch):
+    # Every layer is a drop in column count: no module is constructed and
+    # no induced action is solved.
+    modules = [alg5.projective(v) for v in alg5.vertices]
+    modules += [random_module(alg5, seed=seed, budget=20) for seed in range(4)]
+    tops = [{v: d for v, d in top_dims(m).items() if d} for m in modules]
+    built, solved = [], []
+    real_init, real_solve = Representation.__init__, Matrix.solve
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_solve(self, *args):
+        solved.append(args)
+        return real_solve(self, *args)
+
+    monkeypatch.setattr(Representation, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "solve", counting_solve)
+    layers = [radical_filtration(m) for m in modules]
+    assert built == [] and solved == []
+    assert [found[0] for found in layers] == tops
 
 
 # -- covers and syzygies -------------------------------------------------------
@@ -484,7 +540,6 @@ def test_pd_chain_builds_one_cover_per_module(monkeypatch):
     alg3 = Algebra(build_lambda(1, 3))
     steps = _counting(monkeypatch, "syzygy")
     covers = _counting(monkeypatch, "projective_cover")
-    tops = _counting(monkeypatch, "radical")
     free = []
     monkeypatch.setattr(Algebra, "_free_module", lambda self, *args: free.append(args))
     rep = projdim(build_Z(alg3, 3), cutoff=8)
@@ -493,7 +548,6 @@ def test_pd_chain_builds_one_cover_per_module(monkeypatch):
     assert [m.dim_vector() for (m,) in covers] == rep.chain[:-1]
     assert len({id(m) for (m,) in covers}) == len(covers)
     assert [m for (m,) in steps] == [m for (m,) in covers]
-    assert tops == []
     # The syzygies are read off the path-class basis: no cover is built.
     assert free == []
 
@@ -709,7 +763,7 @@ def test_syzygy_on_the_path_class_basis_is_the_kernel_of_the_cover_map(
     assert kernel.dims == cover.syzygy.dims
     assert kernel.mats == cover.syzygy.mats
     assert inclusion.mats == cover.inclusion_mats
-    solved, _ = homology._sub_representation(onto.source, inclusion.mats)
+    solved, _ = sub_representation(onto.source, inclusion.mats)
     assert solved.mats == cover.syzygy.mats
     assert verify_cover(module, cover)
 
@@ -738,8 +792,9 @@ def test_map_from_projectives_is_a_module_map(family, field, seed, budget, pick,
             assert algebra.free_action(free, a, unit) == total.mats[a.name]
     f = ModuleMap(total, module, homology.map_from_projectives(module, generators, free))
     assert f.is_morphism()
+    # The idempotent path classes come first, in vertex order.
     for g, (v, i) in enumerate(generators):
-        column = [row[free[v][g, algebra.basis.idempotents[v]]] for row in f.mats[v].data]
+        column = [row[free[v][g, algebra.vertices.index(v)]] for row in f.mats[v].data]
         assert column == [int(k == i) for k in range(module.dims[v])]
 
 

@@ -171,18 +171,29 @@ def test_lambda_rejects_bad_parameters():
 
 
 def test_full_subquiver_chain():
+    # Each level is the next one with the new vertices deleted: the same
+    # arrows and relations.
     for m in range(0, 5):
         small = build_lambda(2, m)
         big = build_lambda(2, m + 1)
-        assert small.is_full_subpresentation_of(big)
+        kept = big.delete_vertices(set(big.quiver.vertices) - set(small.quiver.vertices),
+                                   small.name)
+        assert kept.quiver.arrows == small.quiver.arrows
+        assert kept.relations == small.relations
 
 
 def test_full_subquiver_compares_relations():
+    # A tower with one relation of level 1 dropped, or with one relation
+    # among level 1's arrows added, does not restrict to level 1.
     small, big = build_lambda(2, 1), build_lambda(2, 2)
-    dropped = Presentation(small.name, small.quiver, small.relations[1:])
-    assert not dropped.is_full_subpresentation_of(big)
-    assert not small.is_full_subpresentation_of(Presentation(
-        big.name, big.quiver, [r for r in big.relations if r != small.relations[0]]))
+    dropped = Presentation(big.name, big.quiver,
+                           [r for r in big.relations if r != small.relations[0]])
+    added = Presentation(big.name, big.quiver,
+                         [*big.relations, Relation("zero", ("al_c1_a0",), ())])
+    certify_tower(2, 1, big)
+    for tower in (dropped, added):
+        with pytest.raises(RuntimeError, match="is not lambda_r2_m2 restricted"):
+            certify_tower(2, 1, tower)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -5,14 +5,13 @@ import pytest
 
 from biserial.families import build_lambda, lambda_vertices
 from biserial.fields import QQ, PrimeField, field_from_spec
-from biserial.homology import (certified_iso, kernel_of, projdim, syzygy,
-                               _sub_representation)
+from biserial.homology import certified_iso, kernel_of, projdim, syzygy
 from biserial.matrices import Matrix
 from biserial.reps import Algebra
 from biserial import witnesses
 from biserial.witnesses import (build_U, build_Z, build_Zt, build_phi,
                                 sample_finite_pd_modules, zt_walk)
-from oracles import prefix_phi, random_extension
+from oracles import prefix_phi, random_extension, sub_representation
 
 
 def test_z3_dimension_vector(alg3):
@@ -101,7 +100,7 @@ def test_z3_truncation_filtration(alg3):
             for k, row in enumerate(cols[v]):
                 m.data[row][k] = alg3.field.one
             incl[v] = m
-        sub, _ = _sub_representation(z33, incl)
+        sub, _ = sub_representation(z33, incl)
         assert sub.total_dim() == window
 
 
