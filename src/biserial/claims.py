@@ -34,14 +34,18 @@ witness Z_m is Z_m[1]) from one ``_TowerLedger`` per config.  It holds, by
 ``decide_iso`` call that every claim reading it shares (the call is
 deterministic in the two contents, the seed and the trials), and the pd
 report of Z_m[t].  Level 0 walks the syzygy chain.  Level m >= 1 is proved
-by induction when the level m-1 decision is ``iso``, its report is
-Finite(v) and v + 2 is within the level's chain cutoff: Omega(Z_m[t]) is
-then nonzero and certified isomorphic to Z_{m-1}[t], minimal syzygies are
-isomorphism invariants and pd M = pd Omega(M) + 1 for M not projective, so
-the walk would print exactly the chain [dim Z_m[t]] + the previous chain,
-and Finite(v + 1) (it cannot certify a cycle in a chain that reaches
-zero).  Any other case walks the full chain, so no check passes without a
-certified chain.
+by induction when the level m-1 decision is ``iso`` and its report is
+Finite(v): Omega(Z_m[t]) is then nonzero and certified isomorphic to
+Z_{m-1}[t], minimal syzygies are isomorphism invariants and pd M =
+pd Omega(M) + 1 for M not projective, so a walk with no cutoff would print
+exactly the chain [dim Z_m[t]] + the previous chain, and Finite(v + 1) (it
+cannot certify a cycle in a chain that reaches zero).  That report is cut
+to the level's cutoff (``PdReport.truncated``), which is what the walk at
+that cutoff prints.  Any other case walks the full chain, so no check
+passes without a certified chain.
+
+simples-pd walks each simple's chain once, at level m_max's cutoff, the
+largest, and cuts each level's report from it in the same way.
 """
 
 from __future__ import annotations
@@ -244,17 +248,17 @@ class _TowerLedger:
 
     def pd(self, m: int, t: int) -> PdReport:
         """The report ``projdim`` gives Z_m[t] at the level's cutoff:
-        induced from level m-1 when its report is finite and short enough
-        and Omega(Z_m[t]) is certified isomorphic to Z_{m-1}[t], walked
-        otherwise."""
+        induced from level m-1 and cut to the level's cutoff when its
+        report is finite and Omega(Z_m[t]) is certified isomorphic to
+        Z_{m-1}[t], walked otherwise."""
         if (m, t) not in self._reports:
             config, module = self.config, self.member(m, t)
             prev = self.pd(m - 1, t) if m else None
             if (prev is not None and prev.verdict == "finite"
-                    and prev.value + 2 <= config.chain_cutoff(m)
                     and self.iso(m - 1, t).status == "iso"):
                 report = PdReport("finite", [module.dim_vector()] + prev.chain,
                                   value=prev.value + 1, seed=config.seed)
+                report = report.truncated(config.chain_cutoff(m))
             else:
                 report = projdim(module, cutoff=config.chain_cutoff(m),
                                  seed=config.seed, trials=config.trials)
@@ -266,21 +270,17 @@ class _TowerLedger:
 
 
 def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
-    checks: List[CheckResult] = []
-    loops = ["u", "v", "w", "cm1", "bm1"]
-    tower = config.tower()
-    for m in range(config.m_max + 1):
-        for i in range(config.r + 1):
-            rep = projdim(tower.simple(vname("d", i)),
-                          cutoff=config.chain_cutoff(m), seed=config.seed,
-                          trials=config.trials)
-            checks.append(_verdict_check(
-                f"pd d{i} = {config.r - i} over level {m}", rep, config.r - i))
-        for v in loops:
-            rep = projdim(tower.simple(v), cutoff=config.chain_cutoff(m),
-                          seed=config.seed, trials=config.trials)
-            checks.append(_verdict_check(
-                f"pd {v} infinite over level {m}", rep, None))
+    """Each simple's chain is walked once, at the top level's cutoff, and
+    every level's report is cut from that walk (``PdReport.truncated``)."""
+    tower, top = config.tower(), config.chain_cutoff(config.m_max)
+    expected = {vname("d", i): config.r - i for i in range(config.r + 1)}
+    expected.update(dict.fromkeys(["u", "v", "w", "cm1", "bm1"]))
+    walks = {v: projdim(tower.simple(v), cutoff=top, seed=config.seed, trials=config.trials)
+             for v in expected}
+    checks = [_verdict_check(
+        f"pd {v} infinite over level {m}" if pd is None else f"pd {v} = {pd} over level {m}",
+        walks[v].truncated(config.chain_cutoff(m)), pd)
+        for m in range(config.m_max + 1) for v, pd in expected.items()]
     return ClaimReport("simples-pd", _aggregate(checks), checks, config)
 
 

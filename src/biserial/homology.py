@@ -566,6 +566,22 @@ class PdReport(NamedTuple):
             return "MinusInfinity (zero module)"
         return f"Inconclusive (cutoff {self.cutoff})"
 
+    def truncated(self, cutoff: int) -> "PdReport":
+        """The report ``projdim`` gives at ``cutoff``, no larger than the
+        cutoff this report was walked at.
+
+        This is exact.  ``projdim`` is deterministic in (module, seed,
+        trials), and its first c steps are the same at every cutoff of at
+        least c.  So a walk that ended within ``cutoff`` steps is the walk
+        at ``cutoff``.  A walk that went on past step ``cutoff`` made, and
+        missed, every search the walk at ``cutoff`` makes, so that walk
+        ends inconclusive on the first ``cutoff`` + 1 chain entries.
+        """
+        if len(self.chain) - 1 <= cutoff:
+            return self
+        return PdReport("inconclusive", self.chain[:cutoff + 1], cutoff=cutoff,
+                        seed=self.seed)
+
     def to_record(self) -> dict:
         rec = {
             "verdict": self.verdict,

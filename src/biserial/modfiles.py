@@ -31,8 +31,8 @@ from . import InputError
 from .fields import FieldError
 from .matrices import Matrix
 from .presentation import ALPHA, logical_lines
-from .reps import (Algebra, InvalidString, Representation, StringWord,
-                   direct_sum, string_module)
+from .reps import (Algebra, InvalidString, Representation, RepresentationError,
+                   StringWord, direct_sum, string_module)
 
 _MAX_DIM = 1000  # the bound on a raw dim that the module docstring states
 
@@ -81,7 +81,7 @@ def parse_module_file(text: str, algebra: Algebra) -> Dict[str, Representation]:
                 raise ModuleFileError(f"unknown vertex {body[1]!r}", body_lineno)
             rep = algebra.projective(body[1])
         elif head == "raw":
-            rep, i = _parse_raw(lines, i, algebra)
+            rep, i = _parse_raw(lines, i, body_lineno, algebra)
         else:
             raise ModuleFileError(f"unknown module body directive {head!r}", body_lineno)
         modules[current_name] = rep
@@ -122,9 +122,11 @@ def _count(token: str, lineno: int, what: str) -> int:
     return value
 
 
-def _parse_raw(lines: List[Tuple[int, str, List[str]]], i: int, algebra: Algebra
-               ) -> Tuple[Representation, int]:
-    """The raw body from ``lines[i]`` to the next ``module`` line, and its index."""
+def _parse_raw(lines: List[Tuple[int, str, List[str]]], i: int, raw_lineno: int,
+               algebra: Algebra) -> Tuple[Representation, int]:
+    """The raw body from ``lines[i]`` to the next ``module`` line, and its
+    index.  A module that fails its shape or relation check is named at its
+    ``raw`` line."""
     dims: Dict[str, int] = {}
     mats: Dict[str, Matrix] = {}
     field = algebra.field
@@ -166,7 +168,10 @@ def _parse_raw(lines: List[Tuple[int, str, List[str]]], i: int, algebra: Algebra
             mats[name] = Matrix(field, rows, cols, data)
         else:
             raise ModuleFileError(f"unknown raw directive {tokens[0]!r}", lineno)
-    return Representation(algebra, dims, mats), i
+    try:
+        return Representation(algebra, dims, mats), i
+    except RepresentationError as exc:
+        raise ModuleFileError(str(exc), raw_lineno) from exc
 
 
 def emit_module_raw(name: str, rep: Representation) -> str:
@@ -184,10 +189,16 @@ def emit_module_raw(name: str, rep: Representation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_string(text) -> str:
+    """``text`` as a quoted DOT string: a backslash or a double quote in it
+    is escaped, so any name reads back as itself."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_representation(name: str, rep: Representation) -> str:
     """Coefficient quiver in DOT: solid edges alpha, dashed beta."""
     algebra = rep.algebra
-    lines = [f'digraph "{name}" {{', "  rankdir=TB;"]
+    lines = [f"digraph {_dot_string(name)} {{", "  rankdir=TB;"]
     node_ids: Dict[Tuple[str, int], str] = {}
     counter = 0
     for v in algebra.vertices:
@@ -195,7 +206,7 @@ def dot_representation(name: str, rep: Representation) -> str:
             nid = f"n{counter}"
             counter += 1
             node_ids[(v, k)] = nid
-            lines.append(f'  {nid} [label="{v}"];')
+            lines.append(f"  {nid} [label={_dot_string(v)}];")
     for a in algebra.pres.quiver.arrows.values():
         style = "solid" if a.letter == ALPHA else "dashed"
         m = rep.mats[a.name]
@@ -205,8 +216,7 @@ def dot_representation(name: str, rep: Representation) -> str:
                 if c:
                     src = node_ids[(a.source, j)]
                     tgt = node_ids[(a.target, i)]
-                    extra = "" if c == algebra.field.one else \
-                        f', label="{c}"'
+                    extra = "" if c == algebra.field.one else f", label={_dot_string(c)}"
                     lines.append(f"  {src} -> {tgt} [style={style}{extra}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -214,11 +224,12 @@ def dot_representation(name: str, rep: Representation) -> str:
 
 def dot_quiver(pres) -> str:
     """The quiver itself in DOT, solid alpha and dashed beta."""
-    lines = [f'digraph "{pres.name}" {{']
+    lines = [f"digraph {_dot_string(pres.name)} {{"]
     for v in pres.quiver.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_string(v)};")
     for a in sorted(pres.quiver.arrows.values(), key=lambda a: a.name):
         style = "solid" if a.letter == ALPHA else "dashed"
-        lines.append(f'  "{a.source}" -> "{a.target}" [style={style}, label="{a.name}"];')
+        lines.append(f"  {_dot_string(a.source)} -> {_dot_string(a.target)} "
+                     f"[style={style}, label={_dot_string(a.name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

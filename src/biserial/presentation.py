@@ -193,6 +193,8 @@ def parse_presentation(text: str) -> Presentation:
         elif head == "vertex":
             if len(tokens) != 2:
                 raise ParseError("expected: vertex <name>", lineno)
+            if tokens[1] in vertices:
+                raise ParseError(f"repeated vertex {tokens[1]!r}", lineno)
             vertices.append(tokens[1])
         elif head == "arrow":
             # arrow <name> : <alpha|beta> <src> -> <tgt>

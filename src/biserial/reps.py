@@ -196,6 +196,8 @@ class Representation:
     def dim_vector(self) -> Tuple[Tuple[str, int], ...]:
         return tuple((v, d) for v, d in sorted(self.dims.items()) if d)
 
+    # No command calls path_matrix; it stays for bench/tracer.py, which
+    # wraps it as vars(Representation)["path_matrix"].
     def path_matrix(self, path: Sequence[str]) -> Matrix:
         """Matrix of a nonempty composite path (first arrow applied first).
 

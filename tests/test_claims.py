@@ -222,6 +222,17 @@ def _pinned(args, digest, code, name):
              "--seed", "3", "--trials", "0"], "bc0e656bf4c5088e", 3, "trials-0"),
     # The split-pair search over GF(2).
     _pinned(["lemma-1", "--r", "2", "--field", "fp:2"], "6dfa131e6a1f0316", 0, "lemma-1-fp:2"),
+    # simples-pd cuts each level's report from one walk per simple: with no
+    # iso trials the loop simples are cut to inconclusive at every level,
+    # and a short cutoff cuts the chain simples' walks too.
+    _pinned(["simples-pd", "--r", "2", "--m-max", "4", "--seed", "3"],
+            "681e295f56b1fd8b", 0, "simples-pd"),
+    _pinned(["simples-pd", "--r", "2", "--m-max", "4", "--seed", "3", "--trials", "0"],
+            "7b1de34266572e5b", 3, "simples-pd-trials-0"),
+    _pinned(["simples-pd", "--r", "2", "--m-max", "4", "--seed", "3", "--cutoff", "3"],
+            "173b9ee25f6cf4ea", 0, "simples-pd-cutoff-3"),
+    _pinned(["simples-pd", "--r", "2", "--m-max", "4", "--seed", "3", "--cutoff", "2",
+             "--trials", "0"], "9cfec3a4f2eb38d2", 3, "simples-pd-cutoff-2-trials-0"),
 ])
 def test_verify_all_digest_is_pinned(args, digest, code, capsys):
     from biserial.cli import main
@@ -304,6 +315,27 @@ def test_section_4_builds_each_connecting_map_once(monkeypatch):
     assert sorted(calls) == [(m, t) for m in range(5) for t in range(1, 4)]
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_simples_pd_walks_each_simple_once(monkeypatch, r):
+    # r + 1 chain simples and five loop simples, each walked at the top
+    # level's cutoff; every level's check is cut from that walk.
+    from biserial import claims
+    from biserial.homology import projdim
+
+    cutoffs = []
+
+    def counting(module, **kwargs):
+        cutoffs.append(kwargs["cutoff"])
+        return projdim(module, **kwargs)
+
+    monkeypatch.setattr(claims, "projdim", counting)
+    cfg = FamilyConfig(r=r, m_max=3, seed=3)
+    report = claims.claim_simples_pd(cfg)
+    assert report.status == "pass"
+    assert cutoffs == [cfg.chain_cutoff(cfg.m_max)] * (r + 6)
+    assert len(report.checks) == (r + 6) * (cfg.m_max + 1)
+
+
 def _ledger_reports(monkeypatch, cfg):
     """Every (m, t) of the config's ledger: its report, the report a walk
     of the syzygy chain gives, and whether the ledger walked."""
@@ -355,12 +387,12 @@ def test_ledger_walks_every_level_with_no_iso_trials(monkeypatch):
 def test_ledger_walks_where_the_cutoff_is_too_short(monkeypatch):
     # With cutoff r + 3 the chain of Z_m reaches zero at step r + m + 1,
     # so levels 0..2 are finite and level 3 up is inconclusive.  Level 2
-    # is induced (its walk needs r + 3 steps); level 3 must walk, and so
-    # must level 4, whose previous report is not finite.
+    # is induced (its walk needs r + 3 steps); level 3 is induced and cut
+    # to the cutoff; level 4, whose previous report is not finite, walks.
     cfg = FamilyConfig(r=2, m_max=4, t_max=2, seed=3, cutoff=5)
     for (m, t), (report, walk, was_walked) in _ledger_reports(monkeypatch, cfg).items():
         assert report == walk, (m, t)
-        assert was_walked == (m in (0, 3, 4)), (m, t)
+        assert was_walked == (m in (0, 4)), (m, t)
         assert report.verdict == ("finite" if m <= 2 else "inconclusive")
 
 

@@ -468,6 +468,41 @@ def test_pd_report_serialization(alg0):
     assert rec["chain"][0] == [["u", 1]]
 
 
+@functools.cache
+def _truncation_modules(field_spec):
+    """Modules of every pd verdict over one field: zero, finite (chain
+    simples, a witness, a random module), infinite (loop simples,
+    c2-strings)."""
+    from biserial.fields import field_from_spec
+
+    field = field_from_spec(field_spec)
+    tower = Algebra(build_lambda(2, 3), field=field)
+    prime = Algebra(build_lambda1prime(2), field=field)
+    return [tower.zero_module(), tower.simple("d0"), tower.simple("d2"),
+            tower.simple("u"), tower.simple("cm1"), build_Z(tower, 2),
+            *xset(prime)[::3], random_module(prime, seed=5, budget=12)]
+
+
+@pytest.mark.parametrize("field_spec", ["q", "fp:2", "fp:101"])
+def test_pd_report_truncated_is_the_walk_at_the_smaller_cutoff(field_spec):
+    # projdim(M, cutoff=c) == projdim(M, cutoff=C).truncated(c) for every
+    # 1 <= c <= C, with the iso search on, off (trials 0, which cuts the
+    # infinite chains to inconclusive) and at one trial.
+    verdicts = set()
+    for module in _truncation_modules(field_spec):
+        for trials in (None, 0, 1):
+            walks = {c: projdim(module, cutoff=c, seed=2, trials=trials)
+                     for c in range(1, 8)}
+            for big, walk in walks.items():
+                for c in range(1, big + 1):
+                    cut, short = walk.truncated(c), walks[c]
+                    assert cut._replace(iso=None) == short._replace(iso=None), (c, big)
+                    assert (cut.iso is None) == (short.iso is None)
+                    assert cut.iso is None or cut.iso.mats == short.iso.mats
+            verdicts.update(walk.verdict for walk in walks.values())
+    assert verdicts == {"finite", "infinite", "inconclusive", "minus_infinity"}
+
+
 # -- the pd engine does no work that cannot change its answer ------------------
 
 

@@ -108,6 +108,21 @@ def test_raw_repeated_mat_rejected_at_its_line(alg1):
     assert "repeated mat" in str(exc.value) and "'al_u_u'" in str(exc.value)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("dim u 1\nmat al_u_u 1 1\n1\n", "relations violated: zero al_u_u*al_u_u"),
+    ("dim u 1\nmat al_u_u 2 2\n0 0\n0 0\n",
+     "arrow al_u_u: matrix is 2x2, expected 1x1"),
+])
+def test_a_raw_module_that_fails_its_checks_is_named_at_its_raw_line(alg1, body, message):
+    # The second of two raw modules is at fault: the error names its body.
+    text = ("module ok over lambda_r1_m1\nraw\ndim u 1\n"
+            "module bad over lambda_r1_m1\n# its body\nraw\n" + body)
+    with pytest.raises(ModuleFileError) as exc:
+        parse_module_file(text, alg1)
+    assert exc.value.line == 6
+    assert str(exc.value) == f"line 6: {message}"
+
+
 def test_comment_and_blank_lines_may_stand_between_matrix_rows(alg1):
     z1 = build_Z(alg1, 1)  # its mat al_c1_a0 has two rows
     relaxed = "".join(
@@ -149,6 +164,22 @@ def test_dot_quiver(alg0):
     dot = dot_quiver(alg0.pres)
     assert '"u" -> "u" [style=solid' in dot
     assert '"d0" -> "d1" [style=dashed' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # A name with a double quote or a backslash is one quoted DOT string.
+    from biserial.presentation import parse_presentation
+    from biserial.reps import Algebra
+
+    pres = parse_presentation('algebra Q"x\nvertex a\\b\nvertex c\n'
+                              'arrow f"g : alpha a\\b -> c\n')
+    assert dot_quiver(pres) == (
+        'digraph "Q\\"x" {\n  "a\\\\b";\n  "c";\n'
+        '  "a\\\\b" -> "c" [style=solid, label="f\\"g"];\n}\n')
+    module = parse_module_file('module M"\\ over Q"x\nraw\ndim a\\b 1\n',
+                               Algebra(pres))['M"\\']
+    assert dot_representation('M"\\', module) == (
+        'digraph "M\\"\\\\" {\n  rankdir=TB;\n  n0 [label="a\\\\b"];\n}\n')
 
 
 def test_prime_field_raw_round_trip(algp_f101):

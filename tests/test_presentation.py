@@ -103,6 +103,14 @@ def test_equality_needs_parallel_paths():
     assert "parallel" in str(exc.value)
 
 
+def test_repeated_vertex_rejected_at_its_line():
+    # A second vertex line for x would be merged with the first silently.
+    text = "algebra A\nvertex x\nvertex y\n# again\nvertex x\n"
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == "line 5: repeated vertex 'x'"
+
+
 def test_duplicate_arrow_names_rejected():
     with pytest.raises(PresentationError):
         Quiver(["x", "y"], [Arrow("f", "x", "y", ALPHA),
