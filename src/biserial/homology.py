@@ -30,11 +30,14 @@ off free rows; none is solved for.
 A cover is the free module on its generators' vertices, and its basis,
 the (summand, path class) pairs, is ``Algebra.free_basis``: the cover
 map and the syzygy both read that one layout (see ``projective_cover``),
-and the cover's own matrices are never built.  The one
-cokernel, ``_cokernel``, reads the maps and the target's arrows on the
-chosen columns, so no end need exist as a module: ``cokernel_of`` adds
-the projection map, and the random samples act on free columns by
-``Algebra.free_action``.
+and the cover's own matrices are never built.  The cover map is onto
+(Nakayama), so a cover of the module's own dimension is an isomorphism:
+a projective module's syzygy is zero, with no kernel eliminated.  Any
+other syzygy's dimension is checked against the cover's, which says the
+map is onto.  The one cokernel, ``_cokernel``, reads the maps and the
+target's arrows on the chosen columns, so no end need exist as a
+module: ``cokernel_of`` adds the projection map, and the random samples
+act on free basis vectors by ``Algebra.free_action``.
 
 Positive isomorphism answers are certificates (an explicit intertwining
 map, invertible at every vertex).  Negative answers from the random
@@ -59,7 +62,7 @@ import random
 from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .matrices import Matrix
+from .matrices import Matrix, _flipped, _rref
 from .presentation import Arrow
 from .reps import FreeBasis, ModuleMap, Representation
 
@@ -199,6 +202,15 @@ def projective_cover(module: Representation) -> CoverData:
     and the syzygy, the kernel of that map, on which an arrow acts by
     ``Algebra.free_action``; the cover's block-diagonal matrices are never
     built.
+
+    The generators span M modulo rad M, so by Nakayama's lemma
+    (Assem-Simson-Skowroński, *Elements I*, ch. I) they span M, and the
+    cover map is onto.  An onto map between spaces of one dimension is an
+    isomorphism: when the cover has M's dimension, M is projective and
+    its syzygy is zero, with no kernel eliminated.  Otherwise the kernel
+    has dimension dim P_w - dim M_w at each vertex w exactly when the map
+    is onto there, which is checked: a failure is a bug, an
+    ``AssertionError``.
     """
     algebra = module.algebra
     # (vertex, index of the lift e_i).  A basis of the top at v: unit
@@ -209,9 +221,15 @@ def projective_cover(module: Representation) -> CoverData:
     tops = [v for v, _ in generators]
     free = algebra.free_basis(tops)
     cover_mats = map_from_projectives(module, generators, free)
+    free_dims = {v: len(rows) for v, rows in free.items()}
+    if sum(free_dims.values()) == module.total_dim():
+        return CoverData(algebra.zero_module(), tops, cover_mats,
+                         {v: algebra.zero_matrix(d, 0) for v, d in free_dims.items()})
     syzygy_rep, inclusion_mats = _kernel(
-        algebra, {v: len(rows) for v, rows in free.items()}, cover_mats,
-        lambda a, kernel: algebra.free_action(free, a, kernel))
+        algebra, free_dims, cover_mats,
+        lambda a, kernel: algebra.free_action(free, a, range(kernel.rows)) @ kernel)
+    if any(syzygy_rep.dims[v] != d - module.dims[v] for v, d in free_dims.items()):
+        raise AssertionError(f"the cover map of {module!r} is not onto")
     return CoverData(syzygy_rep, tops, cover_mats, inclusion_mats)
 
 
@@ -283,12 +301,14 @@ def _projective_hom_kernel(algebra, vertex: str, free: FreeBasis
         for path in map(basis.class_path, classes):
             for k in range(1, len(path) + 1):
                 if path[:k] not in images:
-                    images[path[:k]] = algebra.free_action(
-                        free, algebra.pres.quiver.arrows[path[k - 1]], images[path[:k - 1]])
+                    arrow = algebra.pres.quiver.arrows[path[k - 1]]
+                    step = algebra.free_action(free, arrow, range(len(free[arrow.source])))
+                    images[path[:k]] = step @ images[path[:k - 1]] if k > 1 else step
             cols.append(images[path].data)
         phis += [col[r] for r in range(len(free[w])) for col in cols]
-    work = Matrix(field, len(phis), n, phis)._flipped_transpose().rref()[0]
-    return Matrix(field, len(phis), n, work._flipped_transpose().data[::-1]), offsets
+    work = _rref(_flipped(phis), field)[0]
+    # When F is zero at u, phis's rows are empty, and so is the kernel.
+    return Matrix(field, len(phis), n, _flipped(work)[::-1] or phis), offsets
 
 
 def syzygy(module: Representation) -> Representation:

@@ -11,9 +11,12 @@ rref of the transpose with its columns reversed: ``unit_complement``
 reads the unit vectors that extend the column space off its pivots, and
 ``quotient_coordinates`` reads the coordinates of the quotient by the
 column space off its kernel, with no inverse.
-Storage is dense, but elimination is sparse in its updates: each row
-operation touches only the nonzero columns of the pivot row, which is
-what keeps the very sparse Hom systems cheap.
+Storage is dense, but products, like eliminations, touch only nonzero
+entries: a product reads each row's nonzero entries once, and a row
+operation only the pivot row's nonzero columns, which is what keeps the
+very sparse Hom systems and maps cheap.  The readers of an rref work on
+its raw rows, with no rref matrix built, and a matrix with no entries
+gets its kernel and quotient with no elimination.
 
 All arithmetic is exact and goes through the field interface of
 ``biserial.fields``, the one place that knows field types: ``reduce``
@@ -26,8 +29,8 @@ over any object with that interface.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
-
 
 
 class Matrix:
@@ -59,11 +62,9 @@ class Matrix:
     def units(cls, field, n: int, indices: Sequence[int]) -> "Matrix":
         """The n-row matrix whose k-th column is the unit vector e_i for
         the k-th index i."""
-        m = cls.zeros(field, n, len(indices))
-        one = field.one
-        for k, i in enumerate(indices):
-            m.data[i][k] = one
-        return m
+        one, zero = field.one, field.zero
+        return cls(field, n, len(indices), [[one if i == j else zero for j in indices]
+                                            for i in range(n)])
 
     # -- basic algebra -----------------------------------------------------
 
@@ -90,19 +91,17 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero
-        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
+        zero, width = self.field.zero, other.cols
+        terms = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         data = []
         for arow in self.data:
-            orow = []
-            for bcol in bt:
-                acc = zero
-                for a, b in zip(arow, bcol):
-                    if a and b:
-                        acc += a * b
-                orow.append(acc)
-            data.append(orow)
-        return Matrix(self.field, self.rows, other.cols, self.field.reduce(data))
+            acc = [zero] * width
+            for a, bterms in zip(arow, terms):
+                if a:
+                    for j, b in bterms:
+                        acc[j] += a * b
+            data.append(acc)
+        return Matrix(self.field, self.rows, width, self.field.reduce(data))
 
     @classmethod
     def hcat(cls, field, rows: int, blocks: Sequence["Matrix"]) -> "Matrix":
@@ -144,19 +143,11 @@ class Matrix:
         """``kernel_basis`` and the free columns of the rref it is read
         off.  The basis is the identity on the free rows, so the
         coordinates of a null vector in it are its entries there."""
-        red, pivots, _rank = self.rref()
-        field = self.field
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        out = Matrix.zeros(field, self.cols, len(free))
-        one = field.one
-        for k, j in enumerate(free):
-            out.data[j][k] = one
-            for i, pj in enumerate(pivots):
-                val = red.data[i][j]
-                if val:
-                    out.data[pj][k] = field.neg(val)
-        return out, free
+        field, n = self.field, self.cols
+        if not (self.rows and n):
+            return Matrix.identity(field, n), list(range(n))
+        free, rows = _null_rows(*_rref(self.data, field), n, field)
+        return Matrix(field, n, len(free), rows), free
 
     def solve(self, b: "Matrix") -> Optional["Matrix"]:
         """One solution X of self @ X = b, or None when b is inconsistent."""
@@ -192,7 +183,7 @@ class Matrix:
         rows of self^T with coordinates reversed, so one rref of that
         cols x rows matrix gives them."""
         n = self.rows
-        taken = {n - 1 - p for p in _rref(self._flipped_transpose().data, self.field)[1]}
+        taken = {n - 1 - p for p in _rref(_flipped(self.data), self.field)[1]}
         return [i for i in range(n) if i not in taken]
 
     def quotient_coordinates(self) -> Tuple[List[int], "Matrix"]:
@@ -205,21 +196,16 @@ class Matrix:
         transpose, whose basis is the identity on the free columns of its
         rref: the chosen indices reversed.  So Q is that kernel basis with
         its rows and its columns in reverse order."""
-        n = self.rows
-        kernel, free = self._flipped_transpose().kernel_with_free()
-        rows = [list(col[::-1]) for col in zip(*kernel.data)][::-1]
-        return [n - 1 - j for j in reversed(free)], Matrix(self.field, len(free), n, rows)
-
-    def _flipped_transpose(self) -> "Matrix":
-        """self^T with its columns in reverse order."""
-        rows = [list(col[::-1]) for col in zip(*self.data)] or [[] for _ in range(self.cols)]
-        return Matrix(self.field, self.cols, self.rows, rows)
+        field, n = self.field, self.rows
+        if not (n and self.cols):
+            return list(range(n)), Matrix.identity(field, n)
+        free, rows = _null_rows(*_rref(_flipped(self.data), field), n, field)
+        return ([n - 1 - j for j in reversed(free)],
+                Matrix(field, len(free), n, [list(col[::-1]) for col in zip(*rows)][::-1]))
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the pivot columns of self."""
-        _, pivots, _ = self.rref()
-        # rref pivots are column indices of independent columns.
-        return self.submatrix_cols(pivots)
+        return self.submatrix_cols(_rref(self.data, self.field)[1])
 
 
 def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
@@ -257,7 +243,8 @@ def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
         if best != r:
             work[r], work[best] = work[best], work[r]
         row = work[r]
-        support = [j for j in range(c + 1, ncols) if row[j]]
+        # The row is zero left of c, so its first nonzero column is c.
+        support = list(compress(range(ncols), row))[1:]
         if row[c] != one:
             scale_row(row, support, field.inv(row[c]))
             row[c] = one
@@ -272,14 +259,32 @@ def _rref(data: List[list], field) -> Tuple[List[list], List[int]]:
     return work, pivots
 
 
+def _flipped(data: List[list]) -> List[list]:
+    """The rows of the transpose of the matrix with rows ``data``, its
+    columns in reverse order; none when ``data`` has no rows."""
+    return [list(col) for col in zip(*reversed(data))]
+
+
+def _null_rows(work: List[list], pivots: List[int], n: int, field
+               ) -> Tuple[List[int], List[list]]:
+    """The free columns of an rref ``work`` of n columns with ``pivots``,
+    and the rows of its kernel basis: the identity on the free rows, and
+    minus the pivot row's entries at the free columns on a pivot's row."""
+    at = dict(zip(pivots, work))
+    free = [j for j in range(n) if j not in at]
+    rows = []
+    for j in range(n):
+        row = at.get(j)
+        rows.append([field.one if f == j else field.zero for f in free] if row is None
+                    else [field.neg(row[f]) if row[f] else field.zero for f in free])
+    return free, rows
+
+
 def block_diag(field, blocks: Sequence[Matrix]) -> Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = Matrix.zeros(field, rows, cols)
-    ro = co = 0
+    """The blocks along the diagonal, each row padded with zeros."""
+    cols, data, left = sum(b.cols for b in blocks), [], 0
     for b in blocks:
-        for i in range(b.rows):
-            out.data[ro + i][co:co + b.cols] = list(b.data[i])
-        ro += b.rows
-        co += b.cols
-    return out
+        pad = [field.zero] * (cols - left - b.cols)
+        data += [[field.zero] * left + row + pad for row in b.data]
+        left += b.cols
+    return Matrix(field, len(data), cols, data)

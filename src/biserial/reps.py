@@ -100,20 +100,18 @@ class Algebra:
                 at[g, p] = len(at)
         return rows
 
-    def free_action(self, free: FreeBasis, arrow: Arrow, columns: Matrix) -> Matrix:
-        """``arrow`` applied to ``columns`` on the ``free_basis`` ``free``:
-        (g, p) goes to the sum of c * (g, q) over the terms c * q of
-        arrow·p, and only the nonzero entries of ``columns`` are read."""
-        field, action = self.field, self.action
-        rows = free[arrow.target]
-        out = [[field.zero] * columns.cols for _ in rows]
-        for (g, p), entries in zip(free[arrow.source], columns.data):
-            for q, c in action[arrow.name, p]:
-                row = out[rows[g, q]]
-                for j, x in enumerate(entries):
-                    if x:
-                        row[j] += c * x
-        return Matrix(field, len(out), columns.cols, field.reduce(out))
+    def free_action(self, free: FreeBasis, arrow: Arrow, columns: Sequence[int]) -> Matrix:
+        """``arrow`` applied to the basis vectors of ``free``, a
+        ``free_basis``, at its source numbered ``columns``: column k is
+        arrow·(g, p) for the k-th pair (g, p), the sum of c * (g, q) over
+        the terms c * q of arrow·p, read off ``action`` with no product."""
+        targets, sources = free[arrow.target], list(free[arrow.source])
+        out = [[self.field.zero] * len(columns) for _ in targets]
+        for k, i in enumerate(columns):
+            g, p = sources[i]
+            for q, c in self.action[arrow.name, p]:
+                out[targets[g, q]][k] = c
+        return Matrix(self.field, len(targets), len(columns), out)
 
     @property
     def vertices(self) -> Tuple[str, ...]:
@@ -123,7 +121,10 @@ class Algebra:
         return self.basis.dim
 
     def zero_module(self) -> "Representation":
-        return Representation(self, {v: 0 for v in self.vertices}, {})
+        """The zero module, built on the first call and then kept in ``memo``,
+        like ``simple``: every cover of a projective module shares it."""
+        return self.memo("zero", lambda alg: Representation(
+            alg, dict.fromkeys(alg.vertices, 0), {}))
 
     def simple(self, vertex: str) -> "Representation":
         """The simple at ``vertex``, built and relation-checked on the first
@@ -151,7 +152,7 @@ class Algebra:
         free = self.free_basis(tops)
         dims = {v: len(rows) for v, rows in free.items()}
         return Representation(self, dims, {
-            a.name: self.free_action(free, a, Matrix.identity(self.field, dims[a.source]))
+            a.name: self.free_action(free, a, range(dims[a.source]))
             for a in self.pres.quiver.arrows.values() if dims[a.source] and dims[a.target]},
             check)
 
@@ -165,7 +166,9 @@ class Representation:
     def __init__(self, algebra: Algebra, dims: Dict[str, int],
                  mats: Dict[str, Matrix], check: bool = True):
         self.algebra = algebra
-        self.dims = dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        if tuple(dims) != algebra.vertices or set(map(type, dims.values())) != {int}:
+            dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        self.dims = dims
         if any(d < 0 for d in dims.values()):
             raise RepresentationError("negative dimension")
         get, empty, zero = mats.get, algebra._empty.get, algebra.zero_matrix
@@ -472,16 +475,14 @@ def random_module(algebra: Algebra, seed: int, budget: int) -> Representation:
     f_rows = {v: [[] for _ in range(d)] for v, d in dims.items() if d}
     for u in rels:
         kernel, offsets = _projective_hom_kernel(algebra, u, free)
-        column = [field.zero] * kernel.rows
-        for basis_map in zip(*kernel.data):  # one coefficient each, in order
-            c = rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
-            column = [y + c * x for y, x in zip(column, basis_map)] if c else column
-        column = field.reduce([column])[0]
+        # One coefficient per basis map, in order; the map is their sum.
+        coeffs = [rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2)) for _ in range(kernel.cols)]
+        column = field.reduce([[sum(x * c for x, c in zip(row, coeffs) if x)
+                                for row in kernel.data]])[0]
         for v, out in f_rows.items():
             width, base = len(by_pair.get((u, v), ())), offsets[v]
             for i, row in enumerate(out):
                 row += column[base + i * width:base + (i + 1) * width]
     return _cokernel(algebra, dims, {v: Matrix(field, len(out), len(out[0]), out)
                                      for v, out in f_rows.items()},
-                     lambda a, cols: algebra.free_action(
-                         free, a, Matrix.units(field, dims[a.source], cols)))[0]
+                     lambda a, cols: algebra.free_action(free, a, cols))[0]

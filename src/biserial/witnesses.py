@@ -195,7 +195,7 @@ def random_extension(algebra: Algebra, base: Representation,
         p = p_dims[a.source]
         own = [j for j in cols if j < p]
         rest = [j - p for j in cols[len(own):]]
-        return block_diag(field, [algebra.free_action(free, a, Matrix.units(field, p, own)),
+        return block_diag(field, [algebra.free_action(free, a, own),
                                   base.mats[a.name].submatrix_cols(rest)])
 
     return _cokernel(algebra, dims, graph, arrow_columns)[0]

@@ -5,7 +5,8 @@ public types.
 Matrix and module-map arithmetic, direct-sum structure maps, inflation
 and restriction along a full subquiver, the interval modules of a path
 quiver, submodules with a solved induced action, the radical, top
-dimensions and a cover check, a random extension taken as
+dimensions, a cover check and the syzygy as an eliminated kernel of the
+cover map, a random extension taken as
 the cokernel of a map into an assembled sum, an associativity spot check
 of a path basis, structural equality of presentations, the direct
 system's connecting maps with their kept walk prefixes written out, and
@@ -20,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from biserial.claims import ClaimReport, FamilyConfig, run_claim
 from biserial.fields import QQ
-from biserial.homology import (CoverData, cokernel_of, projective_cover,
+from biserial.homology import (CoverData, cokernel_of, kernel_of, projective_cover,
                                random_hom_combination)
 from biserial.matrices import Matrix, block_diag
 from biserial.pathbasis import PathBasis
@@ -224,6 +225,13 @@ def verify_cover(module: Representation, cover: CoverData) -> bool:
     if not onto.compose(inclusion).is_zero():
         return False
     return top_dims(onto.source) == top_dims(module)
+
+
+def kernel_route_syzygy(module: Representation) -> Representation:
+    """The kernel of the cover map out of the cover built in full, always
+    eliminated: the reference for ``projective_cover``'s syzygy, which
+    skips the kernel when the module is projective."""
+    return kernel_of(cover_maps(module, projective_cover(module))[0])[0]
 
 
 def random_extension(algebra: Algebra, base: Representation,

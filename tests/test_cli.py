@@ -634,6 +634,18 @@ def test_internal_error_is_not_a_usage_error(z3_file, monkeypatch, capsys):
     assert err.startswith("internal error: ValueError: span not stable")
 
 
+def test_a_cover_map_that_is_not_onto_is_an_internal_error(z3_file, monkeypatch, capsys):
+    from biserial.matrices import Matrix
+
+    real = Matrix.unit_complement
+    monkeypatch.setattr(Matrix, "unit_complement", lambda self: real(self)[1:])
+    assert main(["module", "syzygy", z3_file, "--algebra", "lambda:r=1,m=3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: AssertionError: the cover map of ")
+    assert err.splitlines()[0].endswith(" is not onto")
+
+
 def test_an_iso_candidate_failing_its_squares_is_an_internal_error(z3_file, monkeypatch,
                                                                    capsys):
     from biserial import homology

@@ -21,9 +21,9 @@ from biserial.reps import (Algebra, ModuleMap, Representation, RepresentationErr
                            StringWord, assemble_sum_map, direct_sum,
                            random_module, string_module)
 from biserial.witnesses import build_Z, build_Zt, zt_walk
-from oracles import (cover_maps, direct_sum_maps, from_rows, interval_module, map_add,
-                     map_inverse, map_scale, radical, scale, sub_representation,
-                     top_dims, verify_cover)
+from oracles import (cover_maps, direct_sum_maps, from_rows, interval_module,
+                     kernel_route_syzygy, map_add, map_inverse, map_scale, radical, scale,
+                     sub_representation, top_dims, verify_cover)
 
 
 def brute_force_intertwiner_count(m, n):
@@ -657,6 +657,57 @@ def test_cover_generators_extend_the_arrow_images(family, field, seed, budget):
     assert verify_cover(module, projective_cover(module))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["lambda", "lambda1prime"]), st.sampled_from([None, 2, 101]),
+       st.sampled_from(["random", "sum of projectives", "relation-free"]),
+       st.integers(0, 10 ** 6), st.integers(1, 20))
+def test_cover_eliminates_no_kernel_exactly_for_projective_modules(
+        family, field, kind, seed, budget):
+    # By Nakayama's lemma the cover map is onto, so a cover of M's own
+    # dimension is an isomorphism: its syzygy is zero with no kernel
+    # eliminated.  Either way the syzygy is the kernel of the cover map
+    # built in full and eliminated, content for content.  Relation-free
+    # random modules are what random_module returns when it draws no
+    # relation: the free module on its tops.
+    algebra = _cover_algebra(family, field)
+    rng = random.Random(seed)
+    tops = [rng.choice(algebra.vertices) for _ in range(rng.randint(0, 3))]
+    module = {"random": lambda: random_module(algebra, seed=seed, budget=budget),
+              "sum of projectives": lambda: direct_sum(
+                  algebra, [algebra.projective(v) for v in tops]),
+              "relation-free": lambda: algebra._free_module(tops)}[kind]()
+    cover = projective_cover(module)
+    assert verify_cover(module, cover)
+    reference = kernel_route_syzygy(module)
+    assert homology._content_key(cover.syzygy) == homology._content_key(reference)
+    free_dim = sum(map(len, algebra.free_basis(cover.tops).values()))
+    assert cover.syzygy.is_zero() == (free_dim == module.total_dim())
+    if kind != "random":
+        assert cover.syzygy.is_zero()
+
+
+def test_cover_of_a_projective_module_solves_no_kernel(monkeypatch, algp):
+    kernels = _counting(monkeypatch, "_kernel")
+    cover = projective_cover(direct_sum(algp, [algp.projective(v) for v in algp.vertices]))
+    assert cover.syzygy.is_zero() and kernels == []
+    assert all(m.cols == 0 for m in cover.inclusion_mats.values())
+    assert projective_cover(algp.simple("d1")).syzygy.is_zero() and kernels == []
+    assert not projective_cover(algp.simple("c1")).syzygy.is_zero()
+    assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("make", [lambda alg: alg.simple("d0"), lambda alg: build_Z(alg, 3)],
+                         ids=["simple", "Z_3"])
+def test_a_cover_map_that_is_not_onto_is_a_bug(monkeypatch, alg3, make):
+    # Dropping a top generator leaves the cover map short of M, which the
+    # dimension of its kernel shows.
+    module = make(alg3)
+    real = Matrix.unit_complement
+    monkeypatch.setattr(Matrix, "unit_complement", lambda self: real(self)[1:])
+    with pytest.raises(AssertionError, match="is not onto"):
+        projective_cover(module)
+
+
 def test_projective_built_and_checked_once(monkeypatch):
     checks = []
     real = Representation.violated_relations
@@ -811,7 +862,8 @@ def test_map_from_projectives_is_a_module_map(family, field, seed, budget, pick,
     # Any (v, i) generator list gives a module map out of the direct sum
     # of the P(v) that sends the top of summand g to e_i; the free basis
     # of the generators' vertices is that sum's basis, and the free action
-    # on it is the sum's block-diagonal arrow action.
+    # on any of its basis vectors is the sum's block-diagonal arrow action
+    # on them.
     algebra = _cover_algebra(family, field)
     module = random_module(algebra, seed=seed, budget=budget)
     rng = random.Random(pick)
@@ -823,8 +875,11 @@ def test_map_from_projectives_is_a_module_map(family, field, seed, budget, pick,
     assert {v: len(rows) for v, rows in free.items()} == total.dims
     for a in algebra.pres.quiver.arrows.values():
         if total.dims[a.source] and total.dims[a.target]:
-            unit = Matrix.identity(algebra.field, total.dims[a.source])
-            assert algebra.free_action(free, a, unit) == total.mats[a.name]
+            n = total.dims[a.source]
+            assert algebra.free_action(free, a, range(n)) == total.mats[a.name]
+            picked = rng.sample(range(n), rng.randint(0, n))
+            assert (algebra.free_action(free, a, picked)
+                    == total.mats[a.name].submatrix_cols(picked))
     f = ModuleMap(total, module, homology.map_from_projectives(module, generators, free))
     assert f.is_morphism()
     # The idempotent path classes come first, in vertex order.

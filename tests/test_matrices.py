@@ -357,13 +357,50 @@ def _all_normal(m: Matrix) -> bool:
     return all(_is_normal(x) for row in m.data for x in row)
 
 
-def _values(m: Matrix) -> list:
-    return [[Fraction(x) for x in row] for row in m.data]
+def _values(m: Matrix, lift=Fraction) -> list:
+    return [[lift(x) for x in row] for row in m.data]
 
 
-def _ref_rref(rows: list, ncols: int):
-    """Gauss-Jordan in Fractions, pivoting on the first nonzero entry."""
-    work = [[Fraction(x) for x in row] for row in rows]
+class _Residue:
+    """A residue mod p with the operators the references below use, so
+    that they run over GF(p) as written for Fractions."""
+
+    def __init__(self, x, p: int):
+        self.x, self.p = (x.x if isinstance(x, _Residue) else x) % p, p
+
+    def __add__(self, other):
+        return _Residue(self.x + other.x, self.p)
+
+    def __sub__(self, other):
+        return _Residue(self.x - other.x, self.p)
+
+    def __mul__(self, other):
+        return _Residue(self.x * other.x, self.p)
+
+    def __truediv__(self, other):
+        return _Residue(self.x * pow(other.x, self.p - 2, self.p), self.p)
+
+    def __neg__(self):
+        return _Residue(-self.x, self.p)
+
+    def __bool__(self):
+        return bool(self.x)
+
+    def __eq__(self, other):
+        return self.x == other.x
+
+    def __repr__(self):
+        return f"{self.x} mod {self.p}"
+
+
+def _lift(field):
+    """The reference arithmetic's element for a field element."""
+    return Fraction if field == QQ else lambda x: _Residue(x, field.p)
+
+
+def _ref_rref(rows: list, ncols: int, lift=Fraction):
+    """Gauss-Jordan, pivoting on the first nonzero entry."""
+    work = [[lift(x) for x in row] for row in rows]
     pivots, r = [], 0
     for c in range(ncols):
         best = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -379,46 +416,102 @@ def _ref_rref(rows: list, ncols: int):
     return work, pivots
 
 
-def _ref_kernel(rows: list, ncols: int):
+def _ref_kernel(rows: list, ncols: int, lift=Fraction):
     """The kernel basis as columns, the identity on the free rows."""
-    red, pivots = _ref_rref(rows, ncols)
+    red, pivots = _ref_rref(rows, ncols, lift)
     free = [j for j in range(ncols) if j not in pivots]
-    basis = [[Fraction(0)] * len(free) for _ in range(ncols)]
+    basis = [[lift(0)] * len(free) for _ in range(ncols)]
     for k, j in enumerate(free):
-        basis[j][k] = Fraction(1)
+        basis[j][k] = lift(1)
         for i, pj in enumerate(pivots):
             basis[pj][k] = -red[i][j]
     return basis, free
 
 
-def _ref_matmul(a: list, b: list, inner: int, cols: int) -> list:
-    return [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0))
+def _ref_matmul(a: list, b: list, inner: int, cols: int, lift=Fraction) -> list:
+    return [[sum((row[k] * b[k][j] for k in range(inner)), lift(0))
              for j in range(cols)] for row in a]
 
 
-def _ref_inverse(rows: list, n: int):
-    ext = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+def _ref_inverse(rows: list, n: int, lift=Fraction):
+    ext = [list(row) + [lift(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
-    red, pivots = _ref_rref(ext, 2 * n)
+    red, pivots = _ref_rref(ext, 2 * n, lift)
     return [row[n:] for row in red] if pivots == list(range(n)) else None
 
 
-def _ref_quotient_coordinates(rows: list, n: int, cols: int):
+def _ref_quotient_coordinates(rows: list, n: int, cols: int, lift=Fraction):
     """The greedy unit complement of the column space, and the rows of the
     left kernel that are the identity at those units."""
     chosen = []
     for i in range(n):
-        trial = [list(row) + [Fraction(int(r == c)) for c in chosen + [i]]
+        trial = [list(row) + [lift(int(r == c)) for c in chosen + [i]]
                  for r, row in enumerate(rows)]
-        if len(_ref_rref(trial, cols + len(chosen) + 1)[1]) > len(
-                _ref_rref([row[:-1] for row in trial], cols + len(chosen))[1]):
+        if len(_ref_rref(trial, cols + len(chosen) + 1, lift)[1]) > len(
+                _ref_rref([row[:-1] for row in trial], cols + len(chosen), lift)[1]):
             chosen.append(i)
     transpose = [[rows[i][j] for i in range(n)] for j in range(cols)]
-    left, _ = _ref_kernel(transpose, n)  # columns span the left kernel
+    left, _ = _ref_kernel(transpose, n, lift)  # columns span the left kernel
     k = len(chosen)
     left_rows = [[left[i][c] for i in range(n)] for c in range(k)]
-    change = _ref_inverse([[row[i] for i in chosen] for row in left_rows], k)
-    return chosen, _ref_matmul(change, left_rows, k, n)
+    change = _ref_inverse([[row[i] for i in chosen] for row in left_rows], k, lift)
+    return chosen, _ref_matmul(change, left_rows, k, n, lift)
+
+
+def _matches_references(a: Matrix, b: Matrix) -> None:
+    """a's kernel, quotient coordinates and unit complement, and a @ b,
+    equal the dense references in a's field."""
+    lift, (r, c), s = _lift(a.field), (a.rows, a.cols), b.cols
+    values = _values(a, lift)
+    kernel, free = a.kernel_with_free()
+    assert (kernel.rows, kernel.cols) == (c, len(free))
+    assert (_values(kernel, lift), free) == _ref_kernel(values, c, lift)
+    chosen, q = a.quotient_coordinates()
+    ref_chosen, ref_q = _ref_quotient_coordinates(values, r, c, lift)
+    assert (q.rows, q.cols) == (len(chosen), r)
+    assert chosen == ref_chosen == a.unit_complement() and _values(q, lift) == ref_q
+    product = a @ b
+    assert (product.rows, product.cols) == (r, s)
+    assert _values(product, lift) == _ref_matmul(values, _values(b, lift), c, s, lift)
+
+
+def _field_matrix(field, rows: int, cols: int, entries):
+    return Matrix(field, rows, cols, [[field(entries.pop()) for _ in range(cols)]
+                                      for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F101], ids=["qq", "f2", "f101"])
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (0, 0, 0), (2, 3, 0), (0, 2, 0)])
+def test_readers_and_products_of_empty_shapes_match_dense_references(field, shape):
+    # A shape with no entries gets its answer with no elimination: the
+    # whole space is the kernel, or every unit vector extends the image.
+    r, c, s = shape
+    entries = [(-1) ** k * (k % 3) for k in range(r * c + c * s)]
+    a, b = _field_matrix(field, r, c, entries), _field_matrix(field, c, s, entries)
+    _matches_references(a, b)
+    if not r:
+        assert a.kernel_with_free() == (Matrix.identity(field, c), list(range(c)))
+    if not c:
+        assert a.quotient_coordinates() == (list(range(r)), Matrix.identity(field, r))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F101], ids=["qq", "f2", "f101"])
+@given(data=st.data())
+def test_readers_and_products_match_dense_references(field, data):
+    # Kernels, quotients and unit complements read the raw rows of one
+    # rref, and a product reads each row's nonzero entries once; over Q
+    # (with proper fractions), GF(2) and GF(101) all agree with plain dense
+    # elimination and products, any shape up to 4 x 4 and empty ones
+    # included.
+    r, c, s = (data.draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    if field == QQ:
+        a, b = data.draw(mixed_qq_matrices(r, c)), data.draw(mixed_qq_matrices(c, s))
+    else:
+        entries = st.lists(st.integers(0, field.p - 1), min_size=r * c + c * s,
+                           max_size=r * c + c * s)
+        drawn = data.draw(entries)
+        a, b = _field_matrix(field, r, c, drawn), _field_matrix(field, c, s, drawn)
+    _matches_references(a, b)
 
 
 @given(data=st.data())

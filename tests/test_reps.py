@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from biserial.families import build_lambda, build_lambda1prime, lambda_vertices
 from biserial.fields import QQ, PrimeField
-from biserial.homology import hom_basis, projdim
+from biserial.homology import _content_key, hom_basis, projdim
 from biserial.matrices import Matrix
 from biserial.reps import (Algebra, InvalidString, ModuleMap,
                            Representation, RepresentationError, StringWord,
@@ -466,3 +466,20 @@ def test_constructors_check_shapes_and_share_empty_blocks(alg1):
         assert zero.mats[v] == Matrix.zeros(alg1.field, d, d)
         if not d:
             assert zero.mats[v] is alg1.zero_matrix(0, 0)
+
+
+def test_dims_come_out_complete_and_in_vertex_order(alg1):
+    # A dims dict with every vertex in vertex order, as ints, is kept as it
+    # is; any other is rebuilt: reordered, missing vertices as 0, values
+    # made ints.  _content_key reads the values in that order.
+    c1 = alg1.projective("c1")
+    assert Representation(alg1, c1.dims, c1.mats).dims is c1.dims
+    expected = list(c1.dims.items())
+    for dims in ({v: d for v, d in reversed(expected)},
+                 {v: d for v, d in expected if d},
+                 {v: (True if d == 1 else d) for v, d in expected}):
+        module = Representation(alg1, dims, c1.mats)
+        assert list(module.dims.items()) == expected
+        assert all(type(d) is int for d in module.dims.values())
+        assert _content_key(module) == _content_key(c1)
+    assert Representation(alg1, {"u": 1}, {}).dims == {v: int(v == "u") for v in alg1.vertices}
