@@ -180,10 +180,12 @@ class ClaimReport:
         return "\n".join(lines)
 
 
-def _aggregate(checks: List[CheckResult]) -> str:
-    if any(c.status == FAIL for c in checks):
+def worst_status(results) -> str:
+    """The status of checks, or of claims, taken together: fail over
+    inconclusive over pass."""
+    if any(c.status == FAIL for c in results):
         return FAIL
-    if any(c.status == INCONCLUSIVE for c in checks):
+    if any(c.status == INCONCLUSIVE for c in results):
         return INCONCLUSIVE
     return PASS
 
@@ -281,7 +283,7 @@ def claim_simples_pd(config: FamilyConfig) -> ClaimReport:
         f"pd {v} infinite over level {m}" if pd is None else f"pd {v} = {pd} over level {m}",
         walks[v].truncated(config.chain_cutoff(m)), pd)
         for m in range(config.m_max + 1) for v, pd in expected.items()]
-    return ClaimReport("simples-pd", _aggregate(checks), checks, config)
+    return ClaimReport("simples-pd", worst_status(checks), checks, config)
 
 
 def claim_prop_2(config: FamilyConfig) -> ClaimReport:
@@ -303,7 +305,7 @@ def claim_prop_2(config: FamilyConfig) -> ClaimReport:
                 f"witness {m} uses level {m} properly",
                 PASS if not z_here.supported_on(below) else FAIL,
                 {"support": z_here.support()}))
-    return ClaimReport("prop-2", _aggregate(checks), checks, config)
+    return ClaimReport("prop-2", worst_status(checks), checks, config)
 
 
 def claim_lemma_1(config: FamilyConfig) -> ClaimReport:
@@ -311,7 +313,7 @@ def claim_lemma_1(config: FamilyConfig) -> ClaimReport:
     alg = config.algebra("lambda1prime")
     members = xset(alg)
     for idx, x in enumerate(members, start=1):
-        rep = projdim(x, cutoff=max(config.chain_cutoff(2), 8), seed=config.seed,
+        rep = projdim(x, cutoff=config.chain_cutoff(2), seed=config.seed,
                       trials=config.trials)
         checks.append(_verdict_check(f"pd of c2-string {idx} infinite", rep, None))
         if idx <= 5:
@@ -322,7 +324,7 @@ def claim_lemma_1(config: FamilyConfig) -> ClaimReport:
         checks.append(CheckResult(
             f"{vertex} splits off {nth} syzygy of string {idx}", PASS if found else FAIL,
             {"target_dims": list(target.dim_vector()), "split_pair": found}))
-    return ClaimReport("lemma-1", _aggregate(checks), checks, config)
+    return ClaimReport("lemma-1", worst_status(checks), checks, config)
 
 
 def claim_lemma_2(config: FamilyConfig) -> ClaimReport:
@@ -359,7 +361,7 @@ def claim_lemma_2(config: FamilyConfig) -> ClaimReport:
         evidence["nonzero_samples"] = 0
         name = f"{config.samples} random samples, no nonzero sample drawn: no splitting verified"
     checks.insert(0, CheckResult(name, _sampled_status(nonzero, failures), evidence))
-    return ClaimReport("lemma-2", _aggregate(checks), checks, config)
+    return ClaimReport("lemma-2", worst_status(checks), checks, config)
 
 
 def claim_corollary_3(config: FamilyConfig) -> ClaimReport:
@@ -382,7 +384,7 @@ def claim_corollary_3(config: FamilyConfig) -> ClaimReport:
         f"{count} finite-pd modules: syzygy supported at level 1",
         _sampled_status(count, bad),
         {"samples": count, "failures": bad}))
-    return ClaimReport("corollary-3", _aggregate(checks), checks, config)
+    return ClaimReport("corollary-3", worst_status(checks), checks, config)
 
 
 def claim_syzygy_descent(config: FamilyConfig) -> ClaimReport:
@@ -408,7 +410,7 @@ def claim_syzygy_descent(config: FamilyConfig) -> ClaimReport:
     if not checks:  # m_max 0: no level was sampled, so nothing was checked
         checks.append(CheckResult("no level in 1..m_max: no syzygy sampled", INCONCLUSIVE,
                                   {"m_max": config.m_max}))
-    return ClaimReport("syzygy-descent", _aggregate(checks), checks, config)
+    return ClaimReport("syzygy-descent", worst_status(checks), checks, config)
 
 
 def claim_section_4(config: FamilyConfig) -> ClaimReport:
@@ -448,7 +450,7 @@ def claim_section_4(config: FamilyConfig) -> ClaimReport:
                     f"composite kernel contains first kernel (m={m}, t={t})",
                     PASS if contained else FAIL,
                     {"first": ker.total_dim(), "composite": ker2.total_dim()}))
-    return ClaimReport("section-4", _aggregate(checks), checks, config)
+    return ClaimReport("section-4", worst_status(checks), checks, config)
 
 
 APPENDIX_LAYERS: Dict[str, List[Dict[str, int]]] = {
@@ -497,7 +499,7 @@ def claim_appendix_projectives(config: FamilyConfig) -> ClaimReport:
             f"projective at {v} matches its diagram",
             PASS if ok else FAIL,
             {"computed": layers, "expected": want}))
-    return ClaimReport("appendix-projectives", _aggregate(checks), checks, config)
+    return ClaimReport("appendix-projectives", worst_status(checks), checks, config)
 
 
 def claim_findim_witness(config: FamilyConfig) -> ClaimReport:
@@ -516,7 +518,7 @@ def claim_findim_witness(config: FamilyConfig) -> ClaimReport:
         f"({count} samples)",
         PASS if worst <= config.r + 2 else FAIL,
         {"worst_pd": worst, "samples": count}))
-    return ClaimReport("findim-witness", _aggregate(checks), checks, config)
+    return ClaimReport("findim-witness", worst_status(checks), checks, config)
 
 
 CLAIMS: Dict[str, Callable[[FamilyConfig], ClaimReport]] = {

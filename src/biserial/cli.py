@@ -16,7 +16,11 @@ Lemma 2's scope), 4 an internal error (a bug, reported as ``internal
 error: ...``), 141 the reader of stdout went away, as for a writer
 killed by SIGPIPE (``biserial verify all | head -1``).
 ``--structured`` switches reports to line-delimited JSON records,
-byte-stable for identical flags.
+byte-stable for identical flags.  Every ``module`` and ``algebra`` report
+is printed by one emitter, ``_emit``: its JSON record, with the field, or
+its text lines.  ``verify``'s exit code is the worst status of its claims,
+ranked by the claims' own ``worst_status`` (fail over inconclusive over
+pass).
 
 Each subcommand imports the layers it runs: the claim catalog (and with
 it the witnesses and the splitting layer) only for ``verify``, the
@@ -96,6 +100,15 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit(args, record: dict, *text_lines: str) -> None:
+    """Print one module or algebra report: under ``--structured`` one
+    key-sorted JSON line of ``record`` with the field, else the text."""
+    if args.structured:
+        print(json.dumps({"field": args.field, **record}, sort_keys=True))
+    else:
+        print(*text_lines, sep="\n")
+
+
 def _resolve_module(path: str, algebra: Algebra):
     from .modfiles import parse_module_file
 
@@ -130,25 +143,17 @@ def cmd_algebra(args) -> int:
 
     if args.algebra_cmd == "projectives":
         algebra = Algebra(pres, field=args.coefficients)
-        records = []
+        if not args.structured:
+            print(f"projectives of {pres.name} (field {args.field}):")
         for v in algebra.vertices:
             proj = algebra.projective(v)
             layers = radical_filtration(proj)
-            records.append({"vertex": v, "dim": proj.total_dim(),
-                            "dims": dict(proj.dim_vector()),
-                            "radical_layers": layers})
-        if args.structured:
-            for rec in records:
-                rec["field"] = args.field
-                print(json.dumps(rec, sort_keys=True))
-        else:
-            print(f"projectives of {pres.name} (field {args.field}):")
-            for rec in records:
-                layer_text = " | ".join(
-                    ",".join(f"{v}" if c == 1 else f"{v}^{c}"
-                             for v, c in sorted(layer.items()))
-                    for layer in rec["radical_layers"])
-                print(f"  P({rec['vertex']}): dim {rec['dim']:2d}  [{layer_text}]")
+            layer_text = " | ".join(",".join(f"{u}" if c == 1 else f"{u}^{c}"
+                                             for u, c in sorted(layer.items()))
+                                    for layer in layers)
+            _emit(args, {"vertex": v, "dim": proj.total_dim(),
+                         "dims": dict(proj.dim_vector()), "radical_layers": layers},
+                  f"  P({v}): dim {proj.total_dim():2d}  [{layer_text}]")
         return EXIT_OK
 
     if args.algebra_cmd == "dot":
@@ -172,27 +177,20 @@ def cmd_module(args) -> int:
     if args.module_cmd == "pd":
         cutoff = 32 if args.cutoff is None else args.cutoff
         report = projdim(module, cutoff=cutoff, seed=args.seed, trials=args.trials)
-        if args.structured:
-            rec = report.to_record()
-            rec.update({"module": name, "field": args.field})
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            print(f"pd {name} over {algebra.pres.name} (field {args.field}): "
-                  f"{report.describe()}")
-            print("chain: " + " -> ".join(
-                "0" if not dims else ",".join(f"{v}:{d}" for v, d in dims)
-                for dims in report.chain))
+        _emit(args, {**report.to_record(), "module": name},
+              f"pd {name} over {algebra.pres.name} (field {args.field}): "
+              f"{report.describe()}",
+              "chain: " + " -> ".join(
+                  "0" if not dims else ",".join(f"{v}:{d}" for v, d in dims)
+                  for dims in report.chain))
         return EXIT_INCONCLUSIVE if report.verdict == "inconclusive" else EXIT_OK
 
     if args.module_cmd == "syzygy":
         om = syzygy(module)
-        if args.structured:
-            print(json.dumps({"module": name, "field": args.field,
-                              "syzygy_dims": dict(om.dim_vector()),
-                              "total": om.total_dim()}, sort_keys=True))
-        else:
-            print(f"syzygy of {name}: total dim {om.total_dim()}, "
-                  f"dims {dict(om.dim_vector())}")
+        _emit(args, {"module": name, "syzygy_dims": dict(om.dim_vector()),
+                     "total": om.total_dim()},
+              f"syzygy of {name}: total dim {om.total_dim()}, "
+              f"dims {dict(om.dim_vector())}")
         if args.output:
             _write(emit_module_raw(f"syzygy_of_{name}", om), args.output)
         return EXIT_OK
@@ -200,46 +198,32 @@ def cmd_module(args) -> int:
     if args.module_cmd == "hom":
         name_b, mod_b = _resolve_module(args.other, algebra)
         dim = hom_dim(module, mod_b)
-        if args.structured:
-            print(json.dumps({"source": name, "target": name_b,
-                              "field": args.field, "hom_dim": dim},
-                             sort_keys=True))
-        else:
-            print(f"dim Hom({name}, {name_b}) = {dim} "
-                  f"(field {args.field})")
+        _emit(args, {"source": name, "target": name_b, "hom_dim": dim},
+              f"dim Hom({name}, {name_b}) = {dim} (field {args.field})")
         return EXIT_OK
 
     if args.module_cmd == "iso":
         name_b, mod_b = _resolve_module(args.other, algebra)
         decision = decide_iso(module, mod_b, trials=args.trials, seed=args.seed)
+        pair = {"source": name, "target": name_b}
+        if decision.status == "not_iso":
+            detail = (f" ({dict(module.dim_vector())} vs {dict(mod_b.dim_vector())})"
+                      if module.dims != mod_b.dims else "")
+            _emit(args, {**pair, "status": decision.status, "reason": decision.reason},
+                  f"not isomorphic: {decision.reason}{detail}")
+            return EXIT_FAIL
         if decision.status != "iso":
-            if args.structured:
-                rec = {"source": name, "target": name_b, "field": args.field,
-                       "status": decision.status, "reason": decision.reason}
-                if decision.trials is not None:
-                    rec["trials"] = decision.trials
-                print(json.dumps(rec, sort_keys=True))
-            elif decision.status == "not_iso":
-                detail = (f" ({dict(module.dim_vector())} vs {dict(mod_b.dim_vector())})"
-                          if module.dims != mod_b.dims else "")
-                print(f"not isomorphic: {decision.reason}{detail}")
-            else:
-                print(f"no isomorphism found after {decision.trials} trials "
-                      f"(not a proof of non-isomorphism)")
-            return EXIT_FAIL if decision.status == "not_iso" else EXIT_INCONCLUSIVE
-        cert = decision.iso
-        if args.structured:
-            payload = {v: [[str(x) for x in row] for row in m.data]
-                       for v, m in sorted(cert.mats.items()) if m.rows or m.cols}
-            print(json.dumps({"source": name, "target": name_b,
-                              "field": args.field, "certificate": payload},
-                             sort_keys=True))
-        else:
-            print(f"{name} ~ {name_b}: certified isomorphism")
-            for v, m in sorted(cert.mats.items()):
-                if m.rows and m.cols:
-                    rows = "; ".join(" ".join(map(str, row)) for row in m.data)
-                    print(f"  {v}: [{rows}]")
+            _emit(args, {**pair, "status": decision.status, "reason": decision.reason,
+                         "trials": decision.trials},
+                  f"no isomorphism found after {decision.trials} trials "
+                  f"(not a proof of non-isomorphism)")
+            return EXIT_INCONCLUSIVE
+        # An isomorphism's blocks are square: the nonempty ones have rows.
+        blocks = [(v, [[str(x) for x in row] for row in m.data])
+                  for v, m in sorted(decision.iso.mats.items()) if m.rows]
+        _emit(args, {**pair, "certificate": dict(blocks)},
+              f"{name} ~ {name_b}: certified isomorphism",
+              *(f"  {v}: [{'; '.join(map(' '.join, rows))}]" for v, rows in blocks))
         return EXIT_OK
 
     if args.module_cmd == "split":
@@ -251,15 +235,12 @@ def cmd_module(args) -> int:
             print(f"certificate failure: {exc}", file=sys.stderr)
             return EXIT_INCONCLUSIVE
         rec = split.to_record()
-        if args.structured:
-            rec.update({"module": name, "field": args.field})
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            print(f"splitting of {name} (field {args.field}):")
-            print(f"  c2-string multiplicities: {split.x_multiplicities}")
-            print(f"  projective c2 copies:     {split.a}")
-            print(f"  complement dims:          {dict(split.m_prime.dim_vector())}")
-            print(f"  certificate checksum:     {rec['certificate_checksum']}")
+        _emit(args, {**rec, "module": name},
+              f"splitting of {name} (field {args.field}):",
+              f"  c2-string multiplicities: {split.x_multiplicities}",
+              f"  projective c2 copies:     {split.a}",
+              f"  complement dims:          {dict(split.m_prime.dim_vector())}",
+              f"  certificate checksum:     {rec['certificate_checksum']}")
         return EXIT_OK
 
     if args.module_cmd == "dot":
@@ -273,7 +254,8 @@ def cmd_module(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .claims import CLAIMS, FamilyConfig, run_claim
+    from .claims import (CLAIMS, FAIL, INCONCLUSIVE, PASS, FamilyConfig, run_claim,
+                         worst_status)
 
     claim_ids = list(args.claims)
     if claim_ids == ["all"]:
@@ -296,23 +278,15 @@ def cmd_verify(args) -> int:
             print(json.dumps(records[-1], sort_keys=True))
         else:
             print(report.describe())
-    statuses = {r.status for r in reports}
-    summary = {"claims": len(reports),
-               "pass": sum(r.status == "pass" for r in reports),
-               "fail": sum(r.status == "fail" for r in reports),
-               "inconclusive": sum(r.status == "inconclusive" for r in reports)}
+    counts = {status: sum(r.status == status for r in reports)
+              for status in (PASS, FAIL, INCONCLUSIVE)}
     if args.structured:
-        print(json.dumps({"summary": summary,
-                          "digest": record_digest(records)},
-                         sort_keys=True))
+        print(json.dumps({"summary": {"claims": len(reports), **counts},
+                          "digest": record_digest(records)}, sort_keys=True))
     else:
-        print(f"summary: {summary['pass']} pass, {summary['fail']} fail, "
-              f"{summary['inconclusive']} inconclusive")
-    if "fail" in statuses:
-        return EXIT_FAIL
-    if "inconclusive" in statuses:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        print("summary: " + ", ".join(f"{n} {status}" for status, n in counts.items()))
+    return {PASS: EXIT_OK, FAIL: EXIT_FAIL,
+            INCONCLUSIVE: EXIT_INCONCLUSIVE}[worst_status(reports)]
 
 
 # -- wiring -------------------------------------------------------------------
@@ -343,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     trials = _flag("--trials", type=int, default=None,
                    help="random trials in isomorphism search")
     cutoff = _flag("--cutoff", type=int, default=None,
-                   help="syzygy chain cutoff (default 32; verify: r + m + 4 at level m)")
+                   help="syzygy chain cutoff (default 32; verify: r + m + 4 at level m, "
+                        "lemma-1 at level 2)")
 
     parser = argparse.ArgumentParser(
         prog="biserial",
@@ -378,11 +353,22 @@ def build_parser() -> argparse.ArgumentParser:
                          parents=[field, cutoff, seed, trials, structured])
     ver.add_argument("claims", nargs="+",
                      help=_ClaimIdsHelp("claim ids or 'all'"))
-    ver.add_argument("--r", type=int, default=1)
-    ver.add_argument("--m-max", type=int, default=3)
-    ver.add_argument("--t-max", type=int, default=3)
-    ver.add_argument("--samples", type=int, default=100)
-    ver.add_argument("--max-dim", type=int, default=40)
+    ver.add_argument("--r", type=int, default=1,
+                     help="r of lambda(r, m) and lambda1prime(r); every claim reads it "
+                          "(default 1)")
+    ver.add_argument("--m-max", type=int, default=3,
+                     help="top level m: simples-pd, prop-2, section-4 and findim-witness "
+                          "check levels 0..m-max, syzygy-descent 1..m-max (default 3)")
+    ver.add_argument("--t-max", type=int, default=3,
+                     help="section-4 checks members t = 1..t-max (default 3)")
+    ver.add_argument("--samples", type=int, default=100,
+                     help="lemma-2 and corollary-3 draw this many samples, "
+                          "syzygy-descent max(4, samples // 10) per level, "
+                          "findim-witness max(10, samples // 5) (default 100)")
+    ver.add_argument("--max-dim", type=int, default=40,
+                     help="lemma-2 draws each sample's budget from 0..max-dim; "
+                          "corollary-3 samples up to max(max-dim, 60); findim-witness "
+                          "and syzygy-descent ignore it (default 40)")
 
     return parser
 

@@ -72,7 +72,7 @@ def test_config_validation():
 
 
 def test_verdict_check_failure_paths():
-    from biserial.claims import CheckResult, _aggregate, _verdict_check
+    from biserial.claims import CheckResult, _verdict_check, worst_status
     from biserial.homology import projdim
 
     alg = Algebra(build_lambda(1, 0))
@@ -88,9 +88,9 @@ def test_verdict_check_failure_paths():
     assert _verdict_check("x", capped, None).status == "inconclusive"
     # Fail dominates inconclusive in aggregation.
     checks = [CheckResult("a", "pass"), CheckResult("b", "inconclusive")]
-    assert _aggregate(checks) == "inconclusive"
+    assert worst_status(checks) == "inconclusive"
     checks.append(CheckResult("c", "fail"))
-    assert _aggregate(checks) == "fail"
+    assert worst_status(checks) == "fail"
 
 
 def test_inconclusive_claim_status():
@@ -222,6 +222,12 @@ def _pinned(args, digest, code, name):
              "--seed", "3", "--trials", "0"], "bc0e656bf4c5088e", 3, "trials-0"),
     # The split-pair search over GF(2).
     _pinned(["lemma-1", "--r", "2", "--field", "fp:2"], "6dfa131e6a1f0316", 0, "lemma-1-fp:2"),
+    # lemma-1 walks level 2's cutoff as given: for r = 1, c2-strings 2 and
+    # 5-10 cycle at steps (3, 4), so a chain cut at 3 has not met its cycle.
+    _pinned(["lemma-1", "--r", "1", "--cutoff", "3"], "012d26ee45d6151a", 3,
+            "lemma-1-cutoff-3"),
+    _pinned(["lemma-1", "--r", "1", "--cutoff", "4"], "dc79fac32a51d6ef", 0,
+            "lemma-1-cutoff-4"),
     # simples-pd cuts each level's report from one walk per simple: with no
     # iso trials the loop simples are cut to inconclusive at every level,
     # and a short cutoff cuts the chain simples' walks too.

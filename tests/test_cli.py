@@ -1008,3 +1008,64 @@ def test_raw_count_too_long_for_int_exits_2_at_its_line(tmp_path, capsys, body, 
     assert err.startswith(f"error: line {line}: ")
     assert "exceeds the supported bound 1000" in err
     assert len(err.splitlines()) == 1
+
+
+REPORT_FILES = {
+    "p.mod": "module P over lambda1prime_r2\nproj c2\n",
+    "s.mod": "module S over lambda1prime_r2\nraw\ndim c2 1\n",
+    "sum.mod": ALL_PARTS_MOD,
+    # Isomorphic (each is two copies of the string a1 -> d0), not equal.
+    "m.mod": ("module M over lambda1prime_r2\nraw\ndim a1 2\ndim d0 2\n"
+              "mat al_a1_d0 2 2\n1 0\n0 1\n"),
+    "n.mod": ("module N over lambda1prime_r2\nraw\ndim a1 2\ndim d0 2\n"
+              "mat al_a1_d0 2 2\n1 1\n0 1\n"),
+}
+
+REPORT_COMMANDS = [
+    ["algebra", "projectives", "l1p2.alg"],
+    *(["module", "pd", "--algebra", "l1p2.alg", f] for f in ("p.mod", "s.mod", "sum.mod")),
+    ["module", "pd", "--algebra", "l1p2.alg", "s.mod", "--cutoff", "2"],
+    *(["module", "syzygy", "--algebra", "l1p2.alg", f] for f in ("s.mod", "sum.mod")),
+    ["module", "hom", "--algebra", "l1p2.alg", "s.mod", "sum.mod"],
+    ["module", "hom", "--algebra", "l1p2.alg", "sum.mod", "s.mod"],
+    ["module", "iso", "--algebra", "l1p2.alg", "m.mod", "n.mod"],
+    ["module", "iso", "--algebra", "l1p2.alg", "s.mod", "p.mod"],
+    ["module", "iso", "--algebra", "l1p2.alg", "m.mod", "n.mod", "--trials", "0"],
+    *(["module", "split", "--algebra", "l1p2.alg", f]
+      for f in ("p.mod", "s.mod", "sum.mod", "m.mod")),
+]
+
+# record_digest of [argv, exit code, stdout, stderr] for every command
+# above, recorded before the reports shared one emitter.
+PINNED_REPORTS = {("q", False): "d89ce43ddd1ed06e", ("q", True): "2324d2057ca5ac18",
+                  ("fp:2", False): "786d125ee9285167", ("fp:2", True): "89b81090c1377d1c"}
+
+
+@pytest.mark.parametrize("field, structured", list(PINNED_REPORTS))
+def test_module_and_algebra_reports_are_pinned(field, structured, tmp_path, monkeypatch,
+                                               capsys):
+    from biserial.homology import record_digest
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["algebra", "emit", "lambda1prime:r=2", "-o", "l1p2.alg"]) == 0
+    for name, text in REPORT_FILES.items():
+        (tmp_path / name).write_text(text)
+    runs = []
+    for argv in REPORT_COMMANDS:
+        argv = [*argv, "--field", field, *(["--structured"] if structured else [])]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        runs.append([argv, code, out, err])
+    assert [run[1] for run in runs] == [0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 0]
+    assert record_digest(runs) == PINNED_REPORTS[field, structured]
+
+
+def test_every_verify_option_has_help_text():
+    from biserial.cli import build_parser
+
+    parser = build_parser()
+    verify = parser._subparsers._group_actions[0].choices["verify"]
+    options = [action for action in verify._actions if action.option_strings]
+    assert {"--r", "--m-max", "--t-max", "--samples", "--max-dim"} <= {
+        name for action in options for name in action.option_strings}
+    assert [action.option_strings for action in options if not action.help] == []
