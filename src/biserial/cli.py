@@ -24,9 +24,13 @@ pass).
 
 Each subcommand imports the layers it runs: the claim catalog (and with
 it the witnesses and the splitting layer) only for ``verify``, the
-splitting layer only for ``module split``, the module-file layer only
-for ``module`` and ``algebra dot``, and the family builders only for a
-family spec.  A command on files loads none of the others.
+splitting layer only for ``module split``, the module layer only for
+``module``, ``verify``, ``algebra build`` and ``algebra projectives``,
+and the homological engine for the same but ``algebra build``, the
+module-file layer only for ``module`` and ``algebra dot``, and the
+family builders only for a family spec.  A command on files loads none
+of the others: ``algebra parse``, ``emit`` and ``dot`` read and write
+presentations alone.
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ import gc
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import InputError, _lazy_getattr
 from .fields import field_from_spec
-from .homology import (decide_iso, hom_dim, projdim, radical_filtration,
-                       record_digest, syzygy)
 from .presentation import emit_presentation, parse_presentation
-from .reps import Algebra
+
+if TYPE_CHECKING:
+    from .reps import Algebra
 
 # The layers only some subcommands run are imported by those commands;
 # their names still resolve as attributes of this module (PEP 562).
@@ -133,8 +137,16 @@ def cmd_algebra(args) -> int:
         _write(emit_presentation(pres), args.output)
         return EXIT_OK
 
+    if args.algebra_cmd == "dot":
+        from .modfiles import dot_quiver
+
+        _write(dot_quiver(pres), args.output)
+        return EXIT_OK
+
+    from .reps import Algebra
+
+    algebra = Algebra(pres, field=args.coefficients)
     if args.algebra_cmd == "build":
-        algebra = Algebra(pres, field=args.coefficients)
         print(f"{pres.name}: {len(pres.quiver.vertices)} vertices, "
               f"{len(pres.quiver.arrows)} arrows, "
               f"{len(pres.relations)} relations, "
@@ -142,7 +154,8 @@ def cmd_algebra(args) -> int:
         return EXIT_OK
 
     if args.algebra_cmd == "projectives":
-        algebra = Algebra(pres, field=args.coefficients)
+        from .homology import radical_filtration
+
         if not args.structured:
             print(f"projectives of {pres.name} (field {args.field}):")
         for v in algebra.vertices:
@@ -156,12 +169,6 @@ def cmd_algebra(args) -> int:
                   f"  P({v}): dim {proj.total_dim():2d}  [{layer_text}]")
         return EXIT_OK
 
-    if args.algebra_cmd == "dot":
-        from .modfiles import dot_quiver
-
-        _write(dot_quiver(pres), args.output)
-        return EXIT_OK
-
     raise AssertionError
 
 
@@ -169,7 +176,9 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_module(args) -> int:
+    from .homology import decide_iso, hom_dim, projdim, syzygy
     from .modfiles import dot_representation, emit_module_raw
+    from .reps import Algebra
 
     algebra = Algebra(_load_presentation(args.algebra), field=args.coefficients)
     name, module = _resolve_module(args.file, algebra)
@@ -254,8 +263,8 @@ def cmd_module(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .claims import (CLAIMS, FAIL, INCONCLUSIVE, PASS, FamilyConfig, run_claim,
-                         worst_status)
+    from .claims import (CLAIMS, FAIL, INCONCLUSIVE, PASS, FamilyConfig, record_digest,
+                         run_claim, worst_status)
 
     claim_ids = list(args.claims)
     if claim_ids == ["all"]:

@@ -14,6 +14,7 @@ exact, so results are proof-grade: ``a / b * b == a`` whenever ``b != 0``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from . import InputError
@@ -25,6 +26,19 @@ class FieldError(InputError):
 
 def _normal(x):
     return x.numerator if x.denominator == 1 else x
+
+
+# The one literal form of an entry: an integer or a quotient of integers in
+# ASCII digits.  ``Fraction`` alone also reads exponents, decimals,
+# underscores and other scripts' digits, and it expands ``1e5000`` without
+# the 4,300-digit bound that ``int`` puts on a string of digits.
+_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _literal(token: str) -> Fraction:
+    if not _LITERAL.fullmatch(token):
+        raise ValueError(f"not a literal: {token!r}")
+    return Fraction(token)
 
 
 class Rationals:
@@ -75,7 +89,7 @@ class Rationals:
 
     def parse(self, token: str):
         try:
-            return self(token)
+            return _normal(_literal(token))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {token!r}") from exc
 
@@ -146,7 +160,7 @@ class PrimeField:
 
     def parse(self, token: str) -> int:
         try:
-            return self(Fraction(token))
+            return self(_literal(token))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad residue literal {token!r}") from exc
 

@@ -9,7 +9,7 @@ A module file defines one or more named modules over a named algebra::
     raw
     dim <vertex> <n>
     mat <arrow> <rows> <cols>
-    <row of entries, exact rationals like 3/2, or residues over a prime field>
+    <row of entries, integers or quotients like -3/2: [+-]?[0-9]+(/[0-9]+)?>
 
 A ``#`` starts a comment that runs to the end of its line, and comment
 and blank lines may stand anywhere, between a matrix's rows too: each row
@@ -20,19 +20,21 @@ and each ``mat``'s row and column count, is at most 1000, so that a square
 arrow matrix of that size (a million entries, a few MB) can be allocated.
 The file's result is its last module.  DOT export draws one node per
 basis vector labeled by its vertex, solid edges for alpha arrows and
-dashed for beta.
+dashed for beta.  The parsers import the module layer when they run, so
+drawing a quiver (``dot_quiver``) loads none of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from . import InputError
 from .fields import FieldError
 from .matrices import Matrix
 from .presentation import ALPHA, logical_lines
-from .reps import (Algebra, InvalidString, Representation, RepresentationError,
-                   StringWord, direct_sum, string_module)
+
+if TYPE_CHECKING:
+    from .reps import Algebra, Representation
 
 _MAX_DIM = 1000  # the bound on a raw dim that the module docstring states
 
@@ -43,6 +45,8 @@ class ModuleFileError(InputError):
 
 def parse_module_file(text: str, algebra: Algebra) -> Dict[str, Representation]:
     """Parse all modules in a file; returns them in definition order."""
+    from .reps import direct_sum
+
     modules: Dict[str, Representation] = {}
     lines = list(logical_lines(text))
     i = 0
@@ -92,6 +96,8 @@ def parse_module_file(text: str, algebra: Algebra) -> Dict[str, Representation]:
 
 def _parse_string(tokens: List[str], lineno: int, algebra: Algebra) -> Representation:
     # string <base> [ letters ]
+    from .reps import InvalidString, StringWord, string_module
+
     if len(tokens) < 4 or tokens[2] != "[" or tokens[-1] != "]":
         raise ModuleFileError("expected: string <base> [ <arrow>^{+1|-1} ... ]", lineno)
     base = tokens[1]
@@ -127,6 +133,8 @@ def _parse_raw(lines: List[Tuple[int, str, List[str]]], i: int, raw_lineno: int,
     """The raw body from ``lines[i]`` to the next ``module`` line, and its
     index.  A module that fails its shape or relation check is named at its
     ``raw`` line."""
+    from .reps import Representation, RepresentationError
+
     dims: Dict[str, int] = {}
     mats: Dict[str, Matrix] = {}
     field = algebra.field

@@ -16,20 +16,29 @@ The witness is the first member, so both are built from one walk,
 five in ``data/walks.json`` are the tests' reference for it.  From level
 one up, a connecting map is read off the two members' walks: it keeps the
 prefix they share, position by position, and sends the rest to zero.
+
+The builders run on the module layer alone: only the two samplers,
+``random_extension`` and ``sample_finite_pd_modules``, import the
+homological engine, when they are called.  Its public names still
+resolve as attributes of this module (PEP 562).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from . import _lazy_getattr
 from .families import arrow_name, vname
-from .homology import (CoverData, _cokernel, projective_cover, projdim,
-                       random_hom_combination)
 from .matrices import Matrix, block_diag
 from .presentation import ALPHA, BETA
 from .reps import (Algebra, ModuleMap, Representation, StringWord,
                    direct_sum, string_module)
+
+if TYPE_CHECKING:
+    from .homology import CoverData
+
+__getattr__ = _lazy_getattr(__name__)
 
 Letter = Tuple[str, int]
 
@@ -184,6 +193,8 @@ def random_extension(algebra: Algebra, base: Representation,
     projective dimension is bounded by the larger of the two.  It is the
     cokernel of (inclusion, -g) into P (+) base, with no sum built: the
     arrows act block by block, on P by ``free_action``."""
+    from .homology import _cokernel, random_hom_combination
+
     field = algebra.field
     g = random_hom_combination(cover.syzygy, base, rng, (-1, 0, 0, 1))
     free = algebra.free_basis(cover.tops)
@@ -211,6 +222,8 @@ def sample_finite_pd_modules(algebra: Algebra, count: int, seed: int,
     certified by the syzygy chain, cut off at r + 6, before it is returned.
     A pool module is covered on its first draw as a top, for this call.
     """
+    from .homology import projective_cover, projdim
+
     cutoff = _chain_length(algebra) + 6
     rng = random.Random(f"finite-pd-samples:{seed}")
     pool = finite_pd_pool(algebra)

@@ -45,3 +45,31 @@ def algp():
 @pytest.fixture(scope="session")
 def algp_f101():
     return Algebra(build_lambda1prime(1), field=F101)
+
+
+@pytest.fixture()
+def cover_calls(monkeypatch):
+    """Every ``homology.projective_cover`` call the test makes, as (module,
+    cover, in_syzygy): ``in_syzygy`` when a ``homology.syzygy`` call made
+    the cover, as a pd chain does, else its caller covered the module
+    itself, as the finite-pd sampler covers a pool module."""
+    from biserial import homology
+
+    calls, depth = [], [0]
+    real_cover, real_syzygy = homology.projective_cover, homology.syzygy
+
+    def cover(module):
+        result = real_cover(module)
+        calls.append((module, result, depth[0] > 0))
+        return result
+
+    def syzygy(module):
+        depth[0] += 1
+        try:
+            return real_syzygy(module)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(homology, "projective_cover", cover)
+    monkeypatch.setattr(homology, "syzygy", syzygy)
+    return calls

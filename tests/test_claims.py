@@ -248,36 +248,34 @@ def test_verify_all_digest_is_pinned(args, digest, code, capsys):
     assert last["digest"] == digest
 
 
-def test_corollary_3_covers_only_what_its_sampler_covers(monkeypatch):
+def test_corollary_3_covers_only_what_its_sampler_covers(monkeypatch, cover_calls):
     # The claim reads each sample's syzygy off the pd chain the sampler
     # has already walked, so the claim takes exactly the sampler's
-    # syzygy steps, all of them answered by the syzygy memo.
+    # syzygy steps, all of them answered by the syzygy memo: no step
+    # builds a cover.  The sampler's own covers of its pool modules are
+    # made outside any syzygy step.
     from biserial import homology
     from biserial.claims import claim_corollary_3
     from biserial.witnesses import sample_finite_pd_modules
 
-    steps, covers = [], []
-    real_syzygy, real_cover = homology.syzygy, homology.projective_cover
+    steps = []
+    real_syzygy = homology.syzygy
 
     def counting_syzygy(module):
         steps.append(module)
         return real_syzygy(module)
 
-    def counting_cover(module):
-        covers.append(module)
-        return real_cover(module)
-
     monkeypatch.setattr(homology, "syzygy", counting_syzygy)
-    monkeypatch.setattr(homology, "projective_cover", counting_cover)
     cfg = FamilyConfig(r=1, samples=5, seed=13)
     sample_finite_pd_modules(cfg.algebra("lambda", 2), cfg.samples, seed=cfg.seed,
                              max_dim=max(cfg.max_dim, 60))
     sampled = len(steps)
+    assert any(in_syzygy for _, _, in_syzygy in cover_calls)
     steps.clear()
-    covers.clear()
+    cover_calls.clear()
     assert claim_corollary_3(cfg).status == "pass"
     assert sampled > 0 and len(steps) == sampled
-    assert covers == []
+    assert [m for m, _, in_syzygy in cover_calls if in_syzygy] == []
 
 
 def test_witness_claims_cover_each_content_once(monkeypatch):

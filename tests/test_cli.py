@@ -442,7 +442,7 @@ def test_verify_structured_deterministic(capsys):
 def test_verify_structured_digests_each_check_once(monkeypatch, capsys):
     # Each claim's record is built once: one digest per check, and the
     # final digest is of the records as printed.
-    from biserial import claims, cli
+    from biserial import claims
     from biserial.homology import record_digest
 
     calls = []
@@ -452,7 +452,6 @@ def test_verify_structured_digests_each_check_once(monkeypatch, capsys):
         return record_digest(record)
 
     monkeypatch.setattr(claims, "record_digest", counting)
-    monkeypatch.setattr(cli, "record_digest", counting)
     assert main(["verify", "simples-pd", "appendix-projectives", "--r", "1",
                  "--m-max", "1", "--structured"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -623,12 +622,12 @@ def test_iso_search_miss_over_gf2_is_inconclusive(capsys):
 
 
 def test_internal_error_is_not_a_usage_error(z3_file, monkeypatch, capsys):
-    import biserial.cli
+    from biserial import homology
 
     def broken(module):
         raise ValueError("span not stable under arrow al_c2_c1")
 
-    monkeypatch.setattr(biserial.cli, "syzygy", broken)
+    monkeypatch.setattr(homology, "syzygy", broken)
     assert main(["module", "syzygy", z3_file, "--algebra", "lambda:r=1,m=3"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ValueError: span not stable")
@@ -1008,6 +1007,48 @@ def test_raw_count_too_long_for_int_exits_2_at_its_line(tmp_path, capsys, body, 
     assert err.startswith(f"error: line {line}: ")
     assert "exceeds the supported bound 1000" in err
     assert len(err.splitlines()) == 1
+
+
+# An arrow with no relation, so any entry of its matrix is a module.
+ARROW_ALGEBRA = "algebra arrow\nvertex a\nvertex b\narrow f : alpha a -> b\n"
+
+
+def _arrow_module(tmp_path, entry):
+    alg, mod = tmp_path / "arrow.alg", tmp_path / "m.mod"
+    alg.write_text(ARROW_ALGEBRA)
+    mod.write_text(f"module M over arrow\nraw\ndim a 1\ndim b 1\nmat f 1 1\n{entry}\n",
+                   encoding="utf-8")
+    return str(alg), str(mod)
+
+
+@pytest.mark.parametrize("field, kind", [("q", "rational"), ("fp:2", "residue"),
+                                         ("fp:101", "residue")])
+@pytest.mark.parametrize("entry", ["1e5000", "0.5", "1_000", "\uff13"])
+@pytest.mark.parametrize("subcommand", ["dot", "pd"])
+def test_entry_outside_the_literal_grammar_exits_2_at_its_line(subcommand, entry, field,
+                                                               kind, tmp_path, capsys):
+    # Fraction would read each of these: 1e5000 as an integer of 5,001
+    # digits, past the bound int puts on a string of digits, so that
+    # ``module dot`` failed printing it (exit 4) and fp:2 took it as 0.
+    alg, mod = _arrow_module(tmp_path, entry)
+    assert main(["module", subcommand, "--algebra", alg, mod, "--field", field]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 6: bad {kind} literal {entry!r}\n"
+
+
+@pytest.mark.parametrize("field, kind", [("q", "rational"), ("fp:2", "residue"),
+                                         ("fp:101", "residue")])
+def test_a_huge_exponent_is_refused_before_it_is_expanded(field, kind, tmp_path):
+    # Fraction("1e99999999") builds a 100-million-digit integer; in a
+    # process of its own, so that a stall fails here instead of hanging.
+    alg, mod = _arrow_module(tmp_path, "1e99999999")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "biserial", "module", "pd", "--algebra",
+                           alg, mod, "--field", field], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: line 6: bad {kind} literal '1e99999999'\n"
 
 
 REPORT_FILES = {

@@ -44,6 +44,19 @@ def test_parse_and_format_round_trip():
         QQ.parse("x")
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)],
+                         ids=["q", "fp2", "fp101"])
+@pytest.mark.parametrize("token", ["1e5000", "1E2", "0.5", "1_000", "\uff13", "+-1",
+                                   "3/-2", "1/2/3", "/2", " 3", "inf", "nan"])
+def test_parse_reads_only_integers_and_quotients(field, token):
+    # Fraction alone reads every one of these but the last three (when
+    # stripped of its space, " 3" too); an entry is [+-]?[0-9]+(/[0-9]+)?.
+    with pytest.raises(FieldError, match="literal"):
+        field.parse(token)
+    assert field.parse("+3") == field.parse("3") == field(3)
+    assert field.parse("-3/5") == field(Fraction(-3, 5))
+
+
 def test_integral_rationals_are_ints_and_print_alike():
     # Over Q an integral element is an int however it was written, and it
     # prints the same as the Fraction it equals, so .mod files and

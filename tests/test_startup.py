@@ -58,15 +58,11 @@ def test_unknown_public_name_is_an_attribute_error():
         exec("from biserial import no_such_name", {})
 
 
-def _run(argv, cwd, probe=()):
-    """``python -m biserial ARGV`` in a fresh interpreter without site
-    hooks; returns the process and which of ``probe`` it had imported."""
-    code = ("import json, runpy, sys\n"
-            f"sys.argv = ['biserial', *{list(argv)!r}]\n"
-            "try:\n"
-            "    runpy.run_module('biserial', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    status = exc.code\n"
+def _fresh(body, cwd, probe=()):
+    """``body``, which sets ``status``, in a fresh interpreter without site
+    hooks; returns the process, its stderr, and which of ``probe`` it had
+    imported."""
+    code = ("import json, sys\n" + body +
             "sys.stdout.flush()\n"
             f"print(json.dumps([m for m in {list(probe)!r} if m in sys.modules]),"
             " file=sys.stderr)\n"
@@ -76,6 +72,35 @@ def _run(argv, cwd, probe=()):
                           capture_output=True, text=True, timeout=120)
     *err, loaded = proc.stderr.splitlines()
     return proc, "\n".join(err), json.loads(loaded)
+
+
+def _run(argv, cwd, probe=()):
+    """``python -m biserial ARGV`` in a fresh interpreter without site
+    hooks, as ``_fresh`` runs it."""
+    return _fresh("import runpy\n"
+                  f"sys.argv = ['biserial', *{list(argv)!r}]\n"
+                  "try:\n"
+                  "    runpy.run_module('biserial', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    status = exc.code\n", cwd, probe)
+
+
+def test_building_and_emitting_a_witness_loads_no_homology(tmp_path):
+    # bigmodule-q's set-up builds Z_m[t] and writes it to files; only the
+    # finite-pd samplers of the witness layer run the homological engine.
+    proc, err, loaded = _fresh(
+        "from biserial.families import build_lambda\n"
+        "from biserial.modfiles import emit_module_raw\n"
+        "from biserial.presentation import emit_presentation\n"
+        "from biserial.reps import Algebra\n"
+        "from biserial.witnesses import build_Zt\n"
+        "pres = build_lambda(2, 6)\n"
+        "text = emit_module_raw('Z6_4', build_Zt(Algebra(pres), 6, 4))\n"
+        "print(emit_presentation(pres).splitlines()[0], text.splitlines()[0])\n"
+        "status = 0\n", tmp_path, ["biserial.witnesses", "biserial.homology"])
+    assert proc.returncode == 0 and err == ""
+    assert proc.stdout == "algebra lambda_r2_m6 module Z6_4 over lambda_r2_m6\n"
+    assert loaded == ["biserial.witnesses"]
 
 
 def test_module_pd_on_files_loads_only_its_layers(tmp_path):
@@ -92,18 +117,25 @@ def test_module_pd_on_files_loads_only_its_layers(tmp_path):
     assert loaded == []
 
 
-@pytest.mark.parametrize("subcommand", ["build", "parse", "emit", "projectives", "dot"])
+# What an algebra subcommand computes with: parse, emit and dot read and
+# write presentations alone.
+ENGINE_OF = {"build": ["biserial.reps"], "parse": [], "emit": [],
+             "projectives": ["biserial.homology", "biserial.reps"], "dot": []}
+
+
+@pytest.mark.parametrize("subcommand", list(ENGINE_OF))
 def test_algebra_on_a_file_loads_no_family_builders(subcommand, tmp_path):
     # ALGEBRA is read as a family spec only when no file has that name.
     (tmp_path / "l.alg").write_text(emit_presentation(build_lambda(1, 0)))
-    unwanted = ["biserial.families", "biserial.claims", "biserial.decomp"]
+    unwanted = ["biserial.families", "biserial.claims", "biserial.decomp",
+                "biserial.homology", "biserial.reps"]
     proc, err, loaded = _run(["algebra", subcommand, "l.alg"], tmp_path, unwanted)
     assert proc.returncode == 0 and err == ""
     assert proc.stdout
-    assert loaded == []
+    assert loaded == ENGINE_OF[subcommand]
     proc, err, loaded = _run(["algebra", subcommand, "lambda:r=1,m=0"], tmp_path, unwanted)
     assert proc.returncode == 0 and err == ""
-    assert loaded == ["biserial.families"]
+    assert loaded == ["biserial.families", *ENGINE_OF[subcommand]]
 
 
 def test_verify_loads_no_dataclasses(tmp_path):
@@ -162,8 +194,15 @@ def test_cli_still_exposes_its_lazily_imported_names():
     import biserial.claims
     import biserial.cli as cli
     import biserial.decomp
+    import biserial.homology as homology
+    import biserial.witnesses as witnesses
 
     assert cli.run_claim is biserial.claims.run_claim
     assert cli.CertificateFailure is biserial.decomp.CertificateFailure
+    assert cli.syzygy is homology.syzygy
+    assert witnesses.projdim is homology.projdim
+    assert witnesses.projective_cover is homology.projective_cover
     with pytest.raises(AttributeError):
         cli.no_such_name
+    with pytest.raises(AttributeError):
+        witnesses.no_such_name

@@ -217,27 +217,23 @@ def _sample_content(samples):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)],
                          ids=["qq", "f2", "f101"])
-def test_finite_pd_samples_match_the_assembled_extensions(r, field, monkeypatch):
+def test_finite_pd_samples_match_the_assembled_extensions(r, field, monkeypatch,
+                                                         cover_calls):
     # The sampler covers each pool module once and takes each extension as
     # a cokernel into P (+) base with no sum built; the oracle covers the
     # top on every draw and takes cokernel_of the graph into the assembled
-    # sum.
-    covered, drawn, top_of = [], [], {}
-    real_cover = witnesses.projective_cover
-
-    def recording_cover(top):
-        covered.append(top)
-        cover = real_cover(top)
-        top_of[id(cover)] = top
-        return cover
-
-    monkeypatch.setattr(witnesses, "projective_cover", recording_cover)
+    # sum.  The covers its pd chains make, inside syzygy, are not counted.
     samples = sample_finite_pd_modules(Algebra(build_lambda(r, 2), field=field), 12, seed=r)
-    covers = len(covered)
-    assert len(set(map(id, covered))) == covers
+    covered = [top for top, _, in_syzygy in cover_calls if not in_syzygy]
+    assert len(set(map(id, covered))) == len(covered)
+    drawn = []
+
+    def top_of(cover):
+        return next(top for top, made, _ in cover_calls if made is cover)
+
     monkeypatch.setattr(witnesses, "random_extension",
-                        lambda alg, base, cover, rng: drawn.append(top_of[id(cover)])
-                        or random_extension(alg, base, top_of[id(cover)], rng))
+                        lambda alg, base, cover, rng: drawn.append(top_of(cover))
+                        or random_extension(alg, base, top_of(cover), rng))
     expected = sample_finite_pd_modules(Algebra(build_lambda(r, 2), field=field), 12, seed=r)
     assert _sample_content(samples) == _sample_content(expected)
-    assert covers == len(set(map(id, drawn))) < len(drawn)
+    assert len(covered) == len(set(map(id, drawn))) < len(drawn)
