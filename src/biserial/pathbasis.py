@@ -6,13 +6,20 @@ only as suffixes.  The enumeration decides by itself whether it ends
 (Ufnarovskii's criterion for monomial algebras): once a zero-free path's
 last w arrows, w one less than the longest zero relation (at least 1),
 occur earlier in it, the stretch after that occurrence can be appended
-forever without closing a zero relation.  Equality relations are then
-imposed by linear quotienting: each occurrence of a side x of an equality
-x = y in a zero-free path q gives the row q - q', q' being q with that x
-replaced by y.  These rows span the two-sided multiples of the equalities,
-and the surviving path classes form the basis.  This direct approach is
-exact and covers the algebras in scope, where equalities identify two
-parallel socle paths; no rewriting machinery is attempted.
+forever without closing a zero relation.
+
+Equality relations then merge paths.  Each occurrence of a side x of an
+equality x = y in a zero-free path q joins q to q', q with that x replaced
+by y, or to zero when q' holds a zero relation.  A union-find over the
+zero-free paths and one node for zero reads off the classes: a path joined
+to zero is 0, and any other path equals its component's member that comes
+last in its (source, target) block's order, by (-length, path), which is
+the component's basis class.  This is what the reduced row echelon form
+over Q of the rows q - q' (or q) gives, the rows that span the two-sided
+multiples of the equalities: a component's rows span every vector on it
+when it reaches zero, and otherwise its vectors of coefficient sum zero, so
+with the columns in that order elimination pivots every column of the
+component but its last, each pivot row reading path - last.
 
 The basis carries multiplication tables for single arrows acting on basis
 classes, which is all the representation layer needs.
@@ -23,8 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from . import InputError
-from .fields import QQ
-from .matrices import Matrix
 from .presentation import Presentation
 
 Path = Tuple[str, ...]  # arrow names, first applied first; () is an idempotent
@@ -88,54 +93,41 @@ class PathBasis:
                     frontier.append((q, src, a.target))
         return endpoints
 
-    def _equality_rows(self, index: Dict[Path, int]) -> List[list]:
-        """Rows spanning the equalities' multiples among the zero-free paths
-        of one endpoint pair, each at its ``index`` column."""
-        rows: List[list] = []
-        for q, k in index.items():
+    def _build(self) -> None:
+        quiver = self.pres.quiver
+        endpoints = self._zero_free_paths()
+        # The zero-free paths by (-length, path), then zero, at positions
+        # 0..len(paths).  A component lies in one (source, target) block,
+        # where this is the block's order, and keeps its last member as root.
+        paths = sorted(endpoints, key=lambda p: (-len(p), p))
+        position = {p: k for k, p in enumerate(paths)}
+        zero = len(paths)
+        parent = list(range(zero + 1))
+
+        def find(k: int) -> int:
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+
+        for k, q in enumerate(paths):
             for i, a in enumerate(q):
                 for x, y in self._sides.get(a, ()):
                     if q[i:i + len(x)] == x:
-                        row = [QQ.zero] * len(index)
-                        row[k] = QQ.one
                         # A path holding a zero relation is not enumerated: 0.
-                        swapped = q[:i] + y + q[i + len(x):]
-                        if swapped in index:
-                            row[index[swapped]] -= 1
-                        rows.append(row)
-        return rows
+                        swapped = position.get(q[:i] + y + q[i + len(x):], zero)
+                        first, last = sorted((find(k), find(swapped)))
+                        parent[first] = last
 
-    def _build(self) -> None:
-        quiver = self.pres.quiver
-        by_pair: Dict[Tuple[str, str], List[Path]] = {}
-        for p, pair in self._zero_free_paths().items():
-            by_pair.setdefault(pair, []).append(p)
-        # (source, target, representative); the idempotents come first.
+        # (source, target, representative): the idempotents, then the roots
+        # by block and position.
+        roots = sorted((k for k in range(zero) if parent[k] == k),
+                       key=lambda k: endpoints[paths[k]])
         classes: List[Tuple[str, str, Path]] = [(v, v, ()) for v in quiver.vertices]
-        reduce_map: Dict[Path, dict] = {}
-
-        for (src, tgt), block in sorted(by_pair.items()):
-            # Longer paths first so elimination expresses them via shorter ones.
-            block_sorted = sorted(block, key=lambda p: (-len(p), p))
-            index = {p: i for i, p in enumerate(block_sorted)}
-            vectors = self._equality_rows(index)
-            # The cut-out subspace in reduced row echelon form: its pivot paths
-            # are eliminated, each row expressing one through the basis paths.
-            reduced, pivots, _ = Matrix(QQ, len(vectors), len(block_sorted),
-                                        vectors).rref()
-            pivot_set = set(pivots)
-            basis_positions = [j for j in range(len(block_sorted)) if j not in pivot_set]
-            pos_to_class: Dict[int, int] = {}
-            for j in basis_positions:
-                pos_to_class[j] = len(classes)
-                classes.append((src, tgt, block_sorted[j]))
-                reduce_map[block_sorted[j]] = {pos_to_class[j]: QQ.one}
-            for prow, pcol in zip(reduced.data, pivots):
-                expansion = {}
-                for j in basis_positions:
-                    if prow[j]:
-                        expansion[pos_to_class[j]] = -prow[j]
-                reduce_map[block_sorted[pcol]] = expansion
+        classes += [(*endpoints[paths[k]], paths[k]) for k in roots]
+        class_of = {k: i for i, k in enumerate(roots, len(quiver.vertices))}
+        reduce_map = {p: {} if (top := find(k)) == zero else {class_of[top]: 1}
+                      for k, p in enumerate(paths)}
 
         self.classes = classes
         self.reduce = reduce_map

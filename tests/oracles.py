@@ -8,7 +8,8 @@ quiver, submodules with a solved induced action, the radical, top
 dimensions, a cover check and the syzygy as an eliminated kernel of the
 cover map, a random extension taken as
 the cokernel of a map into an assembled sum, an associativity spot check
-of a path basis, structural equality of presentations, the direct
+of a path basis, the path basis itself computed from its definition by
+elimination over Q, structural equality of presentations, the direct
 system's connecting maps with their kept walk prefixes written out, and
 a claim batch runner.  Tests build inputs with
 them and check the package's answers against them.
@@ -282,6 +283,70 @@ def spot_check_associativity(basis: PathBasis, rng) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def holds_zero(pres: Presentation, path: Tuple[str, ...]) -> bool:
+    """Whether ``path`` holds a zero relation at some offset."""
+    zeros = [rel.left for rel in pres.relations if rel.kind == "zero"]
+    return any(path[i:i + len(z)] == z
+               for z in zeros for i in range(len(path) - len(z) + 1))
+
+
+def all_offset_basis(pres: Presentation, bound: int):
+    """The path basis from its definition, as (classes, reduce, act) in
+    ``PathBasis``'s form.  Every path up to ``bound`` arrows is tested
+    against every zero relation at every offset, so the reduce map, and
+    with it the action, holds no path with a zero relation in it; a path
+    of ``bound`` arrows that survives fails the test.  The equalities are
+    imposed by all their two-sided multiples v (x - y) u: one rref over Q
+    per (source, target) block, its paths by (-length, path), whose pivot
+    rows express the pivot paths through the rest, the basis classes."""
+    quiver = pres.quiver
+    endpoints: Dict[Tuple[str, ...], Tuple[str, str]] = {}
+    frontier = [(b.name,) for v in quiver.vertices for b in quiver.arrows_from(v)]
+    while frontier:
+        survivors = [p for p in frontier if not holds_zero(pres, p)]
+        for p in survivors:
+            assert len(p) < bound, f"{p} survives"
+            endpoints[p] = (quiver.arrows[p[0]].source, quiver.arrows[p[-1]].target)
+        frontier = [p + (b.name,) for p in survivors
+                    for b in quiver.arrows_from(quiver.arrows[p[-1]].target)]
+    by_pair: Dict[Tuple[str, str], List[Tuple[str, ...]]] = {}
+    for p, ends in endpoints.items():
+        by_pair.setdefault(ends, []).append(p)
+    equalities = [(rel.left, rel.right, *pres.path_endpoints(rel.left))
+                  for rel in pres.relations if rel.kind == "eq"]
+    classes = [(v, v, ()) for v in quiver.vertices]
+    reduce_map: dict = {}
+    for (src, tgt), block in sorted(by_pair.items()):
+        block.sort(key=lambda p: (-len(p), p))
+        index = {p: j for j, p in enumerate(block)}
+        rows = []
+        for x, y, s, t in equalities:
+            pre = [v for v, ends in endpoints.items() if ends == (src, s)]
+            post = [u for u, ends in endpoints.items() if ends == (t, tgt)]
+            for v in pre + [()] * (s == src):
+                for u in post + [()] * (t == tgt):
+                    row = [QQ.zero] * len(block)
+                    if v + x + u in index:
+                        row[index[v + x + u]] += 1
+                    if v + y + u in index:
+                        row[index[v + y + u]] -= 1
+                    if any(row):
+                        rows.append(row)
+        reduced, pivots, _ = Matrix(QQ, len(rows), len(block), rows).rref()
+        pivot_set = set(pivots)
+        free = [j for j in range(len(block)) if j not in pivot_set]
+        class_of = {}
+        for j in free:
+            class_of[j] = len(classes)
+            classes.append((src, tgt, block[j]))
+            reduce_map[block[j]] = {class_of[j]: QQ.one}
+        for prow, j in zip(reduced.data, pivots):
+            reduce_map[block[j]] = {class_of[k]: -prow[k] for k in free if prow[k]}
+    act = {(a.name, i): dict(reduce_map.get(rep + (a.name,), {}))
+           for i, (_, tgt, rep) in enumerate(classes) for a in quiver.arrows_from(tgt)}
+    return classes, reduce_map, act
 
 
 # -- the direct system's connecting maps --------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from biserial.families import build_lambda, build_lambda1prime
 from biserial.pathbasis import BoundExceeded, PathBasis
 from biserial.presentation import parse_presentation
-from oracles import spot_check_associativity
+from oracles import all_offset_basis, holds_zero, spot_check_associativity
 
 
 def test_single_vertex_dimension_one():
@@ -108,9 +108,11 @@ def _basis_digest(basis) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# Class lists and reduce maps, recorded while the path basis still ran its
-# own Gauss-Jordan loop: the reduced echelon form is unique, so moving the
-# elimination onto the shared kernel must not change them.
+# Class lists and reduce maps, recorded while the path basis still ran an
+# elimination over Q (the first fourteen its own Gauss-Jordan loop, the
+# last four the shared kernel): the reduced echelon form is unique, and
+# the union-find reads it off the merged components, so neither moving
+# the elimination nor dropping it may change them.
 @pytest.mark.parametrize("family, r, m, digest", [
     ("lambda", 1, 0, "79db422edd2e8ee8"),
     ("lambda", 1, 1, "7c3d3322b3d182a1"),
@@ -126,62 +128,14 @@ def _basis_digest(basis) -> str:
     ("lambda", 2, 4, "b4d03fb5d58926c3"),
     ("lambda", 2, 5, "3a8401976fe178b6"),
     ("lambda1prime", 2, None, "8c2913d999323a97"),
+    ("lambda", 2, 6, "528114b638edd3da"),
+    ("lambda", 1, 12, "675efec9edc43386"),
+    ("lambda", 3, 7, "728f6979e36c8c84"),
+    ("lambda1prime", 3, None, "6bbcd7b04034058f"),
 ])
 def test_path_basis_is_pinned(family, r, m, digest):
     pres = build_lambda(r, m) if family == "lambda" else build_lambda1prime(r)
     assert _basis_digest(PathBasis(pres)) == digest
-
-
-class _AllOffsetBasis(PathBasis):
-    """The reference: every path up to ``bound`` arrows is tested against
-    every zero relation at every offset, so its reduce map, and with it the
-    action, holds no path with a zero relation in it; a path of ``bound``
-    arrows that survives fails the test.  The equalities are imposed by all
-    their two-sided multiples v (x - y) u."""
-
-    def __init__(self, pres, bound):
-        self.bound = bound
-        super().__init__(pres)
-
-    def _zero_free_paths(self):
-        arrows = self.pres.quiver.arrows
-        endpoints = {}
-        frontier = [(b.name,) for v in self.pres.quiver.vertices
-                    for b in self.pres.quiver.arrows_from(v)]
-        while frontier:
-            survivors = [p for p in frontier if not _holds_zero(self.pres, p)]
-            for p in survivors:
-                assert len(p) < self.bound, f"{p} survives"
-                endpoints[p] = (arrows[p[0]].source, arrows[p[-1]].target)
-            frontier = [p + (b.name,) for p in survivors
-                        for b in self.pres.quiver.arrows_from(arrows[p[-1]].target)]
-        self._endpoints = endpoints
-        return endpoints
-
-    def _equality_rows(self, index):
-        rows = []
-        for rel in self.pres.relations:
-            if rel.kind != "eq":
-                continue
-            src, tgt = self.pres.path_endpoints(rel.left)
-            pre = [()] + [v for v, ends in self._endpoints.items() if ends[1] == src]
-            post = [()] + [u for u, ends in self._endpoints.items() if ends[0] == tgt]
-            for v in pre:
-                for u in post:
-                    row = [0] * len(index)
-                    if v + rel.left + u in index:
-                        row[index[v + rel.left + u]] += 1
-                    if v + rel.right + u in index:
-                        row[index[v + rel.right + u]] -= 1
-                    if any(row):
-                        rows.append(row)
-        return rows
-
-
-def _holds_zero(pres, path):
-    zeros = [rel.left for rel in pres.relations if rel.kind == "zero"]
-    return any(path[i:i + len(z)] == z
-               for z in zeros for i in range(len(path) - len(z) + 1))
 
 
 def _assert_same_basis(pres):
@@ -201,18 +155,18 @@ def _assert_same_basis(pres):
             longer = path + stretch * copies
             assert all(arrows[a].target == arrows[b].source
                        for a, b in zip(longer, longer[1:]))
-            assert not _holds_zero(pres, longer), (path, copies)
+            assert not holds_zero(pres, longer), (path, copies)
         return
     longest = max(map(len, basis.reduce), default=0)
-    reference = _AllOffsetBasis(pres, longest + 1)
-    assert basis.classes == reference.classes
-    assert basis.reduce == reference.reduce
-    assert basis.act == reference.act
+    classes, reduce_map, act = all_offset_basis(pres, longest + 1)
+    assert basis.classes == classes
+    assert basis.reduce == reduce_map
+    assert basis.act == act
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_suffix_zero_check_matches_all_offset_reference(r):
-    for m in range(7):
+    for m in range(9):
         _assert_same_basis(build_lambda(r, m))
     _assert_same_basis(build_lambda1prime(r))
 

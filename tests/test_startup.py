@@ -103,6 +103,19 @@ def test_building_and_emitting_a_witness_loads_no_homology(tmp_path):
     assert loaded == ["biserial.witnesses"]
 
 
+def test_path_basis_loads_no_elimination(tmp_path):
+    # Equalities merge paths in a union-find: building a basis needs neither
+    # the elimination kernel nor a field.
+    proc, err, loaded = _fresh(
+        "from biserial.families import build_lambda\n"
+        "from biserial.pathbasis import PathBasis\n"
+        "print(PathBasis(build_lambda(2, 6)).dim)\n"
+        "status = 0\n", tmp_path, ["biserial.pathbasis", "biserial.matrices",
+                                    "biserial.fields"])
+    assert proc.returncode == 0 and err == ""
+    assert proc.stdout == "88\n"
+    assert loaded == ["biserial.pathbasis"]
+
 def test_module_pd_on_files_loads_only_its_layers(tmp_path):
     (tmp_path / "l.alg").write_text(emit_presentation(build_lambda(1, 3)))
     (tmp_path / "z.mod").write_text(
